@@ -14,7 +14,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import constraints as cn
@@ -186,22 +185,16 @@ def cmd_suggest(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     base = _resolve_scene(args.scene, args.seed)
-
-    def one(seed: int):
+    # the solves are pure Python, so worker threads would only queue on
+    # the interpreter lock
+    for seed in range(args.seed, args.seed + args.seeds):
         scene = base.copy()
-        config = SolverConfig(seed=seed)
-        if args.iters:
-            config.max_iterations = args.iters
+        config = _solver_config(scene, args)
+        config.seed = seed
         layout, trace = synthesize(scene, config)
-        svg = render_svg(scene, layout, _render_options(args))
         with open(out / f"layout_seed{seed}.svg", "w", encoding="utf-8") as handle:
-            handle.write(svg)
-        return seed, trace.best_energy
-
-    with ThreadPoolExecutor(max_workers=min(8, args.seeds)) as pool:
-        results = list(pool.map(one, range(args.seed, args.seed + args.seeds)))
-    for seed, energy in results:
-        print(f"seed {seed}: E={energy:.6g}")
+            handle.write(render_svg(scene, layout, _render_options(args)))
+        print(f"seed {seed}: E={trace.best_energy:.6g}")
     return 0
 
 

@@ -745,6 +745,13 @@ def project_boundary(
     """
     if wi <= 0.0 or k == 0.0:
         return []
+    if room._rect is not None:
+        # deep inside a rectangle the nearest wall is the nearest side,
+        # so the circle is contained without measuring every wall
+        x0, y0, x1, y1 = room._rect
+        x, y = pi[0], pi[1]
+        if min(x - x0, x1 - x, y - y0, y1 - y) > radius + 1e-9:
+            return []
     if boundary_violation(room, pi, radius) <= 1e-12:
         return []
     x, y = pi[0], pi[1]

@@ -87,25 +87,6 @@ def closest_point_on_segment(a: Vec2, b: Vec2, p) -> tuple[Vec2, float]:
     return Vec2(a.x + t * abx, a.y + t * aby), t
 
 
-def segment_distance_sq(ax: float, ay: float, bx: float, by: float, px: float, py: float) -> float:
-    """Squared distance from (px, py) to segment a-b, allocation-free."""
-    abx = bx - ax
-    aby = by - ay
-    denom = abx * abx + aby * aby
-    if denom <= 0.0:
-        dx = px - ax
-        dy = py - ay
-        return dx * dx + dy * dy
-    t = ((px - ax) * abx + (py - ay) * aby) / denom
-    if t < 0.0:
-        t = 0.0
-    elif t > 1.0:
-        t = 1.0
-    dx = px - (ax + t * abx)
-    dy = py - (ay + t * aby)
-    return dx * dx + dy * dy
-
-
 def polygon_signed_area(vertices: list[Vec2]) -> float:
     area = 0.0
     n = len(vertices)

@@ -4,7 +4,9 @@ Each iteration refreshes every constraint's stiffness from its schedule,
 projects the authored constraints (interleaved round-robin across kinds,
 or batched with over-relaxed averaging), then regenerates and projects
 contact constraints — collisions, accessibility, boundary containment —
-from a fresh spatial hash, hard ones last.
+from a spatial hash, hard ones last. Steps and settle sweeps share one
+neighbour list per attempt, which rebuilds the hash only once some
+object has moved far enough to meet a pair the last build missed.
 
 The run returns the lowest-energy snapshot that satisfies the hard
 constraints, together with the full energy trace.
@@ -22,7 +24,7 @@ from . import constraints as cn
 from .constraints import Constraint, Correction
 from .geometry import Vec2, closest_point_on_curve, normalize_angle, wrap_angle
 from .model import Group, Scene, RIGID, nearest_wall_point
-from .spatial import NaiveIndex, SpatialHash, rebuild
+from .spatial import NaiveIndex, NeighbourList, SpatialHash, rebuild
 
 SEQUENTIAL = "sequential"
 BATCH = "batch"
@@ -491,17 +493,31 @@ def _zone_world_center(st: LayoutState, j: int, local_center: Vec2) -> tuple[flo
 # contact generation
 
 
-def _z_overlaps(st: LayoutState, ctx: SolveContext, i: int, j: int) -> bool:
-    lo_i = st.pz[i] - ctx.half_height[i]
-    hi_i = st.pz[i] + ctx.half_height[i]
-    lo_j = st.pz[j] - ctx.half_height[j]
-    hi_j = st.pz[j] + ctx.half_height[j]
-    return lo_i < hi_j - 1e-12 and lo_j < hi_i - 1e-12
+def neighbour_list(ctx: SolveContext) -> NeighbourList:
+    """A neighbour list over the scene's objects, built at its first
+    refresh. Its skin is half the median broad radius: settle sweeps and
+    late steps move objects far less than that, so most of them reuse the
+    last build."""
+    return NeighbourList(
+        ctx.broad_radius, ctx.object_particles, ctx.cell_size, skin=0.25 * ctx.cell_size
+    )
 
 
-def build_hash(st: LayoutState, ctx: SolveContext, broad_phase: str = "hash"):
+def build_hash(
+    st: LayoutState,
+    ctx: SolveContext,
+    broad_phase: str = "hash",
+    neighbours: NeighbourList | None = None,
+):
+    """The broad-phase index for the current poses: empty when collisions
+    are off, all pairs for the naive broad phase, otherwise the given
+    neighbour list brought up to date, or a fresh hash without one."""
+    if not ctx.scene.collisions_enabled:
+        return NaiveIndex(())  # the narrow phase would discard any pairs
     if broad_phase == "naive":
         return NaiveIndex(ctx.object_particles)
+    if neighbours is not None:
+        return neighbours.refresh(st.px, st.py)
     # insertion extents carry the accessibility reach so zone pairs also
     # share cells; soundness holds for any cell size
     return rebuild(
@@ -762,9 +778,13 @@ def step(
     iteration: int,
     config: SolverConfig,
     tiebreak=None,
+    neighbours: NeighbourList | None = None,
 ) -> tuple:
     """One solver iteration; returns the contacts it generated so the
-    caller can reuse them for the energy evaluation."""
+    caller can reuse them for the energy evaluation. A run passes its
+    neighbour list along; without one the step starts a fresh list."""
+    if neighbours is None:
+        neighbours = neighbour_list(ctx)
     applier = _Applier(st, ctx)
     for c in ctx.user_constraints:
         c.stiffness = cn.update_stiffness(c, iteration)
@@ -780,7 +800,7 @@ def step(
             for corr in project_constraint(c, st, ctx, tiebreak):
                 applier.apply(corr, c.kind)
 
-    grid = build_hash(st, ctx, config.broad_phase)
+    grid = build_hash(st, ctx, config.broad_phase, neighbours)
     contacts = generate_contacts(st, ctx, grid)
     collisions, activations, ghosts = contacts
     k_col = ctx.generated_k[cn.COLLISION].stiffness
@@ -886,7 +906,11 @@ def _apply_batched(corrections: list[Correction], applier: _Applier, omega: floa
 
 
 def _settle_hard_constraints(
-    st: LayoutState, ctx: SolveContext, config: SolverConfig, tiebreak=None
+    st: LayoutState,
+    ctx: SolveContext,
+    config: SolverConfig,
+    neighbours: NeighbourList,
+    tiebreak=None,
 ) -> bool:
     """Project only collisions (with wall-ghost assists), stacking, and
     boundary containment at full stiffness until the layout is clean,
@@ -899,7 +923,7 @@ def _settle_hard_constraints(
         for c in ctx.stacking_constraints:
             for corr in project_constraint(c, st, ctx, tiebreak):
                 applier.apply(corr, cn.STACKING)
-        grid = build_hash(st, ctx, config.broad_phase)
+        grid = build_hash(st, ctx, config.broad_phase, neighbours)
         collisions, _, ghosts = generate_contacts(st, ctx, grid, with_accessibility=False)
         ghost_set = set(ghosts)
         if collisions and sweep:
@@ -999,6 +1023,7 @@ def _synthesize_attempt(
         return math.cos(angle), math.sin(angle)
 
     st = initialize(scene, seed)
+    neighbours = neighbour_list(ctx)
     energy, sums, max_overlap, max_boundary = evaluate_energy(st, ctx)
     trace.energies.append(energy)
     trace.violation_sums.append(sums)
@@ -1019,7 +1044,7 @@ def _synthesize_attempt(
     for iteration in range(1, config.max_iterations + 1):
         # the step's own contact lists price this iteration's energy; a
         # fresh regeneration double-checks any new best-feasible candidate
-        contacts = step(st, ctx, iteration, config, tiebreak)
+        contacts = step(st, ctx, iteration, config, tiebreak, neighbours)
         energy, sums, max_overlap, max_boundary = evaluate_energy(st, ctx, contacts=contacts)
         if max_overlap <= tol and max_boundary <= tol and energy < best_feasible:
             energy, sums, max_overlap, max_boundary = evaluate_energy(
@@ -1059,14 +1084,14 @@ def _synthesize_attempt(
         if settled_best is not None and settled_best[0] <= candidate_energy:
             break  # settling cannot beat its own starting energy by much
         st.restore(snapshot)
-        ok = _settle_hard_constraints(st, ctx, config, tiebreak)
+        ok = _settle_hard_constraints(st, ctx, config, neighbours, tiebreak)
         energy, _, _, _ = evaluate_energy(st, ctx)
         if ok and (settled_best is None or energy < settled_best[0]):
             settled_best = (energy, st.snapshot())
     if settled_best is None:
         # no candidate settled fully; keep the least-violating attempt
         st.restore(candidates[0][2])
-        _settle_hard_constraints(st, ctx, config, tiebreak)
+        _settle_hard_constraints(st, ctx, config, neighbours, tiebreak)
         energy, _, _, _ = evaluate_energy(st, ctx)
         settled_best = (energy, st.snapshot())
 

@@ -111,6 +111,17 @@ class TestSuggest:
         files = sorted(p.name for p in out.glob("*.svg"))
         assert files == ["layout_seed0.svg", "layout_seed1.svg", "layout_seed2.svg"]
 
+    def test_follows_scene_solver_defaults_like_synth(self, tmp_path):
+        path = tmp_path / "scene.json"
+        save_scene(build("living_room"), path)
+        doc = json.loads(path.read_text())
+        doc["solver"] = {"max_iterations": 5}
+        path.write_text(json.dumps(doc))
+        assert run(["synth", path, "--seed", "1", "--out", tmp_path / "synth"]) == 0
+        assert run(["suggest", path, "--seed", "1", "--seeds", "1", "--out", tmp_path / "sugg"]) == 0
+        synth_svg = (tmp_path / "synth" / "layout.svg").read_bytes()
+        assert (tmp_path / "sugg" / "layout_seed1.svg").read_bytes() == synth_svg
+
     def test_suggestions_differ_between_seeds(self, tmp_path):
         out = tmp_path / "sugg"
         run(["suggest", "living_room", "--seeds", "2", "--iters", "30", "--out", out])

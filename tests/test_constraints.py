@@ -573,6 +573,30 @@ class TestBoundary:
         assert moved[0] == pytest.approx([0.5, 0.5], abs=1e-9)
         assert any("clamp" in r.message for r in caplog.records)
 
+    def test_rectangle_early_out_only_where_contained(self, monkeypatch):
+        measured = []
+
+        def spy(room, p, radius):
+            measured.append(p)
+            return boundary_violation(room, p, radius)
+
+        monkeypatch.setattr(cn, "boundary_violation", spy)
+        rng = np.random.default_rng(546)
+        skipped = 0
+        for _ in range(2000):
+            x0, y0 = rng.uniform(-5, 5, 2)
+            w, h = rng.uniform(0.5, 10, 2)
+            room = Room([Vec2(x0, y0), Vec2(x0 + w, y0), Vec2(x0 + w, y0 + h), Vec2(x0, y0 + h)])
+            p = (rng.uniform(x0 - 1, x0 + w + 1), rng.uniform(y0 - 1, y0 + h + 1))
+            radius = rng.uniform(0.01, 0.5 * min(w, h))
+            measured.clear()
+            corrs = project_boundary(0, p, 1.0, radius, room)
+            if not measured:
+                skipped += 1
+                assert corrs == []
+                assert boundary_violation(room, p, radius) == 0.0
+        assert 200 < skipped < 1800
+
     def test_violation_measure(self):
         assert boundary_violation(SQUARE, (5, 5), 1.0) == 0.0
         assert boundary_violation(SQUARE, (0.2, 5), 1.0) == pytest.approx(0.8)

@@ -412,3 +412,20 @@ class TestSynthesize:
         _, trace = synthesize(scene, SolverConfig(seed=5))
         assert len(trace.energies) == len(trace.violation_sums)
         assert trace.settled
+
+    @pytest.mark.parametrize("template, params, seed", [
+        ("living_room", None, 0),
+        ("desk", None, 13),
+        ("tp_bedroom", None, 2),
+        ("tp_picnic", None, 3),
+        ("theater1", {"chair_count": 50}, 0),
+    ])
+    def test_hash_and_naive_broad_phases_agree(self, template, params, seed):
+        scene = scenes.build(template, params, seed=seed)
+        runs = [
+            synthesize(scene, SolverConfig(seed=seed, max_iterations=120, broad_phase=broad))
+            for broad in ("hash", "naive")
+        ]
+        (hash_layout, hash_trace), (naive_layout, naive_trace) = runs
+        assert hash_layout == naive_layout
+        assert hash_trace.energies == naive_trace.energies

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from layoutsynth.spatial import NaiveIndex, SpatialHash, candidate_pairs, overlapping_pairs, rebuild
+from layoutsynth.spatial import (
+    NaiveIndex,
+    NeighbourList,
+    SpatialHash,
+    candidate_pairs,
+    overlapping_pairs,
+    rebuild,
+)
 
 
 def brute_force_overlaps(px, py, radii):
@@ -94,6 +101,52 @@ def test_naive_index_is_sound_and_exhaustive():
     idx = NaiveIndex([3, 1, 7])
     assert idx.candidate_pairs() == [(1, 3), (1, 7), (3, 7)]
     assert idx.query(0, 0, 1) == [1, 3, 7]
+
+
+class TestNeighbourList:
+    def _list(self, radii):
+        cell = 2.0 * float(np.median(radii))
+        skin = 0.25 * cell
+        return NeighbourList(list(radii), range(len(radii)), cell, skin), skin
+
+    def test_reused_pairs_cover_overlaps_after_moves_under_half_skin(self):
+        rng = np.random.default_rng(108)
+        for _ in range(200):
+            n = int(rng.integers(2, 200))
+            px0 = rng.uniform(0, 30, n)
+            py0 = rng.uniform(0, 30, n)
+            radii = rng.uniform(0.05, 1.5, n)
+            nl, skin = self._list(radii)
+            nl.refresh(list(px0), list(py0))
+            built = nl.built
+            for _ in range(3):
+                # every particle strays up to a hair under half the skin
+                # from its build position, many of them by the full amount
+                reach = 0.5 * skin * (1.0 - 1e-6)
+                length = np.where(rng.random(n) < 0.5, reach, rng.uniform(0, reach, n))
+                angle = rng.uniform(0, 2 * np.pi, n)
+                px = px0 + length * np.cos(angle)
+                py = py0 + length * np.sin(angle)
+                pairs = nl.refresh(list(px), list(py)).candidate_pairs()
+                assert nl.built is built, "a move under half the skin rebuilt the list"
+                assert pairs == sorted(pairs)
+                truth = brute_force_overlaps(px, py, radii)
+                missing = truth - set(pairs)
+                assert not missing, f"reused list missed {len(missing)} pairs at n={n}"
+
+    def test_move_past_half_skin_rebuilds(self):
+        rng = np.random.default_rng(109)
+        px = list(rng.uniform(0, 10, 40))
+        py = list(rng.uniform(0, 10, 40))
+        radii = rng.uniform(0.1, 0.8, 40)
+        nl, skin = self._list(radii)
+        first = nl.refresh(px, py).built
+        px[17] += 0.51 * skin
+        nl.refresh(px, py)
+        assert nl.built is not first
+        assert nl.built[17] == (px[17], py[17])
+        grown = [r + 0.5 * skin for r in radii]
+        assert nl.candidate_pairs() == candidate_pairs(rebuild(px, py, grown, cell_size=nl.cell_size))
 
 
 def test_rejects_bad_cell_size():
