@@ -2,8 +2,8 @@
 simulated-annealing baseline, benchmark scenes, scene file IO, and
 overhead SVG rendering."""
 
-from .annealer import AnnealConfig, accept, propose, run_sa_mcmc
-from .constraints import Constraint, Correction, make_constraint, scale_factor, update_stiffness
+from .annealer import AnnealConfig, accept, run_sa_mcmc
+from .constraints import Constraint, Correction, make_constraint, update_stiffness
 from .geometry import Curve, Vec2
 from .model import (
     AccessRegion,
@@ -54,11 +54,9 @@ __all__ = [
     "mass_from_bbox",
     "nearest_wall_point",
     "parse_scene",
-    "propose",
     "render_svg",
     "run_sa_mcmc",
     "save_scene",
-    "scale_factor",
     "scaling_series",
     "serialize_scene",
     "step",

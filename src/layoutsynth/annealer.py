@@ -115,25 +115,6 @@ def _apply_move(state: LayoutState, ctx: SolveContext, move: _Move, values) -> N
             state.theta[m] = (gth + dth) % (2.0 * math.pi)
 
 
-def propose(
-    state: LayoutState,
-    ctx: SolveContext,
-    config: AnnealConfig,
-    rng: np.random.Generator,
-) -> LayoutState:
-    """Candidate state differing from the input in one attribute of one
-    movable object."""
-    sigma_pos = (_default_sigma_pos(ctx, config.sigma_pos_fraction)
-                 if config.sigma_pos is None else config.sigma_pos)
-    movable = movable_particles(ctx)
-    if not movable:
-        raise ValueError("no movable object to shift")
-    move = _draw_move(state, ctx, movable, sigma_pos, config.sigma_theta, rng)
-    candidate = state.copy()
-    _apply_move(candidate, ctx, move, move.new)
-    return candidate
-
-
 def accept(
     energy_current: float,
     energy_candidate: float,

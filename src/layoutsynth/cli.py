@@ -109,11 +109,13 @@ def _run_meta(scene_ref: str, mode: str, seed: int, solver_config: SolverConfig 
         "scene": scene_ref,
         "mode": mode,
         "seed": seed,
-        "energy_weights": dict(sorted(cn.DEFAULT_WEIGHTS.items())),
+        "energy_weights": {
+            kind: spec.weight for kind, spec in cn.SPECS.items() if spec.weight != 1.0
+        },
         "default_weight": 1.0,
         "stiffness_schedules": {
-            kind: {"schedule": sched, "initial": k0, "rate": rate}
-            for kind, (sched, k0, rate) in sorted(cn.DEFAULT_SCHEDULES.items())
+            kind: {"schedule": spec.schedule, "initial": spec.stiffness_initial, "rate": spec.rate}
+            for kind, spec in cn.SPECS.items()
         },
         "increasing_floor": cn.INCREASING_FLOOR,
         "degenerate_separations": trace.degenerate_events,

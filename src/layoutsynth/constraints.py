@@ -1,9 +1,18 @@
-"""Constraint records and their pure projection operations.
+"""Constraint records, the kind registry and the pure projections.
 
 Each projection maps current particle states to a small list of
 corrections; it never mutates anything. Positional projections leave
 orientations alone and angular ones leave positions alone, so the solver
 can apply corrections in any interleaving.
+
+Every constraint kind is described once, by the ``KindSpec`` registered
+next to its projection in ``SPECS``: arity, default weight and stiffness
+schedule, the relations its projection and its pricing agree on, its
+extra validation, ``project(c, st, ctx, tiebreak)`` and ``violation(c,
+st, ctx)``. ``KINDS`` is the registry's order. The two record functions
+read the solver's pose state ``st`` and its per-run context ``ctx`` by
+attribute, and call the ``project_*`` functions through this module's
+globals, so a wrapper installed on the module is seen at call time.
 
 Conventions shared by every projection:
 
@@ -21,7 +30,7 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, Optional
 
-from .geometry import Vec2, wrap_angle
+from .geometry import Vec2, closest_point_on_curve, wrap_angle
 from .model import Room, nearest_wall_point
 
 log = logging.getLogger(__name__)
@@ -32,41 +41,6 @@ INEQUALITY = "inequality"
 DECREASING = "decreasing"
 INCREASING = "increasing"
 CONSTANT = "constant"
-
-# constraint kinds
-PAIRWISE_DISTANCE = "pairwise_distance"
-FOCAL_POINT = "focal_point"
-TRAFFIC_LANE = "traffic_lane"
-HEAT_POINT = "heat_point"
-FOCAL_SYMMETRY = "focal_symmetry"
-VISUAL_BALANCE = "visual_balance"
-WALL_DISTANCE = "wall_distance"
-ACCESSIBILITY = "accessibility"
-COLLISION = "collision"
-WALL_GHOST_COLLISION = "wall_ghost_collision"
-PAIRWISE_ORIENTATION = "pairwise_orientation"
-WALL_ORIENTATION = "wall_orientation"
-STACKING = "stacking"
-BOUNDARY = "boundary"
-GROUP_CURVE = "group_curve"
-
-KINDS = (
-    PAIRWISE_DISTANCE,
-    FOCAL_POINT,
-    TRAFFIC_LANE,
-    HEAT_POINT,
-    FOCAL_SYMMETRY,
-    VISUAL_BALANCE,
-    WALL_DISTANCE,
-    ACCESSIBILITY,
-    COLLISION,
-    WALL_GHOST_COLLISION,
-    PAIRWISE_ORIENTATION,
-    WALL_ORIENTATION,
-    STACKING,
-    BOUNDARY,
-    GROUP_CURVE,
-)
 
 # orientation target modes
 ORIENT_FACE = "face"            # theta' = bearing toward the other participant
@@ -88,52 +62,6 @@ class Correction(NamedTuple):
     dy: float = 0.0
     dz: float = 0.0
     dtheta: float = 0.0
-
-
-# default (weight, schedule, k0, rate) per kind; clearance-style kinds
-# stiffen over the iterations, attractive ones relax, hard ones stay at 1
-DEFAULT_WEIGHTS = {
-    COLLISION: 150.0,
-    ACCESSIBILITY: 150.0,
-    BOUNDARY: 150.0,
-    WALL_DISTANCE: 20.0,
-    WALL_ORIENTATION: 20.0,
-}
-
-DEFAULT_SCHEDULES = {
-    PAIRWISE_DISTANCE: (DECREASING, 0.9, 10.0),
-    FOCAL_POINT: (DECREASING, 0.9, 10.0),
-    HEAT_POINT: (DECREASING, 0.9, 10.0),
-    FOCAL_SYMMETRY: (DECREASING, 0.9, 10.0),
-    VISUAL_BALANCE: (DECREASING, 0.9, 10.0),
-    PAIRWISE_ORIENTATION: (DECREASING, 0.9, 10.0),
-    GROUP_CURVE: (DECREASING, 0.9, 10.0),
-    TRAFFIC_LANE: (INCREASING, 0.9, 10.0),
-    COLLISION: (INCREASING, 0.9, 10.0),
-    ACCESSIBILITY: (INCREASING, 0.9, 10.0),
-    WALL_DISTANCE: (CONSTANT, 1.0, 1.0),
-    WALL_ORIENTATION: (CONSTANT, 1.0, 1.0),
-    STACKING: (CONSTANT, 1.0, 1.0),
-    BOUNDARY: (CONSTANT, 1.0, 1.0),
-    WALL_GHOST_COLLISION: (INCREASING, 0.9, 10.0),
-}
-
-
-# fixed participant counts; n-ary kinds are absent
-_ARITY = {
-    PAIRWISE_DISTANCE: 2,
-    FOCAL_POINT: 2,
-    TRAFFIC_LANE: 2,
-    WALL_DISTANCE: 1,
-    ACCESSIBILITY: 2,
-    COLLISION: 2,
-    WALL_GHOST_COLLISION: 2,
-    PAIRWISE_ORIENTATION: 2,
-    WALL_ORIENTATION: 1,
-    STACKING: 2,
-    BOUNDARY: 1,
-    GROUP_CURVE: 2,
-}
 
 
 @dataclass
@@ -175,10 +103,14 @@ class Constraint:
             self.stiffness = self.stiffness_initial
 
     def validate(self) -> None:
-        if self.kind not in KINDS:
+        spec = SPECS.get(self.kind)
+        if spec is None:
             raise ValueError(f"unknown constraint kind {self.kind!r}")
-        if self.relation not in (EQUALITY, INEQUALITY):
-            raise ValueError(f"unknown relation {self.relation!r}")
+        if self.relation not in spec.relations:
+            raise ValueError(
+                f"{self.kind} takes the relation {' or '.join(spec.relations)}, "
+                f"not {self.relation!r}"
+            )
         if self.schedule not in (DECREASING, INCREASING, CONSTANT):
             raise ValueError(f"unknown schedule {self.schedule!r}")
         if not (0.0 <= self.stiffness_initial <= 1.0 and 0.0 <= self.stiffness <= 1.0):
@@ -187,52 +119,98 @@ class Constraint:
             raise ValueError("schedule rate must be >= 1")
         if not self.weight > 0.0:
             raise ValueError("energy weight must be positive")
-        expected = _ARITY.get(self.kind)
-        if expected is not None and len(self.particles) != expected:
+        if spec.arity is not None and len(self.particles) != spec.arity:
             raise ValueError(
-                f"{self.kind} takes {expected} participants, got {len(self.particles)}"
+                f"{self.kind} takes {spec.arity} participants, got {len(self.particles)}"
             )
-        if self.kind in (TRAFFIC_LANE, FOCAL_SYMMETRY):
-            if self.vector is None or self.vector.norm() <= 0.0:
-                raise ValueError(f"{self.kind} needs a nonzero vector")
-        if self.kind == HEAT_POINT and self.point is None and len(self.particles) < 2:
-            raise ValueError("heat point needs a target point or an anchor participant")
-        if self.kind == FOCAL_SYMMETRY and len(self.particles) < 2:
-            raise ValueError("focal symmetry needs a focal and at least one member")
-        if self.kind in (PAIRWISE_DISTANCE, FOCAL_POINT, WALL_DISTANCE, TRAFFIC_LANE):
-            if self.distance is None or self.distance < 0.0:
-                raise ValueError(f"{self.kind} needs a nonnegative distance")
-        if self.kind == STACKING and (self.height_gap is None or self.height_gap < 0.0):
-            raise ValueError("stacking needs a nonnegative height gap")
-        if self.kind == PAIRWISE_ORIENTATION:
-            if self.orientation_mode not in (ORIENT_FACE, ORIENT_MATCH, ORIENT_FIXED):
-                raise ValueError(f"unknown orientation mode {self.orientation_mode!r}")
-            if self.orientation_mode == ORIENT_FIXED and self.angle_target is None:
-                raise ValueError("fixed orientation needs an angle target")
-        if self.kind == ACCESSIBILITY and self.face not in (1, 2, 3, 4):
-            raise ValueError("accessibility needs a face index in 1..4")
+        for check in spec.checks:
+            check(self)
 
     def copy(self) -> "Constraint":
         return replace(self)
 
 
+@dataclass(frozen=True)
+class KindSpec:
+    """Everything the solver knows about one constraint kind.
+
+    ``relations`` lists the relations under which the projection and the
+    pricing agree, the default first; ``arity`` is None for n-ary kinds;
+    ``schedule``, ``stiffness_initial`` and ``rate`` are the default
+    stiffness schedule; ``checks`` raise ValueError on a malformed
+    constraint.
+    """
+
+    project: Callable[..., list]
+    violation: Callable[..., float]
+    arity: Optional[int]
+    weight: float
+    schedule: str
+    stiffness_initial: float
+    rate: float
+    relations: tuple[str, ...]
+    checks: tuple[Callable[[Constraint], None], ...]
+
+
+# kind name -> spec, in registration order; KINDS (end of module) is
+# its key order, which fixes the authored interleaving and the trace
+# columns
+SPECS: dict[str, KindSpec] = {}
+
+# attractive kinds relax over the iterations, clearance kinds stiffen,
+# hard ones stay at full stiffness
+_RELAX = (DECREASING, 0.9, 10.0)
+_STIFFEN = (INCREASING, 0.9, 10.0)
+_HARD = (CONSTANT, 1.0, 1.0)
+_EITHER = (EQUALITY, INEQUALITY)
+
+
+def _kind(name, project, violation, *, schedule, arity=2, weight=1.0,
+          relations=(EQUALITY,), checks=()) -> str:
+    SPECS[name] = KindSpec(project, violation, arity, weight, *schedule, relations, checks)
+    return name
+
+
+def _priced(c: Constraint, C: float) -> float:
+    """Violation of a kind whose projection honours either relation."""
+    if c.relation == INEQUALITY:
+        return max(0.0, -C)
+    return abs(C)
+
+
+def _unpriced(c, st, ctx) -> float:
+    """Authored contact kinds: the generated contacts price the same
+    overlap, so the authored copy adds nothing."""
+    return 0.0
+
+
+def _needs_distance(c: Constraint) -> None:
+    if c.distance is None or c.distance < 0.0:
+        raise ValueError(f"{c.kind} needs a nonnegative distance")
+
+
+def _needs_vector(c: Constraint) -> None:
+    if c.vector is None or c.vector.norm() <= 0.0:
+        raise ValueError(f"{c.kind} needs a nonzero vector")
+
+
 def make_constraint(kind: str, particles: tuple[int, ...], **kw) -> Constraint:
-    """Constraint with per-kind default weight, schedule, and relation."""
-    schedule, k0, rate = DEFAULT_SCHEDULES[kind]
+    """Constraint with its kind's default weight, schedule, and relation."""
+    spec = SPECS[kind]
     defaults = dict(
-        weight=DEFAULT_WEIGHTS.get(kind, 1.0),
-        schedule=schedule,
-        stiffness_initial=k0,
-        rate=rate,
+        weight=spec.weight,
+        schedule=spec.schedule,
+        stiffness_initial=spec.stiffness_initial,
+        rate=spec.rate,
+        relation=spec.relations[0],
     )
-    if kind in (TRAFFIC_LANE, COLLISION, ACCESSIBILITY, WALL_GHOST_COLLISION):
-        defaults["relation"] = INEQUALITY
     defaults.update(kw)
     return Constraint(kind=kind, particles=tuple(particles), **defaults)
 
 
-def update_stiffness(constraint: Constraint, iteration: int) -> float:
-    """Stiffness for the given 1-based solver iteration.
+def update_stiffness(constraint: Constraint | KindSpec, iteration: int) -> float:
+    """Stiffness for the given 1-based solver iteration, from a
+    constraint's schedule or a kind's default one.
 
     Decreasing schedules run 1-(1-k0)^(M/l), which starts near 1 and
     decays toward 0; increasing schedules use the complement, rising from
@@ -250,22 +228,6 @@ def update_stiffness(constraint: Constraint, iteration: int) -> float:
     return min(1.0, max(INCREASING_FLOOR, base))
 
 
-def scale_factor(C: float, gradients: list[tuple[float, tuple[float, float]]], k: float) -> float:
-    """Common scale s of a first-order projection.
-
-    ``gradients`` pairs each participant's inverse mass with its
-    constraint gradient. The per-particle correction is
-    ``-s * w_i * grad_i``; the inverse mass is folded in per particle,
-    not in s, which reproduces the classic two-body distance split.
-    """
-    denom = 0.0
-    for w, (gx, gy) in gradients:
-        denom += w * (gx * gx + gy * gy)
-    if denom <= _EPS * _EPS:
-        return 0.0
-    return k * C / denom
-
-
 TieBreak = Optional[Callable[[], tuple[float, float]]]
 
 
@@ -275,7 +237,7 @@ def _tiebreak_dir(tiebreak: TieBreak) -> tuple[float, float]:
     return tiebreak()
 
 
-def _distance_corrections(
+def project_pairwise_distance(
     i: int,
     j: int,
     pi,
@@ -284,10 +246,12 @@ def _distance_corrections(
     wj: float,
     d: float,
     k: float,
-    relation: str,
+    relation: str = EQUALITY,
     tiebreak: TieBreak = None,
 ) -> list[Correction]:
-    """Two-body distance projection core shared by several kinds."""
+    """Hold particles i and j at (equality) or beyond (inequality)
+    distance d, splitting the correction by inverse mass; the two-body
+    core of every distance-like kind."""
     wsum = wi + wj
     if wsum <= 0.0 or k == 0.0:
         return []
@@ -316,21 +280,22 @@ def _distance_corrections(
     return out
 
 
-def project_pairwise_distance(
-    i: int,
-    j: int,
-    pi,
-    pj,
-    wi: float,
-    wj: float,
-    d: float,
-    k: float,
-    relation: str = EQUALITY,
-    tiebreak: TieBreak = None,
-) -> list[Correction]:
-    """Hold particles i and j at (equality) or beyond (inequality)
-    distance d, splitting the correction by inverse mass."""
-    return _distance_corrections(i, j, pi, pj, wi, wj, d, k, relation, tiebreak)
+def _pairwise_distance(c, st, ctx, tiebreak):
+    i, j = c.particles
+    w = ctx.proj_w
+    return project_pairwise_distance(
+        i, j, (st.px[i], st.py[i]), (st.px[j], st.py[j]), w[i], w[j], c.distance,
+        c.stiffness, c.relation, tiebreak,
+    )
+
+
+def _center_distance_violation(c, st, ctx) -> float:
+    i, j = c.particles
+    return _priced(c, math.hypot(st.px[i] - st.px[j], st.py[i] - st.py[j]) - c.distance)
+
+
+PAIRWISE_DISTANCE = _kind("pairwise_distance", _pairwise_distance, _center_distance_violation,
+                          schedule=_RELAX, relations=_EITHER, checks=(_needs_distance,))
 
 
 def project_focal_point(
@@ -349,7 +314,22 @@ def project_focal_point(
     """Keep a member at distance d from a focal object. With
     ``pin_focal`` the focal behaves as an infinite-mass anchor."""
     wf = 0.0 if pin_focal else w_focal
-    return _distance_corrections(member, focal, p_member, p_focal, w_member, wf, d, k, relation, tiebreak)
+    return project_pairwise_distance(
+        member, focal, p_member, p_focal, w_member, wf, d, k, relation, tiebreak
+    )
+
+
+def _focal_point(c, st, ctx, tiebreak):
+    i, j = c.particles
+    w = ctx.proj_w
+    return project_focal_point(
+        i, j, (st.px[i], st.py[i]), (st.px[j], st.py[j]), w[i], w[j], c.distance,
+        c.stiffness, c.relation, c.pin_focal, tiebreak,
+    )
+
+
+FOCAL_POINT = _kind("focal_point", _focal_point, _center_distance_violation,
+                    schedule=_RELAX, relations=_EITHER, checks=(_needs_distance,))
 
 
 def lane_projection_point(pj, v: Vec2, pi) -> tuple[float, float]:
@@ -399,6 +379,29 @@ def project_traffic_lane(
     if wj > 0.0:
         out.append(Correction(j, s * wj * nx, s * wj * ny))
     return out
+
+
+def _traffic_lane(c, st, ctx, tiebreak):
+    i, j = c.particles
+    w = ctx.proj_w
+    wj = 0.0 if c.pin_focal else w[j]
+    return project_traffic_lane(
+        i, j, (st.px[i], st.py[i]), (st.px[j], st.py[j]), w[i], wj, c.vector, c.distance,
+        c.stiffness,
+    )
+
+
+def _traffic_lane_violation(c, st, ctx) -> float:
+    i, j = c.particles
+    px, py = st.px, st.py
+    qx, qy = lane_projection_point((px[j], py[j]), c.vector, (px[i], py[i]))
+    return max(0.0, c.distance - math.hypot(px[i] - qx, py[i] - qy))
+
+
+# the projection only ever pushes out of the corridor, so an equality
+# lane would be priced for what is never projected
+TRAFFIC_LANE = _kind("traffic_lane", _traffic_lane, _traffic_lane_violation, schedule=_STIFFEN,
+                     relations=(INEQUALITY,), checks=(_needs_vector, _needs_distance))
 
 
 def weighted_center(indices, px, py, weights) -> tuple[float, float, float]:
@@ -469,6 +472,36 @@ def project_heat_point(
     return _project_center_to_target(indices, px, py, masses, inv_masses, target, k)
 
 
+def _heat_members_target(c, st):
+    """(participants, target): the point when given, else the first
+    participant anchors the rest."""
+    if c.point is not None:
+        return c.particles, c.point
+    anchor = c.particles[0]
+    return c.particles[1:], (st.px[anchor], st.py[anchor])
+
+
+def _heat_point(c, st, ctx, tiebreak):
+    members, target = _heat_members_target(c, st)
+    return project_heat_point(members, st.px, st.py, ctx.masses, ctx.proj_w, target, c.stiffness)
+
+
+def _heat_point_violation(c, st, ctx) -> float:
+    members, target = _heat_members_target(c, st)
+    cx, cy, _ = weighted_center(members, st.px, st.py, ctx.masses)
+    return 0.5 * ((cx - target[0]) ** 2 + (cy - target[1]) ** 2)
+
+
+def _needs_heat_target(c: Constraint) -> None:
+    if c.point is None and len(c.particles) < 2:
+        raise ValueError("heat point needs a target point or an anchor participant")
+
+
+# the pull and its price 0.5*|center - target|^2 are both equalities
+HEAT_POINT = _kind("heat_point", _heat_point, _heat_point_violation,
+                   schedule=_RELAX, arity=None, checks=(_needs_heat_target,))
+
+
 def project_focal_symmetry(
     indices,
     px,
@@ -490,6 +523,33 @@ def project_focal_symmetry(
     return _project_center_to_target(indices, px, py, masses, inv_masses, target, k)
 
 
+def _focal_symmetry(c, st, ctx, tiebreak):
+    focal = c.particles[0]
+    return project_focal_symmetry(
+        c.particles[1:], st.px, st.py, ctx.masses, ctx.proj_w, (st.px[focal], st.py[focal]),
+        c.vector, c.stiffness,
+    )
+
+
+def _focal_symmetry_violation(c, st, ctx) -> float:
+    px, py = st.px, st.py
+    focal = c.particles[0]
+    cx, cy, _ = weighted_center(c.particles[1:], px, py, ctx.masses)
+    vx, vy = c.vector
+    t = ((cx - px[focal]) * vx + (cy - py[focal]) * vy) / (vx * vx + vy * vy)
+    t = max(0.0, t)
+    return 0.5 * ((cx - px[focal] - t * vx) ** 2 + (cy - py[focal] - t * vy) ** 2)
+
+
+def _needs_focal_and_member(c: Constraint) -> None:
+    if len(c.particles) < 2:
+        raise ValueError("focal symmetry needs a focal and at least one member")
+
+
+FOCAL_SYMMETRY = _kind("focal_symmetry", _focal_symmetry, _focal_symmetry_violation,
+                       schedule=_RELAX, arity=None, checks=(_needs_vector, _needs_focal_and_member))
+
+
 def project_visual_balance(
     indices,
     px,
@@ -505,6 +565,21 @@ def project_visual_balance(
     centroid itself is a zero-inverse-mass anchor.
     """
     return _project_center_to_target(indices, px, py, visual_weights, inv_masses, room_centroid, k)
+
+
+def _visual_balance(c, st, ctx, tiebreak):
+    return project_visual_balance(
+        c.particles, st.px, st.py, ctx.visual_weight, ctx.proj_w, ctx.centroid, c.stiffness
+    )
+
+
+def _visual_balance_violation(c, st, ctx) -> float:
+    cx, cy, _ = weighted_center(c.particles, st.px, st.py, ctx.visual_weight)
+    return 0.5 * ((cx - ctx.centroid.x) ** 2 + (cy - ctx.centroid.y) ** 2)
+
+
+VISUAL_BALANCE = _kind("visual_balance", _visual_balance, _visual_balance_violation,
+                       schedule=_RELAX, arity=None)
 
 
 def project_wall_distance(
@@ -536,6 +611,23 @@ def project_wall_distance(
     if C == 0.0:
         return []
     return [Correction(i, -k * C * nx, -k * C * ny)]
+
+
+def _wall_distance(c, st, ctx, tiebreak):
+    i = c.particles[0]
+    return project_wall_distance(
+        i, (st.px[i], st.py[i]), ctx.proj_w[i], ctx.room, c.distance, c.stiffness, c.relation
+    )
+
+
+def _wall_distance_violation(c, st, ctx) -> float:
+    i = c.particles[0]
+    q, _, _ = nearest_wall_point(ctx.room, (st.px[i], st.py[i]))
+    return _priced(c, math.hypot(st.px[i] - q.x, st.py[i] - q.y) - c.distance)
+
+
+WALL_DISTANCE = _kind("wall_distance", _wall_distance, _wall_distance_violation, schedule=_HARD,
+                      arity=1, weight=20.0, relations=_EITHER, checks=(_needs_distance,))
 
 
 def access_zone_active(pi, r_i: float, center, half_side: float, theta_j: float) -> bool:
@@ -579,7 +671,46 @@ def project_accessibility(
     if not access_zone_active(pi, r_i, access_center, half_side, theta_j):
         return []
     d = b_i + access_diagonal
-    return _distance_corrections(i, j, pi, access_center, wi, wj, d, k, INEQUALITY, tiebreak)
+    return project_pairwise_distance(i, j, pi, access_center, wi, wj, d, k, INEQUALITY, tiebreak)
+
+
+def zone_center(st, ctx, j: int, face: int):
+    """(world center, diagonal) of object j's accessibility zone on
+    ``face``, or None when that face has no zone."""
+    for zone_face, local_center, diagonal, _ in ctx.zones[j]:
+        if zone_face == face:
+            c, s = math.cos(st.theta[j]), math.sin(st.theta[j])
+            lx, ly = local_center
+            return (st.px[j] + c * lx - s * ly, st.py[j] + s * lx + c * ly), diagonal
+    return None
+
+
+def access_corrections(i: int, j: int, face: int, st, ctx, k: float, tiebreak: TieBreak = None):
+    """Keep object i out of object j's zone on ``face`` at the current
+    poses; no corrections when j has no zone there."""
+    zone = zone_center(st, ctx, j, face)
+    if zone is None:
+        return []
+    center, diagonal = zone
+    w = ctx.proj_w
+    return project_accessibility(
+        i, j, (st.px[i], st.py[i]), w[i], w[j], center, st.theta[j], diagonal,
+        ctx.b_diag[i], ctx.radius[i], k, tiebreak,
+    )
+
+
+def _accessibility(c, st, ctx, tiebreak):
+    i, j = c.particles
+    return access_corrections(i, j, c.face, st, ctx, c.stiffness, tiebreak)
+
+
+def _needs_face(c: Constraint) -> None:
+    if c.face not in (1, 2, 3, 4):
+        raise ValueError("accessibility needs a face index in 1..4")
+
+
+ACCESSIBILITY = _kind("accessibility", _accessibility, _unpriced, schedule=_STIFFEN,
+                      weight=150.0, relations=(INEQUALITY,), checks=(_needs_face,))
 
 
 def project_collision(
@@ -595,7 +726,20 @@ def project_collision(
     tiebreak: TieBreak = None,
 ) -> list[Correction]:
     """Separate overlapping bounding circles along their center line."""
-    return _distance_corrections(i, j, pi, pj, wi, wj, r_i + r_j, k, INEQUALITY, tiebreak)
+    return project_pairwise_distance(i, j, pi, pj, wi, wj, r_i + r_j, k, INEQUALITY, tiebreak)
+
+
+def _collision(c, st, ctx, tiebreak):
+    i, j = c.particles
+    w, r = ctx.proj_w, ctx.radius
+    return project_collision(
+        i, j, (st.px[i], st.py[i]), (st.px[j], st.py[j]), w[i], w[j], r[i], r[j],
+        c.stiffness, tiebreak,
+    )
+
+
+COLLISION = _kind("collision", _collision, _unpriced,
+                  schedule=_STIFFEN, weight=150.0, relations=(INEQUALITY,))
 
 
 def project_wall_ghost_collision(
@@ -613,9 +757,27 @@ def project_wall_ghost_collision(
     """Extra separation between the nearest-wall ghost points of two
     colliding, wall-constrained objects; it slides the hosts apart along
     the wall instead of pushing them off it."""
-    return _distance_corrections(
+    return project_pairwise_distance(
         i, j, wall_point_i, wall_point_j, wi, wj, r_i + r_j, k, INEQUALITY, tiebreak
     )
+
+
+def wall_ghost_corrections(i: int, j: int, st, ctx, k: float, tiebreak: TieBreak = None):
+    """Separate the nearest-wall ghost points of objects i and j at the
+    current poses."""
+    gi, _, _ = nearest_wall_point(ctx.room, (st.px[i], st.py[i]))
+    gj, _, _ = nearest_wall_point(ctx.room, (st.px[j], st.py[j]))
+    w, r = ctx.proj_w, ctx.radius
+    return project_wall_ghost_collision(i, j, gi, gj, w[i], w[j], r[i], r[j], k, tiebreak)
+
+
+def _wall_ghost_collision(c, st, ctx, tiebreak):
+    i, j = c.particles
+    return wall_ghost_corrections(i, j, st, ctx, c.stiffness, tiebreak)
+
+
+WALL_GHOST_COLLISION = _kind("wall_ghost_collision", _wall_ghost_collision, _unpriced,
+                             schedule=_STIFFEN, relations=(INEQUALITY,))
 
 
 def project_pairwise_orientation(
@@ -644,6 +806,48 @@ def project_pairwise_orientation(
         if delta != 0.0:
             out.append(Correction(j, dtheta=k * delta))
     return out
+
+
+def _orientation_target(c: Constraint, st) -> float | None:
+    i, j = c.particles
+    if c.orientation_mode == ORIENT_FACE:
+        dx = st.px[j] - st.px[i]
+        dy = st.py[j] - st.py[i]
+        if dx == 0.0 and dy == 0.0:
+            return None
+        return math.atan2(dy, dx) + c.angle_offset
+    if c.orientation_mode == ORIENT_MATCH:
+        return st.theta[j] + c.angle_offset
+    return c.angle_target
+
+
+def _pairwise_orientation(c, st, ctx, tiebreak):
+    i, j = c.particles
+    w = ctx.proj_w
+    return project_pairwise_orientation(
+        i, j, st.theta[i], _orientation_target(c, st), st.theta[j], None, w[i], w[j], c.stiffness
+    )
+
+
+def _pairwise_orientation_violation(c, st, ctx) -> float:
+    target = _orientation_target(c, st)
+    if target is None:
+        return 0.0
+    return abs(wrap_angle(target - st.theta[c.particles[0]]))
+
+
+def _needs_orientation_mode(c: Constraint) -> None:
+    if c.orientation_mode not in (ORIENT_FACE, ORIENT_MATCH, ORIENT_FIXED):
+        raise ValueError(f"unknown orientation mode {c.orientation_mode!r}")
+    if c.orientation_mode == ORIENT_FIXED and c.angle_target is None:
+        raise ValueError("fixed orientation needs an angle target")
+
+
+# the rotation always turns to the target and the price |angle| is never
+# negative, so only the equality is meaningful
+PAIRWISE_ORIENTATION = _kind("pairwise_orientation", _pairwise_orientation,
+                             _pairwise_orientation_violation, schedule=_RELAX,
+                             checks=(_needs_orientation_mode,))
 
 
 def wall_orientation_target(room: Room, pi, theta_i: float, offset: float) -> float:
@@ -677,6 +881,23 @@ def project_wall_orientation(
     return [Correction(i, dtheta=k * delta)]
 
 
+def _wall_orientation(c, st, ctx, tiebreak):
+    i = c.particles[0]
+    return project_wall_orientation(
+        i, st.theta[i], (st.px[i], st.py[i]), ctx.proj_w[i], ctx.room, c.angle_offset, c.stiffness
+    )
+
+
+def _wall_orientation_violation(c, st, ctx) -> float:
+    i = c.particles[0]
+    target = wall_orientation_target(ctx.room, (st.px[i], st.py[i]), st.theta[i], c.angle_offset)
+    return abs(wrap_angle(target - st.theta[i]))
+
+
+WALL_ORIENTATION = _kind("wall_orientation", _wall_orientation, _wall_orientation_violation,
+                         schedule=_HARD, arity=1, weight=20.0)
+
+
 def project_stacking(
     bottom: int,
     top: int,
@@ -707,6 +928,33 @@ def project_stacking(
     if w_bottom > 0.0:
         out.append(Correction(bottom, s * w_bottom * ex, s * w_bottom * ey, s * w_bottom * Cz))
     return out
+
+
+def _stacking(c, st, ctx, tiebreak):
+    bottom, top = c.particles
+    w = ctx.proj_w
+    # a pile's base stays on the ground: only a stacked bottom may move
+    w_bottom = w[bottom] if bottom in ctx.stack_top else 0.0
+    return project_stacking(
+        bottom, top, (st.px[bottom], st.py[bottom]), (st.px[top], st.py[top]),
+        st.pz[bottom], st.pz[top], w_bottom, w[top], c.height_gap, c.stiffness,
+    )
+
+
+def _stacking_violation(c, st, ctx) -> float:
+    bottom, top = c.particles
+    px, py = st.px, st.py
+    Cz = st.pz[top] - (st.pz[bottom] + c.height_gap)
+    return math.sqrt(Cz * Cz + (px[top] - px[bottom]) ** 2 + (py[top] - py[bottom]) ** 2)
+
+
+def _needs_height_gap(c: Constraint) -> None:
+    if c.height_gap is None or c.height_gap < 0.0:
+        raise ValueError("stacking needs a nonnegative height gap")
+
+
+STACKING = _kind("stacking", _stacking, _stacking_violation,
+                 schedule=_HARD, checks=(_needs_height_gap,))
 
 
 def boundary_violation(room: Room, p, radius: float) -> float:
@@ -791,3 +1039,50 @@ def project_boundary(
     if dx == 0.0 and dy == 0.0:
         return []
     return [Correction(i, dx, dy)]
+
+
+def _boundary(c, st, ctx, tiebreak):
+    i = c.particles[0]
+    return project_boundary(
+        i, (st.px[i], st.py[i]), ctx.proj_w[i], ctx.radius[i], ctx.room, c.stiffness
+    )
+
+
+BOUNDARY = _kind("boundary", _boundary, _unpriced, schedule=_HARD, arity=1, weight=150.0)
+
+
+def _curve_anchor(c: Constraint, st, ctx) -> Vec2:
+    group = ctx.group_by_id[c.group_id]
+    g = group.particle_index
+    world = group.curve.transformed(Vec2(st.px[g], st.py[g]), st.theta[g])
+    point, _ = closest_point_on_curve(world, (st.px[c.particles[0]], st.py[c.particles[0]]))
+    return point
+
+
+def _group_curve(c, st, ctx, tiebreak):
+    m = c.particles[0]
+    anchor = _curve_anchor(c, st, ctx)
+    return project_pairwise_distance(
+        m, c.particles[1], (st.px[m], st.py[m]), anchor, ctx.proj_w[m], 0.0, 0.0, c.stiffness,
+        EQUALITY, tiebreak,
+    )
+
+
+def _group_curve_violation(c, st, ctx) -> float:
+    m = c.particles[0]
+    anchor = _curve_anchor(c, st, ctx)
+    return math.hypot(st.px[m] - anchor.x, st.py[m] - anchor.y)
+
+
+def _needs_group(c: Constraint) -> None:
+    if c.group_id is None:
+        raise ValueError(
+            "group_curve needs the id of its curve group; the solver generates "
+            "these for every nonrigid curve group"
+        )
+
+
+GROUP_CURVE = _kind("group_curve", _group_curve, _group_curve_violation,
+                    schedule=_RELAX, checks=(_needs_group,))
+
+KINDS = tuple(SPECS)

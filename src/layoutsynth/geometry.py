@@ -22,9 +22,6 @@ class Vec2(NamedTuple):
     def scaled(self, s: float) -> "Vec2":
         return Vec2(self.x * s, self.y * s)
 
-    def dot(self, other) -> float:
-        return self.x * other[0] + self.y * other[1]
-
     def norm(self) -> float:
         return math.hypot(self.x, self.y)
 

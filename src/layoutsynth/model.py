@@ -14,7 +14,6 @@ from typing import Optional
 from .geometry import (
     Curve,
     Vec2,
-    closest_point_on_segment,
     normalize_angle,
     point_in_polygon,
     polygon_centroid,
@@ -141,14 +140,6 @@ class LayoutObject:
     def __post_init__(self):
         if len(self.accessibility) != 4:
             raise ValueError("objects carry exactly four accessibility regions")
-
-    def footprint_corners(self, position: Vec2, orientation: float) -> list[Vec2]:
-        hx, hy = self.bbox.half_extents
-        c, s = math.cos(orientation), math.sin(orientation)
-        corners = []
-        for lx, ly in ((hx, hy), (-hx, hy), (-hx, -hy), (hx, -hy)):
-            corners.append(Vec2(position.x + c * lx - s * ly, position.y + s * lx + c * ly))
-        return corners
 
 
 @dataclass
@@ -288,15 +279,6 @@ def nearest_wall_point(room: Room, p) -> tuple[Vec2, Vec2, float]:
     return Vec2(*best_q), Vec2(best[5], best[6]), best[7]
 
 
-def boundary_clearance(room: Room, p) -> float:
-    """Signed distance from p to the boundary: positive inside."""
-    d = min(
-        math.hypot(q.x - p[0], q.y - p[1])
-        for q, _ in (closest_point_on_segment(a, b, p) for a, b in room.walls())
-    )
-    return d if room.contains(p) else -d
-
-
 @dataclass
 class Scene:
     room: Room
@@ -316,13 +298,14 @@ class Scene:
 
     def validate(self) -> None:
         n = len(self.particles)
-        seen_ids = set()
+        object_ids = set()
         for obj in self.objects:
-            if obj.id in seen_ids:
+            if obj.id in object_ids:
                 raise ValueError(f"duplicate object id {obj.id!r}")
-            seen_ids.add(obj.id)
+            object_ids.add(obj.id)
             if not (0 <= obj.particle_index < n):
                 raise ValueError(f"object {obj.id!r} references missing particle {obj.particle_index}")
+        seen_ids = set(object_ids)
         for group in self.groups:
             if group.id in seen_ids:
                 raise ValueError(f"duplicate id {group.id!r}")
@@ -330,10 +313,8 @@ class Scene:
             if not (0 <= group.particle_index < n):
                 raise ValueError(f"group {group.id!r} references missing particle {group.particle_index}")
             for member in group.member_object_ids:
-                try:
-                    self.object_by_id(member)
-                except KeyError:
-                    raise ValueError(f"group {group.id!r} references missing object {member!r}") from None
+                if member not in object_ids:
+                    raise ValueError(f"group {group.id!r} references missing object {member!r}")
         for i, constraint in enumerate(self.constraints):
             for idx in constraint.particles:
                 if not (0 <= idx < n):

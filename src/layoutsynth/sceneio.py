@@ -16,7 +16,7 @@ from typing import Any
 from . import constraints as cn
 from .catalogue import bbox_from_entry, regions_from_entry
 from .geometry import ARC, Curve, SEGMENT, Vec2, stable_radians
-from .model import Group, LayoutObject, Particle, Room, Scene, mass_from_bbox
+from .model import FACES, Group, LayoutObject, Particle, Room, Scene, mass_from_bbox
 
 
 class SceneFormatError(ValueError):
@@ -38,8 +38,6 @@ _CONSTRAINT_KEYS = {
     "height_gap", "face", "pin_focal", "weight", "schedule",
     "stiffness", "rate",
 }
-
-_FACE_NAMES = ("back", "left", "front", "right")
 
 
 def _check_keys(mapping: dict, allowed: set[str], path: str) -> None:
@@ -105,7 +103,7 @@ def parse_scene(text: str) -> Scene:
         access = entry.get("access", {})
         _expect(isinstance(access, dict), f"{path}.access", "expected an object")
         for face, depth in access.items():
-            _expect(face in _FACE_NAMES, f"{path}.access",
+            _expect(face in FACES, f"{path}.access",
                     f"unknown face {face!r} (use back/left/front/right)")
             _expect(isinstance(depth, (int, float)) and depth >= 0,
                     f"{path}.access[{face!r}]", "clearance depth must be >= 0")
@@ -335,7 +333,7 @@ def serialize_scene(scene: Scene) -> str:
         if obj.label not in catalogue:
             # scene built without a catalogue: reconstruct the entry
             access = {}
-            for face, region in zip(_FACE_NAMES, obj.accessibility):
+            for face, region in zip(FACES, obj.accessibility):
                 if region.enabled:
                     access[face] = region.diagonal / math.sqrt(2.0)
             catalogue[obj.label] = {

@@ -8,6 +8,12 @@ from a spatial hash, hard ones last. Steps and settle sweeps share one
 neighbour list per attempt, which rebuilds the hash only once some
 object has moved far enough to meet a pair the last build missed.
 
+What a kind projects and how it is priced comes from its record in
+``constraints.SPECS``; ``project_constraint`` and the energy only look
+the record up. The contact projections the step and the settle share
+are ``constraints.access_corrections``, ``constraints.wall_ghost_corrections``
+and ``_boundary_pass``.
+
 The run returns the lowest-energy snapshot that satisfies the hard
 constraints, together with the full energy trace.
 """
@@ -22,8 +28,8 @@ import numpy as np
 
 from . import constraints as cn
 from .constraints import Constraint, Correction
-from .geometry import Vec2, closest_point_on_curve, normalize_angle, wrap_angle
-from .model import Group, Scene, RIGID, nearest_wall_point
+from .geometry import Vec2, normalize_angle
+from .model import Scene, RIGID
 from .spatial import NaiveIndex, NeighbourList, SpatialHash, rebuild
 
 SEQUENTIAL = "sequential"
@@ -159,19 +165,16 @@ class SolveContext:
         self.cell_size = 2.0 * spans[len(spans) // 2] if spans else 1.0
 
         # rigid-group routing
+        members = _group_members(scene)
         self.owner = [-1] * n
         self.members_of: dict[int, list[tuple[int, tuple[float, float, float]]]] = {}
-        self.group_by_id: dict[str, Group] = {}
+        self.group_by_id = {group.id: group for group in scene.groups}
         for group in scene.groups:
-            self.group_by_id[group.id] = group
             if group.rigidity == RIGID:
                 g = group.particle_index
-                rows = []
-                for k, member_id in enumerate(group.member_object_ids):
-                    m = scene.object_by_id(member_id).particle_index
+                for m in members[group.id]:
                     self.owner[m] = g
-                    rows.append((m, group.member_offsets[k]))
-                self.members_of[g] = rows
+                self.members_of[g] = list(zip(members[group.id], group.member_offsets))
 
         # inverse mass used when splitting corrections: rigid members
         # resist with their whole group's mass
@@ -181,28 +184,24 @@ class SolveContext:
                 self.proj_w[m] = self.inv_mass[g]
 
         self.user_constraints: list[Constraint] = [c.copy() for c in scene.constraints]
-        self.user_constraints.extend(group_curve_constraints(scene))
-        self.has_wall = {
-            c.particles[0] for c in self.user_constraints if c.kind == cn.WALL_DISTANCE
-        }
+        self.user_constraints.extend(group_curve_constraints(scene, members))
+        by_kind: dict[str, list[Constraint]] = {}
+        for c in self.user_constraints:
+            by_kind.setdefault(c.kind, []).append(c)
+        self.has_wall = {c.particles[0] for c in by_kind.get(cn.WALL_DISTANCE, ())}
         # a wall-hugging rigid group drags all its members along the wall,
         # so every member joins the wall-ghost bookkeeping
         wall_groups = {self.owner[i] for i in self.has_wall if self.owner[i] >= 0}
         for g, rows in self.members_of.items():
             if g in wall_groups:
                 self.has_wall.update(m for m, _ in rows)
+        self.stacking_constraints = by_kind.get(cn.STACKING, [])
         # only objects stacked on another may leave the ground; everything
         # else keeps its authored height
-        self.stack_top = {
-            c.particles[1] for c in self.user_constraints if c.kind == cn.STACKING
-        }
+        self.stack_top = {c.particles[1] for c in self.stacking_constraints}
         # contact pushes against any member of a stack move the whole pile:
         # route them to the chain's base object
-        parent = {
-            c.particles[1]: c.particles[0]
-            for c in self.user_constraints
-            if c.kind == cn.STACKING
-        }
+        parent = {c.particles[1]: c.particles[0] for c in self.stacking_constraints}
         self.contact_root = list(range(n))
         for i in range(n):
             root, hops = i, 0
@@ -210,9 +209,6 @@ class SolveContext:
                 root = parent[root]
                 hops += 1
             self.contact_root[i] = root
-        self.stacking_constraints = [
-            c for c in self.user_constraints if c.kind == cn.STACKING
-        ]
         # objects whose boundary state can still change after the step's
         # boundary pass (corrections routed to a pile base or rigid group
         # can leave members, or the base itself, poking out)
@@ -221,19 +217,8 @@ class SolveContext:
         routed.update(i for i in self.object_particles if self.owner[i] >= 0)
         self.boundary_recheck = sorted(routed & set(self.object_particles))
 
-        # prototypes carrying the stiffness schedule of generated kinds
-        self.generated_k = {
-            cn.COLLISION: cn.make_constraint(cn.COLLISION, (0, 0)),
-            cn.ACCESSIBILITY: cn.make_constraint(cn.ACCESSIBILITY, (0, 0), face=1),
-            cn.WALL_GHOST_COLLISION: cn.make_constraint(cn.WALL_GHOST_COLLISION, (0, 0)),
-            cn.BOUNDARY: cn.make_constraint(cn.BOUNDARY, (0,)),
-        }
-
         # round-robin interleavings of the authored constraints, one per
         # starting kind; iteration l uses rotation (l-1) mod len(kinds)
-        by_kind: dict[str, list[Constraint]] = {}
-        for c in self.user_constraints:
-            by_kind.setdefault(c.kind, []).append(c)
         kinds = [k for k in cn.KINDS if k in by_kind]
         self.interleavings: list[list[Constraint]] = []
         for start in range(max(1, len(kinds))):
@@ -251,15 +236,20 @@ class SolveContext:
             self.interleavings.append(order)
 
 
-def group_curve_constraints(scene: Scene) -> list[Constraint]:
+def _group_members(scene: Scene) -> dict[str, list[int]]:
+    """Member particle indices of every group, keyed by group id."""
+    index = {obj.id: obj.particle_index for obj in scene.objects}
+    return {group.id: [index[m] for m in group.member_object_ids] for group in scene.groups}
+
+
+def group_curve_constraints(scene: Scene, members: dict[str, list[int]]) -> list[Constraint]:
     """Member-to-curve attachments for every curve-carrying group,
     ordered along the curve parameter."""
     out = []
     for group in scene.groups:
         if group.curve is None or group.rigidity == RIGID:
             continue
-        for member_id in group.member_object_ids:
-            m = scene.object_by_id(member_id).particle_index
+        for m in members[group.id]:
             out.append(
                 cn.make_constraint(
                     cn.GROUP_CURVE,
@@ -282,15 +272,13 @@ def initialize(scene: Scene, seed: int) -> LayoutState:
     if not (max_x > min_x and max_y > min_y):
         raise ValueError("room is degenerate")
 
-    ctx_owner = [-1] * len(scene.particles)
-    for group in scene.groups:
-        if group.rigidity == RIGID:
-            for member_id in group.member_object_ids:
-                ctx_owner[scene.object_by_id(member_id).particle_index] = group.particle_index
+    members = _group_members(scene)
+    rigid = [group for group in scene.groups if group.rigidity == RIGID]
+    owned = {m for group in rigid for m in members[group.id]}
 
     px, py, pz, theta = [], [], [], []
     for i, particle in enumerate(scene.particles):
-        if particle.fixed or ctx_owner[i] >= 0:
+        if particle.fixed or i in owned:
             px.append(particle.position.x)
             py.append(particle.position.y)
             pz.append(particle.z)
@@ -309,22 +297,15 @@ def initialize(scene: Scene, seed: int) -> LayoutState:
         theta.append(rng.uniform(0.0, 2.0 * math.pi))
 
     state = LayoutState(px, py, pz, theta)
-    for group in scene.groups:
-        if group.rigidity == RIGID:
-            _refresh_rigid_members(state, scene, group)
+    for group in rigid:
+        g = group.particle_index
+        gp = Vec2(state.px[g], state.py[g])
+        for k, m in enumerate(members[group.id]):
+            pos, th = group.member_world_pose(k, gp, state.theta[g])
+            state.px[m] = pos.x
+            state.py[m] = pos.y
+            state.theta[m] = th
     return state
-
-
-def _refresh_rigid_members(state: LayoutState, scene: Scene, group: Group) -> None:
-    g = group.particle_index
-    gp = Vec2(state.px[g], state.py[g])
-    gth = state.theta[g]
-    for k, member_id in enumerate(group.member_object_ids):
-        m = scene.object_by_id(member_id).particle_index
-        pos, th = group.member_world_pose(k, gp, gth)
-        state.px[m] = pos.x
-        state.py[m] = pos.y
-        state.theta[m] = th
 
 
 class _Applier:
@@ -363,130 +344,29 @@ class _Applier:
                     st.py[m] = gy + s * dx + c * dy
                     st.theta[m] = gth + dth
 
+    def project(self, c: Constraint, tiebreak=None) -> None:
+        """Project one constraint at its current stiffness and apply it."""
+        for corr in project_constraint(c, self.state, self.ctx, tiebreak):
+            self.apply(corr, c.kind)
 
-def _orientation_target(c: Constraint, st: LayoutState) -> float | None:
-    i, j = c.particles
-    if c.orientation_mode == cn.ORIENT_FACE:
-        dx = st.px[j] - st.px[i]
-        dy = st.py[j] - st.py[i]
-        if dx == 0.0 and dy == 0.0:
-            return None
-        return math.atan2(dy, dx) + c.angle_offset
-    if c.orientation_mode == cn.ORIENT_MATCH:
-        return st.theta[j] + c.angle_offset
-    return c.angle_target
-
-
-def _curve_anchor(c: Constraint, st: LayoutState, ctx: SolveContext) -> Vec2:
-    group = ctx.group_by_id[c.group_id]
-    g = group.particle_index
-    world = group.curve.transformed(Vec2(st.px[g], st.py[g]), st.theta[g])
-    point, _ = closest_point_on_curve(world, (st.px[c.particles[0]], st.py[c.particles[0]]))
-    return point
+    def push(self, corrs: list[Correction], label: str, queue: list | None = None) -> None:
+        """Apply contact corrections, each routed to its particle's
+        contact root (the base of its stack), or queue them for a batch."""
+        root = self.ctx.contact_root
+        for corr in corrs:
+            if root[corr.particle] != corr.particle:
+                corr = corr._replace(particle=root[corr.particle])
+            if queue is None:
+                self.apply(corr, label)
+            else:
+                queue.append(corr)
 
 
 def project_constraint(
     c: Constraint, st: LayoutState, ctx: SolveContext, tiebreak=None
 ) -> list[Correction]:
     """Corrections for one constraint at its current stiffness."""
-    k = c.stiffness
-    px, py, w = st.px, st.py, ctx.proj_w
-    kind = c.kind
-    if kind == cn.PAIRWISE_DISTANCE:
-        i, j = c.particles
-        return cn.project_pairwise_distance(
-            i, j, (px[i], py[i]), (px[j], py[j]), w[i], w[j], c.distance, k, c.relation, tiebreak
-        )
-    if kind == cn.FOCAL_POINT:
-        i, j = c.particles
-        return cn.project_focal_point(
-            i, j, (px[i], py[i]), (px[j], py[j]), w[i], w[j], c.distance, k,
-            c.relation, c.pin_focal, tiebreak,
-        )
-    if kind == cn.TRAFFIC_LANE:
-        i, j = c.particles
-        wj = 0.0 if c.pin_focal else w[j]
-        return cn.project_traffic_lane(
-            i, j, (px[i], py[i]), (px[j], py[j]), w[i], wj, c.vector, c.distance, k
-        )
-    if kind == cn.HEAT_POINT:
-        if c.point is not None:
-            return cn.project_heat_point(c.particles, px, py, ctx.masses, w, c.point, k)
-        # no fixed target: the first participant is the (anchored) target
-        anchor = c.particles[0]
-        return cn.project_heat_point(
-            c.particles[1:], px, py, ctx.masses, w, (px[anchor], py[anchor]), k
-        )
-    if kind == cn.FOCAL_SYMMETRY:
-        focal = c.particles[0]
-        members = c.particles[1:]
-        return cn.project_focal_symmetry(
-            members, px, py, ctx.masses, w, (px[focal], py[focal]), c.vector, k
-        )
-    if kind == cn.VISUAL_BALANCE:
-        return cn.project_visual_balance(
-            c.particles, px, py, ctx.visual_weight, w, ctx.centroid, k
-        )
-    if kind == cn.WALL_DISTANCE:
-        i = c.particles[0]
-        return cn.project_wall_distance(i, (px[i], py[i]), w[i], ctx.room, c.distance, k, c.relation)
-    if kind == cn.PAIRWISE_ORIENTATION:
-        i, j = c.particles
-        return cn.project_pairwise_orientation(
-            i, j, st.theta[i], _orientation_target(c, st), st.theta[j], None, w[i], w[j], k
-        )
-    if kind == cn.WALL_ORIENTATION:
-        i = c.particles[0]
-        return cn.project_wall_orientation(
-            i, st.theta[i], (px[i], py[i]), w[i], ctx.room, c.angle_offset, k
-        )
-    if kind == cn.STACKING:
-        bottom, top = c.particles
-        w_bottom = w[bottom] if bottom in ctx.stack_top else 0.0
-        return cn.project_stacking(
-            bottom, top, (px[bottom], py[bottom]), (px[top], py[top]),
-            st.pz[bottom], st.pz[top], w_bottom, w[top], c.height_gap, k,
-        )
-    if kind == cn.GROUP_CURVE:
-        m = c.particles[0]
-        anchor = _curve_anchor(c, st, ctx)
-        return cn.project_pairwise_distance(
-            m, c.particles[1], (px[m], py[m]), anchor, w[m], 0.0, 0.0, k, cn.EQUALITY, tiebreak
-        )
-    if kind == cn.COLLISION:
-        i, j = c.particles
-        return cn.project_collision(
-            i, j, (px[i], py[i]), (px[j], py[j]), w[i], w[j],
-            ctx.radius[i], ctx.radius[j], k, tiebreak,
-        )
-    if kind == cn.ACCESSIBILITY:
-        i, j = c.particles
-        region = next((z for z in ctx.zones[j] if z[0] == c.face), None)
-        if region is None:
-            return []
-        _, local_center, diagonal, _ = region
-        center = _zone_world_center(st, j, local_center)
-        return cn.project_accessibility(
-            i, j, (px[i], py[i]), w[i], w[j], center, st.theta[j], diagonal,
-            ctx.b_diag[i], ctx.radius[i], k, tiebreak,
-        )
-    if kind == cn.WALL_GHOST_COLLISION:
-        i, j = c.particles
-        gi, _, _ = nearest_wall_point(ctx.room, (px[i], py[i]))
-        gj, _, _ = nearest_wall_point(ctx.room, (px[j], py[j]))
-        return cn.project_wall_ghost_collision(
-            i, j, gi, gj, w[i], w[j], ctx.radius[i], ctx.radius[j], k, tiebreak
-        )
-    if kind == cn.BOUNDARY:
-        i = c.particles[0]
-        return cn.project_boundary(i, (px[i], py[i]), w[i], ctx.radius[i], ctx.room, k)
-    raise ValueError(f"unhandled constraint kind {kind!r}")
-
-
-def _zone_world_center(st: LayoutState, j: int, local_center: Vec2) -> tuple[float, float]:
-    c, s = math.cos(st.theta[j]), math.sin(st.theta[j])
-    lx, ly = local_center
-    return (st.px[j] + c * lx - s * ly, st.py[j] + s * lx + c * ly)
+    return cn.SPECS[c.kind].project(c, st, ctx, tiebreak)
 
 
 # ---------------------------------------------------------------------------
@@ -613,83 +493,8 @@ def generate_contacts(
     return collisions, activations, ghosts
 
 
-def generate_collision_constraints(
-    st: LayoutState, ctx: SolveContext, grid: SpatialHash | None = None
-) -> list[Constraint]:
-    """Constraint records for the current poses' contacts: one collision
-    constraint per overlapping pair (i < j, deduplicated) and one
-    accessibility constraint per activated zone. Regenerated every
-    iteration, since the pairs change as objects move."""
-    if grid is None:
-        grid = build_hash(st, ctx)
-    collisions, activations, _ = generate_contacts(st, ctx, grid)
-    out = [cn.make_constraint(cn.COLLISION, pair) for pair in collisions]
-    out.extend(
-        cn.make_constraint(cn.ACCESSIBILITY, (i, j), face=face)
-        for i, j, face in activations
-    )
-    return out
-
-
 # ---------------------------------------------------------------------------
 # energy
-
-
-def _user_violation(c: Constraint, st: LayoutState, ctx: SolveContext) -> float:
-    px, py = st.px, st.py
-    kind = c.kind
-    if kind in (cn.PAIRWISE_DISTANCE, cn.FOCAL_POINT):
-        i, j = c.particles
-        C = math.hypot(px[i] - px[j], py[i] - py[j]) - c.distance
-    elif kind == cn.TRAFFIC_LANE:
-        i, j = c.particles
-        qx, qy = cn.lane_projection_point((px[j], py[j]), c.vector, (px[i], py[i]))
-        C = math.hypot(px[i] - qx, py[i] - qy) - c.distance
-    elif kind == cn.HEAT_POINT:
-        if c.point is not None:
-            members, tx, ty = c.particles, c.point.x, c.point.y
-        else:
-            anchor = c.particles[0]
-            members, tx, ty = c.particles[1:], px[anchor], py[anchor]
-        cx, cy, _ = cn.weighted_center(members, px, py, ctx.masses)
-        C = 0.5 * ((cx - tx) ** 2 + (cy - ty) ** 2)
-    elif kind == cn.FOCAL_SYMMETRY:
-        focal = c.particles[0]
-        members = c.particles[1:]
-        cx, cy, _ = cn.weighted_center(members, px, py, ctx.masses)
-        vx, vy = c.vector
-        t = ((cx - px[focal]) * vx + (cy - py[focal]) * vy) / (vx * vx + vy * vy)
-        t = max(0.0, t)
-        C = 0.5 * ((cx - px[focal] - t * vx) ** 2 + (cy - py[focal] - t * vy) ** 2)
-    elif kind == cn.VISUAL_BALANCE:
-        cx, cy, _ = cn.weighted_center(c.particles, px, py, ctx.visual_weight)
-        C = 0.5 * ((cx - ctx.centroid.x) ** 2 + (cy - ctx.centroid.y) ** 2)
-    elif kind == cn.WALL_DISTANCE:
-        i = c.particles[0]
-        q, _, _ = nearest_wall_point(ctx.room, (px[i], py[i]))
-        C = math.hypot(px[i] - q.x, py[i] - q.y) - c.distance
-    elif kind == cn.PAIRWISE_ORIENTATION:
-        target = _orientation_target(c, st)
-        if target is None:
-            return 0.0
-        C = abs(wrap_angle(target - st.theta[c.particles[0]]))
-    elif kind == cn.WALL_ORIENTATION:
-        i = c.particles[0]
-        target = cn.wall_orientation_target(ctx.room, (px[i], py[i]), st.theta[i], c.angle_offset)
-        C = abs(wrap_angle(target - st.theta[i]))
-    elif kind == cn.STACKING:
-        bottom, top = c.particles
-        Cz = st.pz[top] - (st.pz[bottom] + c.height_gap)
-        C = math.sqrt(Cz * Cz + (px[top] - px[bottom]) ** 2 + (py[top] - py[bottom]) ** 2)
-    elif kind == cn.GROUP_CURVE:
-        m = c.particles[0]
-        anchor = _curve_anchor(c, st, ctx)
-        C = math.hypot(px[m] - anchor.x, py[m] - anchor.y)
-    else:
-        return 0.0
-    if c.relation == cn.INEQUALITY:
-        return max(0.0, -C)
-    return abs(C)
 
 
 def evaluate_energy(
@@ -708,7 +513,7 @@ def evaluate_energy(
     sums: dict[str, float] = {}
     total = 0.0
     for c in ctx.user_constraints:
-        v = _user_violation(c, st, ctx)
+        v = cn.SPECS[c.kind].violation(c, st, ctx)
         if v:
             sums[c.kind] = sums.get(c.kind, 0.0) + v
             total += c.weight * v * v
@@ -725,7 +530,7 @@ def evaluate_energy(
         boundary_particles = ctx.boundary_recheck
     collisions, activations, _ = contacts
 
-    w_col = cn.DEFAULT_WEIGHTS[cn.COLLISION]
+    w_col = cn.SPECS[cn.COLLISION].weight
     max_overlap = 0.0
     for i, j in collisions:
         gap = math.hypot(st.px[i] - st.px[j], st.py[i] - st.py[j]) - (
@@ -737,11 +542,9 @@ def evaluate_energy(
             total += w_col * v * v
             max_overlap = max(max_overlap, v)
 
-    w_acc = cn.DEFAULT_WEIGHTS[cn.ACCESSIBILITY]
+    w_acc = cn.SPECS[cn.ACCESSIBILITY].weight
     for i, j, face in activations:
-        region = next(z for z in ctx.zones[j] if z[0] == face)
-        _, local_center, diagonal, _ = region
-        center = _zone_world_center(st, j, local_center)
+        center, diagonal = cn.zone_center(st, ctx, j, face)
         C = math.hypot(st.px[i] - center[0], st.py[i] - center[1]) - (
             ctx.b_diag[i] + diagonal
         )
@@ -750,7 +553,7 @@ def evaluate_energy(
             sums[cn.ACCESSIBILITY] = sums.get(cn.ACCESSIBILITY, 0.0) + v
             total += w_acc * v * v
 
-    w_bnd = cn.DEFAULT_WEIGHTS[cn.BOUNDARY]
+    w_bnd = cn.SPECS[cn.BOUNDARY].weight
     max_boundary = 0.0
     for i in boundary_particles:
         v = cn.boundary_violation(ctx.room, (st.px[i], st.py[i]), ctx.radius[i])
@@ -788,8 +591,6 @@ def step(
     applier = _Applier(st, ctx)
     for c in ctx.user_constraints:
         c.stiffness = cn.update_stiffness(c, iteration)
-    for proto in ctx.generated_k.values():
-        proto.stiffness = cn.update_stiffness(proto, iteration)
 
     ordered = _interleaved(ctx, iteration, config.interleave)
     batching = config.projection_mode == BATCH
@@ -797,86 +598,68 @@ def step(
         _project_batch(ordered, st, ctx, applier, config.batch_averaging, tiebreak)
     else:
         for c in ordered:
-            for corr in project_constraint(c, st, ctx, tiebreak):
-                applier.apply(corr, c.kind)
+            applier.project(c, tiebreak)
 
     grid = build_hash(st, ctx, config.broad_phase, neighbours)
     contacts = generate_contacts(st, ctx, grid)
     collisions, activations, ghosts = contacts
-    k_col = ctx.generated_k[cn.COLLISION].stiffness
-    k_acc = ctx.generated_k[cn.ACCESSIBILITY].stiffness
-    k_ghost = ctx.generated_k[cn.WALL_GHOST_COLLISION].stiffness
+    # generated contacts follow their kind's default schedule
+    k_col = cn.update_stiffness(cn.SPECS[cn.COLLISION], iteration)
+    k_acc = cn.update_stiffness(cn.SPECS[cn.ACCESSIBILITY], iteration)
+    k_ghost = cn.update_stiffness(cn.SPECS[cn.WALL_GHOST_COLLISION], iteration)
 
-    generated: list[Correction] = []
-    root = ctx.contact_root
-
-    def emit(corrs: list[Correction], label: str) -> None:
-        for corr in corrs:
-            if root[corr.particle] != corr.particle:
-                corr = corr._replace(particle=root[corr.particle])
-            if batching:
-                generated.append(corr)
-            else:
-                applier.apply(corr, label)
-
+    queue: list[Correction] | None = [] if batching else None
     ghost_set = set(ghosts)
     for i, j in collisions:
-        emit(
+        applier.push(
             cn.project_collision(
                 i, j, (st.px[i], st.py[i]), (st.px[j], st.py[j]),
                 ctx.proj_w[i], ctx.proj_w[j], ctx.radius[i], ctx.radius[j], k_col, tiebreak,
             ),
-            cn.COLLISION,
+            cn.COLLISION, queue,
         )
         if (i, j) in ghost_set:
-            gi, _, _ = nearest_wall_point(ctx.room, (st.px[i], st.py[i]))
-            gj, _, _ = nearest_wall_point(ctx.room, (st.px[j], st.py[j]))
-            emit(
-                cn.project_wall_ghost_collision(
-                    i, j, gi, gj, ctx.proj_w[i], ctx.proj_w[j],
-                    ctx.radius[i], ctx.radius[j], k_ghost, tiebreak,
-                ),
-                cn.WALL_GHOST_COLLISION,
+            applier.push(
+                cn.wall_ghost_corrections(i, j, st, ctx, k_ghost, tiebreak),
+                cn.WALL_GHOST_COLLISION, queue,
             )
     for i, j, face in activations:
-        region = next(z for z in ctx.zones[j] if z[0] == face)
-        _, local_center, diagonal, _ = region
-        center = _zone_world_center(st, j, local_center)
-        emit(
-            cn.project_accessibility(
-                i, j, (st.px[i], st.py[i]), ctx.proj_w[i], ctx.proj_w[j], center,
-                st.theta[j], diagonal, ctx.b_diag[i], ctx.radius[i], k_acc, tiebreak,
-            ),
-            cn.ACCESSIBILITY,
+        applier.push(
+            cn.access_corrections(i, j, face, st, ctx, k_acc, tiebreak), cn.ACCESSIBILITY, queue
         )
-    if batching and generated:
-        _apply_batched(generated, applier, config.batch_averaging)
+    if queue:
+        _apply_batched(queue, applier, config.batch_averaging)
 
     # boundary containment gets the final word, always at full stiffness
-    boundary_corrs: list[Correction] = []
-    for i in ctx.object_particles:
-        corrs = cn.project_boundary(
-            i, (st.px[i], st.py[i]), ctx.proj_w[i], ctx.radius[i], ctx.room, 1.0
-        )
-        for corr in corrs:
-            if root[corr.particle] != corr.particle:
-                corr = corr._replace(particle=root[corr.particle])
-            if batching:
-                boundary_corrs.append(corr)
-            else:
-                applier.apply(corr, cn.BOUNDARY)
-    if batching and boundary_corrs:
-        _apply_batched(boundary_corrs, applier, config.batch_averaging)
+    queue = [] if batching else None
+    _boundary_pass(st, ctx, applier, queue)
+    if queue:
+        _apply_batched(queue, applier, config.batch_averaging)
 
     # stacked piles are hard relations too: re-align them after contacts
     # so evaluation never sees a scattered stack
     for c in ctx.stacking_constraints:
-        for corr in project_constraint(c, st, ctx, tiebreak):
-            applier.apply(corr, cn.STACKING)
+        applier.project(c, tiebreak)
 
     for i in range(ctx.n):
         st.theta[i] = normalize_angle(st.theta[i])
     return contacts
+
+
+def _boundary_pass(
+    st: LayoutState, ctx: SolveContext, applier: _Applier, queue: list | None = None
+) -> bool:
+    """Boundary containment of every object at full stiffness, each push
+    routed to the object's contact root; True when some object moved."""
+    pushed = False
+    for i in ctx.object_particles:
+        corrs = cn.project_boundary(
+            i, (st.px[i], st.py[i]), ctx.proj_w[i], ctx.radius[i], ctx.room, 1.0
+        )
+        if corrs:
+            pushed = True
+            applier.push(corrs, cn.BOUNDARY, queue)
+    return pushed
 
 
 def _project_batch(ordered, st, ctx, applier, omega, tiebreak) -> None:
@@ -917,12 +700,9 @@ def _settle_hard_constraints(
     then re-snap orientation constraints (which never move positions).
     Returns True when every hard violation falls below 1e-9."""
     applier = _Applier(st, ctx)
-    root = ctx.contact_root
-    k = 1.0
     for sweep in range(config.settle_max_sweeps):
         for c in ctx.stacking_constraints:
-            for corr in project_constraint(c, st, ctx, tiebreak):
-                applier.apply(corr, cn.STACKING)
+            applier.project(c, tiebreak)
         grid = build_hash(st, ctx, config.broad_phase, neighbours)
         collisions, _, ghosts = generate_contacts(st, ctx, grid, with_accessibility=False)
         ghost_set = set(ghosts)
@@ -937,33 +717,23 @@ def _settle_hard_constraints(
             corrs = cn.project_collision(
                 i, j, (st.px[i], st.py[i]), (st.px[j], st.py[j]),
                 ctx.proj_w[i], ctx.proj_w[j],
-                ctx.radius[i] + 5e-4, ctx.radius[j] + 5e-4, k, tiebreak,
+                ctx.radius[i] + 5e-4, ctx.radius[j] + 5e-4, 1.0, tiebreak,
             )
             if corrs:
                 dirty = True
-                for corr in corrs:
-                    applier.apply(corr._replace(particle=root[corr.particle]), cn.COLLISION)
+                applier.push(corrs, cn.COLLISION)
                 if (i, j) in ghost_set or (
                     cn.boundary_violation(ctx.room, (st.px[i], st.py[i]), ctx.radius[i] + 0.02) > 0.0
                     and cn.boundary_violation(ctx.room, (st.px[j], st.py[j]), ctx.radius[j] + 0.02) > 0.0
                 ):
                     # both near a wall: also separate their wall ghost
                     # points so the pair slides apart along the wall
-                    gi, _, _ = nearest_wall_point(ctx.room, (st.px[i], st.py[i]))
-                    gj, _, _ = nearest_wall_point(ctx.room, (st.px[j], st.py[j]))
-                    for corr in cn.project_wall_ghost_collision(
-                        i, j, gi, gj, ctx.proj_w[i], ctx.proj_w[j],
-                        ctx.radius[i], ctx.radius[j], k, tiebreak,
-                    ):
-                        applier.apply(corr._replace(particle=root[corr.particle]), cn.WALL_GHOST_COLLISION)
-        for i in ctx.object_particles:
-            corrs = cn.project_boundary(
-                i, (st.px[i], st.py[i]), ctx.proj_w[i], ctx.radius[i], ctx.room, 1.0
-            )
-            if corrs:
-                dirty = True
-                for corr in corrs:
-                    applier.apply(corr._replace(particle=root[corr.particle]), cn.BOUNDARY)
+                    applier.push(
+                        cn.wall_ghost_corrections(i, j, st, ctx, 1.0, tiebreak),
+                        cn.WALL_GHOST_COLLISION,
+                    )
+        if _boundary_pass(st, ctx, applier):
+            dirty = True
         if not dirty:
             break
     # settling may have slid objects along or across walls, so their
@@ -977,8 +747,7 @@ def _settle_hard_constraints(
                 continue
             saved = c.stiffness
             c.stiffness = 1.0
-            for corr in project_constraint(c, st, ctx, tiebreak):
-                applier.apply(corr, c.kind)
+            applier.project(c, tiebreak)
             c.stiffness = saved
     for i in range(ctx.n):
         st.theta[i] = normalize_angle(st.theta[i])

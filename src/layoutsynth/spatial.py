@@ -1,7 +1,7 @@
 """Uniform-grid spatial hash for broad-phase pair generation.
 
-Queries never miss a truly overlapping pair (cells cover each circle's
-full extent) and always return candidates in a deterministic order.
+Candidate pairs never miss a truly overlapping pair (cells cover each
+circle's full extent) and always come in a deterministic order.
 A ``NeighbourList`` (Verlet, Phys. Rev. 159, 1967) builds the hash with
 inflated extents and reuses its candidate pairs until some particle has
 moved far enough to reach a pair the build could not see.
@@ -23,31 +23,13 @@ class SpatialHash:
         self.cell_size = cell_size
         self.cells: dict[tuple[int, int], list[int]] = defaultdict(list)
 
-    def _cell_range(self, x: float, y: float, r: float):
+    def insert(self, index: int, x: float, y: float, r: float) -> None:
         inv = 1.0 / self.cell_size
-        x0 = math.floor((x - r) * inv)
-        x1 = math.floor((x + r) * inv)
         y0 = math.floor((y - r) * inv)
         y1 = math.floor((y + r) * inv)
-        return x0, x1, y0, y1
-
-    def insert(self, index: int, x: float, y: float, r: float) -> None:
-        x0, x1, y0, y1 = self._cell_range(x, y, r)
-        for cx in range(x0, x1 + 1):
+        for cx in range(math.floor((x - r) * inv), math.floor((x + r) * inv) + 1):
             for cy in range(y0, y1 + 1):
                 self.cells[(cx, cy)].append(index)
-
-    def query(self, x: float, y: float, r: float) -> list[int]:
-        """Indices of all particles whose circles might reach (x, y, r);
-        a superset of the true neighbors, deduplicated, ascending."""
-        x0, x1, y0, y1 = self._cell_range(x, y, r)
-        seen: set[int] = set()
-        for cx in range(x0, x1 + 1):
-            for cy in range(y0, y1 + 1):
-                bucket = self.cells.get((cx, cy))
-                if bucket:
-                    seen.update(bucket)
-        return sorted(seen)
 
     def candidate_pairs(self) -> list[tuple[int, int]]:
         return candidate_pairs(self)
@@ -59,9 +41,6 @@ class NaiveIndex:
 
     def __init__(self, indices):
         self.indices = sorted(indices)
-
-    def query(self, x: float, y: float, r: float) -> list[int]:
-        return self.indices
 
     def candidate_pairs(self) -> list[tuple[int, int]]:
         idx = self.indices
@@ -147,15 +126,3 @@ def candidate_pairs(grid: SpatialHash) -> list[tuple[int, int]]:
                 elif ib < ia:
                     pairs.add((ib, ia))
     return sorted(pairs)
-
-
-def overlapping_pairs(index, px, py, radii) -> list[tuple[int, int]]:
-    """Candidate pairs narrowed to actual bounding-circle overlaps."""
-    out = []
-    for i, j in index.candidate_pairs():
-        dx = px[i] - px[j]
-        dy = py[i] - py[j]
-        rsum = radii[i] + radii[j]
-        if dx * dx + dy * dy < rsum * rsum:
-            out.append((i, j))
-    return out

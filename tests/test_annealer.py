@@ -6,9 +6,11 @@ import pytest
 from layoutsynth import scenes
 from layoutsynth.annealer import (
     AnnealConfig,
+    _apply_move,
+    _default_sigma_pos,
+    _draw_move,
     accept,
     movable_particles,
-    propose,
     run_sa_mcmc,
 )
 from layoutsynth.geometry import Vec2
@@ -23,6 +25,16 @@ def one_box_scene(side=100.0):
         LayoutObject(id="box", label="box", particle_index=0, bbox=BoundingBox(Vec2(0.5, 0.5), 0.5))
     )
     return scene
+
+
+def propose(state, ctx, config, rng):
+    """The candidate run_sa_mcmc would price: one drawn move applied to
+    a copy of the state."""
+    sigma_pos = config.sigma_pos or _default_sigma_pos(ctx, config.sigma_pos_fraction)
+    move = _draw_move(state, ctx, movable_particles(ctx), sigma_pos, config.sigma_theta, rng)
+    candidate = state.copy()
+    _apply_move(candidate, ctx, move, move.new)
+    return candidate
 
 
 class TestPropose:

@@ -48,11 +48,33 @@ class TestSynth:
         run(["synth", "living_room", "--seed", "7", "--iters", "40", "--out", out])
         meta = json.loads((out / "run_meta.json").read_text())
         assert meta["seed"] == 7
-        assert meta["energy_weights"]["collision"] == 150.0
-        assert meta["energy_weights"]["wall_distance"] == 20.0
-        assert meta["stiffness_schedules"]["pairwise_distance"]["schedule"] == "decreasing"
+        assert meta["energy_weights"] == {
+            "accessibility": 150.0, "boundary": 150.0, "collision": 150.0,
+            "wall_distance": 20.0, "wall_orientation": 20.0,
+        }
+        assert meta["default_weight"] == 1.0
+        relax = {"schedule": "decreasing", "initial": 0.9, "rate": 10.0}
+        stiffen = {"schedule": "increasing", "initial": 0.9, "rate": 10.0}
+        hard = {"schedule": "constant", "initial": 1.0, "rate": 1.0}
+        assert meta["stiffness_schedules"] == {
+            "pairwise_distance": relax, "focal_point": relax, "traffic_lane": stiffen,
+            "heat_point": relax, "focal_symmetry": relax, "visual_balance": relax,
+            "wall_distance": hard, "accessibility": stiffen, "collision": stiffen,
+            "wall_ghost_collision": stiffen, "pairwise_orientation": relax,
+            "wall_orientation": hard, "stacking": hard, "boundary": hard, "group_curve": relax,
+        }
         assert meta["solver"]["termination_window"] == 50
         assert "degenerate_separations" in meta
+        with open(out / "trace.csv") as handle:
+            header = next(csv.reader(handle))
+        assert header == ["iteration", "pbd_energy", "pbd_best_energy"] + [
+            f"pbd_{kind}" for kind in (
+                "pairwise_distance", "focal_point", "traffic_lane", "heat_point",
+                "focal_symmetry", "visual_balance", "wall_distance", "accessibility",
+                "collision", "wall_ghost_collision", "pairwise_orientation",
+                "wall_orientation", "stacking", "boundary", "group_curve",
+            )
+        ]
 
     def test_mcmc_mode(self, tmp_path):
         out = tmp_path / "mcmc"

@@ -22,7 +22,6 @@ from layoutsynth.constraints import (
     project_wall_distance,
     project_wall_ghost_collision,
     project_wall_orientation,
-    scale_factor,
     update_stiffness,
 )
 from layoutsynth.geometry import Vec2
@@ -37,23 +36,6 @@ def apply(positions, corrections):
         out[c.particle][0] += c.dx
         out[c.particle][1] += c.dy
     return out
-
-
-class TestScaleFactor:
-    def test_unit_values(self):
-        assert scale_factor(2.0, [(1.0, (1.0, 0.0))], 1.0) == pytest.approx(2.0)
-
-    def test_zero_stiffness(self):
-        assert scale_factor(2.0, [(1.0, (1.0, 0.0))], 0.0) == 0.0
-
-    def test_two_body_split_moves_each_by_one(self):
-        s = scale_factor(2.0, [(1.0, (1.0, 0.0)), (1.0, (-1.0, 0.0))], 1.0)
-        # correction magnitude per particle: s * w * |grad|
-        assert s * 1.0 * 1.0 == pytest.approx(1.0)
-
-    def test_degenerate_returns_zero(self):
-        assert scale_factor(1.0, [(0.0, (1.0, 0.0))], 1.0) == 0.0
-        assert scale_factor(1.0, [(1.0, (0.0, 0.0))], 1.0) == 0.0
 
 
 class TestStiffnessSchedule:

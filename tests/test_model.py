@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from layoutsynth.constraints import boundary_violation
 from layoutsynth.geometry import Vec2
 from layoutsynth.model import (
     INFINITE,
@@ -14,7 +15,6 @@ from layoutsynth.model import (
     RIGID,
     Room,
     Scene,
-    boundary_clearance,
     mass_from_bbox,
     nearest_wall_point,
 )
@@ -110,7 +110,8 @@ class TestNearestWall:
             got = math.hypot(point.x - p[0], point.y - p[1])
             best = np.min(np.hypot(samples[:, 0] - p[0], samples[:, 1] - p[1]))
             assert got <= best + 1e-6
-            assert boundary_clearance(room, point) == pytest.approx(0.0, abs=1e-9)
+            # on the boundary: a unit circle there pokes out by its radius
+            assert boundary_violation(room, point, 1.0) == pytest.approx(1.0, abs=1e-9)
 
     def test_normal_points_into_room(self):
         rng = np.random.default_rng(8)

@@ -99,6 +99,59 @@ class TestParse:
         assert scene.constraints[0].weight == 150.0
 
 
+
+class TestUnsolvableConstraints:
+    """Constraints the solver could not project and price alike are
+    rejected at parse time, with the constraint's path."""
+
+    def _two_crates(self, constraint):
+        d = doc(constraints=[constraint])
+        d["objects"].append({"id": "crate_1", "label": "crate"})
+        return d
+
+    def test_group_curve_without_a_group_rejected(self):
+        d = self._two_crates({"kind": "group_curve", "objects": ["crate_0", "g"]})
+        d["groups"] = [{
+            "id": "g", "members": ["crate_1"],
+            "curve": {"kind": "segment", "a": [-1, 0], "b": [1, 0]},
+        }]
+        with pytest.raises(SceneFormatError, match=r"constraints\[0\].*group"):
+            parse_scene(json.dumps(d))
+
+    def test_equality_traffic_lane_rejected(self):
+        d = self._two_crates({
+            "kind": "traffic_lane", "objects": ["crate_0", "crate_1"], "vector": [1, 0],
+            "distance": 1.0, "relation": "equality",
+        })
+        with pytest.raises(SceneFormatError, match=r"constraints\[0\].*inequality"):
+            parse_scene(json.dumps(d))
+
+    def test_inequality_heat_point_rejected(self):
+        d = self._two_crates({
+            "kind": "heat_point", "objects": ["crate_0"], "point": [1, 1],
+            "relation": "inequality",
+        })
+        with pytest.raises(SceneFormatError, match=r"constraints\[0\].*equality"):
+            parse_scene(json.dumps(d))
+
+    def test_unknown_relation_rejected(self):
+        d = self._two_crates({
+            "kind": "pairwise_distance", "objects": ["crate_0", "crate_1"], "distance": 1.0,
+            "relation": "roughly",
+        })
+        with pytest.raises(SceneFormatError, match="roughly"):
+            parse_scene(json.dumps(d))
+
+    @pytest.mark.parametrize("kind", ["pairwise_distance", "focal_point", "wall_distance"])
+    def test_either_relation_accepted_where_honoured(self, kind):
+        objects = ["crate_0"] if kind == "wall_distance" else ["crate_0", "crate_1"]
+        for relation in (cn.EQUALITY, cn.INEQUALITY):
+            scene = parse_scene(json.dumps(self._two_crates({
+                "kind": kind, "objects": objects, "distance": 1.0, "relation": relation,
+            })))
+            assert scene.constraints[0].relation == relation
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("name", TEMPLATE_NAMES)
     def test_template_round_trip_equality(self, name):

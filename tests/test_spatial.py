@@ -6,7 +6,6 @@ from layoutsynth.spatial import (
     NeighbourList,
     SpatialHash,
     candidate_pairs,
-    overlapping_pairs,
     rebuild,
 )
 
@@ -27,7 +26,6 @@ def brute_force_overlaps(px, py, radii):
 def test_empty_index_is_quiet():
     grid = rebuild([], [], [])
     assert candidate_pairs(grid) == []
-    assert grid.query(0.0, 0.0, 10.0) == []
 
 
 def test_distant_particles_produce_no_pairs():
@@ -37,8 +35,7 @@ def test_distant_particles_produce_no_pairs():
 
 def test_single_overlapping_pair_deduplicated():
     grid = rebuild([0.0, 1.0], [0.0, 0.0], [1.0, 1.0])
-    pairs = overlapping_pairs(grid, [0.0, 1.0], [0.0, 0.0], [1.0, 1.0])
-    assert pairs == [(0, 1)]
+    assert candidate_pairs(grid) == [(0, 1)]
 
 
 def test_candidates_cover_all_true_overlaps_random():
@@ -50,9 +47,7 @@ def test_candidates_cover_all_true_overlaps_random():
         radii = rng.uniform(0.1, 1.5, n)
         grid = rebuild(px, py, radii)
         cands = set(candidate_pairs(grid))
-        truth = brute_force_overlaps(px, py, radii)
-        assert truth <= cands
-        assert set(overlapping_pairs(grid, px, py, radii)) == truth
+        assert brute_force_overlaps(px, py, radii) <= cands
 
 
 def test_clustered_blob_matches_brute_force():
@@ -61,7 +56,7 @@ def test_clustered_blob_matches_brute_force():
     py = rng.normal(0, 0.5, 10)
     radii = np.full(10, 0.4)
     grid = rebuild(px, py, radii)
-    assert set(overlapping_pairs(grid, px, py, radii)) == brute_force_overlaps(px, py, radii)
+    assert brute_force_overlaps(px, py, radii) <= set(candidate_pairs(grid))
 
 
 def test_determinism_of_candidate_order():
@@ -76,31 +71,30 @@ def test_determinism_of_candidate_order():
 
 
 def test_query_returns_superset_of_neighbors():
+    # a probe circle inserted as particle 150 is paired with every
+    # particle whose circle reaches it
     rng = np.random.default_rng(23)
     px = rng.uniform(0, 20, 150)
     py = rng.uniform(0, 20, 150)
     radii = rng.uniform(0.1, 0.8, 150)
-    grid = rebuild(px, py, radii)
     for _ in range(20):
         qx, qy, qr = rng.uniform(0, 20), rng.uniform(0, 20), rng.uniform(0.5, 3)
-        got = set(grid.query(qx, qy, qr))
+        pairs = set(candidate_pairs(rebuild([*px, qx], [*py, qy], [*radii, qr])))
         for i in range(150):
             if np.hypot(px[i] - qx, py[i] - qy) < qr + radii[i]:
-                assert i in got
+                assert (i, 150) in pairs
 
 
 def test_insert_covers_all_overlapped_cells():
     grid = SpatialHash(cell_size=1.0)
     grid.insert(0, 0.5, 0.5, 0.75)  # bounding box spans a 3x3 block
     assert sum(0 in bucket for bucket in grid.cells.values()) == 9
-    got = set(grid.query(0.5, 0.5, 0.1))
-    assert got == {0}
+    assert grid.cells[(0, 0)] == [0]
 
 
 def test_naive_index_is_sound_and_exhaustive():
     idx = NaiveIndex([3, 1, 7])
     assert idx.candidate_pairs() == [(1, 3), (1, 7), (3, 7)]
-    assert idx.query(0, 0, 1) == [1, 3, 7]
 
 
 class TestNeighbourList:
@@ -155,6 +149,9 @@ def test_rejects_bad_cell_size():
 
 
 class TestGenerateCollisionConstraints:
+    """The collision contacts ``generate_contacts`` finds through the
+    solver's own broad phase."""
+
     def _scene(self, positions, half=0.5):
         from layoutsynth.geometry import Vec2
         from layoutsynth.model import BoundingBox, LayoutObject, Particle, Room, Scene
@@ -168,8 +165,8 @@ class TestGenerateCollisionConstraints:
             )
         return scene
 
-    def _constraints(self, scene):
-        from layoutsynth.solver import LayoutState, SolveContext, generate_collision_constraints
+    def _collisions(self, scene):
+        from layoutsynth.solver import LayoutState, SolveContext, build_hash, generate_contacts
 
         ctx = SolveContext(scene)
         st = LayoutState(
@@ -178,24 +175,23 @@ class TestGenerateCollisionConstraints:
             [p.z for p in scene.particles],
             [p.orientation for p in scene.particles],
         )
-        return generate_collision_constraints(st, ctx)
+        collisions, activations, ghosts = generate_contacts(st, ctx, build_hash(st, ctx))
+        assert activations == [] and ghosts == []
+        return collisions
 
     def test_no_overlaps_empty(self):
-        assert self._constraints(self._scene([(0, 0), (10, 0)])) == []
+        assert self._collisions(self._scene([(0, 0), (10, 0)])) == []
 
     def test_one_pair_ordered(self):
-        out = self._constraints(self._scene([(0, 0), (1, 0)]))
-        assert len(out) == 1
-        assert out[0].kind == "collision"
-        assert out[0].particles == (0, 1)
+        assert self._collisions(self._scene([(0, 0), (1, 0)])) == [(0, 1)]
 
     def test_blob_matches_brute_force(self):
         import math
 
         rng = np.random.default_rng(30)
         positions = rng.normal(0, 0.8, size=(10, 2))
-        out = self._constraints(self._scene([tuple(p) for p in positions]))
-        pairs = {c.particles for c in out if c.kind == "collision"}
+        pairs = self._collisions(self._scene([tuple(p) for p in positions]))
+        assert pairs == sorted(pairs)
         radius = 0.5 * math.sqrt(2.0)
         truth = brute_force_overlaps(positions[:, 0], positions[:, 1], [radius] * 10)
-        assert pairs == truth
+        assert set(pairs) == truth
