@@ -3,16 +3,11 @@
 Sizes are full extents (sx, sy, sz) in meters in the object's local
 frame, where +x is the facing direction. ``access`` maps face names to
 clearance depths; each enabled face gets a square clearance zone of that
-depth attached outside the face. Edit freely; templates read everything
-from here.
+depth attached outside the face (``model.regions_from_entry``). Edit
+freely; templates read everything from here.
 """
 
 from __future__ import annotations
-
-import math
-
-from .geometry import Vec2
-from .model import FACES, AccessRegion, BoundingBox
 
 CATALOGUE: dict[str, dict] = {
     # seating and theater
@@ -51,39 +46,3 @@ CATALOGUE: dict[str, dict] = {
     "rubiks_cube": {"size": (0.06, 0.06, 0.06), "access": {}},
     "notepad": {"size": (0.21, 0.15, 0.02), "access": {}},
 }
-
-# local face centers point: back -x, left +y, front +x, right -y
-_FACE_DIR = {"back": (-1.0, 0.0), "left": (0.0, 1.0), "front": (1.0, 0.0), "right": (0.0, -1.0)}
-
-
-def bbox_from_entry(entry: dict) -> BoundingBox:
-    sx, sy, sz = entry["size"]
-    return BoundingBox(Vec2(0.5 * sx, 0.5 * sy), 0.5 * sz)
-
-
-def regions_from_entry(entry: dict) -> tuple[AccessRegion, ...]:
-    """Four per-face regions; faces without a configured clearance are
-    disabled (zero diagonal)."""
-    sx, sy, _ = entry["size"]
-    half = {"back": 0.5 * sx, "front": 0.5 * sx, "left": 0.5 * sy, "right": 0.5 * sy}
-    regions = []
-    access = entry.get("access", {})
-    for face in FACES:
-        depth = access.get(face, 0.0)
-        if depth > 0.0:
-            dx, dy = _FACE_DIR[face]
-            offset = half[face] + 0.5 * depth
-            regions.append(
-                AccessRegion(Vec2(dx * offset, dy * offset), depth * math.sqrt(2.0))
-            )
-        else:
-            regions.append(AccessRegion(Vec2(0.0, 0.0), 0.0))
-    return tuple(regions)
-
-
-def bbox_for(label: str) -> BoundingBox:
-    return bbox_from_entry(CATALOGUE[label])
-
-
-def access_regions_for(label: str) -> tuple[AccessRegion, ...]:
-    return regions_from_entry(CATALOGUE[label])

@@ -42,14 +42,9 @@ def _resolve_scene(ref: str, seed: int) -> Scene:
 
 
 def _solver_config(scene: Scene, args) -> SolverConfig:
-    config = SolverConfig(seed=args.seed)
-    defaults = scene.solver_defaults or {}
-    if "max_iterations" in defaults:
-        config.max_iterations = int(defaults["max_iterations"])
-    if "projection_mode" in defaults:
-        config.projection_mode = str(defaults["projection_mode"])
-    if "termination_window" in defaults:
-        config.termination_window = int(defaults["termination_window"])
+    # a scene file's solver block is checked at parse time to hold only
+    # SolverConfig fields
+    config = SolverConfig(seed=args.seed, **scene.solver_defaults)
     if getattr(args, "iters", None):
         config.max_iterations = args.iters
     if getattr(args, "broad_phase", None):
@@ -262,17 +257,9 @@ def cmd_compare(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    path = Path(args.scene)
     try:
-        if path.exists():
-            scene = load_scene(path)
-        elif args.scene in TEMPLATE_NAMES:
-            scene = build(args.scene)
-        else:
-            print(f"error: no such scene file or template: {args.scene}", file=sys.stderr)
-            return 2
-        scene.validate()
-    except (SceneFormatError, ValueError) as exc:
+        scene = _resolve_scene(args.scene, seed=0)
+    except (CliError, ValueError) as exc:
         print(f"invalid scene: {exc}", file=sys.stderr)
         return 2
     print(f"{args.scene}: valid ({len(scene.objects)} objects, "

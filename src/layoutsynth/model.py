@@ -129,6 +129,37 @@ def _disabled_regions() -> tuple[AccessRegion, ...]:
     return tuple(AccessRegion(Vec2(0.0, 0.0), 0.0) for _ in FACES)
 
 
+# local face centers point: back -x, left +y, front +x, right -y
+_FACE_DIR = {"back": (-1.0, 0.0), "left": (0.0, 1.0), "front": (1.0, 0.0), "right": (0.0, -1.0)}
+
+
+def bbox_from_entry(entry: dict) -> BoundingBox:
+    """Box of a catalogue entry, whose ``size`` holds full extents."""
+    sx, sy, sz = entry["size"]
+    return BoundingBox(Vec2(0.5 * sx, 0.5 * sy), 0.5 * sz)
+
+
+def regions_from_entry(entry: dict) -> tuple[AccessRegion, ...]:
+    """Four per-face regions of a catalogue entry; each face in its
+    ``access`` map gets a square zone of that depth outside the face, and
+    faces without a clearance are disabled (zero diagonal)."""
+    sx, sy, _ = entry["size"]
+    half = {"back": 0.5 * sx, "front": 0.5 * sx, "left": 0.5 * sy, "right": 0.5 * sy}
+    regions = []
+    access = entry.get("access", {})
+    for face in FACES:
+        depth = access.get(face, 0.0)
+        if depth > 0.0:
+            dx, dy = _FACE_DIR[face]
+            offset = half[face] + 0.5 * depth
+            regions.append(
+                AccessRegion(Vec2(dx * offset, dy * offset), depth * math.sqrt(2.0))
+            )
+        else:
+            regions.append(AccessRegion(Vec2(0.0, 0.0), 0.0))
+    return tuple(regions)
+
+
 @dataclass
 class LayoutObject:
     id: str
@@ -198,14 +229,10 @@ class Room:
             raise ValueError("room boundary must be a simple polygon")
         if polygon_signed_area(self.boundary) < 0.0:
             self.boundary.reverse()
-        self._wall_pairs = [
-            (self.boundary[i], self.boundary[(i + 1) % len(self.boundary)])
-            for i in range(len(self.boundary))
-        ]
         # flat per-wall scalars for the hot paths:
         # (ax, ay, dx, dy, 1/len^2, inward nx, inward ny, tangent angle)
         self._wall_data = []
-        for a, b in self._wall_pairs:
+        for a, b in zip(self.boundary, self.boundary[1:] + self.boundary[:1]):
             dx = b.x - a.x
             dy = b.y - a.y
             length = math.hypot(dx, dy)
@@ -221,10 +248,12 @@ class Room:
         self._rect = None
         if len(self.boundary) == 4 and len(xs) == 2 and len(ys) == 2:
             self._rect = (min(xs), min(ys), max(xs), max(ys))
+        # one shared Vec2: every particle placed by default points at it
+        self._centroid = polygon_centroid(self.boundary)
 
     @property
     def centroid(self) -> Vec2:
-        return polygon_centroid(self.boundary)
+        return self._centroid
 
     @property
     def area(self) -> float:
@@ -240,9 +269,6 @@ class Room:
             x0, y0, x1, y1 = self._rect
             return x0 <= p[0] <= x1 and y0 <= p[1] <= y1
         return point_in_polygon(self.boundary, p)
-
-    def walls(self) -> list[tuple[Vec2, Vec2]]:
-        return self._wall_pairs
 
 
 def nearest_wall_point(room: Room, p) -> tuple[Vec2, Vec2, float]:
@@ -290,6 +316,56 @@ class Scene:
     solver_defaults: dict = field(default_factory=dict)
     catalogue: dict = field(default_factory=dict)
 
+    def add_object(
+        self,
+        object_id: str,
+        label: str,
+        *,
+        position: Optional[Vec2] = None,
+        z: float = 0.0,
+        theta: float = 0.0,
+        fixed: bool = False,
+        mass: Optional[float] = None,
+    ) -> int:
+        """Append an object of catalogue ``label`` and its particle; returns
+        the particle index. The pose defaults to the room centroid and the
+        mass to the box volume; a fixed object gets infinite mass."""
+        entry = self.catalogue[label]
+        bbox = bbox_from_entry(entry)
+        if fixed:
+            mass = INFINITE
+        elif mass is None:
+            mass = mass_from_bbox(bbox)
+        obj = LayoutObject(object_id, label, len(self.particles), bbox, regions_from_entry(entry))
+        self._add_particle(position, z, theta, mass)
+        self.objects.append(obj)
+        return obj.particle_index
+
+    def add_group(
+        self,
+        group_id: str,
+        members,
+        *,
+        mass: float,
+        position: Optional[Vec2] = None,
+        z: float = 0.0,
+        theta: float = 0.0,
+        **fields,
+    ) -> int:
+        """Append a group over the ``members`` object ids and its particle;
+        returns the particle index. ``fields`` are the Group's rigidity,
+        curve, member offsets and member ts; the pose defaults to the room
+        centroid."""
+        group = Group(group_id, len(self.particles), tuple(members), **fields)
+        self._add_particle(position, z, theta, mass)
+        self.groups.append(group)
+        return group.particle_index
+
+    def _add_particle(self, position: Optional[Vec2], z: float, theta: float, mass: float) -> None:
+        if position is None:
+            position = self.room.centroid
+        self.particles.append(Particle(position=position, z=z, orientation=theta, mass=mass))
+
     def object_by_id(self, object_id: str) -> LayoutObject:
         for obj in self.objects:
             if obj.id == object_id:
@@ -316,10 +392,13 @@ class Scene:
                 if member not in object_ids:
                     raise ValueError(f"group {group.id!r} references missing object {member!r}")
         for i, constraint in enumerate(self.constraints):
-            for idx in constraint.particles:
-                if not (0 <= idx < n):
-                    raise ValueError(f"constraint #{i} ({constraint.kind}) references missing particle {idx}")
-            constraint.validate()
+            try:
+                for idx in constraint.particles:
+                    if not (0 <= idx < n):
+                        raise ValueError(f"{constraint.kind} references missing particle {idx}")
+                constraint.validate()
+            except ValueError as exc:
+                raise ValueError(f"constraints[{i}]: {exc}") from None
 
     def copy(self) -> "Scene":
         return Scene(

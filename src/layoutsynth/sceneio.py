@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from typing import Any
 
 from . import constraints as cn
-from .catalogue import bbox_from_entry, regions_from_entry
 from .geometry import ARC, Curve, SEGMENT, Vec2, stable_radians
-from .model import FACES, Group, LayoutObject, Particle, Room, Scene, mass_from_bbox
+from .model import FACES, Particle, Room, Scene, mass_from_bbox
+from .solver import BATCH, SEQUENTIAL
 
 
 class SceneFormatError(ValueError):
@@ -32,12 +33,6 @@ _POSE_KEYS = {"x", "y", "z", "theta_deg"}
 _GROUP_KEYS = {"id", "members", "rigidity", "curve", "member_ts",
                "member_offsets", "mass", "pose"}
 _CURVE_KEYS = {"kind", "a", "b", "center"}
-_CONSTRAINT_KEYS = {
-    "kind", "objects", "relation", "distance", "point", "vector",
-    "angle_offset_deg", "orientation_mode", "angle_target_deg",
-    "height_gap", "face", "pin_focal", "weight", "schedule",
-    "stiffness", "rate",
-}
 
 
 def _check_keys(mapping: dict, allowed: set[str], path: str) -> None:
@@ -51,18 +46,128 @@ def _expect(condition: bool, path: str, message: str) -> None:
         raise SceneFormatError(f"{path}: {message}")
 
 
-def _as_point(value: Any, path: str) -> Vec2:
-    _expect(
-        isinstance(value, (list, tuple)) and len(value) == 2
-        and all(isinstance(v, (int, float)) for v in value),
-        path, "expected a [x, y] pair",
-    )
-    return Vec2(float(value[0]), float(value[1]))
-
-
 def _as_number(value: Any, path: str) -> float:
-    _expect(isinstance(value, (int, float)) and math.isfinite(value), path, "expected a finite number")
+    # the bound rejects NaN and infinities, and integers too large for a float
+    _expect(
+        isinstance(value, (int, float)) and not isinstance(value, bool)
+        and abs(value) <= sys.float_info.max,
+        path, "expected a finite number",
+    )
     return float(value)
+
+
+def _as_positive(value: Any, path: str) -> float:
+    number = _as_number(value, path)
+    _expect(number > 0, path, "must be positive")
+    return number
+
+
+def _as_angle(value: Any, path: str) -> float:
+    """Radians from a file angle in degrees."""
+    return stable_radians(_as_number(value, path))
+
+
+def _as_point(value: Any, path: str) -> Vec2:
+    _expect(isinstance(value, (list, tuple)) and len(value) == 2, path, "expected a [x, y] pair")
+    return Vec2(_as_number(value[0], f"{path}[0]"), _as_number(value[1], f"{path}[1]"))
+
+
+def _as_bool(value: Any, path: str) -> bool:
+    _expect(isinstance(value, bool), path, "expected true or false")
+    return value
+
+
+def _as_text(value: Any, path: str) -> str:
+    _expect(isinstance(value, str), path, "expected a string")
+    return value
+
+
+def _as_positive_int(value: Any, path: str) -> int:
+    _expect(isinstance(value, int) and not isinstance(value, bool) and value >= 1, path,
+            "expected an integer >= 1")
+    return value
+
+
+def _as_projection_mode(value: Any, path: str) -> str:
+    _expect(value in (SEQUENTIAL, BATCH), path, f"expected {SEQUENTIAL!r} or {BATCH!r}")
+    return value
+
+
+def _as_list(doc: dict, key: str) -> list:
+    value = doc.get(key, [])
+    _expect(isinstance(value, list), key, "expected a list")
+    return value
+
+
+def _as_ref(value: Any, known, path: str, what: str):
+    _expect(isinstance(value, str) and value in known, path, f"unknown {what} {value!r}")
+    return value
+
+
+def _new_id(doc: dict, index_of: dict, path: str) -> str:
+    """The ``id`` of an object or group; ids are unique across both."""
+    new_id = doc.get("id")
+    _expect(isinstance(new_id, str) and new_id, f"{path}.id", "missing id")
+    _expect(new_id not in index_of, f"{path}.id", f"duplicate id {new_id!r}")
+    return new_id
+
+
+def _same(value):
+    return value
+
+
+def _given(value) -> bool:
+    return value is not None
+
+
+def _always(value) -> bool:
+    return True
+
+
+# One row per optional constraint field: file key, Constraint attribute,
+# reader (file value -> attribute), writer (attribute -> file value), and
+# when the writer runs. "kind" and "objects" are read and written apart.
+_CONSTRAINT_FIELDS = (
+    ("relation", "relation", _as_text, _same, lambda v: v != cn.EQUALITY),
+    ("distance", "distance", _as_number, _same, _given),
+    ("point", "point", _as_point, list, _given),
+    ("vector", "vector", _as_point, list, _given),
+    ("angle_offset_deg", "angle_offset", _as_angle, math.degrees, bool),
+    ("orientation_mode", "orientation_mode", _as_text, _same, _given),
+    ("angle_target_deg", "angle_target", _as_angle, math.degrees, _given),
+    ("height_gap", "height_gap", _as_number, _same, _given),
+    ("face", "face", _as_positive_int, _same, _given),
+    ("pin_focal", "pin_focal", _as_bool, _same, lambda v: not v),
+    ("weight", "weight", _as_number, _same, _always),
+    ("schedule", "schedule", _as_text, _same, _always),
+    ("stiffness", "stiffness_initial", _as_number, _same, _always),
+    ("rate", "rate", _as_number, _same, _always),
+)
+_CONSTRAINT_KEYS = {"kind", "objects", *(row[0] for row in _CONSTRAINT_FIELDS)}
+
+# the scene-file solver defaults: the SolverConfig fields a scene may set
+_SOLVER_FIELDS = {
+    "max_iterations": _as_positive_int,
+    "projection_mode": _as_projection_mode,
+    "termination_window": _as_positive_int,
+}
+
+
+def _read_pose(doc: dict, path: str) -> dict:
+    """Particle pose keywords (position, z, theta) from an optional
+    ``pose`` field; an absent pose leaves the constructor's defaults."""
+    if "pose" not in doc:
+        return {}
+    path = f"{path}.pose"
+    pose = doc["pose"]
+    _expect(isinstance(pose, dict), path, "expected an object")
+    _check_keys(pose, _POSE_KEYS, path)
+    return {
+        "position": Vec2(_as_number(pose.get("x", 0.0), f"{path}.x"),
+                         _as_number(pose.get("y", 0.0), f"{path}.y")),
+        "z": _as_number(pose.get("z", 0.0), f"{path}.z"),
+        "theta": _as_angle(pose.get("theta_deg", 0.0), f"{path}.theta_deg"),
+    }
 
 
 def parse_scene(text: str) -> Scene:
@@ -89,86 +194,54 @@ def parse_scene(text: str) -> Scene:
     except ValueError as exc:
         raise SceneFormatError(f"room.boundary: {exc}") from None
 
+    catalogue_doc = doc.get("catalogue", {})
+    _expect(isinstance(catalogue_doc, dict), "catalogue", "expected an object")
     catalogue: dict[str, dict] = {}
-    for label, entry in (doc.get("catalogue") or {}).items():
+    for label, entry in catalogue_doc.items():
         path = f"catalogue[{label!r}]"
         _expect(isinstance(entry, dict), path, "expected an object")
         _check_keys(entry, _CATALOGUE_KEYS, path)
         size = entry.get("size")
-        _expect(
-            isinstance(size, list) and len(size) == 3
-            and all(isinstance(v, (int, float)) and v > 0 for v in size),
-            f"{path}.size", "expected three positive extents",
-        )
+        _expect(isinstance(size, list) and len(size) == 3, f"{path}.size",
+                "expected three positive extents")
+        size = [_as_positive(v, f"{path}.size[{k}]") for k, v in enumerate(size)]
         access = entry.get("access", {})
         _expect(isinstance(access, dict), f"{path}.access", "expected an object")
         for face, depth in access.items():
             _expect(face in FACES, f"{path}.access",
                     f"unknown face {face!r} (use back/left/front/right)")
-            _expect(isinstance(depth, (int, float)) and depth >= 0,
+            _expect(_as_number(depth, f"{path}.access[{face!r}]") >= 0,
                     f"{path}.access[{face!r}]", "clearance depth must be >= 0")
-        catalogue[label] = {"size": [float(v) for v in size], "access": dict(access)}
+        catalogue[label] = {"size": size, "access": dict(access)}
 
     scene = Scene(room=room, catalogue=catalogue)
     index_of: dict[str, int] = {}
 
-    for i, obj_doc in enumerate(doc.get("objects") or []):
+    for i, obj_doc in enumerate(_as_list(doc, "objects")):
         path = f"objects[{i}]"
         _expect(isinstance(obj_doc, dict), path, "expected an object")
         _check_keys(obj_doc, _OBJECT_KEYS, path)
-        object_id = obj_doc.get("id")
-        _expect(isinstance(object_id, str) and object_id, f"{path}.id", "missing id")
-        _expect(object_id not in index_of, f"{path}.id", f"duplicate id {object_id!r}")
-        label = obj_doc.get("label")
-        _expect(label in catalogue, f"{path}.label",
-                f"label {label!r} not present in the catalogue")
-        entry = catalogue[label]
-        bbox = bbox_from_entry(entry)
-        position, z, theta = scene.room.centroid, 0.0, 0.0
-        if "pose" in obj_doc:
-            pose = obj_doc["pose"]
-            _expect(isinstance(pose, dict), f"{path}.pose", "expected an object")
-            _check_keys(pose, _POSE_KEYS, f"{path}.pose")
-            position = Vec2(
-                _as_number(pose.get("x", 0.0), f"{path}.pose.x"),
-                _as_number(pose.get("y", 0.0), f"{path}.pose.y"),
-            )
-            z = _as_number(pose.get("z", 0.0), f"{path}.pose.z")
-            theta = stable_radians(_as_number(pose.get("theta_deg", 0.0), f"{path}.pose.theta_deg"))
-        if obj_doc.get("fixed", False):
-            mass = math.inf
-        elif "mass" in obj_doc:
-            mass = _as_number(obj_doc["mass"], f"{path}.mass")
-            _expect(mass > 0, f"{path}.mass", "mass must be positive")
-        else:
-            mass = mass_from_bbox(bbox)
-        particle_index = len(scene.particles)
-        scene.particles.append(Particle(position=position, z=z, orientation=theta, mass=mass))
-        scene.objects.append(
-            LayoutObject(
-                id=object_id,
-                label=label,
-                particle_index=particle_index,
-                bbox=bbox,
-                accessibility=regions_from_entry(entry),
-            )
+        object_id = _new_id(obj_doc, index_of, path)
+        label = _as_ref(obj_doc.get("label"), catalogue, f"{path}.label", "catalogue label")
+        mass = _as_positive(obj_doc["mass"], f"{path}.mass") if "mass" in obj_doc else None
+        index_of[object_id] = scene.add_object(
+            object_id,
+            label,
+            fixed=_as_bool(obj_doc.get("fixed", False), f"{path}.fixed"),
+            mass=mass,
+            **_read_pose(obj_doc, path),
         )
-        index_of[object_id] = particle_index
 
-    for g, group_doc in enumerate(doc.get("groups") or []):
+    for g, group_doc in enumerate(_as_list(doc, "groups")):
         path = f"groups[{g}]"
         _expect(isinstance(group_doc, dict), path, "expected an object")
         _check_keys(group_doc, _GROUP_KEYS, path)
-        group_id = group_doc.get("id")
-        _expect(isinstance(group_id, str) and group_id, f"{path}.id", "missing id")
-        _expect(group_id not in index_of, f"{path}.id", f"duplicate id {group_id!r}")
+        group_id = _new_id(group_doc, index_of, path)
         members = group_doc.get("members")
         _expect(isinstance(members, list) and members, f"{path}.members",
                 "expected a non-empty list of object ids")
         for m, member in enumerate(members):
-            _expect(member in index_of, f"{path}.members[{m}]",
-                    f"unknown object id {member!r}")
-        rigidity = group_doc.get("rigidity", "nonrigid")
+            _as_ref(member, index_of, f"{path}.members[{m}]", "object id")
         curve = None
         if "curve" in group_doc:
             curve_doc = group_doc["curve"]
@@ -181,13 +254,9 @@ def parse_scene(text: str) -> Scene:
                 kind,
                 _as_point(curve_doc.get("a"), f"{path}.curve.a"),
                 _as_point(curve_doc.get("b"), f"{path}.curve.b"),
-                _as_point(curve_doc["center"], f"{path}.curve.center")
+                _as_point(curve_doc.get("center"), f"{path}.curve.center")
                 if kind == ARC else None,
             )
-            try:
-                curve.validate()
-            except ValueError as exc:
-                raise SceneFormatError(f"{path}.curve: {exc}") from None
         member_ts = None
         if "member_ts" in group_doc:
             ts = group_doc["member_ts"]
@@ -207,41 +276,27 @@ def parse_scene(text: str) -> Scene:
                     (
                         _as_number(off[0], f"{path}.member_offsets[{k}][0]"),
                         _as_number(off[1], f"{path}.member_offsets[{k}][1]"),
-                        stable_radians(_as_number(off[2], f"{path}.member_offsets[{k}][2]")),
+                        _as_angle(off[2], f"{path}.member_offsets[{k}][2]"),
                     )
                 )
             member_offsets = tuple(rows)
-        mass = _as_number(group_doc.get("mass", 1.0), f"{path}.mass")
-        _expect(mass > 0, f"{path}.mass", "mass must be positive")
-        position, z, theta = scene.room.centroid, 0.0, 0.0
-        if "pose" in group_doc:
-            pose = group_doc["pose"]
-            _check_keys(pose, _POSE_KEYS, f"{path}.pose")
-            position = Vec2(
-                _as_number(pose.get("x", 0.0), f"{path}.pose.x"),
-                _as_number(pose.get("y", 0.0), f"{path}.pose.y"),
-            )
-            z = _as_number(pose.get("z", 0.0), f"{path}.pose.z")
-            theta = stable_radians(_as_number(pose.get("theta_deg", 0.0), f"{path}.pose.theta_deg"))
-        particle_index = len(scene.particles)
-        scene.particles.append(Particle(position=position, z=z, orientation=theta, mass=mass))
+        mass = _as_positive(group_doc.get("mass", 1.0), f"{path}.mass")
+        pose = _read_pose(group_doc, path)
         try:
-            scene.groups.append(
-                Group(
-                    id=group_id,
-                    particle_index=particle_index,
-                    member_object_ids=tuple(members),
-                    rigidity=rigidity,
-                    curve=curve,
-                    member_offsets=member_offsets,
-                    member_ts=member_ts,
-                )
+            index_of[group_id] = scene.add_group(
+                group_id,
+                members,
+                mass=mass,
+                rigidity=group_doc.get("rigidity", "nonrigid"),
+                curve=curve,
+                member_offsets=member_offsets,
+                member_ts=member_ts,
+                **pose,
             )
         except ValueError as exc:
             raise SceneFormatError(f"{path}: {exc}") from None
-        index_of[group_id] = particle_index
 
-    for c, con_doc in enumerate(doc.get("constraints") or []):
+    for c, con_doc in enumerate(_as_list(doc, "constraints")):
         path = f"constraints[{c}]"
         _expect(isinstance(con_doc, dict), path, "expected an object")
         _check_keys(con_doc, _CONSTRAINT_KEYS, path)
@@ -250,59 +305,26 @@ def parse_scene(text: str) -> Scene:
         refs = con_doc.get("objects")
         _expect(isinstance(refs, list) and refs, f"{path}.objects",
                 "expected a non-empty list of object/group ids")
-        particles = []
-        for r, ref in enumerate(refs):
-            _expect(ref in index_of, f"{path}.objects[{r}]",
-                    f"unknown object or group id {ref!r}")
-            particles.append(index_of[ref])
-        kw: dict[str, Any] = {}
-        if "relation" in con_doc:
-            kw["relation"] = con_doc["relation"]
-        if "distance" in con_doc:
-            kw["distance"] = _as_number(con_doc["distance"], f"{path}.distance")
-        if "point" in con_doc:
-            kw["point"] = _as_point(con_doc["point"], f"{path}.point")
-        if "vector" in con_doc:
-            kw["vector"] = _as_point(con_doc["vector"], f"{path}.vector")
-        if "angle_offset_deg" in con_doc:
-            kw["angle_offset"] = stable_radians(
-                _as_number(con_doc["angle_offset_deg"], f"{path}.angle_offset_deg")
-            )
-        if "orientation_mode" in con_doc:
-            kw["orientation_mode"] = con_doc["orientation_mode"]
-        if "angle_target_deg" in con_doc:
-            kw["angle_target"] = stable_radians(
-                _as_number(con_doc["angle_target_deg"], f"{path}.angle_target_deg")
-            )
-        if "height_gap" in con_doc:
-            kw["height_gap"] = _as_number(con_doc["height_gap"], f"{path}.height_gap")
-        if "face" in con_doc:
-            kw["face"] = con_doc["face"]
-        if "pin_focal" in con_doc:
-            kw["pin_focal"] = bool(con_doc["pin_focal"])
-        if "weight" in con_doc:
-            kw["weight"] = _as_number(con_doc["weight"], f"{path}.weight")
-            _expect(kw["weight"] > 0, f"{path}.weight", "weight must be positive")
-        if "schedule" in con_doc:
-            kw["schedule"] = con_doc["schedule"]
-        if "stiffness" in con_doc:
-            kw["stiffness_initial"] = _as_number(con_doc["stiffness"], f"{path}.stiffness")
-        if "rate" in con_doc:
-            kw["rate"] = _as_number(con_doc["rate"], f"{path}.rate")
-        try:
-            constraint = cn.make_constraint(kind, tuple(particles), **kw)
-            constraint.validate()
-        except ValueError as exc:
-            raise SceneFormatError(f"{path}: {exc}") from None
-        scene.constraints.append(constraint)
+        particles = tuple(
+            index_of[_as_ref(ref, index_of, f"{path}.objects[{r}]", "object or group id")]
+            for r, ref in enumerate(refs)
+        )
+        kw = {
+            attr: read(con_doc[key], f"{path}.{key}")
+            for key, attr, read, _, _ in _CONSTRAINT_FIELDS
+            if key in con_doc
+        }
+        scene.constraints.append(cn.make_constraint(kind, particles, **kw))
 
     if "collisions_enabled" in doc:
-        _expect(isinstance(doc["collisions_enabled"], bool), "collisions_enabled",
-                "expected true or false")
-        scene.collisions_enabled = doc["collisions_enabled"]
-    if "solver" in doc:
-        _expect(isinstance(doc["solver"], dict), "solver", "expected an object")
-        scene.solver_defaults = dict(doc["solver"])
+        scene.collisions_enabled = _as_bool(doc["collisions_enabled"], "collisions_enabled")
+    solver = doc.get("solver", {})
+    _expect(isinstance(solver, dict), "solver", "expected an object")
+    for key, value in solver.items():
+        _expect(key in _SOLVER_FIELDS, f"solver.{key}",
+                f"unknown field (use {', '.join(_SOLVER_FIELDS)})")
+        _SOLVER_FIELDS[key](value, f"solver.{key}")
+    scene.solver_defaults = dict(solver)
 
     try:
         scene.validate()
@@ -389,30 +411,10 @@ def serialize_scene(scene: Scene) -> str:
     constraints = []
     for con in scene.constraints:
         entry = {"kind": con.kind, "objects": [ids[p] for p in con.particles]}
-        if con.relation != cn.EQUALITY:
-            entry["relation"] = con.relation
-        if con.distance is not None:
-            entry["distance"] = con.distance
-        if con.point is not None:
-            entry["point"] = list(con.point)
-        if con.vector is not None:
-            entry["vector"] = list(con.vector)
-        if con.angle_offset:
-            entry["angle_offset_deg"] = math.degrees(con.angle_offset)
-        if con.orientation_mode is not None:
-            entry["orientation_mode"] = con.orientation_mode
-        if con.angle_target is not None:
-            entry["angle_target_deg"] = math.degrees(con.angle_target)
-        if con.height_gap is not None:
-            entry["height_gap"] = con.height_gap
-        if con.face is not None:
-            entry["face"] = con.face
-        if not con.pin_focal:
-            entry["pin_focal"] = False
-        entry["weight"] = con.weight
-        entry["schedule"] = con.schedule
-        entry["stiffness"] = con.stiffness_initial
-        entry["rate"] = con.rate
+        for key, attr, _, write, written in _CONSTRAINT_FIELDS:
+            value = getattr(con, attr)
+            if written(value):
+                entry[key] = write(value)
         constraints.append(entry)
 
     doc = {

@@ -13,18 +13,9 @@ import math
 import numpy as np
 
 from . import constraints as cn
-from .catalogue import CATALOGUE, access_regions_for, bbox_for
+from .catalogue import CATALOGUE
 from .geometry import ARC, SEGMENT, Curve, Vec2, stable_radians
-from .model import (
-    Group,
-    LayoutObject,
-    NONRIGID,
-    Particle,
-    RIGID,
-    Room,
-    Scene,
-    mass_from_bbox,
-)
+from .model import BoundingBox, NONRIGID, RIGID, Room, Scene, mass_from_bbox
 
 TEMPLATE_NAMES = (
     "theater1",
@@ -40,50 +31,27 @@ TEMPLATE_NAMES = (
 class _SceneBuilder:
     def __init__(self, room: Room):
         self.scene = Scene(room=room)
-        self._default_pos = room.centroid
 
-    def add_object(self, label: str, object_id: str, *, pose=None, fixed: bool = False) -> int:
-        """Register an object and its particle; returns the particle index."""
+    def add_object(self, label: str, object_id: str, *, pose=None) -> int:
+        """Register an object and its particle, copying its catalogue entry
+        into the scene; ``pose`` is (x, y, theta). Returns the particle
+        index."""
         if label not in self.scene.catalogue:
             entry = CATALOGUE[label]
             self.scene.catalogue[label] = {
                 "size": list(entry["size"]),
                 "access": dict(entry["access"]),
             }
-        bbox = bbox_for(label)
         if pose is None:
-            position, theta = self._default_pos, 0.0
-        else:
-            position, theta = Vec2(pose[0], pose[1]), pose[2]
-        particle = Particle(
-            position=position,
-            orientation=theta,
-            mass=math.inf if fixed else mass_from_bbox(bbox),
-        )
-        index = len(self.scene.particles)
-        self.scene.particles.append(particle)
-        self.scene.objects.append(
-            LayoutObject(
-                id=object_id,
-                label=label,
-                particle_index=index,
-                bbox=bbox,
-                accessibility=access_regions_for(label),
-            )
-        )
-        return index
+            return self.scene.add_object(object_id, label)
+        x, y, theta = pose
+        return self.scene.add_object(object_id, label, position=Vec2(x, y), theta=theta)
 
-    def add_group_particle(self, extent: Vec2, half_height: float, pose=None) -> int:
-        from .model import BoundingBox
-
-        bbox = BoundingBox(extent, half_height)
-        if pose is None:
-            position, theta = self._default_pos, 0.0
-        else:
-            position, theta = Vec2(pose[0], pose[1]), pose[2]
-        particle = Particle(position=position, orientation=theta, mass=mass_from_bbox(bbox))
-        self.scene.particles.append(particle)
-        return len(self.scene.particles) - 1
+    def add_group(self, group_id: str, members, extent: Vec2, half_height: float, **fields) -> int:
+        """A group whose particle weighs as much as a box of the given
+        half extents."""
+        mass = mass_from_bbox(BoundingBox(extent, half_height))
+        return self.scene.add_group(group_id, members, mass=mass, **fields)
 
     def constrain(self, kind: str, particles, **kw) -> None:
         self.scene.constraints.append(cn.make_constraint(kind, tuple(particles), **kw))
@@ -204,19 +172,16 @@ def theater2(
         else:
             curve = Curve(SEGMENT, Vec2(0.0, -0.5 * length), Vec2(0.0, 0.5 * length))
 
-        group_particle = b.add_group_particle(Vec2(0.4, 0.5 * length + 0.4), 0.5)
-        chair_particles = tier_chairs[t]
-        ts = tuple((i + 0.5) / chairs_per_tier for i in range(chairs_per_tier))
-        b.scene.groups.append(
-            Group(
-                id=f"tier_{t}",
-                particle_index=group_particle,
-                member_object_ids=tuple(f"tier{t}_chair_{i}" for i in range(chairs_per_tier)),
-                rigidity=NONRIGID,
-                curve=curve,
-                member_ts=ts,
-            )
+        group_particle = b.add_group(
+            f"tier_{t}",
+            [f"tier{t}_chair_{i}" for i in range(chairs_per_tier)],
+            Vec2(0.4, 0.5 * length + 0.4),
+            0.5,
+            rigidity=NONRIGID,
+            curve=curve,
+            member_ts=tuple((i + 0.5) / chairs_per_tier for i in range(chairs_per_tier)),
         )
+        chair_particles = tier_chairs[t]
         b.constrain(cn.PAIRWISE_DISTANCE, (group_particle, stage), distance=radius)
         b.constrain(
             cn.PAIRWISE_ORIENTATION, (group_particle, stage), orientation_mode=cn.ORIENT_FACE
@@ -414,15 +379,13 @@ def tp_bedroom() -> Scene:
     rack = b.add_object("coat_rack", "coat_rack")
 
     for i in range(3):
-        b.add_group_particle(Vec2(1.35, 0.5), 0.3)
-        b.scene.groups.append(
-            Group(
-                id=f"bunk_{i}",
-                particle_index=len(b.scene.particles) - 1,
-                member_object_ids=(f"bed_{i}", f"footlocker_{i}"),
-                rigidity=RIGID,
-                member_offsets=((0.0, 0.0, 0.0), (1.35, 0.0, 0.0)),
-            )
+        b.add_group(
+            f"bunk_{i}",
+            (f"bed_{i}", f"footlocker_{i}"),
+            Vec2(1.35, 0.5),
+            0.3,
+            rigidity=RIGID,
+            member_offsets=((0.0, 0.0, 0.0), (1.35, 0.0, 0.0)),
         )
         b.constrain(cn.WALL_DISTANCE, (bed_particles[i],), distance=1.15)
         b.constrain(cn.WALL_ORIENTATION, (bed_particles[i],))
@@ -491,18 +454,13 @@ def tp_picnic(seed: int = 0, ranges: dict | None = None) -> Scene:
     b.constrain(cn.HEAT_POINT, (carousel,), point=Vec2(10.0, 13.0))
 
     for t in range(counts["round_tables"]):
-        b.add_group_particle(Vec2(chair_r + 0.25, chair_r + 0.25), 0.45)
-        b.scene.groups.append(
-            Group(
-                id=f"table_group_{t}",
-                particle_index=len(b.scene.particles) - 1,
-                member_object_ids=(
-                    f"round_table_{t}",
-                    *(f"round_table{t}_chair_{s}" for s in range(4)),
-                ),
-                rigidity=RIGID,
-                member_offsets=((0.0, 0.0, 0.0), *chair_seats),
-            )
+        b.add_group(
+            f"table_group_{t}",
+            (f"round_table_{t}", *(f"round_table{t}_chair_{s}" for s in range(4))),
+            Vec2(chair_r + 0.25, chair_r + 0.25),
+            0.45,
+            rigidity=RIGID,
+            member_offsets=((0.0, 0.0, 0.0), *chair_seats),
         )
 
     b.scene.solver_defaults = {"max_iterations": 270}

@@ -37,6 +37,8 @@ BATCH = "batch"
 
 # lowest-energy iterates given a hard-constraint settling attempt
 _SETTLE_CANDIDATES = 3
+# sweep budget of one settle
+_SETTLE_MAX_SWEEPS = 500
 
 log = logging.getLogger(__name__)
 
@@ -55,7 +57,6 @@ class SolverConfig:
     interleave: bool = True
     broad_phase: str = "hash"
     feasibility_tolerance: float = 1e-6
-    settle_max_sweeps: int = 500
 
     def validate(self) -> None:
         if self.projection_mode not in (SEQUENTIAL, BATCH):
@@ -501,7 +502,6 @@ def evaluate_energy(
     st: LayoutState,
     ctx: SolveContext,
     contacts: tuple | None = None,
-    grid: SpatialHash | None = None,
     broad_phase: str = "hash",
 ) -> tuple[float, dict[str, float], float, float]:
     """Layout energy sqrt(sum of weight * C^2) plus bookkeeping.
@@ -523,9 +523,7 @@ def evaluate_energy(
     # ones need a re-measure
     boundary_particles = ctx.object_particles
     if contacts is None:
-        if grid is None:
-            grid = build_hash(st, ctx, broad_phase)
-        contacts = generate_contacts(st, ctx, grid)
+        contacts = generate_contacts(st, ctx, build_hash(st, ctx, broad_phase))
     else:
         boundary_particles = ctx.boundary_recheck
     collisions, activations, _ = contacts
@@ -700,7 +698,7 @@ def _settle_hard_constraints(
     then re-snap orientation constraints (which never move positions).
     Returns True when every hard violation falls below 1e-9."""
     applier = _Applier(st, ctx)
-    for sweep in range(config.settle_max_sweeps):
+    for sweep in range(_SETTLE_MAX_SWEEPS):
         for c in ctx.stacking_constraints:
             applier.project(c, tiebreak)
         grid = build_hash(st, ctx, config.broad_phase, neighbours)
@@ -849,20 +847,21 @@ def _synthesize_attempt(
     # settle the lowest-energy iterates so the returned layout is
     # hard-feasible, and keep whichever settles best
     settled_best: tuple[float, list[Pose]] | None = None
+    first_settled = None
     for candidate_energy, _, snapshot in candidates:
         if settled_best is not None and settled_best[0] <= candidate_energy:
             break  # settling cannot beat its own starting energy by much
         st.restore(snapshot)
         ok = _settle_hard_constraints(st, ctx, config, neighbours, tiebreak)
         energy, _, _, _ = evaluate_energy(st, ctx)
+        settled = (energy, st.snapshot())
+        first_settled = first_settled or settled
         if ok and (settled_best is None or energy < settled_best[0]):
-            settled_best = (energy, st.snapshot())
+            settled_best = settled
     if settled_best is None:
-        # no candidate settled fully; keep the least-violating attempt
-        st.restore(candidates[0][2])
-        _settle_hard_constraints(st, ctx, config, neighbours, tiebreak)
-        energy, _, _, _ = evaluate_energy(st, ctx)
-        settled_best = (energy, st.snapshot())
+        # no candidate settled fully; keep the least-violating attempt,
+        # the lowest-energy iterate as settled
+        settled_best = first_settled
 
     st.restore(settled_best[1])
     energy, sums, max_overlap, max_boundary = evaluate_energy(st, ctx)

@@ -125,6 +125,16 @@ class TestValidate:
         bad.write_text("{not json")
         assert run(["validate", bad]) == 2
 
+    def test_bad_solver_block_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "scene.json"
+        save_scene(build("living_room"), path)
+        doc = json.loads(path.read_text())
+        doc["solver"] = {"max_iterations": "many"}
+        path.write_text(json.dumps(doc))
+        assert run(["validate", path]) == 2
+        assert "solver.max_iterations" in capsys.readouterr().err
+        assert run(["synth", path, "--out", tmp_path / "run"]) == 2
+
 
 class TestSuggest:
     def test_one_svg_per_seed(self, tmp_path):

@@ -100,7 +100,7 @@ class TestNearestWall:
     def test_against_dense_boundary_sampling(self):
         room = Room([Vec2(0, 0), Vec2(8, 0), Vec2(8, 3), Vec2(5, 3), Vec2(5, 6), Vec2(0, 6)])
         samples = []
-        for a, b in room.walls():
+        for a, b in zip(room.boundary, room.boundary[1:] + room.boundary[:1]):
             for t in np.linspace(0, 1, 1250):
                 samples.append((a.x + t * (b.x - a.x), a.y + t * (b.y - a.y)))
         samples = np.array(samples)
@@ -170,6 +170,34 @@ class TestScene:
         )
         with pytest.raises(ValueError):
             scene.validate()
+
+    def test_validate_names_the_failing_constraint(self):
+        from layoutsynth.constraints import make_constraint
+
+        scene = _tiny_scene()
+        scene.constraints.append(make_constraint("heat_point", (0,), point=Vec2(1, 1)))
+        scene.constraints.append(make_constraint("wall_distance", (0,)))
+        with pytest.raises(ValueError, match=r"^constraints\[1\]: wall_distance"):
+            scene.validate()
+        scene.constraints[1] = make_constraint("wall_distance", (7,), distance=1.0)
+        with pytest.raises(ValueError, match=r"^constraints\[1\]: .*missing particle 7"):
+            scene.validate()
+
+    def test_add_object_and_group_defaults(self):
+        scene = Scene(room=SQUARE, catalogue={"crate": {"size": [1.0, 2.0, 0.5],
+                                                        "access": {"front": 0.4}}})
+        assert scene.add_object("a", "crate") == 0
+        assert scene.add_object("b", "crate", position=Vec2(1, 2), theta=0.5, fixed=True) == 1
+        assert scene.add_group("g", ["a"], mass=3.0, rigidity=RIGID,
+                               member_offsets=((0.0, 0.0, 0.0),)) == 2
+        a, b, g = scene.particles
+        assert a.position == SQUARE.centroid and a.mass == pytest.approx(1.0)
+        assert (b.position, b.orientation, b.fixed) == (Vec2(1, 2), 0.5, True)
+        assert g.position == SQUARE.centroid and g.mass == 3.0
+        assert scene.objects[0].bbox == BoundingBox(Vec2(0.5, 1.0), 0.25)
+        assert [r.enabled for r in scene.objects[0].accessibility] == [False, False, True, False]
+        assert scene.groups[0].particle_index == 2
+        scene.validate()
 
     def test_copy_is_deep_enough(self):
         scene = _tiny_scene()

@@ -1,8 +1,14 @@
 import json
 import math
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import layoutsynth
 from layoutsynth import constraints as cn
 from layoutsynth.sceneio import SceneFormatError, load_scene, parse_scene, save_scene, serialize_scene
 from layoutsynth.scenes import TEMPLATE_NAMES, build
@@ -98,6 +104,102 @@ class TestParse:
         assert scene.constraints[0].relation == cn.INEQUALITY
         assert scene.constraints[0].weight == 150.0
 
+
+
+def _set(path, value):
+    """Doc edit that sets the value at a key path (a tuple of keys and
+    list indices)."""
+    def edit(d):
+        target = d
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+    return edit
+
+
+def _with_group(**fields):
+    def edit(d):
+        d["groups"] = [dict({"id": "g", "members": ["crate_0"]}, **fields)]
+    return edit
+
+
+def _with_constraint(**fields):
+    def edit(d):
+        d["constraints"] = [dict({"kind": "heat_point", "objects": ["crate_0"]}, **fields)]
+    return edit
+
+
+class TestMalformed:
+    """Every malformed file fails with a SceneFormatError naming the
+    offending path; none crashes or is read as something else."""
+
+    @pytest.mark.parametrize("edit, where", [
+        (_set(("objects",), 5), r"^objects:"),
+        (_set(("catalogue",), [1]), r"^catalogue:"),
+        (_set(("catalogue", "crate", "size"), [True, 1, 1]), r"catalogue\['crate'\]\.size\[0\]"),
+        (_set(("objects", 0, "label"), ["crate"]), r"objects\[0\]\.label"),
+        (_set(("objects", 0, "fixed"), "no"), r"objects\[0\]\.fixed"),
+        (_set(("objects", 0, "pose"), {"x": True}), r"objects\[0\]\.pose\.x"),
+        (_set(("objects", 0, "pose"), {"y": 10 ** 400}), r"objects\[0\]\.pose\.y"),
+        (_with_group(pose=5), r"groups\[0\]\.pose"),
+        (_with_group(members=[["crate_0"]]), r"groups\[0\]\.members\[0\]"),
+        (_with_group(curve={"kind": "arc", "a": [1, 0], "b": [-1, 0]}), r"groups\[0\]\.curve\.center"),
+        (_with_constraint(pin_focal="no"), r"constraints\[0\]\.pin_focal"),
+        (_with_constraint(face=True), r"constraints\[0\]\.face"),
+        (_with_constraint(weight=True), r"constraints\[0\]\.weight"),
+        (_with_constraint(objects=[["crate_0"]]), r"constraints\[0\]\.objects\[0\]"),
+    ])
+    def test_rejected_with_path(self, edit, where):
+        d = doc()
+        edit(d)
+        with pytest.raises(SceneFormatError, match=where):
+            parse_scene(json.dumps(d))
+
+
+class TestSolverBlock:
+    @pytest.mark.parametrize("solver, where", [
+        ({"max_iterations": "many"}, r"solver\.max_iterations"),
+        ({"max_iterations": 2.5}, r"solver\.max_iterations"),
+        ({"max_iterations": True}, r"solver\.max_iterations"),
+        ({"termination_window": 0}, r"solver\.termination_window"),
+        ({"projection_mode": "jacobi"}, r"solver\.projection_mode"),
+        ({"max_iteration": 5}, r"solver\.max_iteration\b"),
+        ([], r"^solver:"),
+    ])
+    def test_bad_solver_block_rejected(self, solver, where):
+        with pytest.raises(SceneFormatError, match=where):
+            parse_scene(json.dumps(doc(solver=solver)))
+
+    def test_allowed_keys_round_trip(self):
+        solver = {"max_iterations": 5, "projection_mode": "batch", "termination_window": 3}
+        text = serialize_scene(parse_scene(json.dumps(doc(solver=solver))))
+        assert parse_scene(text).solver_defaults == solver
+        assert serialize_scene(parse_scene(text)) == text
+
+
+def test_parse_validates_each_constraint_once(monkeypatch):
+    text = serialize_scene(build("living_room"))
+    calls = []
+    original = cn.Constraint.validate
+    monkeypatch.setattr(cn.Constraint, "validate", lambda c: calls.append(c) or original(c))
+    scene = parse_scene(text)
+    assert len(calls) == len(scene.constraints) == 21
+
+
+def test_scene_files_demo_runs(tmp_path):
+    """The scene-file demo: export, exact round trip, a hand edit and a
+    rejected file."""
+    demo = Path(__file__).resolve().parents[1] / "demos" / "scene_files.py"
+    shutil.copy(demo, tmp_path)
+    src = str(Path(layoutsynth.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, str(tmp_path / "scene_files.py")], cwd=tmp_path,
+                            env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert "parse(serialize(scene)) == scene holds" in result.stdout
+    assert "edited scene still valid" in result.stdout
+    assert "broken file rejected: constraints[0].kind" in result.stdout
+    assert (tmp_path / "output" / "desk.json").read_text() == serialize_scene(build("desk"))
 
 
 class TestUnsolvableConstraints:

@@ -413,6 +413,22 @@ class TestSynthesize:
         assert len(trace.energies) == len(trace.violation_sums)
         assert trace.settled
 
+    def test_unsettled_candidates_are_settled_once(self, monkeypatch):
+        # with no settle reporting success, each attempt keeps its first
+        # settle's result instead of settling that candidate again
+        from layoutsynth import solver
+
+        calls = []
+        real_settle = solver._settle_hard_constraints
+
+        def settle_never_clean(*args):
+            calls.append(real_settle(*args))
+            return False
+
+        monkeypatch.setattr(solver, "_settle_hard_constraints", settle_never_clean)
+        _, trace = synthesize(scenes.living_room(), SolverConfig(seed=0, max_iterations=10))
+        assert len(calls) == 3 * (trace.restarts + 1)
+
     @pytest.mark.parametrize("template, params, seed", [
         ("living_room", None, 0),
         ("desk", None, 13),
