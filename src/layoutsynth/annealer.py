@@ -18,37 +18,33 @@ from .model import Scene
 from .solver import EnergyTrace, LayoutState, SolveContext, evaluate_energy, initialize
 
 
+# the schedule starts at 2% of the run's initial energy, which puts most
+# of it in the productive acceptance regime instead of a random walk that
+# freezes the best-so-far early
+T_INITIAL_FRACTION = 0.02
+T_FINAL = 1e-3
+# early stop: the best energy improved by no more than STALL_THRESHOLD of
+# itself over the trailing STALL_WINDOW proposals
+STALL_WINDOW = 1500
+STALL_THRESHOLD = 0.001
+# position steps scale off the room diagonal; fine moves keep the search
+# improving deep into the schedule instead of stalling at the window
+SIGMA_POS_FRACTION = 0.01
+SIGMA_THETA = math.radians(15.0)
+
+
 @dataclass
 class AnnealConfig:
+    """The settings callers choose: the proposal budget and the seed.
+    The temperature schedule, the stall stop and the proposal widths are
+    the module constants above."""
+
     total_iterations: int = 20_000
-    # None scales off the run's initial energy; starting at 2% of it puts
-    # most of the schedule in the productive acceptance regime instead of
-    # a random walk that freezes the best-so-far early
-    t_initial: float | None = None
-    t_initial_fraction: float = 0.02
-    t_final: float = 1e-3
-    stall_window: int = 1500
-    stall_threshold: float = 0.001
-    # None scales off the room diagonal; fine moves keep the search
-    # improving deep into the schedule instead of stalling at the window
-    sigma_pos: float | None = None
-    sigma_pos_fraction: float = 0.01
-    sigma_theta: float = math.radians(15.0)
     seed: int = 0
 
     def validate(self) -> None:
         if self.total_iterations < 1:
             raise ValueError("need at least one iteration")
-        if self.t_initial is not None and not self.t_initial > 0.0:
-            raise ValueError("initial temperature must be positive")
-        if not self.t_final > 0.0:
-            raise ValueError("final temperature must be positive")
-        if self.sigma_pos is not None and not self.sigma_pos > 0.0:
-            raise ValueError("position sigma must be positive")
-        if not self.sigma_theta > 0.0:
-            raise ValueError("orientation sigma must be positive")
-        if self.stall_window < 1:
-            raise ValueError("stall window must be >= 1")
 
 
 class _Move:
@@ -129,9 +125,9 @@ def accept(
     return rng.random() < math.exp(-(energy_candidate - energy_current) / temperature)
 
 
-def _default_sigma_pos(ctx: SolveContext, fraction: float) -> float:
+def _sigma_pos(ctx: SolveContext) -> float:
     min_x, min_y, max_x, max_y = ctx.room.bounds()
-    return fraction * math.hypot(max_x - min_x, max_y - min_y)
+    return SIGMA_POS_FRACTION * math.hypot(max_x - min_x, max_y - min_y)
 
 
 def run_sa_mcmc(
@@ -140,7 +136,7 @@ def run_sa_mcmc(
     """Anneal a scene and return the best-seen layout and its trace.
 
     Early-stops when the best energy has improved by no more than the
-    stall threshold (0.1% by default) over the trailing stall window.
+    stall threshold (0.1%) over the trailing stall window.
     """
     config = config or AnnealConfig()
     config.validate()
@@ -151,19 +147,15 @@ def run_sa_mcmc(
     movable = movable_particles(ctx)
     if not movable:
         raise ValueError("scene has no movable objects")
-    sigma_pos = (_default_sigma_pos(ctx, config.sigma_pos_fraction)
-                 if config.sigma_pos is None else config.sigma_pos)
+    sigma_pos = _sigma_pos(ctx)
 
     energy, sums, _, _ = evaluate_energy(state, ctx)
     trace = EnergyTrace()
     trace.energies.append(energy)
     trace.violation_sums.append(sums)
 
-    t_initial = config.t_initial
-    if t_initial is None:
-        t_initial = config.t_initial_fraction * energy if energy > 0.0 else 1.0
-        t_initial = max(t_initial, config.t_final)
-    temperatures = np.linspace(t_initial, config.t_final, config.total_iterations)
+    t_initial = max(T_INITIAL_FRACTION * energy if energy > 0.0 else 1.0, T_FINAL)
+    temperatures = np.linspace(t_initial, T_FINAL, config.total_iterations)
 
     best_energy = math.inf
     best_snapshot = state.snapshot()
@@ -171,7 +163,7 @@ def run_sa_mcmc(
     best_history: list[float] = []
 
     for iteration in range(1, config.total_iterations + 1):
-        move = _draw_move(state, ctx, movable, sigma_pos, config.sigma_theta, rng)
+        move = _draw_move(state, ctx, movable, sigma_pos, SIGMA_THETA, rng)
         _apply_move(state, ctx, move, move.new)
         candidate_energy, candidate_sums, _, _ = evaluate_energy(state, ctx)
         if accept(energy, candidate_energy, float(temperatures[iteration - 1]), rng):
@@ -188,9 +180,9 @@ def run_sa_mcmc(
             best_iteration = iteration
         best_history.append(best_energy)
 
-        if iteration > config.stall_window:
-            then = best_history[iteration - 1 - config.stall_window]
-            if then - best_energy <= config.stall_threshold * then:
+        if iteration > STALL_WINDOW:
+            then = best_history[iteration - 1 - STALL_WINDOW]
+            if then - best_energy <= STALL_THRESHOLD * then:
                 break
 
     trace.best_energy = best_energy

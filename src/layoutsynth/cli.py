@@ -16,7 +16,9 @@ import sys
 import time
 from pathlib import Path
 
+from . import annealer
 from . import constraints as cn
+from . import solver
 from .annealer import AnnealConfig, run_sa_mcmc
 from .model import Scene
 from .render import RenderOptions, render_svg
@@ -44,7 +46,7 @@ def _resolve_scene(ref: str, seed: int) -> Scene:
 def _solver_config(scene: Scene, args) -> SolverConfig:
     # a scene file's solver block is checked at parse time to hold only
     # SolverConfig fields
-    config = SolverConfig(seed=args.seed, **scene.solver_defaults)
+    config = SolverConfig(seed=getattr(args, "seed", 0), **scene.solver_defaults)
     if getattr(args, "iters", None):
         config.max_iterations = args.iters
     if getattr(args, "broad_phase", None):
@@ -119,21 +121,23 @@ def _run_meta(scene_ref: str, mode: str, seed: int, solver_config: SolverConfig 
         meta["solver"] = {
             "max_iterations": solver_config.max_iterations,
             "projection_mode": solver_config.projection_mode,
-            "batch_averaging": solver_config.batch_averaging,
+            "batch_averaging": solver.BATCH_AVERAGING,
             "termination_window": solver_config.termination_window,
-            "interleave": solver_config.interleave,
+            "interleave": True,
             "broad_phase": solver_config.broad_phase,
-            "feasibility_tolerance": solver_config.feasibility_tolerance,
+            "feasibility_tolerance": solver.FEASIBILITY_TOLERANCE,
         }
     if anneal_config is not None:
+        # null: the initial temperature and the position sigma are
+        # derived per run, from the initial energy and the room
         meta["annealer"] = {
             "total_iterations": anneal_config.total_iterations,
-            "t_initial": anneal_config.t_initial,
-            "t_final": anneal_config.t_final,
-            "stall_window": anneal_config.stall_window,
-            "stall_threshold": anneal_config.stall_threshold,
-            "sigma_pos": anneal_config.sigma_pos,
-            "sigma_theta": anneal_config.sigma_theta,
+            "t_initial": None,
+            "t_final": annealer.T_FINAL,
+            "stall_window": annealer.STALL_WINDOW,
+            "stall_threshold": annealer.STALL_THRESHOLD,
+            "sigma_pos": None,
+            "sigma_theta": annealer.SIGMA_THETA,
         }
     return meta
 
@@ -207,9 +211,9 @@ def cmd_bench(args) -> int:
         scene = build(args.scene, params) if args.scene in TEMPLATE_NAMES else _resolve_scene(args.scene, 0)
         times = []
         for run in range(args.repeat):
-            config = SolverConfig(seed=run, broad_phase=args.broad_phase)
+            config = _solver_config(scene, args)
+            config.seed = run
             if args.iters:
-                config.max_iterations = args.iters
                 config.termination_window = args.iters
             start = time.perf_counter()
             synthesize(scene, config)

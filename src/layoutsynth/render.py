@@ -13,6 +13,9 @@ from . import constraints as cn
 from .geometry import Vec2
 from .model import Scene
 
+SCALE = 24.0  # pixels per meter
+MARGIN = 1.0  # meters of padding around the room
+
 _PALETTE = (
     "#4e79a7", "#f28e2b", "#e15759", "#76b7b2", "#59a14f",
     "#edc948", "#b07aa1", "#ff9da7", "#9c755f", "#bab0ac",
@@ -21,13 +24,13 @@ _PALETTE = (
 
 @dataclass
 class RenderOptions:
-    scale: float = 24.0           # pixels per meter
-    margin: float = 1.0           # meters of padding around the room
+    """The optional overlays. Group curves and orientation arrows are
+    always drawn, at ``SCALE`` pixels per meter with ``MARGIN`` around the
+    room."""
+
     show_accessibility: bool = False
     show_bounding_circles: bool = False
     show_traffic_lanes: bool = False
-    show_group_curves: bool = True
-    show_orientation: bool = True
 
 
 def _fmt(value: float) -> str:
@@ -35,24 +38,23 @@ def _fmt(value: float) -> str:
 
 
 class _Doc:
-    def __init__(self, min_x, max_y, scale):
+    def __init__(self, min_x, max_y):
         self.min_x = min_x
         self.max_y = max_y
-        self.scale = scale
         self.lines: list[str] = []
 
     def pt(self, x: float, y: float) -> tuple[str, str]:
         # flip y so the room's +y points up on screen
-        return _fmt((x - self.min_x) * self.scale), _fmt((self.max_y - y) * self.scale)
+        return _fmt((x - self.min_x) * SCALE), _fmt((self.max_y - y) * SCALE)
 
     def add(self, line: str) -> None:
         self.lines.append(line)
 
 
 def render_svg(scene: Scene, layout=None, options: RenderOptions | None = None) -> str:
-    """Overhead view of a layout: room outline, object footprints with
-    orientation arrows, and optional overlays for accessibility zones,
-    bounding circles, traffic lanes, and group curves.
+    """Overhead view of a layout: room outline, group curves, object
+    footprints with orientation arrows, and optional overlays for
+    accessibility zones, bounding circles, and traffic lanes.
 
     ``layout`` is a list of (x, y, z, theta) poses per particle; omitted,
     the scene's authored poses are drawn.
@@ -67,14 +69,13 @@ def render_svg(scene: Scene, layout=None, options: RenderOptions | None = None) 
             raise ValueError("layout poses must be finite")
 
     min_x, min_y, max_x, max_y = scene.room.bounds()
-    min_x -= options.margin
-    min_y -= options.margin
-    max_x += options.margin
-    max_y += options.margin
-    scale = options.scale
-    doc = _Doc(min_x, max_y, scale)
-    width = _fmt((max_x - min_x) * scale)
-    height = _fmt((max_y - min_y) * scale)
+    min_x -= MARGIN
+    min_y -= MARGIN
+    max_x += MARGIN
+    max_y += MARGIN
+    doc = _Doc(min_x, max_y)
+    width = _fmt((max_x - min_x) * SCALE)
+    height = _fmt((max_y - min_y) * SCALE)
 
     labels = []
     for obj in scene.objects:
@@ -97,7 +98,7 @@ def render_svg(scene: Scene, layout=None, options: RenderOptions | None = None) 
     )
     doc.add("</g>")
 
-    if options.show_group_curves and scene.groups:
+    if scene.groups:
         doc.add('<g id="group-curves">')
         for group in scene.groups:
             if group.curve is None:
@@ -135,7 +136,7 @@ def render_svg(scene: Scene, layout=None, options: RenderOptions | None = None) 
             x2, y2 = doc.pt(ex, ey)
             doc.add(
                 f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="#e15759" '
-                f'stroke-width="{_fmt(2 * con.distance * scale)}" stroke-opacity="0.15"/>'
+                f'stroke-width="{_fmt(2 * con.distance * SCALE)}" stroke-opacity="0.15"/>'
             )
             doc.add(
                 f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="#e15759" '
@@ -152,16 +153,15 @@ def render_svg(scene: Scene, layout=None, options: RenderOptions | None = None) 
         color = color_of[obj.label]
         doc.add(f'<g transform="rotate({angle} {cx} {cy})">')
         doc.add(
-            f'<rect x="{_fmt((x - hx - min_x) * scale)}" y="{_fmt((max_y - y - hy) * scale)}" '
-            f'width="{_fmt(2 * hx * scale)}" height="{_fmt(2 * hy * scale)}" '
+            f'<rect x="{_fmt((x - hx - min_x) * SCALE)}" y="{_fmt((max_y - y - hy) * SCALE)}" '
+            f'width="{_fmt(2 * hx * SCALE)}" height="{_fmt(2 * hy * SCALE)}" '
             f'fill="{color}" fill-opacity="0.75" stroke="#2d3436" stroke-width="0.8"/>'
         )
-        if options.show_orientation:
-            tip = doc.pt(x + hx, y)
-            doc.add(
-                f'<line x1="{cx}" y1="{cy}" x2="{tip[0]}" y2="{tip[1]}" '
-                f'stroke="#2d3436" stroke-width="1.2"/>'
-            )
+        tip = doc.pt(x + hx, y)
+        doc.add(
+            f'<line x1="{cx}" y1="{cy}" x2="{tip[0]}" y2="{tip[1]}" '
+            f'stroke="#2d3436" stroke-width="1.2"/>'
+        )
         doc.add("</g>")
     doc.add("</g>")
 
@@ -171,7 +171,7 @@ def render_svg(scene: Scene, layout=None, options: RenderOptions | None = None) 
             x, y, _, _ = layout[obj.particle_index]
             cx, cy = doc.pt(x, y)
             doc.add(
-                f'<circle cx="{cx}" cy="{cy}" r="{_fmt(obj.bbox.bounding_radius * scale)}" '
+                f'<circle cx="{cx}" cy="{cy}" r="{_fmt(obj.bbox.bounding_radius * SCALE)}" '
                 f'fill="none" stroke="#59a14f" stroke-width="0.8" stroke-dasharray="3,3"/>'
             )
         doc.add("</g>")
@@ -188,9 +188,9 @@ def render_svg(scene: Scene, layout=None, options: RenderOptions | None = None) 
                 ccx, ccy = doc.pt(center.x, center.y)
                 doc.add(f'<g transform="rotate({_fmt(-math.degrees(theta))} {ccx} {ccy})">')
                 doc.add(
-                    f'<rect x="{_fmt((center.x - half_side - min_x) * scale)}" '
-                    f'y="{_fmt((max_y - center.y - half_side) * scale)}" '
-                    f'width="{_fmt(2 * half_side * scale)}" height="{_fmt(2 * half_side * scale)}" '
+                    f'<rect x="{_fmt((center.x - half_side - min_x) * SCALE)}" '
+                    f'y="{_fmt((max_y - center.y - half_side) * SCALE)}" '
+                    f'width="{_fmt(2 * half_side * SCALE)}" height="{_fmt(2 * half_side * SCALE)}" '
                     f'fill="#f28e2b" fill-opacity="0.2" stroke="#f28e2b" stroke-width="0.6"/>'
                 )
                 doc.add("</g>")

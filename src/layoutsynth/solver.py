@@ -23,6 +23,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -39,6 +40,10 @@ BATCH = "batch"
 _SETTLE_CANDIDATES = 3
 # sweep budget of one settle
 _SETTLE_MAX_SWEEPS = 500
+# over-relaxation of the averaged corrections in batch mode
+BATCH_AVERAGING = 1.2
+# worst circle overlap and boundary violation a feasible layout may keep
+FEASIBILITY_TOLERANCE = 1e-6
 
 log = logging.getLogger(__name__)
 
@@ -49,20 +54,20 @@ class SolverNumericsError(RuntimeError):
 
 @dataclass
 class SolverConfig:
+    """The settings callers choose. Authored constraints are always
+    interleaved round-robin across kinds; batch mode over-relaxes by
+    ``BATCH_AVERAGING`` and feasibility means ``FEASIBILITY_TOLERANCE``."""
+
     max_iterations: int = 300
     projection_mode: str = SEQUENTIAL
-    batch_averaging: float = 1.2
     termination_window: int = 50
     seed: int = 0
-    interleave: bool = True
     broad_phase: str = "hash"
-    feasibility_tolerance: float = 1e-6
+    feasibility_tolerance: ClassVar[float] = FEASIBILITY_TOLERANCE
 
     def validate(self) -> None:
         if self.projection_mode not in (SEQUENTIAL, BATCH):
             raise ValueError(f"unknown projection mode {self.projection_mode!r}")
-        if not self.batch_averaging > 0.0:
-            raise ValueError("batch averaging coefficient must be positive")
         if self.termination_window < 1:
             raise ValueError("termination window must be >= 1")
         if self.max_iterations < 1:
@@ -155,8 +160,6 @@ class SolveContext:
                         self.reach[i], region.local_center.norm() + 0.5 * region.diagonal
                     )
         self.object_particles.sort()
-        self.zone_particles = [i for i in self.object_particles if self.zones[i]]
-        self.max_radius = max((self.radius[i] for i in self.object_particles), default=1.0)
         # inflating the broad phase by each accessibility reach lets one
         # candidate-pair pass serve collisions and zone activations alike
         self.broad_radius = [self.radius[i] + self.reach[i] for i in range(n)]
@@ -567,12 +570,6 @@ def evaluate_energy(
 # stepping
 
 
-def _interleaved(ctx: SolveContext, iteration: int, interleave: bool) -> list[Constraint]:
-    if not interleave or not ctx.user_constraints:
-        return ctx.user_constraints
-    return ctx.interleavings[(iteration - 1) % len(ctx.interleavings)]
-
-
 def step(
     st: LayoutState,
     ctx: SolveContext,
@@ -590,10 +587,10 @@ def step(
     for c in ctx.user_constraints:
         c.stiffness = cn.update_stiffness(c, iteration)
 
-    ordered = _interleaved(ctx, iteration, config.interleave)
+    ordered = ctx.interleavings[(iteration - 1) % len(ctx.interleavings)]
     batching = config.projection_mode == BATCH
     if batching:
-        _project_batch(ordered, st, ctx, applier, config.batch_averaging, tiebreak)
+        _project_batch(ordered, st, ctx, applier, tiebreak)
     else:
         for c in ordered:
             applier.project(c, tiebreak)
@@ -626,13 +623,13 @@ def step(
             cn.access_corrections(i, j, face, st, ctx, k_acc, tiebreak), cn.ACCESSIBILITY, queue
         )
     if queue:
-        _apply_batched(queue, applier, config.batch_averaging)
+        _apply_batched(queue, applier)
 
     # boundary containment gets the final word, always at full stiffness
     queue = [] if batching else None
     _boundary_pass(st, ctx, applier, queue)
     if queue:
-        _apply_batched(queue, applier, config.batch_averaging)
+        _apply_batched(queue, applier)
 
     # stacked piles are hard relations too: re-align them after contacts
     # so evaluation never sees a scattered stack
@@ -660,14 +657,14 @@ def _boundary_pass(
     return pushed
 
 
-def _project_batch(ordered, st, ctx, applier, omega, tiebreak) -> None:
+def _project_batch(ordered, st, ctx, applier, tiebreak) -> None:
     corrections: list[Correction] = []
     for c in ordered:
         corrections.extend(project_constraint(c, st, ctx, tiebreak))
-    _apply_batched(corrections, applier, omega)
+    _apply_batched(corrections, applier)
 
 
-def _apply_batched(corrections: list[Correction], applier: _Applier, omega: float) -> None:
+def _apply_batched(corrections: list[Correction], applier: _Applier) -> None:
     acc: dict[int, list[float]] = {}
     for corr in corrections:
         row = acc.setdefault(corr.particle, [0.0, 0.0, 0.0, 0.0, 0.0])
@@ -678,7 +675,7 @@ def _apply_batched(corrections: list[Correction], applier: _Applier, omega: floa
         row[4] += 1.0
     for particle in sorted(acc):
         sx, sy, sz, sth, count = acc[particle]
-        scale = omega / count
+        scale = BATCH_AVERAGING / count
         applier.apply(Correction(particle, sx, sy, sz, sth), "batched corrections", scale)
 
 
@@ -749,7 +746,7 @@ def _settle_hard_constraints(
             c.stiffness = saved
     for i in range(ctx.n):
         st.theta[i] = normalize_angle(st.theta[i])
-    _, _, max_overlap, max_boundary = evaluate_energy(st, ctx)
+    _, _, max_overlap, max_boundary = evaluate_energy(st, ctx, broad_phase=config.broad_phase)
     return max_overlap <= 1e-9 and max_boundary <= 1e-9
 
 
@@ -791,12 +788,14 @@ def _synthesize_attempt(
 
     st = initialize(scene, seed)
     neighbours = neighbour_list(ctx)
-    energy, sums, max_overlap, max_boundary = evaluate_energy(st, ctx)
+    energy, sums, max_overlap, max_boundary = evaluate_energy(
+        st, ctx, broad_phase=config.broad_phase
+    )
     trace.energies.append(energy)
     trace.violation_sums.append(sums)
     initial_energy = energy if energy > 0.0 else 1.0
 
-    tol = config.feasibility_tolerance
+    tol = FEASIBILITY_TOLERANCE
     candidates: list[tuple[float, int, list[Pose]]] = [(energy, 0, st.snapshot())]
     best_any = math.inf
     best_feasible = math.inf
@@ -845,26 +844,26 @@ def _synthesize_attempt(
             break
 
     # settle the lowest-energy iterates so the returned layout is
-    # hard-feasible, and keep whichever settles best
-    settled_best: tuple[float, list[Pose]] | None = None
+    # hard-feasible, and keep whichever settles best, priced once:
+    # ((energy, sums, max_overlap, max_boundary), poses)
+    settled_best: tuple[tuple, list[Pose]] | None = None
     first_settled = None
     for candidate_energy, _, snapshot in candidates:
-        if settled_best is not None and settled_best[0] <= candidate_energy:
+        if settled_best is not None and settled_best[0][0] <= candidate_energy:
             break  # settling cannot beat its own starting energy by much
         st.restore(snapshot)
         ok = _settle_hard_constraints(st, ctx, config, neighbours, tiebreak)
-        energy, _, _, _ = evaluate_energy(st, ctx)
-        settled = (energy, st.snapshot())
+        priced = evaluate_energy(st, ctx, broad_phase=config.broad_phase)
+        settled = (priced, st.snapshot())
         first_settled = first_settled or settled
-        if ok and (settled_best is None or energy < settled_best[0]):
+        if ok and (settled_best is None or priced[0] < settled_best[0][0]):
             settled_best = settled
     if settled_best is None:
         # no candidate settled fully; keep the least-violating attempt,
         # the lowest-energy iterate as settled
         settled_best = first_settled
 
-    st.restore(settled_best[1])
-    energy, sums, max_overlap, max_boundary = evaluate_energy(st, ctx)
+    (energy, sums, max_overlap, max_boundary), poses = settled_best
     trace.energies.append(energy)
     trace.violation_sums.append(sums)
     trace.settled = True
@@ -872,13 +871,13 @@ def _synthesize_attempt(
     if max_overlap <= tol and max_boundary <= tol and energy < best_feasible:
         best_feasible = energy
         best_feasible_iter = settle_iter
-        best_feasible_snapshot = st.snapshot()
+        best_feasible_snapshot = poses
 
     feasible = best_feasible_snapshot is not None
     if not feasible:
         best_feasible = energy
         best_feasible_iter = settle_iter
-        best_feasible_snapshot = st.snapshot()
+        best_feasible_snapshot = poses
 
     trace.best_energy = best_feasible
     trace.best_iteration = best_feasible_iter

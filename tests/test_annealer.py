@@ -6,9 +6,10 @@ import pytest
 from layoutsynth import scenes
 from layoutsynth.annealer import (
     AnnealConfig,
+    SIGMA_THETA,
     _apply_move,
-    _default_sigma_pos,
     _draw_move,
+    _sigma_pos,
     accept,
     movable_particles,
     run_sa_mcmc,
@@ -27,11 +28,10 @@ def one_box_scene(side=100.0):
     return scene
 
 
-def propose(state, ctx, config, rng):
+def propose(state, ctx, sigma_pos, rng):
     """The candidate run_sa_mcmc would price: one drawn move applied to
     a copy of the state."""
-    sigma_pos = config.sigma_pos or _default_sigma_pos(ctx, config.sigma_pos_fraction)
-    move = _draw_move(state, ctx, movable_particles(ctx), sigma_pos, config.sigma_theta, rng)
+    move = _draw_move(state, ctx, movable_particles(ctx), sigma_pos, SIGMA_THETA, rng)
     candidate = state.copy()
     _apply_move(candidate, ctx, move, move.new)
     return candidate
@@ -44,7 +44,7 @@ class TestPropose:
         state = initialize(scene, 0)
         rng = np.random.default_rng(0)
         for _ in range(50):
-            candidate = propose(state, ctx, AnnealConfig(), rng)
+            candidate = propose(state, ctx, _sigma_pos(ctx), rng)
             changed = (
                 candidate.px[0] != state.px[0]
                 or candidate.py[0] != state.py[0]
@@ -58,7 +58,7 @@ class TestPropose:
         state = initialize(scene, 1)
         rng = np.random.default_rng(1)
         for _ in range(200):
-            candidate = propose(state, ctx, AnnealConfig(), rng)
+            candidate = propose(state, ctx, _sigma_pos(ctx), rng)
             pos_changes = sum(
                 (candidate.px[i], candidate.py[i]) != (state.px[i], state.py[i])
                 for i in range(len(state.px))
@@ -73,10 +73,9 @@ class TestPropose:
         ctx = SolveContext(scene)
         state = initialize(scene, 2)
         rng = np.random.default_rng(2)
-        config = AnnealConfig(sigma_pos=0.5)
         deltas = []
         for _ in range(100_000):
-            candidate = propose(state, ctx, config, rng)
+            candidate = propose(state, ctx, 0.5, rng)
             if candidate.px[0] != state.px[0] or candidate.py[0] != state.py[0]:
                 deltas.append(candidate.px[0] - state.px[0])
         sd = float(np.std(deltas))
@@ -87,10 +86,9 @@ class TestPropose:
         ctx = SolveContext(scene)
         state = LayoutState([0.05], [1.0], [0.0], [0.0])
         rng = np.random.default_rng(3)
-        config = AnnealConfig(sigma_pos=50.0)  # almost every shift exits
         stayed = 0
         for _ in range(200):
-            candidate = propose(state, ctx, config, rng)
+            candidate = propose(state, ctx, 50.0, rng)  # almost every shift exits
             if (candidate.px[0], candidate.py[0]) == (state.px[0], state.py[0]):
                 stayed += 1
             else:
@@ -132,7 +130,7 @@ class TestRun:
     def test_pre_satisfied_early_stops_at_window_plus_one(self):
         # an unconstrained single object: energy is identically zero
         scene = one_box_scene()
-        _, trace = run_sa_mcmc(scene, AnnealConfig(seed=0, stall_window=1500))
+        _, trace = run_sa_mcmc(scene, AnnealConfig(seed=0))
         # rows: initial + 1501 iterations
         assert len(trace.energies) == 1 + 1501
         assert trace.best_energy == 0.0

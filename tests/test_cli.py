@@ -1,6 +1,7 @@
 import csv
 import json
 
+from layoutsynth import cli
 from layoutsynth.cli import main
 from layoutsynth.sceneio import save_scene
 from layoutsynth.scenes import build
@@ -63,7 +64,12 @@ class TestSynth:
             "wall_ghost_collision": stiffen, "pairwise_orientation": relax,
             "wall_orientation": hard, "stacking": hard, "boundary": hard, "group_curve": relax,
         }
-        assert meta["solver"]["termination_window"] == 50
+        assert meta["solver"] == {
+            "max_iterations": 40, "projection_mode": "sequential", "batch_averaging": 1.2,
+            "termination_window": 50, "interleave": True, "broad_phase": "hash",
+            "feasibility_tolerance": 1e-6,
+        }
+        assert "annealer" not in meta
         assert "degenerate_separations" in meta
         with open(out / "trace.csv") as handle:
             header = next(csv.reader(handle))
@@ -75,6 +81,21 @@ class TestSynth:
                 "wall_orientation", "stacking", "boundary", "group_curve",
             )
         ]
+
+    def test_mcmc_run_meta_records_configuration(self, tmp_path):
+        out = tmp_path / "run"
+        run(["synth", "living_room", "--seed", "7", "--mode", "mcmc", "--iters", "40",
+             "--out", out])
+        meta = json.loads((out / "run_meta.json").read_text())
+        assert meta["seed"] == 7
+        assert meta["mode"] == "mcmc"
+        # null: derived per run from the initial energy and the room
+        assert meta["annealer"] == {
+            "total_iterations": 40, "t_initial": None, "t_final": 0.001,
+            "stall_window": 1500, "stall_threshold": 0.001, "sigma_pos": None,
+            "sigma_theta": 0.2617993877991494,
+        }
+        assert "solver" not in meta
 
     def test_mcmc_mode(self, tmp_path):
         out = tmp_path / "mcmc"
@@ -171,6 +192,23 @@ class TestBench:
             rows = list(csv.DictReader(handle))
         assert [int(r["count"]) for r in rows] == [5, 10]
         assert all(float(r["mean_seconds"]) > 0 for r in rows)
+
+    def test_follows_scene_solver_defaults(self, tmp_path, monkeypatch):
+        path = tmp_path / "scene.json"
+        save_scene(build("living_room"), path)
+        doc = json.loads(path.read_text())
+        doc["solver"] = {"max_iterations": 5, "projection_mode": "batch"}
+        path.write_text(json.dumps(doc))
+        configs = []
+        monkeypatch.setattr(cli, "synthesize", lambda scene, config: configs.append(config))
+        assert run(["bench", "--scene", path, "--repeat", "2", "--out", tmp_path / "a"]) == 0
+        assert [(c.seed, c.max_iterations, c.termination_window, c.projection_mode)
+                for c in configs] == [(0, 5, 50, "batch"), (1, 5, 50, "batch")]
+        configs.clear()
+        assert run(["bench", "--scene", path, "--repeat", "1", "--iters", "7",
+                    "--broad-phase", "naive", "--out", tmp_path / "b"]) == 0
+        assert [(c.max_iterations, c.termination_window, c.broad_phase)
+                for c in configs] == [(7, 7, "naive")]
 
     def test_counts_only_for_theater1(self, tmp_path):
         assert run(["bench", "--scene", "desk", "--counts", "5",

@@ -1,14 +1,8 @@
 import json
 import math
-import os
-import shutil
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-import layoutsynth
 from layoutsynth import constraints as cn
 from layoutsynth.sceneio import SceneFormatError, load_scene, parse_scene, save_scene, serialize_scene
 from layoutsynth.scenes import TEMPLATE_NAMES, build
@@ -184,22 +178,6 @@ def test_parse_validates_each_constraint_once(monkeypatch):
     monkeypatch.setattr(cn.Constraint, "validate", lambda c: calls.append(c) or original(c))
     scene = parse_scene(text)
     assert len(calls) == len(scene.constraints) == 21
-
-
-def test_scene_files_demo_runs(tmp_path):
-    """The scene-file demo: export, exact round trip, a hand edit and a
-    rejected file."""
-    demo = Path(__file__).resolve().parents[1] / "demos" / "scene_files.py"
-    shutil.copy(demo, tmp_path)
-    src = str(Path(layoutsynth.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    result = subprocess.run([sys.executable, str(tmp_path / "scene_files.py")], cwd=tmp_path,
-                            env=env, capture_output=True, text=True, timeout=120)
-    assert result.returncode == 0, result.stderr
-    assert "parse(serialize(scene)) == scene holds" in result.stdout
-    assert "edited scene still valid" in result.stdout
-    assert "broken file rejected: constraints[0].kind" in result.stdout
-    assert (tmp_path / "output" / "desk.json").read_text() == serialize_scene(build("desk"))
 
 
 class TestUnsolvableConstraints:

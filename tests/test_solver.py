@@ -5,6 +5,7 @@ import pytest
 
 from layoutsynth import constraints as cn
 from layoutsynth import scenes
+from layoutsynth import spatial
 from layoutsynth.geometry import Curve, SEGMENT, Vec2
 from layoutsynth.model import (
     BoundingBox,
@@ -196,7 +197,7 @@ class TestStep:
         scene = build()
         ctx = SolveContext(scene)
         st = LayoutState([10.0, 4.0, 16.0], [10.0, 10.0, 10.0], [0.0] * 3, [0.0] * 3)
-        config = SolverConfig(interleave=False)
+        config = SolverConfig()
         for l in range(1, 101):
             step(st, ctx, l, config)
         reference = LayoutState([10.0, 4.0, 16.0], [10.0, 10.0, 10.0], [0.0] * 3, [0.0] * 3)
@@ -445,3 +446,14 @@ class TestSynthesize:
         (hash_layout, hash_trace), (naive_layout, naive_trace) = runs
         assert hash_layout == naive_layout
         assert hash_trace.energies == naive_trace.energies
+
+    def test_naive_broad_phase_builds_no_hash(self, monkeypatch):
+        # the all-pairs baseline must not price any state through the hash
+        def no_hash(*args, **kwargs):
+            raise AssertionError("spatial hash built in a naive run")
+
+        monkeypatch.setattr(spatial.SpatialHash, "insert", no_hash)
+        _, trace = synthesize(
+            scenes.living_room(), SolverConfig(seed=0, max_iterations=10, broad_phase="naive")
+        )
+        assert trace.settled
