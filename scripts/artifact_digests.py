@@ -1,0 +1,90 @@
+"""Print a sha256 digest for every artifact of a fixed list of CLI runs.
+
+Run it in two checkouts and diff the outputs: a refactor that claims
+byte-identical behaviour must print the same lines. The runs cover all
+seven templates, the annealing baseline, batch projection from scene
+files with a ``solver`` block, and ``suggest``. They execute in a
+temporary directory with relative scene references, so no artifact
+records where it was written.
+
+    python scripts/artifact_digests.py > digests.txt
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from layoutsynth import cli  # noqa: E402
+
+TEMPLATE_SEEDS = {
+    "theater1": (0, 1),
+    "theater2": (0, 1),
+    "picnic": (0, 1, 2),
+    "living_room": (0, 1, 2),
+    "desk": (0, 1, 2),
+    "tp_bedroom": (0, 1, 2),
+    "tp_picnic": (0, 1),
+}
+MCMC_TEMPLATES = ("living_room", "desk")
+# exported templates solved in batch mode through their scene file's solver block
+BATCH_FILES = {"desk": (0, 1), "tp_bedroom": (0, 1)}
+
+
+def _cli(*argv: str) -> None:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(list(argv))
+    if code:
+        raise SystemExit(f"layoutsynth {' '.join(argv)} exited with {code}")
+
+
+def _runs() -> list[tuple[str, ...]]:
+    """The CLI argument lists to run, after exporting the scene files
+    that the batch-mode runs read."""
+    runs = [
+        ("synth", name, "--seed", str(seed), "--out", f"{name}_s{seed}")
+        for name, seeds in TEMPLATE_SEEDS.items()
+        for seed in seeds
+    ]
+    runs += [
+        ("synth", name, "--mode", "mcmc", "--out", f"{name}_mcmc") for name in MCMC_TEMPLATES
+    ]
+    for name, seeds in BATCH_FILES.items():
+        path = f"{name}.json"
+        _cli("export", name, "--out", path)
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc.setdefault("solver", {})["projection_mode"] = "batch"
+        Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+        runs += [
+            ("synth", path, "--seed", str(seed), "--out", f"{name}_batch_s{seed}")
+            for seed in seeds
+        ]
+    runs.append(("suggest", "picnic", "--seeds", "2", "--out", "picnic_suggest"))
+    return runs
+
+
+def main() -> None:
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for argv in _runs():
+                _cli(*argv)
+                out = Path(argv[argv.index("--out") + 1])
+                for path in sorted(out.iterdir()):
+                    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+                    print(f"{digest}  {path.as_posix()}", flush=True)
+        finally:
+            os.chdir(home)
+
+
+if __name__ == "__main__":
+    main()

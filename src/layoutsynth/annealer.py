@@ -187,5 +187,4 @@ def run_sa_mcmc(
 
     trace.best_energy = best_energy
     trace.best_iteration = best_iteration
-    trace.best_layout = best_snapshot
     return best_snapshot, trace

@@ -19,9 +19,6 @@ class Vec2(NamedTuple):
     def __sub__(self, other):
         return Vec2(self.x - other[0], self.y - other[1])
 
-    def scaled(self, s: float) -> "Vec2":
-        return Vec2(self.x * s, self.y * s)
-
     def norm(self) -> float:
         return math.hypot(self.x, self.y)
 

@@ -79,10 +79,6 @@ class BoundingBox:
         return 0.5 * self.footprint_diagonal
 
     @property
-    def height(self) -> float:
-        return 2.0 * self.half_height
-
-    @property
     def volume(self) -> float:
         return 8.0 * self.half_extents.x * self.half_extents.y * self.half_height
 
@@ -254,10 +250,6 @@ class Room:
     @property
     def centroid(self) -> Vec2:
         return self._centroid
-
-    @property
-    def area(self) -> float:
-        return polygon_signed_area(self.boundary)
 
     def bounds(self) -> tuple[float, float, float, float]:
         xs = [v.x for v in self.boundary]

@@ -81,7 +81,8 @@ Pose = tuple[float, float, float, float]  # x, y, z, orientation
 
 @dataclass
 class EnergyTrace:
-    """Per-iteration energies plus the best accepted snapshot.
+    """Per-iteration energies plus the energy and row of the returned
+    layout.
 
     ``energies[l]`` is the layout energy after iteration l (index 0 is
     the initial state). ``best_energy`` belongs to the returned snapshot:
@@ -94,9 +95,7 @@ class EnergyTrace:
     violation_sums: list[dict[str, float]] = field(default_factory=list)
     best_energy: float = math.inf
     best_iteration: int = -1
-    best_layout: list[Pose] = field(default_factory=list)
     degenerate_events: int = 0
-    settled: bool = False
     restarts: int = 0
 
 
@@ -120,9 +119,6 @@ class LayoutState:
             self.py[i] = y
             self.pz[i] = z
             self.theta[i] = th
-
-    def copy(self) -> "LayoutState":
-        return LayoutState(self.px, self.py, self.pz, self.theta)
 
 
 class SolveContext:
@@ -314,11 +310,17 @@ def initialize(scene: Scene, seed: int) -> LayoutState:
 
 class _Applier:
     """Applies corrections to the state, routing rigid members to their
-    group particle and guarding against non-finite poses."""
+    group particle and guarding against non-finite poses.
+
+    Between ``collect(True)`` and ``flush()`` the corrections ``project``
+    and ``push`` produce are gathered instead, all against the same
+    poses, and ``flush`` applies each particle's sum over-relaxed by
+    ``BATCH_AVERAGING`` over its count (batch mode)."""
 
     def __init__(self, state: LayoutState, ctx: SolveContext):
         self.state = state
         self.ctx = ctx
+        self.queue: list[Correction] | None = None
 
     def apply(self, corr: Correction, label: str, scale: float = 1.0) -> None:
         st = self.state
@@ -349,21 +351,49 @@ class _Applier:
                     st.theta[m] = gth + dth
 
     def project(self, c: Constraint, tiebreak=None) -> None:
-        """Project one constraint at its current stiffness and apply it."""
-        for corr in project_constraint(c, self.state, self.ctx, tiebreak):
+        """Project one constraint at its current stiffness and apply its
+        corrections, or gather them while collecting."""
+        corrs = project_constraint(c, self.state, self.ctx, tiebreak)
+        if self.queue is not None:
+            self.queue.extend(corrs)
+            return
+        for corr in corrs:
             self.apply(corr, c.kind)
 
-    def push(self, corrs: list[Correction], label: str, queue: list | None = None) -> None:
-        """Apply contact corrections, each routed to its particle's
-        contact root (the base of its stack), or queue them for a batch."""
+    def push(self, corrs: list[Correction], label: str) -> None:
+        """Apply contact corrections, or gather them while collecting,
+        each routed to its particle's contact root (the base of its stack)."""
         root = self.ctx.contact_root
         for corr in corrs:
             if root[corr.particle] != corr.particle:
                 corr = corr._replace(particle=root[corr.particle])
-            if queue is None:
+            if self.queue is None:
                 self.apply(corr, label)
             else:
-                queue.append(corr)
+                self.queue.append(corr)
+
+    def collect(self, batching: bool) -> None:
+        """Gather the corrections that follow until ``flush`` when batching;
+        otherwise keep applying each one at once."""
+        self.queue = [] if batching else None
+
+    def flush(self) -> None:
+        """Apply the gathered corrections and go back to applying at once."""
+        queue, self.queue = self.queue, None
+        if not queue:
+            return
+        acc: dict[int, list[float]] = {}
+        for corr in queue:
+            row = acc.setdefault(corr.particle, [0.0, 0.0, 0.0, 0.0, 0.0])
+            row[0] += corr.dx
+            row[1] += corr.dy
+            row[2] += corr.dz
+            row[3] += corr.dtheta
+            row[4] += 1.0
+        for particle in sorted(acc):
+            sx, sy, sz, sth, count = acc[particle]
+            scale = BATCH_AVERAGING / count
+            self.apply(Correction(particle, sx, sy, sz, sth), "batched corrections", scale)
 
 
 def project_constraint(
@@ -587,13 +617,11 @@ def step(
     for c in ctx.user_constraints:
         c.stiffness = cn.update_stiffness(c, iteration)
 
-    ordered = ctx.interleavings[(iteration - 1) % len(ctx.interleavings)]
     batching = config.projection_mode == BATCH
-    if batching:
-        _project_batch(ordered, st, ctx, applier, tiebreak)
-    else:
-        for c in ordered:
-            applier.project(c, tiebreak)
+    applier.collect(batching)
+    for c in ctx.interleavings[(iteration - 1) % len(ctx.interleavings)]:
+        applier.project(c, tiebreak)
+    applier.flush()
 
     grid = build_hash(st, ctx, config.broad_phase, neighbours)
     contacts = generate_contacts(st, ctx, grid)
@@ -603,7 +631,7 @@ def step(
     k_acc = cn.update_stiffness(cn.SPECS[cn.ACCESSIBILITY], iteration)
     k_ghost = cn.update_stiffness(cn.SPECS[cn.WALL_GHOST_COLLISION], iteration)
 
-    queue: list[Correction] | None = [] if batching else None
+    applier.collect(batching)
     ghost_set = set(ghosts)
     for i, j in collisions:
         applier.push(
@@ -611,25 +639,21 @@ def step(
                 i, j, (st.px[i], st.py[i]), (st.px[j], st.py[j]),
                 ctx.proj_w[i], ctx.proj_w[j], ctx.radius[i], ctx.radius[j], k_col, tiebreak,
             ),
-            cn.COLLISION, queue,
+            cn.COLLISION,
         )
         if (i, j) in ghost_set:
             applier.push(
                 cn.wall_ghost_corrections(i, j, st, ctx, k_ghost, tiebreak),
-                cn.WALL_GHOST_COLLISION, queue,
+                cn.WALL_GHOST_COLLISION,
             )
     for i, j, face in activations:
-        applier.push(
-            cn.access_corrections(i, j, face, st, ctx, k_acc, tiebreak), cn.ACCESSIBILITY, queue
-        )
-    if queue:
-        _apply_batched(queue, applier)
+        applier.push(cn.access_corrections(i, j, face, st, ctx, k_acc, tiebreak), cn.ACCESSIBILITY)
+    applier.flush()
 
     # boundary containment gets the final word, always at full stiffness
-    queue = [] if batching else None
-    _boundary_pass(st, ctx, applier, queue)
-    if queue:
-        _apply_batched(queue, applier)
+    applier.collect(batching)
+    _boundary_pass(st, ctx, applier)
+    applier.flush()
 
     # stacked piles are hard relations too: re-align them after contacts
     # so evaluation never sees a scattered stack
@@ -641,9 +665,7 @@ def step(
     return contacts
 
 
-def _boundary_pass(
-    st: LayoutState, ctx: SolveContext, applier: _Applier, queue: list | None = None
-) -> bool:
+def _boundary_pass(st: LayoutState, ctx: SolveContext, applier: _Applier) -> bool:
     """Boundary containment of every object at full stiffness, each push
     routed to the object's contact root; True when some object moved."""
     pushed = False
@@ -653,30 +675,8 @@ def _boundary_pass(
         )
         if corrs:
             pushed = True
-            applier.push(corrs, cn.BOUNDARY, queue)
+            applier.push(corrs, cn.BOUNDARY)
     return pushed
-
-
-def _project_batch(ordered, st, ctx, applier, tiebreak) -> None:
-    corrections: list[Correction] = []
-    for c in ordered:
-        corrections.extend(project_constraint(c, st, ctx, tiebreak))
-    _apply_batched(corrections, applier)
-
-
-def _apply_batched(corrections: list[Correction], applier: _Applier) -> None:
-    acc: dict[int, list[float]] = {}
-    for corr in corrections:
-        row = acc.setdefault(corr.particle, [0.0, 0.0, 0.0, 0.0, 0.0])
-        row[0] += corr.dx
-        row[1] += corr.dy
-        row[2] += corr.dz
-        row[3] += corr.dtheta
-        row[4] += 1.0
-    for particle in sorted(acc):
-        sx, sy, sz, sth, count = acc[particle]
-        scale = BATCH_AVERAGING / count
-        applier.apply(Correction(particle, sx, sy, sz, sth), "batched corrections", scale)
 
 
 # ---------------------------------------------------------------------------
@@ -689,11 +689,12 @@ def _settle_hard_constraints(
     config: SolverConfig,
     neighbours: NeighbourList,
     tiebreak=None,
-) -> bool:
+) -> tuple[float, dict[str, float], float, float] | None:
     """Project only collisions (with wall-ghost assists), stacking, and
     boundary containment at full stiffness until the layout is clean,
     then re-snap orientation constraints (which never move positions).
-    Returns True when every hard violation falls below 1e-9."""
+    Returns the settled layout's ``evaluate_energy`` pricing when every
+    hard violation falls below 1e-9, else None."""
     applier = _Applier(st, ctx)
     for sweep in range(_SETTLE_MAX_SWEEPS):
         for c in ctx.stacking_constraints:
@@ -746,8 +747,8 @@ def _settle_hard_constraints(
             c.stiffness = saved
     for i in range(ctx.n):
         st.theta[i] = normalize_angle(st.theta[i])
-    _, _, max_overlap, max_boundary = evaluate_energy(st, ctx, broad_phase=config.broad_phase)
-    return max_overlap <= 1e-9 and max_boundary <= 1e-9
+    priced = evaluate_energy(st, ctx, broad_phase=config.broad_phase)
+    return priced if priced[2] <= 1e-9 and priced[3] <= 1e-9 else None
 
 
 def synthesize(scene: Scene, config: SolverConfig | None = None) -> tuple[list[Pose], EnergyTrace]:
@@ -786,42 +787,40 @@ def _synthesize_attempt(
         angle = rng.uniform(0.0, 2.0 * math.pi)
         return math.cos(angle), math.sin(angle)
 
+    tol = FEASIBILITY_TOLERANCE
+    best: tuple[float, int, list[Pose]] | None = None  # lowest-energy feasible row
+
+    def improves(priced) -> bool:
+        energy, _, max_overlap, max_boundary = priced
+        return max_overlap <= tol and max_boundary <= tol and (best is None or energy < best[0])
+
+    def record(priced, poses: list[Pose] | None = None) -> None:
+        # one trace row per priced layout, kept as the best when it
+        # improves; the poses are the state's unless given
+        nonlocal best
+        trace.energies.append(priced[0])
+        trace.violation_sums.append(priced[1])
+        if improves(priced):
+            best = (priced[0], len(trace.energies) - 1, poses or st.snapshot())
+
     st = initialize(scene, seed)
     neighbours = neighbour_list(ctx)
-    energy, sums, max_overlap, max_boundary = evaluate_energy(
-        st, ctx, broad_phase=config.broad_phase
-    )
-    trace.energies.append(energy)
-    trace.violation_sums.append(sums)
+    priced = evaluate_energy(st, ctx, broad_phase=config.broad_phase)
+    record(priced)
+    energy = priced[0]
     initial_energy = energy if energy > 0.0 else 1.0
-
-    tol = FEASIBILITY_TOLERANCE
     candidates: list[tuple[float, int, list[Pose]]] = [(energy, 0, st.snapshot())]
     best_any = math.inf
-    best_feasible = math.inf
-    best_feasible_iter = -1
-    best_feasible_snapshot: list[Pose] | None = None
-    if max_overlap <= tol and max_boundary <= tol:
-        best_feasible = energy
-        best_feasible_iter = 0
-        best_feasible_snapshot = st.snapshot()
-
     stall = 0
     for iteration in range(1, config.max_iterations + 1):
         # the step's own contact lists price this iteration's energy; a
         # fresh regeneration double-checks any new best-feasible candidate
         contacts = step(st, ctx, iteration, config, tiebreak, neighbours)
-        energy, sums, max_overlap, max_boundary = evaluate_energy(st, ctx, contacts=contacts)
-        if max_overlap <= tol and max_boundary <= tol and energy < best_feasible:
-            energy, sums, max_overlap, max_boundary = evaluate_energy(
-                st, ctx, broad_phase=config.broad_phase
-            )
-            if max_overlap <= tol and max_boundary <= tol and energy < best_feasible:
-                best_feasible = energy
-                best_feasible_iter = iteration
-                best_feasible_snapshot = st.snapshot()
-        trace.energies.append(energy)
-        trace.violation_sums.append(sums)
+        priced = evaluate_energy(st, ctx, contacts=contacts)
+        if improves(priced):
+            priced = evaluate_energy(st, ctx, broad_phase=config.broad_phase)
+        record(priced)
+        energy = priced[0]
         if energy < best_any:
             # asymptotic stiffness decay polishes the minimum forever, so
             # progress for the stall window means a 0.1% drop (the
@@ -844,42 +843,27 @@ def _synthesize_attempt(
             break
 
     # settle the lowest-energy iterates so the returned layout is
-    # hard-feasible, and keep whichever settles best, priced once:
-    # ((energy, sums, max_overlap, max_boundary), poses)
-    settled_best: tuple[tuple, list[Pose]] | None = None
-    first_settled = None
+    # hard-feasible; the trace's last row is the lowest-energy clean
+    # settle or, when none is clean, the first (lowest-energy) candidate
+    # as settled
+    settled: tuple[tuple, list[Pose]] | None = None  # (pricing, poses)
+    clean_energy = math.inf
     for candidate_energy, _, snapshot in candidates:
-        if settled_best is not None and settled_best[0][0] <= candidate_energy:
+        if clean_energy <= candidate_energy:
             break  # settling cannot beat its own starting energy by much
         st.restore(snapshot)
-        ok = _settle_hard_constraints(st, ctx, config, neighbours, tiebreak)
-        priced = evaluate_energy(st, ctx, broad_phase=config.broad_phase)
-        settled = (priced, st.snapshot())
-        first_settled = first_settled or settled
-        if ok and (settled_best is None or priced[0] < settled_best[0][0]):
-            settled_best = settled
-    if settled_best is None:
-        # no candidate settled fully; keep the least-violating attempt,
-        # the lowest-energy iterate as settled
-        settled_best = first_settled
+        priced = _settle_hard_constraints(st, ctx, config, neighbours, tiebreak)
+        if not priced:
+            priced = evaluate_energy(st, ctx, broad_phase=config.broad_phase)
+            settled = settled or (priced, st.snapshot())
+        elif priced[0] < clean_energy:
+            clean_energy = priced[0]
+            settled = (priced, st.snapshot())
+    record(*settled)
 
-    (energy, sums, max_overlap, max_boundary), poses = settled_best
-    trace.energies.append(energy)
-    trace.violation_sums.append(sums)
-    trace.settled = True
-    settle_iter = len(trace.energies) - 1
-    if max_overlap <= tol and max_boundary <= tol and energy < best_feasible:
-        best_feasible = energy
-        best_feasible_iter = settle_iter
-        best_feasible_snapshot = poses
-
-    feasible = best_feasible_snapshot is not None
-    if not feasible:
-        best_feasible = energy
-        best_feasible_iter = settle_iter
-        best_feasible_snapshot = poses
-
-    trace.best_energy = best_feasible
-    trace.best_iteration = best_feasible_iter
-    trace.best_layout = best_feasible_snapshot
-    return best_feasible_snapshot, trace, feasible
+    feasible = best is not None
+    # with nothing feasible, the settled row is returned anyway
+    trace.best_energy, trace.best_iteration, poses = best or (
+        settled[0][0], len(trace.energies) - 1, settled[1]
+    )
+    return poses, trace, feasible
