@@ -3,7 +3,8 @@
 Run it in two checkouts and diff the outputs: a refactor that claims
 byte-identical behaviour must print the same lines. The runs cover all
 seven templates, the annealing baseline, batch projection from scene
-files with a ``solver`` block, and ``suggest``. They execute in a
+files with a ``solver`` block, theater2's segment-curve tiers from a
+scene file, and ``suggest``. They execute in a
 temporary directory with relative scene references, so no artifact
 records where it was written.
 
@@ -23,7 +24,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from layoutsynth import cli  # noqa: E402
+from layoutsynth import cli, sceneio, scenes  # noqa: E402
 
 TEMPLATE_SEEDS = {
     "theater1": (0, 1),
@@ -67,6 +68,10 @@ def _runs() -> list[tuple[str, ...]]:
             ("synth", path, "--seed", str(seed), "--out", f"{name}_batch_s{seed}")
             for seed in seeds
         ]
+    # theater2's segment-curve tiers, which no template name reaches
+    seg_tiers = scenes.build("theater2", {"style": "seg", "pathways": 1})
+    sceneio.save_scene(seg_tiers, "theater2_seg1.json")
+    runs.append(("synth", "theater2_seg1.json", "--seed", "0", "--out", "theater2_seg1_s0"))
     runs.append(("suggest", "picnic", "--seeds", "2", "--out", "picnic_suggest"))
     return runs
 

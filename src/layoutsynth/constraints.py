@@ -1052,10 +1052,20 @@ BOUNDARY = _kind("boundary", _boundary, _unpriced, schedule=_HARD, arity=1, weig
 
 
 def _curve_anchor(c: Constraint, st, ctx) -> Vec2:
+    """Closest point to the member on its group's world curve. The world
+    curve is kept in ``ctx.world_curves`` for as long as the group
+    particle holds the same pose objects, so the members of one group
+    share one transform (and one arc-angle computation) per pose."""
     group = ctx.group_by_id[c.group_id]
     g = group.particle_index
-    world = group.curve.transformed(Vec2(st.px[g], st.py[g]), st.theta[g])
-    point, _ = closest_point_on_curve(world, (st.px[c.particles[0]], st.py[c.particles[0]]))
+    x, y, th = st.px[g], st.py[g], st.theta[g]
+    cached = ctx.world_curves.get(c.group_id)
+    # identity, not equality: the same float objects carry the same bits,
+    # where 0.0 == -0.0 would not, and the entry keeps them alive
+    if cached is None or cached[0] is not x or cached[1] is not y or cached[2] is not th:
+        world = group.curve.transformed(Vec2(x, y), th)
+        cached = ctx.world_curves[c.group_id] = (x, y, th, world)
+    point, _ = closest_point_on_curve(cached[3], (st.px[c.particles[0]], st.py[c.particles[0]]))
     return point
 
 

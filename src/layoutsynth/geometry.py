@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 TWO_PI = 2.0 * math.pi
@@ -187,8 +188,10 @@ class Curve:
         else:
             raise ValueError(f"unknown curve kind {self.kind!r}")
 
+    @cached_property
     def _arc_angles(self) -> tuple[float, float, float]:
-        """(start angle, sweep in (0, 2*pi], radius)."""
+        """(start angle, sweep in (0, 2*pi], radius), computed once per
+        curve."""
         cx, cy = self.center
         a0 = math.atan2(self.a.y - cy, self.a.x - cx)
         a1 = math.atan2(self.b.y - cy, self.b.x - cx)
@@ -204,7 +207,7 @@ class Curve:
                 self.a.x + t * (self.b.x - self.a.x),
                 self.a.y + t * (self.b.y - self.a.y),
             )
-        a0, sweep, radius = self._arc_angles()
+        a0, sweep, radius = self._arc_angles
         ang = a0 + t * sweep
         cx, cy = self.center
         return Vec2(cx + radius * math.cos(ang), cy + radius * math.sin(ang))
@@ -212,7 +215,7 @@ class Curve:
     def length(self) -> float:
         if self.kind == SEGMENT:
             return (self.b - self.a).norm()
-        _, sweep, radius = self._arc_angles()
+        _, sweep, radius = self._arc_angles
         return sweep * radius
 
     def transformed(self, origin: Vec2, theta: float) -> "Curve":
@@ -239,7 +242,7 @@ def closest_point_on_curve(curve: Curve, p) -> tuple[Vec2, float]:
     if curve.kind == SEGMENT:
         return closest_point_on_segment(curve.a, curve.b, p)
 
-    a0, sweep, radius = curve._arc_angles()
+    a0, sweep, radius = curve._arc_angles
     cx, cy = curve.center
     ang = math.atan2(p[1] - cy, p[0] - cx)
     rel = ang - a0

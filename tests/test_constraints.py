@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from layoutsynth import constraints as cn
+from layoutsynth import scenes
 from layoutsynth.constraints import (
     Constraint,
     boundary_violation,
@@ -24,8 +25,9 @@ from layoutsynth.constraints import (
     project_wall_orientation,
     update_stiffness,
 )
-from layoutsynth.geometry import Vec2
+from layoutsynth.geometry import Vec2, closest_point_on_curve
 from layoutsynth.model import Room
+from layoutsynth.solver import SolveContext, initialize
 
 SQUARE = Room([Vec2(0, 0), Vec2(10, 0), Vec2(10, 10), Vec2(0, 10)])
 
@@ -619,3 +621,36 @@ class TestConstraintRecord:
                 0, 1, rng.uniform(0, 6), rng.uniform(0, 6), 0.0, None, 1.0, 1.0, 1.0
             ):
                 assert (c.dx, c.dy, c.dz) == (0.0, 0.0, 0.0)
+
+
+class TestCurveAnchor:
+    @pytest.mark.parametrize("style", ["arc", "seg"])
+    def test_kept_world_curve_equals_a_fresh_transform(self, style):
+        scene = scenes.theater2(style=style, pathways=1)
+        ctx = SolveContext(scene)
+        st = initialize(scene, 3)
+        attached = [c for c in ctx.user_constraints if c.kind == cn.GROUP_CURVE]
+        first, second = [c for c in attached if c.group_id == attached[0].group_id][:2]
+        group = ctx.group_by_id[first.group_id]
+        g = group.particle_index
+
+        def uncached(c):
+            world = group.curve.transformed(Vec2(st.px[g], st.py[g]), st.theta[g])
+            m = c.particles[0]
+            return closest_point_on_curve(world, (st.px[m], st.py[m]))[0]
+
+        assert cn._curve_anchor(first, st, ctx) == uncached(first)
+        kept = ctx.world_curves[first.group_id]
+        assert cn._curve_anchor(second, st, ctx) == uncached(second)
+        assert ctx.world_curves[first.group_id] is kept
+        # the group particle moves between two member projections
+        st.px[g] += 0.75
+        st.theta[g] += 0.3
+        assert cn._curve_anchor(second, st, ctx) == uncached(second)
+        assert ctx.world_curves[first.group_id] is not kept
+        assert cn._curve_anchor(first, st, ctx) == uncached(first)
+        # an equal value in a new float object transforms again
+        kept = ctx.world_curves[first.group_id]
+        st.py[g] = st.py[g] + 0.0
+        assert cn._curve_anchor(first, st, ctx) == uncached(first)
+        assert ctx.world_curves[first.group_id] is not kept

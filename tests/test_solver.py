@@ -1,10 +1,13 @@
+import dataclasses
+import json
+import logging
 import math
 
 import numpy as np
 import pytest
 
 from layoutsynth import constraints as cn
-from layoutsynth import scenes
+from layoutsynth import sceneio, scenes
 from layoutsynth import spatial
 from layoutsynth.geometry import Curve, SEGMENT, Vec2
 from layoutsynth.model import (
@@ -26,6 +29,7 @@ from layoutsynth.solver import (
     SolverNumericsError,
     evaluate_energy,
     initialize,
+    neighbour_list,
     step,
     synthesize,
 )
@@ -148,7 +152,81 @@ class TestEvaluateEnergy:
         assert energy == 0.0
 
 
+    def test_recheck_reuses_the_authored_pricing_bit_exactly(self, monkeypatch):
+        # the fresh re-check after a step prices the poses the stale
+        # pricing just priced: its authored part must come from the memo
+        # and equal a from-scratch pricing exactly
+        scene = scenes.theater2()
+        ctx = SolveContext(scene)
+        st = initialize(scene, 0)
+        config = SolverConfig()
+        neighbours = neighbour_list(ctx)
+        for iteration in range(1, 6):
+            contacts = step(st, ctx, iteration, config, neighbours=neighbours)
+            evaluate_energy(st, ctx, contacts=contacts)
+        scratch = evaluate_energy(st, SolveContext(scene))
+
+        def unpriced(c, st, ctx):
+            raise AssertionError("authored constraint priced again")
+
+        for kind, spec in list(cn.SPECS.items()):
+            monkeypatch.setitem(cn.SPECS, kind, dataclasses.replace(spec, violation=unpriced))
+        recheck = evaluate_energy(st, ctx)
+        monkeypatch.undo()
+        assert recheck[0] == scratch[0]
+        assert list(recheck[1].items()) == list(scratch[1].items())
+        assert recheck[2:] == scratch[2:]
+
+    def test_new_pose_objects_are_priced_afresh(self, monkeypatch):
+        scene = scenes.theater2(style="seg", pathways=1)
+        ctx = SolveContext(scene)
+        st = initialize(scene, 1)
+        priced = []
+        for kind, spec in list(cn.SPECS.items()):
+            def counted(c, st, ctx, violation=spec.violation):
+                priced.append(c)
+                return violation(c, st, ctx)
+
+            monkeypatch.setitem(cn.SPECS, kind, dataclasses.replace(spec, violation=counted))
+        contacts = step(st, ctx, 1, SolverConfig())
+        evaluate_energy(st, ctx, contacts=contacts)
+        once = len(priced)
+        evaluate_energy(st, ctx)
+        assert len(priced) == once
+        # an equal value in a new float object is priced again, and a
+        # fresh pricing keeps nothing for the next one
+        st.px[0] = st.px[0] + 0.0
+        evaluate_energy(st, ctx)
+        assert len(priced) == 2 * once
+        evaluate_energy(st, ctx)
+        assert len(priced) == 3 * once
+        st.px[0] += 0.5
+        moved = evaluate_energy(st, ctx)
+        monkeypatch.undo()
+        scratch = evaluate_energy(st, SolveContext(scene))
+        assert moved[0] == scratch[0]
+        assert list(moved[1].items()) == list(scratch[1].items())
+
+
 class TestStep:
+    def test_stiffness_follows_each_constraints_schedule(self):
+        # schedules are computed once per distinct (schedule, k0, rate);
+        # every constraint still gets its own schedule's value, also where
+        # a scene file overrides some of them
+        doc = json.loads(sceneio.serialize_scene(scenes.living_room()))
+        overrides = [("increasing", 0.3, 2.0), ("decreasing", 0.5, 4.0), ("constant", 0.7, 1.0)]
+        for con_doc, (schedule, k0, rate) in zip(doc["constraints"][::2], overrides * 10):
+            con_doc.update(schedule=schedule, stiffness=k0, rate=rate)
+        scene = sceneio.parse_scene(json.dumps(doc))
+        ctx = SolveContext(scene)
+        keys = {(c.schedule, c.stiffness_initial, c.rate) for c in ctx.user_constraints}
+        assert len(ctx.schedules) == len(keys) > 3
+        st = initialize(scene, 0)
+        for iteration in (1, 2, 7, 40):
+            step(st, ctx, iteration, SolverConfig())
+            for c in ctx.user_constraints:
+                assert c.stiffness == cn.update_stiffness(c, iteration)
+
     def test_unconstrained_scene_only_boundary(self):
         scene = box_scene(1)
         ctx = SolveContext(scene)
@@ -450,12 +528,29 @@ class TestSynthesize:
         real_settle = solver._settle_hard_constraints
 
         def settle_never_clean(*args):
-            calls.append(real_settle(*args))
-            return False
+            settled = real_settle(*args)
+            calls.append(settled)
+            return settled._replace(clean=False)
 
         monkeypatch.setattr(solver, "_settle_hard_constraints", settle_never_clean)
         _, trace = synthesize(scenes.living_room(), SolverConfig(seed=0, max_iterations=10))
         assert len(calls) == 3 * (trace.restarts + 1)
+
+    def test_restart_log_names_attempt_and_seeds(self, caplog):
+        # sixteen unit boxes cannot fit a 3 x 3 room, so no attempt settles
+        scene = box_scene(16, side=3.0)
+        with caplog.at_level(logging.WARNING, logger="layoutsynth.solver"):
+            _, trace = synthesize(scene, SolverConfig(seed=5, max_iterations=5))
+        assert trace.restarts == 3
+        records = [r for r in caplog.records if "restarting" in r.getMessage()]
+        assert [r.attempt for r in records] == [0, 1, 2]
+        assert records[0].failed_seed == 5
+        for before, after in zip(records, records[1:]):
+            assert after.failed_seed == before.next_seed
+        for r in records:
+            assert r.next_seed != r.failed_seed
+            assert f"attempt {r.attempt} (seed {r.failed_seed})" in r.getMessage()
+            assert f"restarting with seed {r.next_seed}" in r.getMessage()
 
     @pytest.mark.parametrize("template, params, seed", [
         ("living_room", None, 0),
