@@ -18,7 +18,7 @@ scene = build("tp_bedroom")
 print(f"bedroom: {len(scene.objects)} objects, {len(scene.groups)} rigid bunk groups")
 
 for seed in range(4):
-    layout, trace = synthesize(scene.copy(), SolverConfig(seed=seed))
+    layout, trace = synthesize(scene, SolverConfig(seed=seed))
     path = out_dir / f"bedroom_seed{seed}.svg"
     path.write_text(render_svg(scene, layout))
     print(f"seed {seed}: E={trace.best_energy:7.3f}  -> {path.name}")

@@ -4,9 +4,9 @@ Run it in two checkouts and diff the outputs: a refactor that claims
 byte-identical behaviour must print the same lines. The runs cover all
 seven templates, the annealing baseline, batch projection from scene
 files with a ``solver`` block, theater2's segment-curve tiers from a
-scene file, and ``suggest``. They execute in a
-temporary directory with relative scene references, so no artifact
-records where it was written.
+scene file, per-constraint stiffness schedules from a scene file, and
+``suggest``. They execute in a temporary directory with relative scene
+references, so no artifact records where it was written.
 
     python scripts/artifact_digests.py > digests.txt
 """
@@ -72,6 +72,17 @@ def _runs() -> list[tuple[str, ...]]:
     seg_tiers = scenes.build("theater2", {"style": "seg", "pathways": 1})
     sceneio.save_scene(seg_tiers, "theater2_seg1.json")
     runs.append(("synth", "theater2_seg1.json", "--seed", "0", "--out", "theater2_seg1_s0"))
+    # per-constraint stiffness schedules, which no template sets: every
+    # other living_room constraint (none of them stacking) overrides its
+    # kind's schedule
+    path = "living_room_schedules.json"
+    _cli("export", "living_room", "--out", path)
+    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    overrides = [("increasing", 0.3, 2.0), ("decreasing", 0.5, 4.0), ("constant", 0.7, 1.0)]
+    for con_doc, (schedule, k0, rate) in zip(doc["constraints"][::2], overrides * 10):
+        con_doc.update(schedule=schedule, stiffness=k0, rate=rate)
+    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    runs.append(("synth", path, "--seed", "0", "--out", "living_room_schedules_s0"))
     runs.append(("suggest", "picnic", "--seeds", "2", "--out", "picnic_suggest"))
     return runs
 

@@ -185,11 +185,10 @@ def cmd_synth(args) -> int:
 def cmd_suggest(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    base = _resolve_scene(args.scene, args.seed)
+    scene = _resolve_scene(args.scene, args.seed)
     # the solves are pure Python, so worker threads would only queue on
     # the interpreter lock
     for seed in range(args.seed, args.seed + args.seeds):
-        scene = base.copy()
         config = _solver_config(scene, args)
         config.seed = seed
         layout, trace = synthesize(scene, config)

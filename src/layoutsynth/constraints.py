@@ -8,11 +8,14 @@ can apply corrections in any interleaving.
 Every constraint kind is described once, by the ``KindSpec`` registered
 next to its projection in ``SPECS``: arity, default weight and stiffness
 schedule, the relations its projection and its pricing agree on, its
-extra validation, ``project(c, st, ctx, tiebreak)`` and ``violation(c,
-st, ctx)``. ``KINDS`` is the registry's order. The two record functions
-read the solver's pose state ``st`` and its per-run context ``ctx`` by
-attribute, and call the ``project_*`` functions through this module's
-globals, so a wrapper installed on the module is seen at call time.
+extra validation, ``project(c, st, ctx, k, tiebreak)`` and
+``violation(c, st, ctx)``. ``KINDS`` is the registry's order. The two
+record functions read the solver's pose state ``st`` and its per-run
+context ``ctx`` by attribute, and call the ``project_*`` functions
+through this module's globals, so a wrapper installed on the module is
+seen at call time. A projection runs at the stiffness ``k`` its caller
+passes: the solver evaluates the constraint's schedule for the
+iteration, and nothing writes that value onto the constraint.
 
 Conventions shared by every projection:
 
@@ -27,7 +30,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional
 
 from .geometry import Vec2, closest_point_on_curve, wrap_angle
@@ -69,8 +72,9 @@ class Constraint:
     """One constraint instance over scene particles.
 
     Kind-specific targets live in the optional fields; unused ones stay
-    None. ``stiffness`` is the live value the solver updates every
-    iteration from the schedule.
+    None. ``schedule``, ``stiffness_initial`` and ``rate`` describe the
+    stiffness schedule (see ``update_stiffness``); the solver evaluates
+    it per iteration and passes the value to the projection.
 
     Participant conventions: focal-point and traffic-lane constraints
     list (member, focal); focal symmetry lists (focal, members...);
@@ -96,11 +100,6 @@ class Constraint:
     schedule: str = CONSTANT
     stiffness_initial: float = 1.0
     rate: float = 1.0
-    stiffness: float = field(default=-1.0)
-
-    def __post_init__(self):
-        if self.stiffness < 0.0:
-            self.stiffness = self.stiffness_initial
 
     def validate(self) -> None:
         spec = SPECS.get(self.kind)
@@ -113,7 +112,7 @@ class Constraint:
             )
         if self.schedule not in (DECREASING, INCREASING, CONSTANT):
             raise ValueError(f"unknown schedule {self.schedule!r}")
-        if not (0.0 <= self.stiffness_initial <= 1.0 and 0.0 <= self.stiffness <= 1.0):
+        if not 0.0 <= self.stiffness_initial <= 1.0:
             raise ValueError("stiffness must stay within [0, 1]")
         if self.rate < 1.0:
             raise ValueError("schedule rate must be >= 1")
@@ -138,7 +137,8 @@ class KindSpec:
     pricing agree, the default first; ``arity`` is None for n-ary kinds;
     ``schedule``, ``stiffness_initial`` and ``rate`` are the default
     stiffness schedule; ``checks`` raise ValueError on a malformed
-    constraint.
+    constraint. ``project(c, st, ctx, k, tiebreak)`` returns the
+    corrections of constraint ``c`` at stiffness ``k``.
     """
 
     project: Callable[..., list]
@@ -280,12 +280,12 @@ def project_pairwise_distance(
     return out
 
 
-def _pairwise_distance(c, st, ctx, tiebreak):
+def _pairwise_distance(c, st, ctx, k, tiebreak):
     i, j = c.particles
     w = ctx.proj_w
     return project_pairwise_distance(
         i, j, (st.px[i], st.py[i]), (st.px[j], st.py[j]), w[i], w[j], c.distance,
-        c.stiffness, c.relation, tiebreak,
+        k, c.relation, tiebreak,
     )
 
 
@@ -319,12 +319,12 @@ def project_focal_point(
     )
 
 
-def _focal_point(c, st, ctx, tiebreak):
+def _focal_point(c, st, ctx, k, tiebreak):
     i, j = c.particles
     w = ctx.proj_w
     return project_focal_point(
         i, j, (st.px[i], st.py[i]), (st.px[j], st.py[j]), w[i], w[j], c.distance,
-        c.stiffness, c.relation, c.pin_focal, tiebreak,
+        k, c.relation, c.pin_focal, tiebreak,
     )
 
 
@@ -381,13 +381,12 @@ def project_traffic_lane(
     return out
 
 
-def _traffic_lane(c, st, ctx, tiebreak):
+def _traffic_lane(c, st, ctx, k, tiebreak):
     i, j = c.particles
     w = ctx.proj_w
     wj = 0.0 if c.pin_focal else w[j]
     return project_traffic_lane(
-        i, j, (st.px[i], st.py[i]), (st.px[j], st.py[j]), w[i], wj, c.vector, c.distance,
-        c.stiffness,
+        i, j, (st.px[i], st.py[i]), (st.px[j], st.py[j]), w[i], wj, c.vector, c.distance, k
     )
 
 
@@ -481,9 +480,9 @@ def _heat_members_target(c, st):
     return c.particles[1:], (st.px[anchor], st.py[anchor])
 
 
-def _heat_point(c, st, ctx, tiebreak):
+def _heat_point(c, st, ctx, k, tiebreak):
     members, target = _heat_members_target(c, st)
-    return project_heat_point(members, st.px, st.py, ctx.masses, ctx.proj_w, target, c.stiffness)
+    return project_heat_point(members, st.px, st.py, ctx.masses, ctx.proj_w, target, k)
 
 
 def _heat_point_violation(c, st, ctx) -> float:
@@ -523,11 +522,11 @@ def project_focal_symmetry(
     return _project_center_to_target(indices, px, py, masses, inv_masses, target, k)
 
 
-def _focal_symmetry(c, st, ctx, tiebreak):
+def _focal_symmetry(c, st, ctx, k, tiebreak):
     focal = c.particles[0]
     return project_focal_symmetry(
         c.particles[1:], st.px, st.py, ctx.masses, ctx.proj_w, (st.px[focal], st.py[focal]),
-        c.vector, c.stiffness,
+        c.vector, k,
     )
 
 
@@ -567,9 +566,9 @@ def project_visual_balance(
     return _project_center_to_target(indices, px, py, visual_weights, inv_masses, room_centroid, k)
 
 
-def _visual_balance(c, st, ctx, tiebreak):
+def _visual_balance(c, st, ctx, k, tiebreak):
     return project_visual_balance(
-        c.particles, st.px, st.py, ctx.visual_weight, ctx.proj_w, ctx.centroid, c.stiffness
+        c.particles, st.px, st.py, ctx.visual_weight, ctx.proj_w, ctx.centroid, k
     )
 
 
@@ -613,10 +612,10 @@ def project_wall_distance(
     return [Correction(i, -k * C * nx, -k * C * ny)]
 
 
-def _wall_distance(c, st, ctx, tiebreak):
+def _wall_distance(c, st, ctx, k, tiebreak):
     i = c.particles[0]
     return project_wall_distance(
-        i, (st.px[i], st.py[i]), ctx.proj_w[i], ctx.room, c.distance, c.stiffness, c.relation
+        i, (st.px[i], st.py[i]), ctx.proj_w[i], ctx.room, c.distance, k, c.relation
     )
 
 
@@ -699,9 +698,9 @@ def access_corrections(i: int, j: int, face: int, st, ctx, k: float, tiebreak: T
     )
 
 
-def _accessibility(c, st, ctx, tiebreak):
+def _accessibility(c, st, ctx, k, tiebreak):
     i, j = c.particles
-    return access_corrections(i, j, c.face, st, ctx, c.stiffness, tiebreak)
+    return access_corrections(i, j, c.face, st, ctx, k, tiebreak)
 
 
 def _needs_face(c: Constraint) -> None:
@@ -729,12 +728,11 @@ def project_collision(
     return project_pairwise_distance(i, j, pi, pj, wi, wj, r_i + r_j, k, INEQUALITY, tiebreak)
 
 
-def _collision(c, st, ctx, tiebreak):
+def _collision(c, st, ctx, k, tiebreak):
     i, j = c.particles
     w, r = ctx.proj_w, ctx.radius
     return project_collision(
-        i, j, (st.px[i], st.py[i]), (st.px[j], st.py[j]), w[i], w[j], r[i], r[j],
-        c.stiffness, tiebreak,
+        i, j, (st.px[i], st.py[i]), (st.px[j], st.py[j]), w[i], w[j], r[i], r[j], k, tiebreak,
     )
 
 
@@ -771,9 +769,9 @@ def wall_ghost_corrections(i: int, j: int, st, ctx, k: float, tiebreak: TieBreak
     return project_wall_ghost_collision(i, j, gi, gj, w[i], w[j], r[i], r[j], k, tiebreak)
 
 
-def _wall_ghost_collision(c, st, ctx, tiebreak):
+def _wall_ghost_collision(c, st, ctx, k, tiebreak):
     i, j = c.particles
-    return wall_ghost_corrections(i, j, st, ctx, c.stiffness, tiebreak)
+    return wall_ghost_corrections(i, j, st, ctx, k, tiebreak)
 
 
 WALL_GHOST_COLLISION = _kind("wall_ghost_collision", _wall_ghost_collision, _unpriced,
@@ -821,11 +819,11 @@ def _orientation_target(c: Constraint, st) -> float | None:
     return c.angle_target
 
 
-def _pairwise_orientation(c, st, ctx, tiebreak):
+def _pairwise_orientation(c, st, ctx, k, tiebreak):
     i, j = c.particles
     w = ctx.proj_w
     return project_pairwise_orientation(
-        i, j, st.theta[i], _orientation_target(c, st), st.theta[j], None, w[i], w[j], c.stiffness
+        i, j, st.theta[i], _orientation_target(c, st), st.theta[j], None, w[i], w[j], k
     )
 
 
@@ -881,10 +879,10 @@ def project_wall_orientation(
     return [Correction(i, dtheta=k * delta)]
 
 
-def _wall_orientation(c, st, ctx, tiebreak):
+def _wall_orientation(c, st, ctx, k, tiebreak):
     i = c.particles[0]
     return project_wall_orientation(
-        i, st.theta[i], (st.px[i], st.py[i]), ctx.proj_w[i], ctx.room, c.angle_offset, c.stiffness
+        i, st.theta[i], (st.px[i], st.py[i]), ctx.proj_w[i], ctx.room, c.angle_offset, k
     )
 
 
@@ -930,14 +928,14 @@ def project_stacking(
     return out
 
 
-def _stacking(c, st, ctx, tiebreak):
+def _stacking(c, st, ctx, k, tiebreak):
     bottom, top = c.particles
     w = ctx.proj_w
     # a pile's base stays on the ground: only a stacked bottom may move
     w_bottom = w[bottom] if bottom in ctx.stack_top else 0.0
     return project_stacking(
         bottom, top, (st.px[bottom], st.py[bottom]), (st.px[top], st.py[top]),
-        st.pz[bottom], st.pz[top], w_bottom, w[top], c.height_gap, c.stiffness,
+        st.pz[bottom], st.pz[top], w_bottom, w[top], c.height_gap, k,
     )
 
 
@@ -1041,10 +1039,10 @@ def project_boundary(
     return [Correction(i, dx, dy)]
 
 
-def _boundary(c, st, ctx, tiebreak):
+def _boundary(c, st, ctx, k, tiebreak):
     i = c.particles[0]
     return project_boundary(
-        i, (st.px[i], st.py[i]), ctx.proj_w[i], ctx.radius[i], ctx.room, c.stiffness
+        i, (st.px[i], st.py[i]), ctx.proj_w[i], ctx.radius[i], ctx.room, k
     )
 
 
@@ -1069,11 +1067,11 @@ def _curve_anchor(c: Constraint, st, ctx) -> Vec2:
     return point
 
 
-def _group_curve(c, st, ctx, tiebreak):
+def _group_curve(c, st, ctx, k, tiebreak):
     m = c.particles[0]
     anchor = _curve_anchor(c, st, ctx)
     return project_pairwise_distance(
-        m, c.particles[1], (st.px[m], st.py[m]), anchor, ctx.proj_w[m], 0.0, 0.0, c.stiffness,
+        m, c.particles[1], (st.px[m], st.py[m]), anchor, ctx.proj_w[m], 0.0, 0.0, k,
         EQUALITY, tiebreak,
     )
 

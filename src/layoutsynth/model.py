@@ -1,8 +1,7 @@
 """Scene data model: particles, objects, groups, rooms.
 
 Everything here is value-semantic. The solver never mutates a Scene; it
-reads the structure and keeps its own pose state, so copies of a Scene can
-be handed to independent workers.
+reads the structure and keeps its own pose state.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Iterative layout synthesis by sequential constraint projection.
 
-Each iteration refreshes every constraint's stiffness from its schedule,
-projects the authored constraints (interleaved round-robin across kinds,
-or batched with over-relaxed averaging), then regenerates and projects
+Each iteration projects the authored constraints, each at the stiffness
+its schedule gives for that iteration (interleaved round-robin across
+kinds, or batched with over-relaxed averaging), then regenerates and projects
 contact constraints — collisions, accessibility, boundary containment —
 from a spatial hash, hard ones last. Steps and settle sweeps share one
 neighbour list per attempt, which rebuilds the hash only once some
@@ -28,7 +28,8 @@ the same operands:
 * one stiffness per distinct schedule per step, since a schedule's value
   depends only on (schedule, initial stiffness, rate) and the iteration.
 
-The caches live on the run's ``SolveContext``.
+The caches live on the run's ``SolveContext``. A run writes nothing onto
+its scene: each stiffness is passed to the projection, never stored.
 """
 
 from __future__ import annotations
@@ -198,31 +199,36 @@ class SolveContext:
             for m, _ in rows:
                 self.proj_w[m] = self.inv_mass[g]
 
-        self.user_constraints: list[Constraint] = [c.copy() for c in scene.constraints]
+        # the scene's own constraints: a run never writes to them
+        self.user_constraints: list[Constraint] = list(scene.constraints)
         self.user_constraints.extend(group_curve_constraints(scene, members))
-        by_kind: dict[str, list[Constraint]] = {}
         # constraints that share a stiffness schedule share its value, so
-        # a step computes each one once; repr tells 0.0 from -0.0
-        by_schedule: dict[tuple, list[Constraint]] = {}
+        # a step computes one stiffness per slot: schedules[slot] is the
+        # slot's first constraint, and repr tells 0.0 from -0.0
+        self.schedules: list[Constraint] = []
+        slots: dict[tuple, int] = {}
+        by_kind: dict[str, list[tuple[Constraint, int]]] = {}
         for c in self.user_constraints:
-            by_kind.setdefault(c.kind, []).append(c)
             key = (c.schedule, repr(c.stiffness_initial), repr(c.rate))
-            by_schedule.setdefault(key, []).append(c)
-        self.schedules = list(by_schedule.values())
-        self.has_wall = {c.particles[0] for c in by_kind.get(cn.WALL_DISTANCE, ())}
+            if key not in slots:
+                slots[key] = len(self.schedules)
+                self.schedules.append(c)
+            by_kind.setdefault(c.kind, []).append((c, slots[key]))
+        self.has_wall = {c.particles[0] for c, _ in by_kind.get(cn.WALL_DISTANCE, ())}
         # a wall-hugging rigid group drags all its members along the wall,
         # so every member joins the wall-ghost bookkeeping
         wall_groups = {self.owner[i] for i in self.has_wall if self.owner[i] >= 0}
         for g, rows in self.members_of.items():
             if g in wall_groups:
                 self.has_wall.update(m for m, _ in rows)
+        # (constraint, schedule slot) pairs, like the interleavings
         self.stacking_constraints = by_kind.get(cn.STACKING, [])
         # only objects stacked on another may leave the ground; everything
         # else keeps its authored height
-        self.stack_top = {c.particles[1] for c in self.stacking_constraints}
+        self.stack_top = {c.particles[1] for c, _ in self.stacking_constraints}
         # contact pushes against any member of a stack move the whole pile:
         # route them to the chain's base object
-        parent = {c.particles[1]: c.particles[0] for c in self.stacking_constraints}
+        parent = {c.particles[1]: c.particles[0] for c, _ in self.stacking_constraints}
         self.contact_root = list(range(n))
         for i in range(n):
             root, hops = i, 0
@@ -239,12 +245,13 @@ class SolveContext:
         self.boundary_recheck = sorted(routed & set(self.object_particles))
 
         # round-robin interleavings of the authored constraints, one per
-        # starting kind; iteration l uses rotation (l-1) mod len(kinds)
+        # starting kind, as (constraint, schedule slot) pairs; iteration l
+        # uses rotation (l-1) mod len(kinds)
         kinds = [k for k in cn.KINDS if k in by_kind]
-        self.interleavings: list[list[Constraint]] = []
+        self.interleavings: list[list[tuple[Constraint, int]]] = []
         for start in range(max(1, len(kinds))):
             rotated = kinds[start:] + kinds[:start]
-            order: list[Constraint] = []
+            order: list[tuple[Constraint, int]] = []
             row = 0
             remaining = len(self.user_constraints)
             while remaining:
@@ -367,20 +374,19 @@ class _Applier:
             if not math.isfinite(z):
                 raise SolverNumericsError(f"non-finite height after projecting {label}")
             st.pz[i] = z
-        if target != i or target in ctx.members_of:
-            rows = ctx.members_of.get(target)
-            if rows:
-                gx, gy, gth = st.px[target], st.py[target], st.theta[target]
-                c, s = math.cos(gth), math.sin(gth)
-                for m, (dx, dy, dth) in rows:
-                    st.px[m] = gx + c * dx - s * dy
-                    st.py[m] = gy + s * dx + c * dy
-                    st.theta[m] = gth + dth
+        rows = ctx.members_of.get(target)
+        if rows:
+            gx, gy, gth = st.px[target], st.py[target], st.theta[target]
+            c, s = math.cos(gth), math.sin(gth)
+            for m, (dx, dy, dth) in rows:
+                st.px[m] = gx + c * dx - s * dy
+                st.py[m] = gy + s * dx + c * dy
+                st.theta[m] = gth + dth
 
-    def project(self, c: Constraint, tiebreak=None) -> None:
-        """Project one constraint at its current stiffness and apply its
+    def project(self, c: Constraint, k: float, tiebreak=None) -> None:
+        """Project one constraint at stiffness ``k`` and apply its
         corrections, or gather them while collecting."""
-        corrs = project_constraint(c, self.state, self.ctx, tiebreak)
+        corrs = project_constraint(c, self.state, self.ctx, k, tiebreak)
         if self.queue is not None:
             self.queue.extend(corrs)
             return
@@ -424,10 +430,10 @@ class _Applier:
 
 
 def project_constraint(
-    c: Constraint, st: LayoutState, ctx: SolveContext, tiebreak=None
+    c: Constraint, st: LayoutState, ctx: SolveContext, k: float, tiebreak=None
 ) -> list[Correction]:
-    """Corrections for one constraint at its current stiffness."""
-    return cn.SPECS[c.kind].project(c, st, ctx, tiebreak)
+    """Corrections for one constraint at stiffness ``k``."""
+    return cn.SPECS[c.kind].project(c, st, ctx, k, tiebreak)
 
 
 # ---------------------------------------------------------------------------
@@ -575,10 +581,9 @@ def evaluate_energy(
     the same objects (the re-check of a new best candidate) starts from
     them and adds the contact terms in the usual order, so every float
     sum accumulates exactly as a full pricing would. This is exact
-    because identical objects carry identical bits,
-    ``ctx.user_constraints`` are the run's own copies, and pricing never
-    reads ``stiffness``, the one field a run changes. Pricings without
-    handed-over contacts (the annealer's, for one) keep nothing.
+    because identical objects carry identical bits and a run writes to
+    no constraint. Pricings without handed-over contacts (the
+    annealer's, for one) keep nothing.
     """
     poses = (st.px, st.py, st.pz, st.theta)
     memo = ctx.authored_pricing
@@ -662,15 +667,12 @@ def step(
     if neighbours is None:
         neighbours = neighbour_list(ctx)
     applier = _Applier(st, ctx)
-    for schedule in ctx.schedules:
-        stiffness = cn.update_stiffness(schedule[0], iteration)
-        for c in schedule:
-            c.stiffness = stiffness
+    ks = [cn.update_stiffness(c, iteration) for c in ctx.schedules]
 
     batching = config.projection_mode == BATCH
     applier.collect(batching)
-    for c in ctx.interleavings[(iteration - 1) % len(ctx.interleavings)]:
-        applier.project(c, tiebreak)
+    for c, slot in ctx.interleavings[(iteration - 1) % len(ctx.interleavings)]:
+        applier.project(c, ks[slot], tiebreak)
     applier.flush()
 
     grid = build_hash(st, ctx, config.broad_phase, neighbours)
@@ -707,8 +709,8 @@ def step(
 
     # stacked piles are hard relations too: re-align them after contacts
     # so evaluation never sees a scattered stack
-    for c in ctx.stacking_constraints:
-        applier.project(c, tiebreak)
+    for c, slot in ctx.stacking_constraints:
+        applier.project(c, ks[slot], tiebreak)
 
     for i in range(ctx.n):
         st.theta[i] = normalize_angle(st.theta[i])
@@ -754,12 +756,13 @@ def _settle_hard_constraints(
 ) -> Settled:
     """Project only collisions (with wall-ghost assists), stacking, and
     boundary containment at full stiffness until the layout is clean,
-    then re-snap orientation constraints (which never move positions).
-    Returns the settled layout's pricing, clean or not."""
+    then re-snap orientation constraints (which never move positions),
+    also at full stiffness, whatever schedule a constraint follows in the
+    steps. Returns the settled layout's pricing, clean or not."""
     applier = _Applier(st, ctx)
     for sweep in range(_SETTLE_MAX_SWEEPS):
-        for c in ctx.stacking_constraints:
-            applier.project(c, tiebreak)
+        for c, _ in ctx.stacking_constraints:
+            applier.project(c, 1.0, tiebreak)
         grid = build_hash(st, ctx, config.broad_phase, neighbours)
         collisions, _, ghosts = generate_contacts(st, ctx, grid, with_accessibility=False)
         ghost_set = set(ghosts)
@@ -802,10 +805,7 @@ def _settle_hard_constraints(
             target = c.particles[0]
             if ctx.owner[target] >= 0 or target in ctx.members_of:
                 continue
-            saved = c.stiffness
-            c.stiffness = 1.0
-            applier.project(c, tiebreak)
-            c.stiffness = saved
+            applier.project(c, 1.0, tiebreak)
     for i in range(ctx.n):
         st.theta[i] = normalize_angle(st.theta[i])
     priced = evaluate_energy(st, ctx, broad_phase=config.broad_phase)

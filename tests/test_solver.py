@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from layoutsynth import constraints as cn
-from layoutsynth import sceneio, scenes
+from layoutsynth import sceneio, scenes, solver
 from layoutsynth import spatial
 from layoutsynth.geometry import Curve, SEGMENT, Vec2
 from layoutsynth.model import (
@@ -27,9 +27,11 @@ from layoutsynth.solver import (
     SolveContext,
     SolverConfig,
     SolverNumericsError,
+    _Applier,
     evaluate_energy,
     initialize,
     neighbour_list,
+    project_constraint,
     step,
     synthesize,
 )
@@ -50,6 +52,16 @@ def box_scene(n_objects=2, side=10.0, half=0.5):
             )
         )
     return scene
+
+
+def living_room_with_schedules():
+    """living_room from a scene file in which every other constraint
+    overrides its kind's stiffness schedule."""
+    doc = json.loads(sceneio.serialize_scene(scenes.living_room()))
+    overrides = [("increasing", 0.3, 2.0), ("decreasing", 0.5, 4.0), ("constant", 0.7, 1.0)]
+    for con_doc, (schedule, k0, rate) in zip(doc["constraints"][::2], overrides * 10):
+        con_doc.update(schedule=schedule, stiffness=k0, rate=rate)
+    return sceneio.parse_scene(json.dumps(doc))
 
 
 class TestInitialize:
@@ -209,23 +221,28 @@ class TestEvaluateEnergy:
 
 
 class TestStep:
-    def test_stiffness_follows_each_constraints_schedule(self):
+    def test_stiffness_follows_each_constraints_schedule(self, monkeypatch):
         # schedules are computed once per distinct (schedule, k0, rate);
-        # every constraint still gets its own schedule's value, also where
-        # a scene file overrides some of them
-        doc = json.loads(sceneio.serialize_scene(scenes.living_room()))
-        overrides = [("increasing", 0.3, 2.0), ("decreasing", 0.5, 4.0), ("constant", 0.7, 1.0)]
-        for con_doc, (schedule, k0, rate) in zip(doc["constraints"][::2], overrides * 10):
-            con_doc.update(schedule=schedule, stiffness=k0, rate=rate)
-        scene = sceneio.parse_scene(json.dumps(doc))
+        # every constraint is still projected at its own schedule's value,
+        # also where a scene file overrides some of them
+        scene = living_room_with_schedules()
         ctx = SolveContext(scene)
         keys = {(c.schedule, c.stiffness_initial, c.rate) for c in ctx.user_constraints}
         assert len(ctx.schedules) == len(keys) > 3
+        projected = []
+
+        def record(c, st, ctx, k, tiebreak=None):
+            projected.append((c, k))
+            return project_constraint(c, st, ctx, k, tiebreak)
+
+        monkeypatch.setattr(solver, "project_constraint", record)
         st = initialize(scene, 0)
         for iteration in (1, 2, 7, 40):
+            projected.clear()
             step(st, ctx, iteration, SolverConfig())
-            for c in ctx.user_constraints:
-                assert c.stiffness == cn.update_stiffness(c, iteration)
+            assert sorted(map(id, (c for c, _ in projected))) == sorted(map(id, ctx.user_constraints))
+            for c, k in projected:
+                assert k == cn.update_stiffness(c, iteration)
 
     def test_unconstrained_scene_only_boundary(self):
         scene = box_scene(1)
@@ -409,14 +426,10 @@ class TestGroups:
             [0.0] * 6,
             [0.0] * 6,
         )
-        for c in ctx.user_constraints:
-            c.stiffness = 1.0
-        from layoutsynth.solver import project_constraint, _Applier
-
         applier = _Applier(st, ctx)
         for c in ctx.user_constraints:
             assert c.kind == cn.GROUP_CURVE
-            for corr in project_constraint(c, st, ctx):
+            for corr in project_constraint(c, st, ctx, 1.0):
                 applier.apply(corr, c.kind)
         for i in range(5):
             assert st.py[i] == pytest.approx(10.0, abs=1e-9)
@@ -522,8 +535,6 @@ class TestSynthesize:
     def test_unsettled_candidates_are_settled_once(self, monkeypatch):
         # with no settle reporting success, each attempt keeps its first
         # settle's result instead of settling that candidate again
-        from layoutsynth import solver
-
         calls = []
         real_settle = solver._settle_hard_constraints
 
@@ -551,6 +562,44 @@ class TestSynthesize:
             assert r.next_seed != r.failed_seed
             assert f"attempt {r.attempt} (seed {r.failed_seed})" in r.getMessage()
             assert f"restarting with seed {r.next_seed}" in r.getMessage()
+
+    def test_decaying_stacking_schedule_still_settles(self):
+        # the settle stacks at full stiffness, not at whatever the last
+        # step's decayed schedule reached
+        doc = json.loads(sceneio.serialize_scene(scenes.desk()))
+        for con_doc in doc["constraints"]:
+            if con_doc["kind"] == cn.STACKING:
+                con_doc.update(schedule="decreasing", stiffness=0.9, rate=10)
+        scene = sceneio.parse_scene(json.dumps(doc))
+        layout, trace = synthesize(scene, SolverConfig(seed=0))
+        assert trace.restarts == 0
+        st = LayoutState(*zip(*layout))
+        _, _, max_overlap, _ = evaluate_energy(st, SolveContext(scene), broad_phase="naive")
+        assert max_overlap <= 1e-6
+
+    @pytest.mark.parametrize("make_scene", [
+        scenes.desk,
+        lambda: scenes.build("tp_bedroom"),
+        lambda: scenes.theater2(style="seg"),
+        living_room_with_schedules,
+    ], ids=["desk", "tp_bedroom", "theater2_seg", "living_room_schedules"])
+    def test_solve_leaves_its_scene_untouched(self, make_scene, monkeypatch):
+        scene = make_scene()
+        before = sceneio.serialize_scene(scene)
+        constraints = [dataclasses.replace(c) for c in scene.constraints]
+        contexts = []
+
+        def keep(scene):
+            contexts.append(SolveContext(scene))
+            return contexts[-1]
+
+        monkeypatch.setattr(solver, "SolveContext", keep)
+        synthesize(scene, SolverConfig(seed=0, max_iterations=30))
+        assert sceneio.serialize_scene(scene) == before
+        assert scene.constraints == constraints
+        (ctx,) = contexts
+        for i, c in enumerate(scene.constraints):
+            assert ctx.user_constraints[i] is c
 
     @pytest.mark.parametrize("template, params, seed", [
         ("living_room", None, 0),
