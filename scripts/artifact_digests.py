@@ -4,9 +4,9 @@ Run it in two checkouts and diff the outputs: a refactor that claims
 byte-identical behaviour must print the same lines. The runs cover all
 seven templates, the annealing baseline, batch projection from scene
 files with a ``solver`` block, theater2's segment-curve tiers from a
-scene file, per-constraint stiffness schedules from a scene file, and
-``suggest``. They execute in a temporary directory with relative scene
-references, so no artifact records where it was written.
+scene file, per-constraint stiffness schedules from a scene file,
+``suggest`` and ``compare``. They execute in a temporary directory with
+relative scene references, so no artifact records where it was written.
 
     python scripts/artifact_digests.py > digests.txt
 """
@@ -84,6 +84,7 @@ def _runs() -> list[tuple[str, ...]]:
     Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     runs.append(("synth", path, "--seed", "0", "--out", "living_room_schedules_s0"))
     runs.append(("suggest", "picnic", "--seeds", "2", "--out", "picnic_suggest"))
+    runs.append(("compare", "living_room", "--seed", "0", "--out", "living_room_compare"))
     return runs
 
 

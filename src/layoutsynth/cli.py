@@ -55,6 +55,13 @@ def _solver_config(scene: Scene, args) -> SolverConfig:
     return config
 
 
+def _anneal_config(args) -> AnnealConfig:
+    config = AnnealConfig(seed=args.seed)
+    if args.iters:
+        config.total_iterations = args.iters
+    return config
+
+
 def _write_trace_csv(path: Path, traces: dict[str, EnergyTrace]) -> None:
     """One CSV with a shared iteration index; several traces become
     side-by-side column groups."""
@@ -166,9 +173,7 @@ def cmd_synth(args) -> int:
         solver_config = _solver_config(scene, args)
         layout, trace = synthesize(scene, solver_config)
     else:
-        anneal_config = AnnealConfig(seed=args.seed)
-        if args.iters:
-            anneal_config.total_iterations = args.iters
+        anneal_config = _anneal_config(args)
         layout, trace = run_sa_mcmc(scene, anneal_config)
     _write_json(out / "layout.json", _layout_doc(scene, layout, trace))
     with open(out / "layout.svg", "w", encoding="utf-8") as handle:
@@ -237,9 +242,8 @@ def cmd_compare(args) -> int:
     start = time.perf_counter()
     pbd_layout, pbd_trace = synthesize(scene, solver_config)
     pbd_time = time.perf_counter() - start
-    anneal_config = AnnealConfig(seed=args.seed)
     start = time.perf_counter()
-    mcmc_layout, mcmc_trace = run_sa_mcmc(scene, anneal_config)
+    mcmc_layout, mcmc_trace = run_sa_mcmc(scene, _anneal_config(args))
     mcmc_time = time.perf_counter() - start
     _write_trace_csv(out / "compare.csv", {"pbd": pbd_trace, "mcmc": mcmc_trace})
     _write_json(out / "compare_meta.json", {
@@ -321,7 +325,7 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="run both optimizers from identical starts")
     p.add_argument("scene")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--iters", type=int, default=0)
+    p.add_argument("--iters", type=int, default=0, help="override both iteration budgets")
     p.add_argument("--out", default="compare")
     p.add_argument("--broad-phase", choices=("hash", "naive"), default=None)
     _add_render_flags(p)

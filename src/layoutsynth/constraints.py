@@ -8,14 +8,22 @@ can apply corrections in any interleaving.
 Every constraint kind is described once, by the ``KindSpec`` registered
 next to its projection in ``SPECS``: arity, default weight and stiffness
 schedule, the relations its projection and its pricing agree on, its
-extra validation, ``project(c, st, ctx, k, tiebreak)`` and
-``violation(c, st, ctx)``. ``KINDS`` is the registry's order. The two
-record functions read the solver's pose state ``st`` and its per-run
+extra validation, whether the solver generates it, and for the kinds
+projected one constraint at a time ``project(c, st, ctx, k, tiebreak)``
+and ``violation(c, st, ctx)``. ``KINDS`` is the registry's order. The
+two record functions read the solver's pose state ``st`` and its per-run
 context ``ctx`` by attribute, and call the ``project_*`` functions
 through this module's globals, so a wrapper installed on the module is
 seen at call time. A projection runs at the stiffness ``k`` its caller
 passes: the solver evaluates the constraint's schedule for the
 iteration, and nothing writes that value onto the constraint.
+
+The solver generates five kinds, and a scene cannot name them. It
+builds a ``group_curve`` for each member of a nonrigid curve group and
+projects it through its record. The four contact kinds come from the
+broad and narrow phase every iteration, and the solver's contact pass
+projects and prices them itself, so their records carry only a weight,
+a schedule and a relation.
 
 Conventions shared by every projection:
 
@@ -30,7 +38,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 from .geometry import Vec2, closest_point_on_curve, wrap_angle
@@ -69,7 +77,7 @@ class Correction(NamedTuple):
 
 @dataclass
 class Constraint:
-    """One constraint instance over scene particles.
+    """One constraint instance over distinct scene particles.
 
     Kind-specific targets live in the optional fields; unused ones stay
     None. ``schedule``, ``stiffness_initial`` and ``rate`` describe the
@@ -78,9 +86,8 @@ class Constraint:
 
     Participant conventions: focal-point and traffic-lane constraints
     list (member, focal); focal symmetry lists (focal, members...);
-    stacking lists (bottom, top); accessibility lists (intruder, owner)
-    with ``face`` naming the owner's zone; group-curve lists
-    (member, group particle).
+    stacking lists (bottom, top); group-curve lists (member, group
+    particle), and only the solver builds those.
     """
 
     kind: str
@@ -93,7 +100,6 @@ class Constraint:
     orientation_mode: Optional[str] = None
     angle_target: Optional[float] = None
     height_gap: Optional[float] = None
-    face: Optional[int] = None
     group_id: Optional[str] = None
     pin_focal: bool = True
     weight: float = 1.0
@@ -105,6 +111,8 @@ class Constraint:
         spec = SPECS.get(self.kind)
         if spec is None:
             raise ValueError(f"unknown constraint kind {self.kind!r}")
+        if spec.generated:
+            raise ValueError(f"{self.kind} is generated by the solver; a scene cannot name it")
         if self.relation not in spec.relations:
             raise ValueError(
                 f"{self.kind} takes the relation {' or '.join(spec.relations)}, "
@@ -122,11 +130,10 @@ class Constraint:
             raise ValueError(
                 f"{self.kind} takes {spec.arity} participants, got {len(self.particles)}"
             )
+        if len(set(self.particles)) != len(self.particles):
+            raise ValueError(f"{self.kind} names one participant twice")
         for check in spec.checks:
             check(self)
-
-    def copy(self) -> "Constraint":
-        return replace(self)
 
 
 @dataclass(frozen=True)
@@ -138,11 +145,13 @@ class KindSpec:
     ``schedule``, ``stiffness_initial`` and ``rate`` are the default
     stiffness schedule; ``checks`` raise ValueError on a malformed
     constraint. ``project(c, st, ctx, k, tiebreak)`` returns the
-    corrections of constraint ``c`` at stiffness ``k``.
+    corrections of constraint ``c`` at stiffness ``k``, and
+    ``violation(c, st, ctx)`` prices it; the contact kinds have neither.
+    ``generated`` kinds come from the solver, never from a scene.
     """
 
-    project: Callable[..., list]
-    violation: Callable[..., float]
+    project: Optional[Callable[..., list]]
+    violation: Optional[Callable[..., float]]
     arity: Optional[int]
     weight: float
     schedule: str
@@ -150,6 +159,7 @@ class KindSpec:
     rate: float
     relations: tuple[str, ...]
     checks: tuple[Callable[[Constraint], None], ...]
+    generated: bool
 
 
 # kind name -> spec, in registration order; KINDS (end of module) is
@@ -165,9 +175,10 @@ _HARD = (CONSTANT, 1.0, 1.0)
 _EITHER = (EQUALITY, INEQUALITY)
 
 
-def _kind(name, project, violation, *, schedule, arity=2, weight=1.0,
-          relations=(EQUALITY,), checks=()) -> str:
-    SPECS[name] = KindSpec(project, violation, arity, weight, *schedule, relations, checks)
+def _kind(name, project=None, violation=None, *, schedule, arity=2, weight=1.0,
+          relations=(EQUALITY,), checks=(), generated=False) -> str:
+    SPECS[name] = KindSpec(project, violation, arity, weight, *schedule, relations, checks,
+                           generated)
     return name
 
 
@@ -176,12 +187,6 @@ def _priced(c: Constraint, C: float) -> float:
     if c.relation == INEQUALITY:
         return max(0.0, -C)
     return abs(C)
-
-
-def _unpriced(c, st, ctx) -> float:
-    """Authored contact kinds: the generated contacts price the same
-    overlap, so the authored copy adds nothing."""
-    return 0.0
 
 
 def _needs_distance(c: Constraint) -> None:
@@ -675,22 +680,18 @@ def project_accessibility(
 
 def zone_center(st, ctx, j: int, face: int):
     """(world center, diagonal) of object j's accessibility zone on
-    ``face``, or None when that face has no zone."""
+    ``face``, a zone j has: activations only name existing zones."""
     for zone_face, local_center, diagonal, _ in ctx.zones[j]:
         if zone_face == face:
             c, s = math.cos(st.theta[j]), math.sin(st.theta[j])
             lx, ly = local_center
             return (st.px[j] + c * lx - s * ly, st.py[j] + s * lx + c * ly), diagonal
-    return None
 
 
 def access_corrections(i: int, j: int, face: int, st, ctx, k: float, tiebreak: TieBreak = None):
     """Keep object i out of object j's zone on ``face`` at the current
-    poses; no corrections when j has no zone there."""
-    zone = zone_center(st, ctx, j, face)
-    if zone is None:
-        return []
-    center, diagonal = zone
+    poses."""
+    center, diagonal = zone_center(st, ctx, j, face)
     w = ctx.proj_w
     return project_accessibility(
         i, j, (st.px[i], st.py[i]), w[i], w[j], center, st.theta[j], diagonal,
@@ -698,18 +699,8 @@ def access_corrections(i: int, j: int, face: int, st, ctx, k: float, tiebreak: T
     )
 
 
-def _accessibility(c, st, ctx, k, tiebreak):
-    i, j = c.particles
-    return access_corrections(i, j, c.face, st, ctx, k, tiebreak)
-
-
-def _needs_face(c: Constraint) -> None:
-    if c.face not in (1, 2, 3, 4):
-        raise ValueError("accessibility needs a face index in 1..4")
-
-
-ACCESSIBILITY = _kind("accessibility", _accessibility, _unpriced, schedule=_STIFFEN,
-                      weight=150.0, relations=(INEQUALITY,), checks=(_needs_face,))
+ACCESSIBILITY = _kind("accessibility", schedule=_STIFFEN, weight=150.0,
+                      relations=(INEQUALITY,), generated=True)
 
 
 def project_collision(
@@ -728,16 +719,8 @@ def project_collision(
     return project_pairwise_distance(i, j, pi, pj, wi, wj, r_i + r_j, k, INEQUALITY, tiebreak)
 
 
-def _collision(c, st, ctx, k, tiebreak):
-    i, j = c.particles
-    w, r = ctx.proj_w, ctx.radius
-    return project_collision(
-        i, j, (st.px[i], st.py[i]), (st.px[j], st.py[j]), w[i], w[j], r[i], r[j], k, tiebreak,
-    )
-
-
-COLLISION = _kind("collision", _collision, _unpriced,
-                  schedule=_STIFFEN, weight=150.0, relations=(INEQUALITY,))
+COLLISION = _kind("collision", schedule=_STIFFEN, weight=150.0, relations=(INEQUALITY,),
+                  generated=True)
 
 
 def project_wall_ghost_collision(
@@ -769,13 +752,8 @@ def wall_ghost_corrections(i: int, j: int, st, ctx, k: float, tiebreak: TieBreak
     return project_wall_ghost_collision(i, j, gi, gj, w[i], w[j], r[i], r[j], k, tiebreak)
 
 
-def _wall_ghost_collision(c, st, ctx, k, tiebreak):
-    i, j = c.particles
-    return wall_ghost_corrections(i, j, st, ctx, k, tiebreak)
-
-
-WALL_GHOST_COLLISION = _kind("wall_ghost_collision", _wall_ghost_collision, _unpriced,
-                             schedule=_STIFFEN, relations=(INEQUALITY,))
+WALL_GHOST_COLLISION = _kind("wall_ghost_collision", schedule=_STIFFEN,
+                             relations=(INEQUALITY,), generated=True)
 
 
 def project_pairwise_orientation(
@@ -1039,14 +1017,7 @@ def project_boundary(
     return [Correction(i, dx, dy)]
 
 
-def _boundary(c, st, ctx, k, tiebreak):
-    i = c.particles[0]
-    return project_boundary(
-        i, (st.px[i], st.py[i]), ctx.proj_w[i], ctx.radius[i], ctx.room, k
-    )
-
-
-BOUNDARY = _kind("boundary", _boundary, _unpriced, schedule=_HARD, arity=1, weight=150.0)
+BOUNDARY = _kind("boundary", schedule=_HARD, arity=1, weight=150.0, generated=True)
 
 
 def _curve_anchor(c: Constraint, st, ctx) -> Vec2:
@@ -1082,15 +1053,7 @@ def _group_curve_violation(c, st, ctx) -> float:
     return math.hypot(st.px[m] - anchor.x, st.py[m] - anchor.y)
 
 
-def _needs_group(c: Constraint) -> None:
-    if c.group_id is None:
-        raise ValueError(
-            "group_curve needs the id of its curve group; the solver generates "
-            "these for every nonrigid curve group"
-        )
-
-
 GROUP_CURVE = _kind("group_curve", _group_curve, _group_curve_violation,
-                    schedule=_RELAX, checks=(_needs_group,))
+                    schedule=_RELAX, generated=True)
 
 KINDS = tuple(SPECS)

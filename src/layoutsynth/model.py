@@ -7,7 +7,7 @@ reads the structure and keeps its own pose state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .geometry import (
@@ -175,8 +175,9 @@ class Group:
     Rigid groups store fixed member offsets (dx, dy, dtheta) in the group
     frame; member world poses always equal group pose composed with the
     offset. Nonrigid groups may carry a placement curve, expressed in the
-    group frame, along which members are constrained; ``member_ts`` orders
-    members along the curve.
+    group frame, along which members are constrained. ``member_ts`` are
+    increasing curve coordinates, checked here and kept for the scene
+    file; the solver attaches each member to its nearest curve point.
     """
 
     id: str
@@ -382,23 +383,28 @@ class Scene:
             for member in group.member_object_ids:
                 if member not in object_ids:
                     raise ValueError(f"group {group.id!r} references missing object {member!r}")
+        from .constraints import STACKING  # that module imports this one
+
+        # stacking piles are chains: each top has one bottom, and walking
+        # down from any object reaches the ground
+        bottom_of: dict[int, int] = {}
+        ids = {item.particle_index: item.id for item in (*self.objects, *self.groups)}
         for i, constraint in enumerate(self.constraints):
             try:
                 for idx in constraint.particles:
                     if not (0 <= idx < n):
                         raise ValueError(f"{constraint.kind} references missing particle {idx}")
                 constraint.validate()
+                if constraint.kind == STACKING:
+                    bottom, top = constraint.particles
+                    on = f"{ids.get(top, top)!r} on {ids.get(bottom, bottom)!r}"
+                    if top in bottom_of:
+                        raise ValueError(f"stacking {on} gives it a second bottom")
+                    below = bottom
+                    while below in bottom_of and below != top:
+                        below = bottom_of[below]
+                    if below == top:
+                        raise ValueError(f"stacking {on} closes a loop")
+                    bottom_of[top] = bottom
             except ValueError as exc:
                 raise ValueError(f"constraints[{i}]: {exc}") from None
-
-    def copy(self) -> "Scene":
-        return Scene(
-            room=Room([Vec2(v.x, v.y) for v in self.room.boundary]),
-            objects=[replace(obj) for obj in self.objects],
-            particles=[replace(p) for p in self.particles],
-            groups=[replace(g) for g in self.groups],
-            constraints=[c.copy() for c in self.constraints],
-            collisions_enabled=self.collisions_enabled,
-            solver_defaults=dict(self.solver_defaults),
-            catalogue={k: dict(v) for k, v in self.catalogue.items()},
-        )

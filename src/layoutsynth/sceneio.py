@@ -136,7 +136,6 @@ _CONSTRAINT_FIELDS = (
     ("orientation_mode", "orientation_mode", _as_text, _same, _given),
     ("angle_target_deg", "angle_target", _as_angle, math.degrees, _given),
     ("height_gap", "height_gap", _as_number, _same, _given),
-    ("face", "face", _as_positive_int, _same, _given),
     ("pin_focal", "pin_focal", _as_bool, _same, lambda v: not v),
     ("weight", "weight", _as_number, _same, _always),
     ("schedule", "schedule", _as_text, _same, _always),

@@ -227,14 +227,14 @@ class SolveContext:
         # else keeps its authored height
         self.stack_top = {c.particles[1] for c, _ in self.stacking_constraints}
         # contact pushes against any member of a stack move the whole pile:
-        # route them to the chain's base object
+        # route them to the chain's base object (the scene's validation
+        # guarantees that every chain ends)
         parent = {c.particles[1]: c.particles[0] for c, _ in self.stacking_constraints}
         self.contact_root = list(range(n))
         for i in range(n):
-            root, hops = i, 0
-            while root in parent and hops < n:
+            root = i
+            while root in parent:
                 root = parent[root]
-                hops += 1
             self.contact_root[i] = root
         # objects whose boundary state can still change after the step's
         # boundary pass (corrections routed to a pile base or rigid group
@@ -277,8 +277,8 @@ def _group_members(scene: Scene) -> dict[str, list[int]]:
 
 
 def group_curve_constraints(scene: Scene, members: dict[str, list[int]]) -> list[Constraint]:
-    """Member-to-curve attachments for every curve-carrying group,
-    ordered along the curve parameter."""
+    """Member-to-curve attachments for every nonrigid curve-carrying
+    group, in member order."""
     out = []
     for group in scene.groups:
         if group.curve is None or group.rigidity == RIGID:

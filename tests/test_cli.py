@@ -125,6 +125,7 @@ class TestCompare:
         assert [int(r[0]) for r in rows] == list(range(len(rows)))
         meta = json.loads((out / "compare_meta.json").read_text())
         assert {"pbd_best_energy", "mcmc_best_energy"} <= set(meta)
+        assert meta["mcmc_iterations"] <= 40
 
 
 class TestValidate:

@@ -609,6 +609,15 @@ class TestConstraintRecord:
         with pytest.raises(ValueError):
             make_constraint(cn.PAIRWISE_DISTANCE, (0, 1), distance=1.0, weight=0.0).validate()
 
+    def test_contact_kinds_have_no_record_projection(self):
+        generated = {kind for kind, spec in cn.SPECS.items() if spec.generated}
+        assert generated == {
+            cn.ACCESSIBILITY, cn.COLLISION, cn.WALL_GHOST_COLLISION, cn.BOUNDARY, cn.GROUP_CURVE,
+        }
+        # the contact pass projects and prices the contact kinds itself
+        for kind in generated - {cn.GROUP_CURVE}:
+            assert cn.SPECS[kind].project is None and cn.SPECS[kind].violation is None
+
     def test_angular_never_positional_and_vice_versa(self):
         rng = np.random.default_rng(16)
         for _ in range(200):

@@ -199,13 +199,6 @@ class TestScene:
         assert scene.groups[0].particle_index == 2
         scene.validate()
 
-    def test_copy_is_deep_enough(self):
-        scene = _tiny_scene()
-        clone = scene.copy()
-        clone.particles[0].position = Vec2(1, 1)
-        assert scene.particles[0].position == Vec2(5, 5)
-        assert clone != scene
-
 
 class TestRigidGroupRoundTrip:
     def test_member_world_pose_composition(self):

@@ -58,7 +58,7 @@ def test_deterministic_bytes():
     scene = build("desk")
     layout, _ = synthesize(scene, SolverConfig(seed=3, max_iterations=30))
     a = render_svg(scene, layout)
-    b = render_svg(scene.copy(), list(layout))
+    b = render_svg(build("desk"), list(layout))
     assert a == b
 
 

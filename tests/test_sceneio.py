@@ -4,6 +4,7 @@ import math
 import pytest
 
 from layoutsynth import constraints as cn
+from layoutsynth.cli import main
 from layoutsynth.sceneio import SceneFormatError, load_scene, parse_scene, save_scene, serialize_scene
 from layoutsynth.scenes import TEMPLATE_NAMES, build
 
@@ -89,14 +90,10 @@ class TestParse:
             parse_scene(json.dumps(d))
 
     def test_constraint_defaults_applied(self):
-        d = doc(constraints=[{
-            "kind": "collision", "objects": ["crate_0", "crate_0"],
-        }])
-        # collision between an object and itself is at least parsed for
-        # relation defaults; validation of semantics happens per kind
+        d = doc(constraints=[{"kind": "wall_distance", "objects": ["crate_0"], "distance": 1.0}])
         scene = parse_scene(json.dumps(d))
-        assert scene.constraints[0].relation == cn.INEQUALITY
-        assert scene.constraints[0].weight == 150.0
+        assert scene.constraints[0].relation == cn.EQUALITY
+        assert scene.constraints[0].weight == 20.0
 
 
 
@@ -123,6 +120,16 @@ def _with_constraint(**fields):
     return edit
 
 
+def _stacked(*pairs):
+    """Doc edit that adds crates a, b and c and stacks each (bottom, top)."""
+    def edit(d):
+        d["objects"] += [{"id": name, "label": "crate"} for name in "abc"]
+        d["constraints"] = [
+            {"kind": "stacking", "objects": list(pair), "height_gap": 1.0} for pair in pairs
+        ]
+    return edit
+
+
 class TestMalformed:
     """Every malformed file fails with a SceneFormatError naming the
     offending path; none crashes or is read as something else."""
@@ -139,7 +146,14 @@ class TestMalformed:
         (_with_group(members=[["crate_0"]]), r"groups\[0\]\.members\[0\]"),
         (_with_group(curve={"kind": "arc", "a": [1, 0], "b": [-1, 0]}), r"groups\[0\]\.curve\.center"),
         (_with_constraint(pin_focal="no"), r"constraints\[0\]\.pin_focal"),
-        (_with_constraint(face=True), r"constraints\[0\]\.face"),
+        (_with_constraint(face=True), r"constraints\[0\]: unknown field 'face'"),
+        (_with_constraint(kind="pairwise_distance", objects=["crate_0", "crate_0"], distance=1.0),
+         r"constraints\[0\]: pairwise_distance names one participant twice"),
+        (_with_constraint(kind="stacking", objects=["crate_0", "crate_0"], height_gap=1.0),
+         r"constraints\[0\]: stacking names one participant twice"),
+        (_stacked(("b", "a"), ("a", "b")), r"constraints\[1\]: stacking 'b' on 'a' closes a loop"),
+        (_stacked(("a", "c"), ("b", "c")),
+         r"constraints\[1\]: stacking 'c' on 'b' gives it a second bottom"),
         (_with_constraint(weight=True), r"constraints\[0\]\.weight"),
         (_with_constraint(objects=[["crate_0"]]), r"constraints\[0\]\.objects\[0\]"),
     ])
@@ -189,14 +203,20 @@ class TestUnsolvableConstraints:
         d["objects"].append({"id": "crate_1", "label": "crate"})
         return d
 
-    def test_group_curve_without_a_group_rejected(self):
-        d = self._two_crates({"kind": "group_curve", "objects": ["crate_0", "g"]})
+    @pytest.mark.parametrize("kind", [
+        "collision", "accessibility", "wall_ghost_collision", "boundary", "group_curve",
+    ])
+    def test_generated_kind_rejected(self, kind, tmp_path):
+        d = self._two_crates({"kind": kind, "objects": ["crate_0", "g"]})
         d["groups"] = [{
             "id": "g", "members": ["crate_1"],
             "curve": {"kind": "segment", "a": [-1, 0], "b": [1, 0]},
         }]
-        with pytest.raises(SceneFormatError, match=r"constraints\[0\].*group"):
+        with pytest.raises(SceneFormatError, match=r"^constraints\[0\]: .*generated"):
             parse_scene(json.dumps(d))
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(d))
+        assert main(["validate", str(path)]) == 2
 
     def test_equality_traffic_lane_rejected(self):
         d = self._two_crates({
@@ -241,8 +261,7 @@ class TestRoundTrip:
         assert again == scene
 
     def test_serialization_is_stable_bytes(self):
-        scene = build("living_room")
-        assert serialize_scene(scene) == serialize_scene(scene.copy())
+        assert serialize_scene(build("living_room")) == serialize_scene(build("living_room"))
 
     def test_double_round_trip_fixed_point(self):
         scene = build("tp_picnic", seed=5)
