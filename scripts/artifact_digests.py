@@ -36,8 +36,16 @@ TEMPLATE_SEEDS = {
     "tp_picnic": (0, 1),
 }
 MCMC_TEMPLATES = ("living_room", "desk")
-# exported templates solved in batch mode through their scene file's solver block
-BATCH_FILES = {"desk": (0, 1), "tp_bedroom": (0, 1)}
+# scenes solved in batch mode through their scene file's solver block, as
+# file stem -> (template, template parameters, seeds); picnic and the
+# segment tiers bring heat points, focal points, traffic lanes and curve
+# groups under batch gathering
+BATCH_FILES = {
+    "desk": ("desk", None, (0, 1)),
+    "tp_bedroom": ("tp_bedroom", None, (0, 1)),
+    "picnic": ("picnic", None, (0,)),
+    "theater2_seg": ("theater2", {"style": "seg", "pathways": 1}, (0,)),
+}
 
 
 def _cli(*argv: str) -> None:
@@ -58,10 +66,9 @@ def _runs() -> list[tuple[str, ...]]:
     runs += [
         ("synth", name, "--mode", "mcmc", "--out", f"{name}_mcmc") for name in MCMC_TEMPLATES
     ]
-    for name, seeds in BATCH_FILES.items():
+    for name, (template, params, seeds) in BATCH_FILES.items():
         path = f"{name}.json"
-        _cli("export", name, "--out", path)
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = json.loads(sceneio.serialize_scene(scenes.build(template, params)))
         doc.setdefault("solver", {})["projection_mode"] = "batch"
         Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
         runs += [

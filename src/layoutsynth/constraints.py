@@ -1,15 +1,21 @@
-"""Constraint records, the kind registry and the pure projections.
+"""Constraint records, the kind registry and the projections.
 
-Each projection maps current particle states to a small list of
-corrections; it never mutates anything. Positional projections leave
-orientations alone and angular ones leave positions alone, so the solver
-can apply corrections in any interleaving.
+Each projection writes its corrections to a sink ``out(particle, dx, dy,
+dz, dtheta)``, one call per corrected particle, and returns whether it
+wrote any. It reads all of its inputs before its first ``out`` call, so a
+sink that applies each correction in place (the solver's sequential mode)
+gets the same bits as one that first gathers them (batch mode, or a test
+collecting ``Correction`` records into a list). One- and two-particle
+projections take positions as scalar coordinates, the n-body ones the
+position lists. Positional projections write zero turns and angular
+ones zero moves, so the solver can apply corrections in any
+interleaving.
 
 Every constraint kind is described once, by the ``KindSpec`` registered
 next to its projection in ``SPECS``: arity, default weight and stiffness
 schedule, the relations its projection and its pricing agree on, its
 extra validation, whether the solver generates it, and for the kinds
-projected one constraint at a time ``project(c, st, ctx, k, tiebreak)``
+projected one constraint at a time ``project(out, c, st, ctx, k, tiebreak)``
 and ``violation(c, st, ctx)``. ``KINDS`` is the registry's order. The
 two record functions read the solver's pose state ``st`` and its per-run
 context ``ctx`` by attribute, and call the ``project_*`` functions
@@ -30,7 +36,7 @@ Conventions shared by every projection:
 * a particle with zero inverse mass never receives a correction;
 * equality constraints are fully satisfied by one projection at
   stiffness 1 whenever at least one participant is free;
-* inequality constraints use the ``C >= 0`` form and return no
+* inequality constraints use the ``C >= 0`` form and write no
   corrections while satisfied.
 """
 
@@ -66,7 +72,8 @@ _EPS = 1e-9
 
 
 class Correction(NamedTuple):
-    """One particle's pose delta produced by a single projection."""
+    """One particle's pose delta as a projection writes it to its sink,
+    for callers that collect corrections into a list."""
 
     particle: int
     dx: float = 0.0
@@ -144,13 +151,14 @@ class KindSpec:
     pricing agree, the default first; ``arity`` is None for n-ary kinds;
     ``schedule``, ``stiffness_initial`` and ``rate`` are the default
     stiffness schedule; ``checks`` raise ValueError on a malformed
-    constraint. ``project(c, st, ctx, k, tiebreak)`` returns the
-    corrections of constraint ``c`` at stiffness ``k``, and
-    ``violation(c, st, ctx)`` prices it; the contact kinds have neither.
+    constraint. ``project(out, c, st, ctx, k, tiebreak)`` writes the
+    corrections of constraint ``c`` at stiffness ``k`` to ``out`` and
+    returns whether it wrote any, and ``violation(c, st, ctx)`` prices it;
+    the contact kinds have neither.
     ``generated`` kinds come from the solver, never from a scene.
     """
 
-    project: Optional[Callable[..., list]]
+    project: Optional[Callable[..., bool]]
     violation: Optional[Callable[..., float]]
     arity: Optional[int]
     weight: float
@@ -234,6 +242,8 @@ def update_stiffness(constraint: Constraint | KindSpec, iteration: int) -> float
 
 
 TieBreak = Optional[Callable[[], tuple[float, float]]]
+# out(particle, dx, dy, dz, dtheta), called once per corrected particle
+Sink = Callable[[int, float, float, float, float], None]
 
 
 def _tiebreak_dir(tiebreak: TieBreak) -> tuple[float, float]:
@@ -243,29 +253,32 @@ def _tiebreak_dir(tiebreak: TieBreak) -> tuple[float, float]:
 
 
 def project_pairwise_distance(
+    out: Sink,
     i: int,
     j: int,
-    pi,
-    pj,
+    xi: float,
+    yi: float,
+    xj: float,
+    yj: float,
     wi: float,
     wj: float,
     d: float,
     k: float,
     relation: str = EQUALITY,
     tiebreak: TieBreak = None,
-) -> list[Correction]:
+) -> bool:
     """Hold particles i and j at (equality) or beyond (inequality)
     distance d, splitting the correction by inverse mass; the two-body
     core of every distance-like kind."""
     wsum = wi + wj
     if wsum <= 0.0 or k == 0.0:
-        return []
-    dx = pi[0] - pj[0]
-    dy = pi[1] - pj[1]
+        return False
+    dx = xi - xj
+    dy = yi - yj
     dist = math.hypot(dx, dy)
     if dist < _EPS:
         if relation == INEQUALITY and d <= 0.0:
-            return []
+            return False
         nx, ny = _tiebreak_dir(tiebreak)
         C = -d
     else:
@@ -273,24 +286,23 @@ def project_pairwise_distance(
         C = dist - d
     # the slack absorbs float noise so satisfied contacts stay quiet
     if relation == INEQUALITY and C >= -1e-12:
-        return []
+        return False
     if C == 0.0:
-        return []
+        return False
+    # wsum > 0, so at least one side is free and written
     s = k * C / wsum
-    out = []
     if wi > 0.0:
-        out.append(Correction(i, -s * wi * nx, -s * wi * ny))
+        out(i, -s * wi * nx, -s * wi * ny, 0.0, 0.0)
     if wj > 0.0:
-        out.append(Correction(j, s * wj * nx, s * wj * ny))
-    return out
+        out(j, s * wj * nx, s * wj * ny, 0.0, 0.0)
+    return True
 
 
-def _pairwise_distance(c, st, ctx, k, tiebreak):
+def _pairwise_distance(out, c, st, ctx, k, tiebreak):
     i, j = c.particles
-    w = ctx.proj_w
+    px, py, w = st.px, st.py, ctx.proj_w
     return project_pairwise_distance(
-        i, j, (st.px[i], st.py[i]), (st.px[j], st.py[j]), w[i], w[j], c.distance,
-        k, c.relation, tiebreak,
+        out, i, j, px[i], py[i], px[j], py[j], w[i], w[j], c.distance, k, c.relation, tiebreak
     )
 
 
@@ -304,10 +316,13 @@ PAIRWISE_DISTANCE = _kind("pairwise_distance", _pairwise_distance, _center_dista
 
 
 def project_focal_point(
+    out: Sink,
     member: int,
     focal: int,
-    p_member,
-    p_focal,
+    x_member: float,
+    y_member: float,
+    x_focal: float,
+    y_focal: float,
     w_member: float,
     w_focal: float,
     d: float,
@@ -315,21 +330,22 @@ def project_focal_point(
     relation: str = EQUALITY,
     pin_focal: bool = True,
     tiebreak: TieBreak = None,
-) -> list[Correction]:
+) -> bool:
     """Keep a member at distance d from a focal object. With
     ``pin_focal`` the focal behaves as an infinite-mass anchor."""
     wf = 0.0 if pin_focal else w_focal
     return project_pairwise_distance(
-        member, focal, p_member, p_focal, w_member, wf, d, k, relation, tiebreak
+        out, member, focal, x_member, y_member, x_focal, y_focal, w_member, wf, d, k,
+        relation, tiebreak,
     )
 
 
-def _focal_point(c, st, ctx, k, tiebreak):
+def _focal_point(out, c, st, ctx, k, tiebreak):
     i, j = c.particles
-    w = ctx.proj_w
+    px, py, w = st.px, st.py, ctx.proj_w
     return project_focal_point(
-        i, j, (st.px[i], st.py[i]), (st.px[j], st.py[j]), w[i], w[j], c.distance,
-        k, c.relation, c.pin_focal, tiebreak,
+        out, i, j, px[i], py[i], px[j], py[j], w[i], w[j], c.distance, k, c.relation,
+        c.pin_focal, tiebreak,
     )
 
 
@@ -345,28 +361,31 @@ def lane_projection_point(pj, v: Vec2, pi) -> tuple[float, float]:
 
 
 def project_traffic_lane(
+    out: Sink,
     i: int,
     j: int,
-    pi,
-    pj,
+    xi: float,
+    yi: float,
+    xj: float,
+    yj: float,
     wi: float,
     wj: float,
     v: Vec2,
     d: float,
     k: float,
-) -> list[Correction]:
+) -> bool:
     """Clearance corridor around the axis from particle j along v.
 
     The axis-projection point acts as a ghost rigidly attached to j: its
     share of the correction moves j. Inactive while the perpendicular
     distance is at least d.
     """
-    qx, qy = lane_projection_point(pj, v, pi)
-    dx = pi[0] - qx
-    dy = pi[1] - qy
+    qx, qy = lane_projection_point((xj, yj), v, (xi, yi))
+    dx = xi - qx
+    dy = yi - qy
     dist = math.hypot(dx, dy)
     if dist >= d:
-        return []
+        return False
     if dist < _EPS:
         # on the axis: push left of v
         norm = v.norm()
@@ -375,23 +394,22 @@ def project_traffic_lane(
         nx, ny = dx / dist, dy / dist
     wsum = wi + wj
     if wsum <= 0.0 or k == 0.0:
-        return []
+        return False
     C = dist - d
     s = k * C / wsum
-    out = []
     if wi > 0.0:
-        out.append(Correction(i, -s * wi * nx, -s * wi * ny))
+        out(i, -s * wi * nx, -s * wi * ny, 0.0, 0.0)
     if wj > 0.0:
-        out.append(Correction(j, s * wj * nx, s * wj * ny))
-    return out
+        out(j, s * wj * nx, s * wj * ny, 0.0, 0.0)
+    return True
 
 
-def _traffic_lane(c, st, ctx, k, tiebreak):
+def _traffic_lane(out, c, st, ctx, k, tiebreak):
     i, j = c.particles
-    w = ctx.proj_w
+    px, py, w = st.px, st.py, ctx.proj_w
     wj = 0.0 if c.pin_focal else w[j]
     return project_traffic_lane(
-        i, j, (st.px[i], st.py[i]), (st.px[j], st.py[j]), w[i], wj, c.vector, c.distance, k
+        out, i, j, px[i], py[i], px[j], py[j], w[i], wj, c.vector, c.distance, k
     )
 
 
@@ -428,6 +446,7 @@ def center_target_gradient(u: float, total: float, center, target) -> tuple[floa
 
 
 def _project_center_to_target(
+    out: Sink,
     indices,
     px,
     py,
@@ -435,35 +454,37 @@ def _project_center_to_target(
     inv_masses,
     target,
     k: float,
-) -> list[Correction]:
+) -> bool:
     """Move the weighted center of the participants toward the target.
 
     The step is the exact closed form: at k=1 the new weighted center
     equals the target; at k<1 it travels fraction k of the way.
     """
     if k == 0.0:
-        return []
+        return False
     cx, cy, total = weighted_center(indices, px, py, weights)
     rx, ry = cx - target[0], cy - target[1]
     if rx * rx + ry * ry <= _EPS * _EPS:
-        return []
+        return False
     denom = 0.0
     for idx in indices:
         u = weights[idx]
         denom += u * u * inv_masses[idx]
     if denom <= 0.0:
-        return []
-    out = []
+        return False
+    # denom > 0, so some participant is free and written; each share
+    # reads only the weights, never a position
     for idx in indices:
         w = inv_masses[idx]
         if w <= 0.0:
             continue
         f = k * total * w * weights[idx] / denom
-        out.append(Correction(idx, -f * rx, -f * ry))
-    return out
+        out(idx, -f * rx, -f * ry, 0.0, 0.0)
+    return True
 
 
 def project_heat_point(
+    out: Sink,
     indices,
     px,
     py,
@@ -471,9 +492,9 @@ def project_heat_point(
     inv_masses,
     target,
     k: float,
-) -> list[Correction]:
+) -> bool:
     """Pull the mass-weighted center of the participants to the target."""
-    return _project_center_to_target(indices, px, py, masses, inv_masses, target, k)
+    return _project_center_to_target(out, indices, px, py, masses, inv_masses, target, k)
 
 
 def _heat_members_target(c, st):
@@ -485,9 +506,9 @@ def _heat_members_target(c, st):
     return c.particles[1:], (st.px[anchor], st.py[anchor])
 
 
-def _heat_point(c, st, ctx, k, tiebreak):
+def _heat_point(out, c, st, ctx, k, tiebreak):
     members, target = _heat_members_target(c, st)
-    return project_heat_point(members, st.px, st.py, ctx.masses, ctx.proj_w, target, k)
+    return project_heat_point(out, members, st.px, st.py, ctx.masses, ctx.proj_w, target, k)
 
 
 def _heat_point_violation(c, st, ctx) -> float:
@@ -507,6 +528,7 @@ HEAT_POINT = _kind("heat_point", _heat_point, _heat_point_violation,
 
 
 def project_focal_symmetry(
+    out: Sink,
     indices,
     px,
     py,
@@ -515,7 +537,7 @@ def project_focal_symmetry(
     focal,
     v: Vec2,
     k: float,
-) -> list[Correction]:
+) -> bool:
     """Center the participants' center of mass on the ray from the focal
     point along v (the moving target is the center's own projection)."""
     cx, cy, _ = weighted_center(indices, px, py, masses)
@@ -524,14 +546,14 @@ def project_focal_symmetry(
     if t < 0.0:
         t = 0.0
     target = (focal[0] + t * vx, focal[1] + t * vy)
-    return _project_center_to_target(indices, px, py, masses, inv_masses, target, k)
+    return _project_center_to_target(out, indices, px, py, masses, inv_masses, target, k)
 
 
-def _focal_symmetry(c, st, ctx, k, tiebreak):
+def _focal_symmetry(out, c, st, ctx, k, tiebreak):
     focal = c.particles[0]
     return project_focal_symmetry(
-        c.particles[1:], st.px, st.py, ctx.masses, ctx.proj_w, (st.px[focal], st.py[focal]),
-        c.vector, k,
+        out, c.particles[1:], st.px, st.py, ctx.masses, ctx.proj_w,
+        (st.px[focal], st.py[focal]), c.vector, k,
     )
 
 
@@ -555,6 +577,7 @@ FOCAL_SYMMETRY = _kind("focal_symmetry", _focal_symmetry, _focal_symmetry_violat
 
 
 def project_visual_balance(
+    out: Sink,
     indices,
     px,
     py,
@@ -562,18 +585,20 @@ def project_visual_balance(
     inv_masses,
     room_centroid,
     k: float,
-) -> list[Correction]:
+) -> bool:
     """Pull the visual-weight-weighted center to the room centroid.
 
     Visual weights are the objects' ground-plane footprint areas; the
     centroid itself is a zero-inverse-mass anchor.
     """
-    return _project_center_to_target(indices, px, py, visual_weights, inv_masses, room_centroid, k)
+    return _project_center_to_target(
+        out, indices, px, py, visual_weights, inv_masses, room_centroid, k
+    )
 
 
-def _visual_balance(c, st, ctx, k, tiebreak):
+def _visual_balance(out, c, st, ctx, k, tiebreak):
     return project_visual_balance(
-        c.particles, st.px, st.py, ctx.visual_weight, ctx.proj_w, ctx.centroid, k
+        out, c.particles, st.px, st.py, ctx.visual_weight, ctx.proj_w, ctx.centroid, k
     )
 
 
@@ -587,23 +612,25 @@ VISUAL_BALANCE = _kind("visual_balance", _visual_balance, _visual_balance_violat
 
 
 def project_wall_distance(
+    out: Sink,
     i: int,
-    pi,
+    xi: float,
+    yi: float,
     wi: float,
     room: Room,
     d: float,
     k: float,
     relation: str = EQUALITY,
-) -> list[Correction]:
+) -> bool:
     """Hold particle i at (or beyond) distance d from the nearest wall.
 
     The wall point is a fixed anchor, so only the particle moves.
     """
     if wi <= 0.0 or k == 0.0:
-        return []
-    q, normal, _ = nearest_wall_point(room, pi)
-    dx = pi[0] - q.x
-    dy = pi[1] - q.y
+        return False
+    q, normal, _ = nearest_wall_point(room, (xi, yi))
+    dx = xi - q.x
+    dy = yi - q.y
     dist = math.hypot(dx, dy)
     if dist < _EPS:
         nx, ny = normal
@@ -611,16 +638,17 @@ def project_wall_distance(
         nx, ny = dx / dist, dy / dist
     C = dist - d
     if relation == INEQUALITY and C >= 0.0:
-        return []
+        return False
     if C == 0.0:
-        return []
-    return [Correction(i, -k * C * nx, -k * C * ny)]
+        return False
+    out(i, -k * C * nx, -k * C * ny, 0.0, 0.0)
+    return True
 
 
-def _wall_distance(c, st, ctx, k, tiebreak):
+def _wall_distance(out, c, st, ctx, k, tiebreak):
     i = c.particles[0]
     return project_wall_distance(
-        i, (st.px[i], st.py[i]), ctx.proj_w[i], ctx.room, c.distance, k, c.relation
+        out, i, st.px[i], st.py[i], ctx.proj_w[i], ctx.room, c.distance, k, c.relation
     )
 
 
@@ -649,19 +677,22 @@ def access_zone_active(pi, r_i: float, center, half_side: float, theta_j: float)
 
 
 def project_accessibility(
+    out: Sink,
     i: int,
     j: int,
-    pi,
+    xi: float,
+    yi: float,
     wi: float,
     wj: float,
-    access_center,
+    x_center: float,
+    y_center: float,
     theta_j: float,
     access_diagonal: float,
     b_i: float,
     r_i: float,
     k: float,
     tiebreak: TieBreak = None,
-) -> list[Correction]:
+) -> bool:
     """Keep object i out of one accessibility zone of object j.
 
     Active only when i's bounding circle overlaps the zone's clearance
@@ -670,12 +701,14 @@ def project_accessibility(
     attached to j, so its share of the correction translates j.
     """
     if access_diagonal <= 0.0:
-        return []
+        return False
     half_side = access_diagonal / (2.0 * math.sqrt(2.0))
-    if not access_zone_active(pi, r_i, access_center, half_side, theta_j):
-        return []
+    if not access_zone_active((xi, yi), r_i, (x_center, y_center), half_side, theta_j):
+        return False
     d = b_i + access_diagonal
-    return project_pairwise_distance(i, j, pi, access_center, wi, wj, d, k, INEQUALITY, tiebreak)
+    return project_pairwise_distance(
+        out, i, j, xi, yi, x_center, y_center, wi, wj, d, k, INEQUALITY, tiebreak
+    )
 
 
 def zone_center(st, ctx, j: int, face: int):
@@ -688,14 +721,16 @@ def zone_center(st, ctx, j: int, face: int):
             return (st.px[j] + c * lx - s * ly, st.py[j] + s * lx + c * ly), diagonal
 
 
-def access_corrections(i: int, j: int, face: int, st, ctx, k: float, tiebreak: TieBreak = None):
+def access_corrections(
+    out: Sink, i: int, j: int, face: int, st, ctx, k: float, tiebreak: TieBreak = None
+) -> bool:
     """Keep object i out of object j's zone on ``face`` at the current
     poses."""
     center, diagonal = zone_center(st, ctx, j, face)
     w = ctx.proj_w
     return project_accessibility(
-        i, j, (st.px[i], st.py[i]), w[i], w[j], center, st.theta[j], diagonal,
-        ctx.b_diag[i], ctx.radius[i], k, tiebreak,
+        out, i, j, st.px[i], st.py[i], w[i], w[j], center[0], center[1], st.theta[j],
+        diagonal, ctx.b_diag[i], ctx.radius[i], k, tiebreak,
     )
 
 
@@ -704,19 +739,24 @@ ACCESSIBILITY = _kind("accessibility", schedule=_STIFFEN, weight=150.0,
 
 
 def project_collision(
+    out: Sink,
     i: int,
     j: int,
-    pi,
-    pj,
+    xi: float,
+    yi: float,
+    xj: float,
+    yj: float,
     wi: float,
     wj: float,
     r_i: float,
     r_j: float,
     k: float,
     tiebreak: TieBreak = None,
-) -> list[Correction]:
+) -> bool:
     """Separate overlapping bounding circles along their center line."""
-    return project_pairwise_distance(i, j, pi, pj, wi, wj, r_i + r_j, k, INEQUALITY, tiebreak)
+    return project_pairwise_distance(
+        out, i, j, xi, yi, xj, yj, wi, wj, r_i + r_j, k, INEQUALITY, tiebreak
+    )
 
 
 COLLISION = _kind("collision", schedule=_STIFFEN, weight=150.0, relations=(INEQUALITY,),
@@ -724,32 +764,40 @@ COLLISION = _kind("collision", schedule=_STIFFEN, weight=150.0, relations=(INEQU
 
 
 def project_wall_ghost_collision(
+    out: Sink,
     i: int,
     j: int,
-    wall_point_i,
-    wall_point_j,
+    x_ghost_i: float,
+    y_ghost_i: float,
+    x_ghost_j: float,
+    y_ghost_j: float,
     wi: float,
     wj: float,
     r_i: float,
     r_j: float,
     k: float,
     tiebreak: TieBreak = None,
-) -> list[Correction]:
+) -> bool:
     """Extra separation between the nearest-wall ghost points of two
     colliding, wall-constrained objects; it slides the hosts apart along
     the wall instead of pushing them off it."""
     return project_pairwise_distance(
-        i, j, wall_point_i, wall_point_j, wi, wj, r_i + r_j, k, INEQUALITY, tiebreak
+        out, i, j, x_ghost_i, y_ghost_i, x_ghost_j, y_ghost_j, wi, wj, r_i + r_j, k,
+        INEQUALITY, tiebreak,
     )
 
 
-def wall_ghost_corrections(i: int, j: int, st, ctx, k: float, tiebreak: TieBreak = None):
+def wall_ghost_corrections(
+    out: Sink, i: int, j: int, st, ctx, k: float, tiebreak: TieBreak = None
+) -> bool:
     """Separate the nearest-wall ghost points of objects i and j at the
     current poses."""
     gi, _, _ = nearest_wall_point(ctx.room, (st.px[i], st.py[i]))
     gj, _, _ = nearest_wall_point(ctx.room, (st.px[j], st.py[j]))
     w, r = ctx.proj_w, ctx.radius
-    return project_wall_ghost_collision(i, j, gi, gj, w[i], w[j], r[i], r[j], k, tiebreak)
+    return project_wall_ghost_collision(
+        out, i, j, gi.x, gi.y, gj.x, gj.y, w[i], w[j], r[i], r[j], k, tiebreak
+    )
 
 
 WALL_GHOST_COLLISION = _kind("wall_ghost_collision", schedule=_STIFFEN,
@@ -757,31 +805,23 @@ WALL_GHOST_COLLISION = _kind("wall_ghost_collision", schedule=_STIFFEN,
 
 
 def project_pairwise_orientation(
+    out: Sink,
     i: int,
-    j: int,
     theta_i: float,
     target_i: Optional[float],
-    theta_j: float,
-    target_j: Optional[float],
     wi: float,
-    wj: float,
     k: float,
-) -> list[Correction]:
-    """Rotate each participant toward its own target by the smallest
-    angular difference, scaled by k. Positions are untouched. A None
-    target leaves that participant alone."""
-    out = []
-    if k == 0.0:
-        return out
-    if target_i is not None and wi > 0.0:
-        delta = wrap_angle(target_i - theta_i)
-        if delta != 0.0:
-            out.append(Correction(i, dtheta=k * delta))
-    if target_j is not None and wj > 0.0:
-        delta = wrap_angle(target_j - theta_j)
-        if delta != 0.0:
-            out.append(Correction(j, dtheta=k * delta))
-    return out
+) -> bool:
+    """Rotate the first participant toward its target by the smallest
+    angular difference, scaled by k; the other participant only sets the
+    target. Positions are untouched. A None target leaves it alone."""
+    if k == 0.0 or target_i is None or wi <= 0.0:
+        return False
+    delta = wrap_angle(target_i - theta_i)
+    if delta == 0.0:
+        return False
+    out(i, 0.0, 0.0, 0.0, k * delta)
+    return True
 
 
 def _orientation_target(c: Constraint, st) -> float | None:
@@ -797,11 +837,10 @@ def _orientation_target(c: Constraint, st) -> float | None:
     return c.angle_target
 
 
-def _pairwise_orientation(c, st, ctx, k, tiebreak):
-    i, j = c.particles
-    w = ctx.proj_w
+def _pairwise_orientation(out, c, st, ctx, k, tiebreak):
+    i = c.particles[0]
     return project_pairwise_orientation(
-        i, j, st.theta[i], _orientation_target(c, st), st.theta[j], None, w[i], w[j], k
+        out, i, st.theta[i], _orientation_target(c, st), ctx.proj_w[i], k
     )
 
 
@@ -838,29 +877,32 @@ def wall_orientation_target(room: Room, pi, theta_i: float, offset: float) -> fl
 
 
 def project_wall_orientation(
+    out: Sink,
     i: int,
     theta_i: float,
-    pi,
+    xi: float,
+    yi: float,
     wi: float,
     room: Room,
     offset: float,
     k: float,
-) -> list[Correction]:
+) -> bool:
     """Align particle i with the nearest wall (offset 0 is parallel,
     pi/2 is perpendicular to it)."""
     if wi <= 0.0 or k == 0.0:
-        return []
-    target = wall_orientation_target(room, pi, theta_i, offset)
+        return False
+    target = wall_orientation_target(room, (xi, yi), theta_i, offset)
     delta = wrap_angle(target - theta_i)
     if delta == 0.0:
-        return []
-    return [Correction(i, dtheta=k * delta)]
+        return False
+    out(i, 0.0, 0.0, 0.0, k * delta)
+    return True
 
 
-def _wall_orientation(c, st, ctx, k, tiebreak):
+def _wall_orientation(out, c, st, ctx, k, tiebreak):
     i = c.particles[0]
     return project_wall_orientation(
-        i, st.theta[i], (st.px[i], st.py[i]), ctx.proj_w[i], ctx.room, c.angle_offset, k
+        out, i, st.theta[i], st.px[i], st.py[i], ctx.proj_w[i], ctx.room, c.angle_offset, k
     )
 
 
@@ -875,45 +917,47 @@ WALL_ORIENTATION = _kind("wall_orientation", _wall_orientation, _wall_orientatio
 
 
 def project_stacking(
+    out: Sink,
     bottom: int,
     top: int,
-    p_bottom,
-    p_top,
+    x_bottom: float,
+    y_bottom: float,
+    x_top: float,
+    y_top: float,
     z_bottom: float,
     z_top: float,
     w_bottom: float,
     w_top: float,
     height_gap: float,
     k: float,
-) -> list[Correction]:
+) -> bool:
     """Stack ``top`` onto ``bottom``: the vertical gap between centers
     equals half the summed heights, and the ground-plane coordinates
     coincide. Both parts split by inverse mass."""
     wsum = w_bottom + w_top
     if wsum <= 0.0 or k == 0.0:
-        return []
+        return False
     Cz = z_top - (z_bottom + height_gap)
-    ex = p_top[0] - p_bottom[0]
-    ey = p_top[1] - p_bottom[1]
+    ex = x_top - x_bottom
+    ey = y_top - y_bottom
     if Cz == 0.0 and ex == 0.0 and ey == 0.0:
-        return []
+        return False
     s = k / wsum
-    out = []
     if w_top > 0.0:
-        out.append(Correction(top, -s * w_top * ex, -s * w_top * ey, -s * w_top * Cz))
+        out(top, -s * w_top * ex, -s * w_top * ey, -s * w_top * Cz, 0.0)
     if w_bottom > 0.0:
-        out.append(Correction(bottom, s * w_bottom * ex, s * w_bottom * ey, s * w_bottom * Cz))
-    return out
+        out(bottom, s * w_bottom * ex, s * w_bottom * ey, s * w_bottom * Cz, 0.0)
+    return True
 
 
-def _stacking(c, st, ctx, k, tiebreak):
+def _stacking(out, c, st, ctx, k, tiebreak):
     bottom, top = c.particles
-    w = ctx.proj_w
+    px, py, w = st.px, st.py, ctx.proj_w
     # a pile's base stays on the ground: only a stacked bottom may move
     w_bottom = w[bottom] if bottom in ctx.stack_top else 0.0
     return project_stacking(
-        bottom, top, (st.px[bottom], st.py[bottom]), (st.px[top], st.py[top]),
-        st.pz[bottom], st.pz[top], w_bottom, w[top], c.height_gap, k,
+        out, bottom, top, px[bottom], py[bottom], px[top], py[top], st.pz[bottom], st.pz[top],
+        w_bottom, w[top], c.height_gap, k,
     )
 
 
@@ -954,13 +998,15 @@ def boundary_violation(room: Room, p, radius: float) -> float:
 
 
 def project_boundary(
+    out: Sink,
     i: int,
-    pi,
+    xi: float,
+    yi: float,
     wi: float,
     radius: float,
     room: Room,
     k: float = 1.0,
-) -> list[Correction]:
+) -> bool:
     """Push particle i inward so its bounding circle sits inside the room.
 
     Iterates per-wall clamps until contained. If the room genuinely
@@ -968,17 +1014,16 @@ def project_boundary(
     and a warning is logged.
     """
     if wi <= 0.0 or k == 0.0:
-        return []
+        return False
     if room._rect is not None:
         # deep inside a rectangle the nearest wall is the nearest side,
         # so the circle is contained without measuring every wall
         x0, y0, x1, y1 = room._rect
-        x, y = pi[0], pi[1]
-        if min(x - x0, x1 - x, y - y0, y1 - y) > radius + 1e-9:
-            return []
-    if boundary_violation(room, pi, radius) <= 1e-12:
-        return []
-    x, y = pi[0], pi[1]
+        if min(xi - x0, x1 - xi, yi - y0, y1 - yi) > radius + 1e-9:
+            return False
+    if boundary_violation(room, (xi, yi), radius) <= 1e-12:
+        return False
+    x, y = xi, yi
     for _ in range(16):
         changed = False
         if not room.contains((x, y)):
@@ -1010,11 +1055,12 @@ def project_boundary(
     if boundary_violation(room, (x, y), radius) > 1e-9:
         log.warning("room cannot contain a circle of radius %.3g; clamping to centroid", radius)
         x, y = room.centroid
-    dx = (x - pi[0]) * k
-    dy = (y - pi[1]) * k
+    dx = (x - xi) * k
+    dy = (y - yi) * k
     if dx == 0.0 and dy == 0.0:
-        return []
-    return [Correction(i, dx, dy)]
+        return False
+    out(i, dx, dy, 0.0, 0.0)
+    return True
 
 
 BOUNDARY = _kind("boundary", schedule=_HARD, arity=1, weight=150.0, generated=True)
@@ -1038,12 +1084,12 @@ def _curve_anchor(c: Constraint, st, ctx) -> Vec2:
     return point
 
 
-def _group_curve(c, st, ctx, k, tiebreak):
+def _group_curve(out, c, st, ctx, k, tiebreak):
     m = c.particles[0]
     anchor = _curve_anchor(c, st, ctx)
     return project_pairwise_distance(
-        m, c.particles[1], (st.px[m], st.py[m]), anchor, ctx.proj_w[m], 0.0, 0.0, k,
-        EQUALITY, tiebreak,
+        out, m, c.particles[1], st.px[m], st.py[m], anchor.x, anchor.y, ctx.proj_w[m], 0.0,
+        0.0, k, EQUALITY, tiebreak,
     )
 
 

@@ -11,8 +11,16 @@ object has moved far enough to meet a pair the last build missed.
 What a kind projects and how it is priced comes from its record in
 ``constraints.SPECS``; ``project_constraint`` and the energy only look
 the record up. The contact projections the step and the settle share
-are ``constraints.access_corrections``, ``constraints.wall_ghost_corrections``
-and ``_boundary_pass``.
+are ``constraints.project_collision``, ``constraints.access_corrections``,
+``constraints.wall_ghost_corrections`` and ``_boundary_pass``.
+
+Every projection writes its corrections straight into the run's
+``_Applier`` through a sink, ``out(particle, dx, dy, dz, dtheta)``, and
+builds no list of them. In sequential mode the sink applies each
+correction in place; in batch mode it adds it to per-particle sums that
+are applied at the end of the pass. A projection reads all of its inputs
+before it writes, so applying at once gives the bits that computing
+every correction first would.
 
 The run returns the lowest-energy snapshot that satisfies the hard
 constraints, together with the full energy trace.
@@ -43,7 +51,7 @@ from typing import ClassVar, NamedTuple
 import numpy as np
 
 from . import constraints as cn
-from .constraints import Constraint, Correction
+from .constraints import Constraint
 from .geometry import Vec2, normalize_angle
 from .model import Scene, RIGID
 from .spatial import NaiveIndex, NeighbourList, SpatialHash, rebuild
@@ -343,97 +351,106 @@ def initialize(scene: Scene, seed: int) -> LayoutState:
 
 
 class _Applier:
-    """Applies corrections to the state, routing rigid members to their
-    group particle and guarding against non-finite poses.
+    """The sinks projections write their corrections to, routing rigid
+    members to their group particle and guarding against non-finite
+    poses.
 
-    Between ``collect(True)`` and ``flush()`` the corrections ``project``
-    and ``push`` produce are gathered instead, all against the same
-    poses, and ``flush`` applies each particle's sum over-relaxed by
-    ``BATCH_AVERAGING`` over its count (batch mode)."""
+    ``out(particle, dx, dy, dz, dtheta)`` applies each correction in
+    place. Between ``collect(True)`` and ``flush()`` it adds them instead
+    to per-particle sums, all against the same poses, and ``flush``
+    applies each sum over-relaxed by ``BATCH_AVERAGING`` over its count
+    (batch mode). ``label`` names what is being projected, for the error
+    a non-finite pose raises."""
 
     def __init__(self, state: LayoutState, ctx: SolveContext):
         self.state = state
         self.ctx = ctx
-        self.queue: list[Correction] | None = None
+        # the pose lists and routing tables every correction touches
+        self.px, self.py, self.pz, self.theta = state.px, state.py, state.pz, state.theta
+        self.owner = ctx.owner
+        self.members_of = ctx.members_of
+        self.label = ""
+        self.sums: dict[int, list[float]] | None = None
+        self.out = self._apply
 
-    def apply(self, corr: Correction, label: str, scale: float = 1.0) -> None:
-        st = self.state
-        ctx = self.ctx
-        i = corr.particle
-        target = ctx.owner[i] if ctx.owner[i] >= 0 else i
-        x = st.px[target] + corr.dx * scale
-        y = st.py[target] + corr.dy * scale
-        th = st.theta[target] + corr.dtheta * scale
+    def _apply(self, i: int, dx: float, dy: float, dz: float, dtheta: float) -> None:
+        px, py, theta = self.px, self.py, self.theta
+        target = self.owner[i]
+        if target < 0:
+            target = i
+        x = px[target] + dx
+        y = py[target] + dy
+        th = theta[target] + dtheta
         if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(th)):
-            raise SolverNumericsError(f"non-finite pose after projecting {label}")
-        st.px[target] = x
-        st.py[target] = y
-        st.theta[target] = th
-        if corr.dz:
-            z = st.pz[i] + corr.dz * scale
+            raise SolverNumericsError(f"non-finite pose after projecting {self.label}")
+        px[target] = x
+        py[target] = y
+        theta[target] = th
+        if dz:
+            z = self.pz[i] + dz
             if not math.isfinite(z):
-                raise SolverNumericsError(f"non-finite height after projecting {label}")
-            st.pz[i] = z
-        rows = ctx.members_of.get(target)
+                raise SolverNumericsError(f"non-finite height after projecting {self.label}")
+            self.pz[i] = z
+        rows = self.members_of.get(target)
         if rows:
-            gx, gy, gth = st.px[target], st.py[target], st.theta[target]
-            c, s = math.cos(gth), math.sin(gth)
-            for m, (dx, dy, dth) in rows:
-                st.px[m] = gx + c * dx - s * dy
-                st.py[m] = gy + s * dx + c * dy
-                st.theta[m] = gth + dth
+            c, s = math.cos(th), math.sin(th)
+            for m, (ox, oy, oth) in rows:
+                px[m] = x + c * ox - s * oy
+                py[m] = y + s * ox + c * oy
+                theta[m] = th + oth
 
-    def project(self, c: Constraint, k: float, tiebreak=None) -> None:
-        """Project one constraint at stiffness ``k`` and apply its
-        corrections, or gather them while collecting."""
-        corrs = project_constraint(c, self.state, self.ctx, k, tiebreak)
-        if self.queue is not None:
-            self.queue.extend(corrs)
-            return
-        for corr in corrs:
-            self.apply(corr, c.kind)
+    def _gather(self, i: int, dx: float, dy: float, dz: float, dtheta: float) -> None:
+        row = self.sums.get(i)
+        if row is None:
+            row = self.sums[i] = [0.0, 0.0, 0.0, 0.0, 0.0]
+        row[0] += dx
+        row[1] += dy
+        row[2] += dz
+        row[3] += dtheta
+        row[4] += 1.0
 
-    def push(self, corrs: list[Correction], label: str) -> None:
-        """Apply contact corrections, or gather them while collecting,
-        each routed to its particle's contact root (the base of its stack)."""
+    def project(self, c: Constraint, k: float, tiebreak=None) -> bool:
+        """Project one constraint at stiffness ``k`` into ``out``."""
+        self.label = c.kind
+        return project_constraint(self.out, c, self.state, self.ctx, k, tiebreak)
+
+    def contact_sink(self, label: str):
+        """A sink for contact corrections named ``label``: each goes to its
+        particle's contact root (the base of its stack), then to ``out``."""
         root = self.ctx.contact_root
-        for corr in corrs:
-            if root[corr.particle] != corr.particle:
-                corr = corr._replace(particle=root[corr.particle])
-            if self.queue is None:
-                self.apply(corr, label)
-            else:
-                self.queue.append(corr)
+
+        def push(i: int, dx: float, dy: float, dz: float, dtheta: float) -> None:
+            self.label = label
+            self.out(root[i], dx, dy, dz, dtheta)
+
+        return push
 
     def collect(self, batching: bool) -> None:
         """Gather the corrections that follow until ``flush`` when batching;
         otherwise keep applying each one at once."""
-        self.queue = [] if batching else None
+        if batching:
+            self.sums = {}
+            self.out = self._gather
 
     def flush(self) -> None:
         """Apply the gathered corrections and go back to applying at once."""
-        queue, self.queue = self.queue, None
-        if not queue:
+        sums, self.sums = self.sums, None
+        self.out = self._apply
+        if not sums:
             return
-        acc: dict[int, list[float]] = {}
-        for corr in queue:
-            row = acc.setdefault(corr.particle, [0.0, 0.0, 0.0, 0.0, 0.0])
-            row[0] += corr.dx
-            row[1] += corr.dy
-            row[2] += corr.dz
-            row[3] += corr.dtheta
-            row[4] += 1.0
-        for particle in sorted(acc):
-            sx, sy, sz, sth, count = acc[particle]
+        self.label = "batched corrections"
+        for particle in sorted(sums):
+            sx, sy, sz, sth, count = sums[particle]
             scale = BATCH_AVERAGING / count
-            self.apply(Correction(particle, sx, sy, sz, sth), "batched corrections", scale)
+            self._apply(particle, sx * scale, sy * scale, sz * scale, sth * scale)
 
 
 def project_constraint(
-    c: Constraint, st: LayoutState, ctx: SolveContext, k: float, tiebreak=None
-) -> list[Correction]:
-    """Corrections for one constraint at stiffness ``k``."""
-    return cn.SPECS[c.kind].project(c, st, ctx, k, tiebreak)
+    out, c: Constraint, st: LayoutState, ctx: SolveContext, k: float, tiebreak=None
+) -> bool:
+    """Project one constraint at stiffness ``k``, writing its corrections
+    to the sink ``out``; True when it wrote any."""
+    return cn.SPECS[c.kind].project(out, c, st, ctx, k, tiebreak)
 
 
 # ---------------------------------------------------------------------------
@@ -684,22 +701,19 @@ def step(
     k_ghost = cn.update_stiffness(cn.SPECS[cn.WALL_GHOST_COLLISION], iteration)
 
     applier.collect(batching)
+    collide = applier.contact_sink(cn.COLLISION)
+    ghost = applier.contact_sink(cn.WALL_GHOST_COLLISION)
+    access = applier.contact_sink(cn.ACCESSIBILITY)
     ghost_set = set(ghosts)
+    px, py, w, r = st.px, st.py, ctx.proj_w, ctx.radius
     for i, j in collisions:
-        applier.push(
-            cn.project_collision(
-                i, j, (st.px[i], st.py[i]), (st.px[j], st.py[j]),
-                ctx.proj_w[i], ctx.proj_w[j], ctx.radius[i], ctx.radius[j], k_col, tiebreak,
-            ),
-            cn.COLLISION,
+        cn.project_collision(
+            collide, i, j, px[i], py[i], px[j], py[j], w[i], w[j], r[i], r[j], k_col, tiebreak
         )
         if (i, j) in ghost_set:
-            applier.push(
-                cn.wall_ghost_corrections(i, j, st, ctx, k_ghost, tiebreak),
-                cn.WALL_GHOST_COLLISION,
-            )
+            cn.wall_ghost_corrections(ghost, i, j, st, ctx, k_ghost, tiebreak)
     for i, j, face in activations:
-        applier.push(cn.access_corrections(i, j, face, st, ctx, k_acc, tiebreak), cn.ACCESSIBILITY)
+        cn.access_corrections(access, i, j, face, st, ctx, k_acc, tiebreak)
     applier.flush()
 
     # boundary containment gets the final word, always at full stiffness
@@ -720,14 +734,13 @@ def step(
 def _boundary_pass(st: LayoutState, ctx: SolveContext, applier: _Applier) -> bool:
     """Boundary containment of every object at full stiffness, each push
     routed to the object's contact root; True when some object moved."""
+    push = applier.contact_sink(cn.BOUNDARY)
     pushed = False
     for i in ctx.object_particles:
-        corrs = cn.project_boundary(
-            i, (st.px[i], st.py[i]), ctx.proj_w[i], ctx.radius[i], ctx.room, 1.0
-        )
-        if corrs:
+        if cn.project_boundary(
+            push, i, st.px[i], st.py[i], ctx.proj_w[i], ctx.radius[i], ctx.room, 1.0
+        ):
             pushed = True
-            applier.push(corrs, cn.BOUNDARY)
     return pushed
 
 
@@ -760,6 +773,8 @@ def _settle_hard_constraints(
     also at full stiffness, whatever schedule a constraint follows in the
     steps. Returns the settled layout's pricing, clean or not."""
     applier = _Applier(st, ctx)
+    collide = applier.contact_sink(cn.COLLISION)
+    ghost = applier.contact_sink(cn.WALL_GHOST_COLLISION)
     for sweep in range(_SETTLE_MAX_SWEEPS):
         for c, _ in ctx.stacking_constraints:
             applier.project(c, 1.0, tiebreak)
@@ -774,24 +789,19 @@ def _settle_hard_constraints(
         for i, j in collisions:
             # the hair of extra separation keeps resolved contacts from
             # re-arming off boundary clamps and float noise
-            corrs = cn.project_collision(
-                i, j, (st.px[i], st.py[i]), (st.px[j], st.py[j]),
+            if cn.project_collision(
+                collide, i, j, st.px[i], st.py[i], st.px[j], st.py[j],
                 ctx.proj_w[i], ctx.proj_w[j],
                 ctx.radius[i] + 5e-4, ctx.radius[j] + 5e-4, 1.0, tiebreak,
-            )
-            if corrs:
+            ):
                 dirty = True
-                applier.push(corrs, cn.COLLISION)
                 if (i, j) in ghost_set or (
                     cn.boundary_violation(ctx.room, (st.px[i], st.py[i]), ctx.radius[i] + 0.02) > 0.0
                     and cn.boundary_violation(ctx.room, (st.px[j], st.py[j]), ctx.radius[j] + 0.02) > 0.0
                 ):
                     # both near a wall: also separate their wall ghost
                     # points so the pair slides apart along the wall
-                    applier.push(
-                        cn.wall_ghost_corrections(i, j, st, ctx, 1.0, tiebreak),
-                        cn.WALL_GHOST_COLLISION,
-                    )
+                    cn.wall_ghost_corrections(ghost, i, j, st, ctx, 1.0, tiebreak)
         if _boundary_pass(st, ctx, applier):
             dirty = True
         if not dirty:

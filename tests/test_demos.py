@@ -18,6 +18,7 @@ DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 @pytest.mark.parametrize("name", [
     "scene_files.py", "living_room_walkthrough.py", "layout_suggestions.py",
+    "constraint_gallery.py",
 ])
 def test_demo_runs(name, tmp_path):
     shutil.copy(DEMOS / name, tmp_path)
@@ -32,3 +33,7 @@ def test_demo_runs(name, tmp_path):
         assert "edited scene still valid" in result.stdout
         assert "broken file rejected: constraints[0].kind" in result.stdout
         assert (tmp_path / "output" / "desk.json").read_text() == serialize_scene(build("desk"))
+    if name == "constraint_gallery.py":
+        # the projections' corrections, collected through a list sink
+        assert "particle 0: (0.0, 0.0) -> (1.0, 0.0)" in result.stdout
+        assert "rotates by +10.0 deg" in result.stdout

@@ -28,6 +28,7 @@ from layoutsynth.solver import (
     SolverConfig,
     SolverNumericsError,
     _Applier,
+    _settle_hard_constraints,
     evaluate_energy,
     initialize,
     neighbour_list,
@@ -231,9 +232,9 @@ class TestStep:
         assert len(ctx.schedules) == len(keys) > 3
         projected = []
 
-        def record(c, st, ctx, k, tiebreak=None):
+        def record(out, c, st, ctx, k, tiebreak=None):
             projected.append((c, k))
-            return project_constraint(c, st, ctx, k, tiebreak)
+            return project_constraint(out, c, st, ctx, k, tiebreak)
 
         monkeypatch.setattr(solver, "project_constraint", record)
         st = initialize(scene, 0)
@@ -312,6 +313,40 @@ class TestStep:
         st = LayoutState([math.inf, 1.0], [5.0, 5.0], [0.0, 0.0], [0.0, 0.0])
         with pytest.raises(SolverNumericsError, match="pairwise_distance"):
             step(st, ctx, 1, SolverConfig())
+
+    def test_nan_guard_names_batched_corrections(self):
+        scene = box_scene(2)
+        scene.constraints.append(
+            cn.make_constraint(cn.PAIRWISE_DISTANCE, (0, 1), distance=1.0)
+        )
+        ctx = SolveContext(scene)
+        st = LayoutState([math.inf, 1.0], [5.0, 5.0], [0.0, 0.0], [0.0, 0.0])
+        with pytest.raises(SolverNumericsError, match="projecting batched corrections"):
+            step(st, ctx, 1, SolverConfig(projection_mode=BATCH))
+
+    def test_nan_guard_names_collision(self):
+        # coincident boxes separate along the tie-break direction
+        ctx = SolveContext(box_scene(2))
+        st = LayoutState([5.0, 5.0], [5.0, 5.0], [0.0, 0.0], [0.0, 0.0])
+        with pytest.raises(SolverNumericsError, match="pose after projecting collision"):
+            step(st, ctx, 1, SolverConfig(), tiebreak=lambda: (math.nan, math.nan))
+
+    def test_nan_guard_names_stacking_height(self):
+        scene = box_scene(2)
+        scene.constraints.append(cn.make_constraint(cn.STACKING, (0, 1), height_gap=1.0))
+        ctx = SolveContext(scene)
+        st = LayoutState([5.0, 5.0], [5.0, 5.0], [0.0, math.inf], [0.0, 0.0])
+        with pytest.raises(SolverNumericsError, match="height after projecting stacking"):
+            step(st, ctx, 1, SolverConfig())
+
+    def test_nan_guard_inside_the_settle(self):
+        ctx = SolveContext(box_scene(2))
+        st = LayoutState([5.0, 5.0], [5.0, 5.0], [0.0, 0.0], [0.0, 0.0])
+        with pytest.raises(SolverNumericsError, match="pose after projecting collision"):
+            _settle_hard_constraints(
+                st, ctx, SolverConfig(), neighbour_list(ctx),
+                tiebreak=lambda: (math.nan, math.nan),
+            )
 
     def test_batch_mode_averages_with_overrelaxation(self):
         scene = box_scene(3, side=30.0)
@@ -429,8 +464,7 @@ class TestGroups:
         applier = _Applier(st, ctx)
         for c in ctx.user_constraints:
             assert c.kind == cn.GROUP_CURVE
-            for corr in project_constraint(c, st, ctx, 1.0):
-                applier.apply(corr, c.kind)
+            applier.project(c, 1.0)
         for i in range(5):
             assert st.py[i] == pytest.approx(10.0, abs=1e-9)
             assert 6.0 - 1e-9 <= st.px[i] <= 14.0 + 1e-9
@@ -478,6 +512,25 @@ class TestGroups:
 
 
 class TestSynthesize:
+    @pytest.mark.parametrize("mode", [solver.SEQUENTIAL, BATCH])
+    @pytest.mark.parametrize("template, params", [
+        ("living_room", {}),
+        ("tp_bedroom", {}),  # rigid groups and stacking
+        ("theater2", {"style": "seg", "pathways": 1}),  # curve groups and lanes
+    ])
+    def test_solve_builds_no_correction(self, template, params, mode, monkeypatch):
+        # projections write into the applier's sinks; no correction record
+        # is built anywhere in a solve, settles included
+        def refuse(cls, *args, **kwargs):
+            raise AssertionError("a solve built a Correction")
+
+        monkeypatch.setattr(cn.Correction, "__new__", refuse)
+        with pytest.raises(AssertionError, match="built a Correction"):
+            cn.Correction(0, 1.0, 0.0, 0.0, 0.0)
+        config = SolverConfig(max_iterations=40, projection_mode=mode)
+        layout, trace = synthesize(scenes.build(template, params), config)
+        assert len(trace.energies) >= 2 and math.isfinite(trace.best_energy)
+
     def test_pre_satisfied_terminates_at_window_plus_one(self):
         scene = box_scene(0)
         scene.particles.append(Particle(Vec2(5, 5), mass=math.inf))
