@@ -3,9 +3,9 @@
 Run it in two checkouts and diff the outputs: a refactor that claims
 byte-identical behaviour must print the same lines. The runs cover all
 seven templates, the annealing baseline, batch projection from scene
-files with a ``solver`` block, theater2's segment-curve tiers from a
-scene file, per-constraint stiffness schedules from a scene file,
-``suggest`` and ``compare``. They execute in a temporary directory with
+files with a ``solver`` block, theater2's segment-curve and arc-curve
+tiers from scene files, per-constraint stiffness schedules from a scene
+file, ``suggest`` and ``compare``. They execute in a temporary directory with
 relative scene references, so no artifact records where it was written.
 
     python scripts/artifact_digests.py > digests.txt
@@ -46,6 +46,13 @@ BATCH_FILES = {
     "picnic": ("picnic", None, (0,)),
     "theater2_seg": ("theater2", {"style": "seg", "pathways": 1}, (0,)),
 }
+# theater2's tiers read back from scene files, as file stem -> template
+# parameters: the segment tiers, which no template name reaches, and
+# the template's own arc tiers, so both curve kinds pass the parser
+TIER_FILES = {
+    "theater2_seg1": {"style": "seg", "pathways": 1},
+    "theater2_arc2": {"style": "arc", "pathways": 2},
+}
 
 
 def _cli(*argv: str) -> None:
@@ -75,10 +82,9 @@ def _runs() -> list[tuple[str, ...]]:
             ("synth", path, "--seed", str(seed), "--out", f"{name}_batch_s{seed}")
             for seed in seeds
         ]
-    # theater2's segment-curve tiers, which no template name reaches
-    seg_tiers = scenes.build("theater2", {"style": "seg", "pathways": 1})
-    sceneio.save_scene(seg_tiers, "theater2_seg1.json")
-    runs.append(("synth", "theater2_seg1.json", "--seed", "0", "--out", "theater2_seg1_s0"))
+    for name, params in TIER_FILES.items():
+        sceneio.save_scene(scenes.build("theater2", params), f"{name}.json")
+        runs.append(("synth", f"{name}.json", "--seed", "0", "--out", f"{name}_s0"))
     # per-constraint stiffness schedules, which no template sets: every
     # other living_room constraint (none of them stacking) overrides its
     # kind's schedule

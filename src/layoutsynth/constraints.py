@@ -120,6 +120,15 @@ class Constraint:
             raise ValueError(f"unknown constraint kind {self.kind!r}")
         if spec.generated:
             raise ValueError(f"{self.kind} is generated by the solver; a scene cannot name it")
+        # NaN passes every range check below, and infinity some of them
+        for name in ("distance", "height_gap", "rate", "weight", "angle_offset", "angle_target"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{self.kind} {name} must be finite, not {value}")
+        for name in ("point", "vector"):
+            value = getattr(self, name)
+            if value is not None and not all(map(math.isfinite, value)):
+                raise ValueError(f"{self.kind} {name} must be finite, not {tuple(value)}")
         if self.relation not in spec.relations:
             raise ValueError(
                 f"{self.kind} takes the relation {' or '.join(spec.relations)}, "
@@ -1066,11 +1075,11 @@ def project_boundary(
 BOUNDARY = _kind("boundary", schedule=_HARD, arity=1, weight=150.0, generated=True)
 
 
-def _curve_anchor(c: Constraint, st, ctx) -> Vec2:
-    """Closest point to the member on its group's world curve. The world
-    curve is kept in ``ctx.world_curves`` for as long as the group
-    particle holds the same pose objects, so the members of one group
-    share one transform (and one arc-angle computation) per pose."""
+def _curve_anchor(c: Constraint, st, ctx) -> tuple[float, float]:
+    """Closest point (x, y) to the member on its group's world curve.
+    The world curve is kept in ``ctx.world_curves`` for as long as the
+    group particle holds the same pose objects, so the members of one
+    group share one transform (and one arc-angle computation) per pose."""
     group = ctx.group_by_id[c.group_id]
     g = group.particle_index
     x, y, th = st.px[g], st.py[g], st.theta[g]
@@ -1080,23 +1089,22 @@ def _curve_anchor(c: Constraint, st, ctx) -> Vec2:
     if cached is None or cached[0] is not x or cached[1] is not y or cached[2] is not th:
         world = group.curve.transformed(Vec2(x, y), th)
         cached = ctx.world_curves[c.group_id] = (x, y, th, world)
-    point, _ = closest_point_on_curve(cached[3], (st.px[c.particles[0]], st.py[c.particles[0]]))
-    return point
+    return closest_point_on_curve(cached[3], (st.px[c.particles[0]], st.py[c.particles[0]]))
 
 
 def _group_curve(out, c, st, ctx, k, tiebreak):
     m = c.particles[0]
-    anchor = _curve_anchor(c, st, ctx)
+    ax, ay = _curve_anchor(c, st, ctx)
     return project_pairwise_distance(
-        out, m, c.particles[1], st.px[m], st.py[m], anchor.x, anchor.y, ctx.proj_w[m], 0.0,
+        out, m, c.particles[1], st.px[m], st.py[m], ax, ay, ctx.proj_w[m], 0.0,
         0.0, k, EQUALITY, tiebreak,
     )
 
 
 def _group_curve_violation(c, st, ctx) -> float:
     m = c.particles[0]
-    anchor = _curve_anchor(c, st, ctx)
-    return math.hypot(st.px[m] - anchor.x, st.py[m] - anchor.y)
+    ax, ay = _curve_anchor(c, st, ctx)
+    return math.hypot(st.px[m] - ax, st.py[m] - ay)
 
 
 GROUP_CURVE = _kind("group_curve", _group_curve, _group_curve_violation,

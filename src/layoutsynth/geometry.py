@@ -67,21 +67,6 @@ def stable_radians(degrees: float) -> float:
     return rad
 
 
-def closest_point_on_segment(a: Vec2, b: Vec2, p) -> tuple[Vec2, float]:
-    """Closest point to p on segment a-b and its parameter t in [0, 1]."""
-    abx = b.x - a.x
-    aby = b.y - a.y
-    denom = abx * abx + aby * aby
-    if denom <= 0.0:
-        return a, 0.0
-    t = ((p[0] - a.x) * abx + (p[1] - a.y) * aby) / denom
-    if t < 0.0:
-        t = 0.0
-    elif t > 1.0:
-        t = 1.0
-    return Vec2(a.x + t * abx, a.y + t * aby), t
-
-
 def polygon_signed_area(vertices: list[Vec2]) -> float:
     area = 0.0
     n = len(vertices)
@@ -233,14 +218,26 @@ class Curve:
         )
 
 
-def closest_point_on_curve(curve: Curve, p) -> tuple[Vec2, float]:
-    """Euclidean closest point on a curve and its parameter t in [0, 1].
+def closest_point_on_curve(curve: Curve, p) -> tuple[float, float]:
+    """Euclidean closest point to p on a curve, as an (x, y) pair.
 
-    For arcs the point is constrained to the swept span; positions whose
-    nearest circle point falls outside the span clamp to an endpoint.
+    Segment feet clamp to the endpoints. For arcs the point is
+    constrained to the swept span; positions whose nearest circle point
+    falls outside the span clamp to the nearer endpoint.
     """
+    ax, ay = curve.a
     if curve.kind == SEGMENT:
-        return closest_point_on_segment(curve.a, curve.b, p)
+        abx = curve.b.x - ax
+        aby = curve.b.y - ay
+        denom = abx * abx + aby * aby
+        if denom <= 0.0:  # a nonzero length whose square underflows
+            return ax, ay
+        t = ((p[0] - ax) * abx + (p[1] - ay) * aby) / denom
+        if t < 0.0:
+            t = 0.0
+        elif t > 1.0:
+            t = 1.0
+        return ax + t * abx, ay + t * aby
 
     a0, sweep, radius = curve._arc_angles
     cx, cy = curve.center
@@ -249,11 +246,9 @@ def closest_point_on_curve(curve: Curve, p) -> tuple[Vec2, float]:
     while rel < 0.0:
         rel += TWO_PI
     if rel <= sweep:
-        t = rel / sweep
-        return Vec2(cx + radius * math.cos(ang), cy + radius * math.sin(ang)), t
+        return cx + radius * math.cos(ang), cy + radius * math.sin(ang)
     # off-span: nearer endpoint wins
-    da = math.hypot(p[0] - curve.a.x, p[1] - curve.a.y)
-    db = math.hypot(p[0] - curve.b.x, p[1] - curve.b.y)
-    if da <= db:
-        return curve.a, 0.0
-    return curve.b, 1.0
+    bx, by = curve.b
+    if math.hypot(p[0] - ax, p[1] - ay) <= math.hypot(p[0] - bx, p[1] - by):
+        return ax, ay
+    return bx, by

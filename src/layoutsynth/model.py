@@ -175,9 +175,9 @@ class Group:
     Rigid groups store fixed member offsets (dx, dy, dtheta) in the group
     frame; member world poses always equal group pose composed with the
     offset. Nonrigid groups may carry a placement curve, expressed in the
-    group frame, along which members are constrained. ``member_ts`` are
-    increasing curve coordinates, checked here and kept for the scene
-    file; the solver attaches each member to its nearest curve point.
+    group frame; the solver attaches each member to its nearest curve
+    point. Each field is read under one rigidity only, so offsets on a
+    nonrigid group and a curve on a rigid one are rejected.
     """
 
     id: str
@@ -186,7 +186,6 @@ class Group:
     rigidity: str = NONRIGID
     curve: Optional[Curve] = None
     member_offsets: Optional[tuple[tuple[float, float, float], ...]] = None
-    member_ts: Optional[tuple[float, ...]] = None
 
     def __post_init__(self):
         if self.rigidity not in (RIGID, NONRIGID):
@@ -194,13 +193,12 @@ class Group:
         if self.rigidity == RIGID:
             if self.member_offsets is None or len(self.member_offsets) != len(self.member_object_ids):
                 raise ValueError("rigid groups need one offset per member")
+            if self.curve is not None:
+                raise ValueError("rigid groups take no curve")
+        elif self.member_offsets is not None:
+            raise ValueError("nonrigid groups take no member offsets")
         if self.curve is not None:
             self.curve.validate()
-            if self.member_ts is not None:
-                if len(self.member_ts) != len(self.member_object_ids):
-                    raise ValueError("curve groups need one t per member")
-                if any(b <= a for a, b in zip(self.member_ts, self.member_ts[1:])):
-                    raise ValueError("curve coordinates must increase with member order")
 
     def member_world_pose(self, k: int, group_pos: Vec2, group_theta: float) -> tuple[Vec2, float]:
         dx, dy, dth = self.member_offsets[k]
@@ -346,8 +344,7 @@ class Scene:
     ) -> int:
         """Append a group over the ``members`` object ids and its particle;
         returns the particle index. ``fields`` are the Group's rigidity,
-        curve, member offsets and member ts; the pose defaults to the room
-        centroid."""
+        curve and member offsets; the pose defaults to the room centroid."""
         group = Group(group_id, len(self.particles), tuple(members), **fields)
         self._add_particle(position, z, theta, mass)
         self.groups.append(group)

@@ -30,8 +30,7 @@ _ROOM_KEYS = {"boundary"}
 _CATALOGUE_KEYS = {"size", "access"}
 _OBJECT_KEYS = {"id", "label", "pose", "fixed", "mass"}
 _POSE_KEYS = {"x", "y", "z", "theta_deg"}
-_GROUP_KEYS = {"id", "members", "rigidity", "curve", "member_ts",
-               "member_offsets", "mass", "pose"}
+_GROUP_KEYS = {"id", "members", "rigidity", "curve", "member_offsets", "mass", "pose"}
 _CURVE_KEYS = {"kind", "a", "b", "center"}
 
 
@@ -256,12 +255,6 @@ def parse_scene(text: str) -> Scene:
                 _as_point(curve_doc.get("center"), f"{path}.curve.center")
                 if kind == ARC else None,
             )
-        member_ts = None
-        if "member_ts" in group_doc:
-            ts = group_doc["member_ts"]
-            _expect(isinstance(ts, list) and len(ts) == len(members),
-                    f"{path}.member_ts", "expected one t per member")
-            member_ts = tuple(_as_number(t, f"{path}.member_ts[{k}]") for k, t in enumerate(ts))
         member_offsets = None
         if "member_offsets" in group_doc:
             offs = group_doc["member_offsets"]
@@ -289,7 +282,6 @@ def parse_scene(text: str) -> Scene:
                 rigidity=group_doc.get("rigidity", "nonrigid"),
                 curve=curve,
                 member_offsets=member_offsets,
-                member_ts=member_ts,
                 **pose,
             )
         except ValueError as exc:
@@ -399,8 +391,6 @@ def serialize_scene(scene: Scene) -> str:
             if group.curve.center is not None:
                 curve_doc["center"] = list(group.curve.center)
             entry["curve"] = curve_doc
-        if group.member_ts is not None:
-            entry["member_ts"] = list(group.member_ts)
         if group.member_offsets is not None:
             entry["member_offsets"] = [
                 [dx, dy, math.degrees(dth)] for dx, dy, dth in group.member_offsets

@@ -179,7 +179,6 @@ def theater2(
             0.5,
             rigidity=NONRIGID,
             curve=curve,
-            member_ts=tuple((i + 0.5) / chairs_per_tier for i in range(chairs_per_tier)),
         )
         chair_particles = tier_chairs[t]
         b.constrain(cn.PAIRWISE_DISTANCE, (group_particle, stage), distance=radius)

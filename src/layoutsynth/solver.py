@@ -285,11 +285,11 @@ def _group_members(scene: Scene) -> dict[str, list[int]]:
 
 
 def group_curve_constraints(scene: Scene, members: dict[str, list[int]]) -> list[Constraint]:
-    """Member-to-curve attachments for every nonrigid curve-carrying
-    group, in member order."""
+    """Member-to-curve attachments for every curve-carrying group (only
+    nonrigid groups carry one), in member order."""
     out = []
     for group in scene.groups:
-        if group.curve is None or group.rigidity == RIGID:
+        if group.curve is None:
             continue
         for m in members[group.id]:
             out.append(

@@ -661,6 +661,25 @@ class TestConstraintRecord:
         with pytest.raises(ValueError):
             make_constraint(cn.PAIRWISE_DISTANCE, (0, 1), distance=1.0, weight=0.0).validate()
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field, build", [
+        ("distance", lambda v: make_constraint(cn.PAIRWISE_DISTANCE, (0, 1), distance=v)),
+        ("height_gap", lambda v: make_constraint(cn.STACKING, (0, 1), height_gap=v)),
+        ("rate", lambda v: make_constraint(cn.PAIRWISE_DISTANCE, (0, 1), distance=1.0, rate=v)),
+        ("weight",
+         lambda v: make_constraint(cn.PAIRWISE_DISTANCE, (0, 1), distance=1.0, weight=v)),
+        ("angle_offset", lambda v: make_constraint(cn.WALL_ORIENTATION, (0,), angle_offset=v)),
+        ("angle_target", lambda v: make_constraint(
+            cn.PAIRWISE_ORIENTATION, (0, 1), orientation_mode=cn.ORIENT_FIXED, angle_target=v)),
+        ("point", lambda v: make_constraint(cn.HEAT_POINT, (0,), point=Vec2(1.0, v))),
+        ("vector", lambda v: make_constraint(
+            cn.TRAFFIC_LANE, (0, 1), distance=1.0, vector=Vec2(v, 0.0))),
+    ])
+    def test_non_finite_number_rejected_by_name(self, field, build, value):
+        build(1.0).validate()
+        with pytest.raises(ValueError, match=rf"^\w+ {field} must be finite"):
+            build(value).validate()
+
     def test_contact_kinds_have_no_record_projection(self):
         generated = {kind for kind, spec in cn.SPECS.items() if spec.generated}
         assert generated == {
@@ -698,7 +717,7 @@ class TestCurveAnchor:
         def uncached(c):
             world = group.curve.transformed(Vec2(st.px[g], st.py[g]), st.theta[g])
             m = c.particles[0]
-            return closest_point_on_curve(world, (st.px[m], st.py[m]))[0]
+            return closest_point_on_curve(world, (st.px[m], st.py[m]))
 
         assert cn._curve_anchor(first, st, ctx) == uncached(first)
         kept = ctx.world_curves[first.group_id]

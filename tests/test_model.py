@@ -226,15 +226,3 @@ class TestRigidGroupRoundTrip:
                 assert math.isclose(
                     math.cos(mth), math.cos(bth + gth), abs_tol=1e-9
                 )
-
-    def test_curve_ts_must_increase(self):
-        from layoutsynth.geometry import Curve, SEGMENT
-
-        with pytest.raises(ValueError):
-            Group(
-                id="g",
-                particle_index=0,
-                member_object_ids=("a", "b"),
-                curve=Curve(SEGMENT, Vec2(0, 0), Vec2(1, 0)),
-                member_ts=(0.7, 0.2),
-            )

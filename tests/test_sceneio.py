@@ -42,6 +42,16 @@ class TestParse:
         with pytest.raises(SceneFormatError, match=r"objects\[0\].*wheels"):
             parse_scene(json.dumps(bad))
 
+    def test_member_ts_fails_validate(self, tmp_path):
+        # the solver attaches each member to its nearest curve point, so a
+        # group names no per-member curve coordinate
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(doc(groups=[{
+            "id": "g", "members": ["crate_0"], "member_ts": [0.5],
+            "curve": {"kind": "segment", "a": [-1, 0], "b": [1, 0]},
+        }])))
+        assert main(["validate", str(path)]) == 2
+
     def test_unknown_constraint_kind(self):
         bad = doc(constraints=[{"kind": "gravity", "objects": ["crate_0"]}])
         with pytest.raises(SceneFormatError, match="gravity"):
@@ -145,6 +155,12 @@ class TestMalformed:
         (_with_group(pose=5), r"groups\[0\]\.pose"),
         (_with_group(members=[["crate_0"]]), r"groups\[0\]\.members\[0\]"),
         (_with_group(curve={"kind": "arc", "a": [1, 0], "b": [-1, 0]}), r"groups\[0\]\.curve\.center"),
+        (_with_group(member_ts=[0.5]), r"^groups\[0\]: unknown field 'member_ts'"),
+        (_with_group(member_offsets=[[0, 0, 0]]),
+         r"^groups\[0\]: nonrigid groups take no member offsets"),
+        (_with_group(rigidity="rigid", member_offsets=[[0, 0, 0]],
+                     curve={"kind": "segment", "a": [-1, 0], "b": [1, 0]}),
+         r"^groups\[0\]: rigid groups take no curve"),
         (_with_constraint(pin_focal="no"), r"constraints\[0\]\.pin_focal"),
         (_with_constraint(face=True), r"constraints\[0\]: unknown field 'face'"),
         (_with_constraint(kind="pairwise_distance", objects=["crate_0", "crate_0"], distance=1.0),

@@ -450,7 +450,6 @@ class TestGroups:
                 member_object_ids=tuple(f"box_{i}" for i in range(5)),
                 rigidity=NONRIGID,
                 curve=Curve(SEGMENT, Vec2(-4, 0), Vec2(4, 0)),
-                member_ts=(0.1, 0.3, 0.5, 0.7, 0.9),
             )
         )
         ctx = SolveContext(scene)
@@ -485,7 +484,6 @@ class TestGroups:
                 id="tier", particle_index=4,
                 member_object_ids=tuple(f"box_{i}" for i in range(4)),
                 rigidity=NONRIGID, curve=curve,
-                member_ts=(0.2, 0.4, 0.6, 0.8),
             )
         )
         spacing = 1.4
