@@ -5,7 +5,8 @@ byte-identical behaviour must print the same lines. The runs cover all
 seven templates, the annealing baseline, batch projection from scene
 files with a ``solver`` block, theater2's segment-curve and arc-curve
 tiers from scene files, per-constraint stiffness schedules from a scene
-file, ``suggest`` and ``compare``. They execute in a temporary directory with
+file, a scene file with the authored constraint variants no template
+uses, ``suggest`` and ``compare``. They execute in a temporary directory with
 relative scene references, so no artifact records where it was written.
 
     python scripts/artifact_digests.py > digests.txt
@@ -54,6 +55,24 @@ TIER_FILES = {
     "theater2_arc2": {"style": "arc", "pathways": 2},
 }
 
+# constraint variants no template uses, added to living_room's own:
+# focal symmetry, inequality distances, an unpinned focal point and
+# traffic lane, a fixed orientation and a heat point at a given point
+VARIANT_CONSTRAINTS = [
+    {"kind": "focal_symmetry", "objects": ["tv", "armchair_0", "armchair_1"], "vector": [0, 1]},
+    {"kind": "pairwise_distance", "objects": ["armchair_0", "armchair_1"], "distance": 1.5,
+     "relation": "inequality"},
+    {"kind": "focal_point", "objects": ["plant_0", "tv"], "distance": 2.0,
+     "relation": "inequality", "pin_focal": False},
+    {"kind": "wall_distance", "objects": ["coffee_table"], "distance": 1.0,
+     "relation": "inequality"},
+    {"kind": "traffic_lane", "objects": ["coat_rack", "door"], "distance": 0.8,
+     "vector": [1, 0], "pin_focal": False},
+    {"kind": "pairwise_orientation", "objects": ["plant_1", "bookcase"],
+     "orientation_mode": "fixed", "angle_target_deg": 30},
+    {"kind": "heat_point", "objects": ["plant_0", "plant_1"], "point": [1, 1]},
+]
+
 
 def _cli(*argv: str) -> None:
     with contextlib.redirect_stdout(io.StringIO()):
@@ -96,6 +115,14 @@ def _runs() -> list[tuple[str, ...]]:
         con_doc.update(schedule=schedule, stiffness=k0, rate=rate)
     Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     runs.append(("synth", path, "--seed", "0", "--out", "living_room_schedules_s0"))
+    path = "living_room_variants.json"
+    doc = json.loads(sceneio.serialize_scene(scenes.living_room()))
+    doc["constraints"] += VARIANT_CONSTRAINTS
+    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    runs += [
+        ("synth", path, "--seed", str(seed), "--out", f"living_room_variants_s{seed}")
+        for seed in (0, 1)
+    ]
     runs.append(("suggest", "picnic", "--seeds", "2", "--out", "picnic_suggest"))
     runs.append(("compare", "living_room", "--seed", "0", "--out", "living_room_compare"))
     return runs

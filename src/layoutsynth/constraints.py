@@ -15,10 +15,13 @@ Every constraint kind is described once, by the ``KindSpec`` registered
 next to its projection in ``SPECS``: arity, default weight and stiffness
 schedule, the relations its projection and its pricing agree on, its
 extra validation, whether the solver generates it, and for the kinds
-projected one constraint at a time ``project(out, c, st, ctx, k, tiebreak)``
-and ``violation(c, st, ctx)``. ``KINDS`` is the registry's order. The
-two record functions read the solver's pose state ``st`` and its per-run
-context ``ctx`` by attribute, and call the ``project_*`` functions
+projected one constraint at a time three record functions. ``KINDS`` is
+the registry's order. ``bind(c, ctx)`` runs once per solve and resolves
+what a solve never changes (particle indices, inverse masses, distance,
+relation, lane vector, orientation mode, group curve and the like) into
+a plain tuple, the bound record ``b``; ``project(out, b, st, k,
+tiebreak)`` and ``violation(b, st)`` read only that record and the pose
+state ``st``. The projection records call the ``project_*`` functions
 through this module's globals, so a wrapper installed on the module is
 seen at call time. A projection runs at the stiffness ``k`` its caller
 passes: the solver evaluates the constraint's schedule for the
@@ -26,10 +29,10 @@ iteration, and nothing writes that value onto the constraint.
 
 The solver generates five kinds, and a scene cannot name them. It
 builds a ``group_curve`` for each member of a nonrigid curve group and
-projects it through its record. The four contact kinds come from the
-broad and narrow phase every iteration, and the solver's contact pass
-projects and prices them itself, so their records carry only a weight,
-a schedule and a relation.
+binds it like an authored constraint. The four contact kinds come from
+the broad and narrow phase every iteration, and the solver's contact
+pass projects and prices them itself, so their records carry only a
+weight, a schedule and a relation.
 
 Conventions shared by every projection:
 
@@ -160,13 +163,15 @@ class KindSpec:
     pricing agree, the default first; ``arity`` is None for n-ary kinds;
     ``schedule``, ``stiffness_initial`` and ``rate`` are the default
     stiffness schedule; ``checks`` raise ValueError on a malformed
-    constraint. ``project(out, c, st, ctx, k, tiebreak)`` writes the
-    corrections of constraint ``c`` at stiffness ``k`` to ``out`` and
-    returns whether it wrote any, and ``violation(c, st, ctx)`` prices it;
-    the contact kinds have neither.
-    ``generated`` kinds come from the solver, never from a scene.
+    constraint. ``bind(c, ctx)`` resolves the inputs of constraint ``c``
+    that a solve never changes into the kind's bound record ``b``;
+    ``project(out, b, st, k, tiebreak)`` writes its corrections at
+    stiffness ``k`` to ``out`` and returns whether it wrote any, and
+    ``violation(b, st)`` prices it. The contact kinds have none of the
+    three. ``generated`` kinds come from the solver, never from a scene.
     """
 
+    bind: Optional[Callable[..., tuple]]
     project: Optional[Callable[..., bool]]
     violation: Optional[Callable[..., float]]
     arity: Optional[int]
@@ -192,16 +197,16 @@ _HARD = (CONSTANT, 1.0, 1.0)
 _EITHER = (EQUALITY, INEQUALITY)
 
 
-def _kind(name, project=None, violation=None, *, schedule, arity=2, weight=1.0,
+def _kind(name, bind=None, project=None, violation=None, *, schedule, arity=2, weight=1.0,
           relations=(EQUALITY,), checks=(), generated=False) -> str:
-    SPECS[name] = KindSpec(project, violation, arity, weight, *schedule, relations, checks,
-                           generated)
+    SPECS[name] = KindSpec(bind, project, violation, arity, weight, *schedule, relations,
+                           checks, generated)
     return name
 
 
-def _priced(c: Constraint, C: float) -> float:
+def _priced(relation: str, C: float) -> float:
     """Violation of a kind whose projection honours either relation."""
-    if c.relation == INEQUALITY:
+    if relation == INEQUALITY:
         return max(0.0, -C)
     return abs(C)
 
@@ -307,21 +312,28 @@ def project_pairwise_distance(
     return True
 
 
-def _pairwise_distance(out, c, st, ctx, k, tiebreak):
+def _bind_pairwise_distance(c, ctx):
     i, j = c.particles
-    px, py, w = st.px, st.py, ctx.proj_w
+    return i, j, ctx.proj_w[i], ctx.proj_w[j], c.distance, c.relation
+
+
+def _pairwise_distance(out, b, st, k, tiebreak):
+    i, j, wi, wj, d, relation = b
+    px, py = st.px, st.py
     return project_pairwise_distance(
-        out, i, j, px[i], py[i], px[j], py[j], w[i], w[j], c.distance, k, c.relation, tiebreak
+        out, i, j, px[i], py[i], px[j], py[j], wi, wj, d, k, relation, tiebreak
     )
 
 
-def _center_distance_violation(c, st, ctx) -> float:
-    i, j = c.particles
-    return _priced(c, math.hypot(st.px[i] - st.px[j], st.py[i] - st.py[j]) - c.distance)
+def _center_distance_violation(b, st) -> float:
+    # the focal point's record extends the pairwise one
+    i, j, d = b[0], b[1], b[4]
+    return _priced(b[5], math.hypot(st.px[i] - st.px[j], st.py[i] - st.py[j]) - d)
 
 
-PAIRWISE_DISTANCE = _kind("pairwise_distance", _pairwise_distance, _center_distance_violation,
-                          schedule=_RELAX, relations=_EITHER, checks=(_needs_distance,))
+PAIRWISE_DISTANCE = _kind("pairwise_distance", _bind_pairwise_distance, _pairwise_distance,
+                          _center_distance_violation, schedule=_RELAX, relations=_EITHER,
+                          checks=(_needs_distance,))
 
 
 def project_focal_point(
@@ -349,16 +361,19 @@ def project_focal_point(
     )
 
 
-def _focal_point(out, c, st, ctx, k, tiebreak):
-    i, j = c.particles
-    px, py, w = st.px, st.py, ctx.proj_w
+def _bind_focal_point(c, ctx):
+    return _bind_pairwise_distance(c, ctx) + (c.pin_focal,)
+
+
+def _focal_point(out, b, st, k, tiebreak):
+    i, j, wi, wj, d, relation, pin_focal = b
+    px, py = st.px, st.py
     return project_focal_point(
-        out, i, j, px[i], py[i], px[j], py[j], w[i], w[j], c.distance, k, c.relation,
-        c.pin_focal, tiebreak,
+        out, i, j, px[i], py[i], px[j], py[j], wi, wj, d, k, relation, pin_focal, tiebreak,
     )
 
 
-FOCAL_POINT = _kind("focal_point", _focal_point, _center_distance_violation,
+FOCAL_POINT = _kind("focal_point", _bind_focal_point, _focal_point, _center_distance_violation,
                     schedule=_RELAX, relations=_EITHER, checks=(_needs_distance,))
 
 
@@ -389,9 +404,11 @@ def project_traffic_lane(
     share of the correction moves j. Inactive while the perpendicular
     distance is at least d.
     """
-    qx, qy = lane_projection_point((xj, yj), v, (xi, yi))
-    dx = xi - qx
-    dy = yi - qy
+    # lane_projection_point, inlined
+    vx, vy = v
+    t = ((xi - xj) * vx + (yi - yj) * vy) / (vx * vx + vy * vy)
+    dx = xi - (xj + t * vx)
+    dy = yi - (yj + t * vy)
     dist = math.hypot(dx, dy)
     if dist >= d:
         return False
@@ -413,26 +430,34 @@ def project_traffic_lane(
     return True
 
 
-def _traffic_lane(out, c, st, ctx, k, tiebreak):
+def _bind_traffic_lane(c, ctx):
     i, j = c.particles
-    px, py, w = st.px, st.py, ctx.proj_w
-    wj = 0.0 if c.pin_focal else w[j]
-    return project_traffic_lane(
-        out, i, j, px[i], py[i], px[j], py[j], w[i], wj, c.vector, c.distance, k
-    )
+    v = c.vector
+    vx, vy = v
+    wj = 0.0 if c.pin_focal else ctx.proj_w[j]
+    return i, j, ctx.proj_w[i], wj, v, c.distance, vx, vy, vx * vx + vy * vy
 
 
-def _traffic_lane_violation(c, st, ctx) -> float:
-    i, j = c.particles
+def _traffic_lane(out, b, st, k, tiebreak):
+    i, j, wi, wj, v, d, _, _, _ = b
     px, py = st.px, st.py
-    qx, qy = lane_projection_point((px[j], py[j]), c.vector, (px[i], py[i]))
-    return max(0.0, c.distance - math.hypot(px[i] - qx, py[i] - qy))
+    return project_traffic_lane(out, i, j, px[i], py[i], px[j], py[j], wi, wj, v, d, k)
+
+
+def _traffic_lane_violation(b, st) -> float:
+    i, j, _, _, _, d, vx, vy, norm2 = b
+    px, py = st.px, st.py
+    xi, yi, xj, yj = px[i], py[i], px[j], py[j]
+    # lane_projection_point, inlined
+    t = ((xi - xj) * vx + (yi - yj) * vy) / norm2
+    return max(0.0, d - math.hypot(xi - (xj + t * vx), yi - (yj + t * vy)))
 
 
 # the projection only ever pushes out of the corridor, so an equality
 # lane would be priced for what is never projected
-TRAFFIC_LANE = _kind("traffic_lane", _traffic_lane, _traffic_lane_violation, schedule=_STIFFEN,
-                     relations=(INEQUALITY,), checks=(_needs_vector, _needs_distance))
+TRAFFIC_LANE = _kind("traffic_lane", _bind_traffic_lane, _traffic_lane, _traffic_lane_violation,
+                     schedule=_STIFFEN, relations=(INEQUALITY,),
+                     checks=(_needs_vector, _needs_distance))
 
 
 def weighted_center(indices, px, py, weights) -> tuple[float, float, float]:
@@ -506,23 +531,26 @@ def project_heat_point(
     return _project_center_to_target(out, indices, px, py, masses, inv_masses, target, k)
 
 
-def _heat_members_target(c, st):
-    """(participants, target): the point when given, else the first
-    participant anchors the rest."""
+def _bind_heat_point(c, ctx):
+    """(participants, target point, anchor, ...): the point when given,
+    else the first participant anchors the rest."""
     if c.point is not None:
-        return c.particles, c.point
-    anchor = c.particles[0]
-    return c.particles[1:], (st.px[anchor], st.py[anchor])
+        return c.particles, c.point, -1, ctx.masses, ctx.proj_w
+    return c.particles[1:], None, c.particles[0], ctx.masses, ctx.proj_w
 
 
-def _heat_point(out, c, st, ctx, k, tiebreak):
-    members, target = _heat_members_target(c, st)
-    return project_heat_point(out, members, st.px, st.py, ctx.masses, ctx.proj_w, target, k)
+def _heat_point(out, b, st, k, tiebreak):
+    members, target, anchor, masses, w = b
+    if target is None:
+        target = (st.px[anchor], st.py[anchor])
+    return project_heat_point(out, members, st.px, st.py, masses, w, target, k)
 
 
-def _heat_point_violation(c, st, ctx) -> float:
-    members, target = _heat_members_target(c, st)
-    cx, cy, _ = weighted_center(members, st.px, st.py, ctx.masses)
+def _heat_point_violation(b, st) -> float:
+    members, target, anchor, masses, _ = b
+    if target is None:
+        target = (st.px[anchor], st.py[anchor])
+    cx, cy, _ = weighted_center(members, st.px, st.py, masses)
     return 0.5 * ((cx - target[0]) ** 2 + (cy - target[1]) ** 2)
 
 
@@ -532,7 +560,7 @@ def _needs_heat_target(c: Constraint) -> None:
 
 
 # the pull and its price 0.5*|center - target|^2 are both equalities
-HEAT_POINT = _kind("heat_point", _heat_point, _heat_point_violation,
+HEAT_POINT = _kind("heat_point", _bind_heat_point, _heat_point, _heat_point_violation,
                    schedule=_RELAX, arity=None, checks=(_needs_heat_target,))
 
 
@@ -558,20 +586,23 @@ def project_focal_symmetry(
     return _project_center_to_target(out, indices, px, py, masses, inv_masses, target, k)
 
 
-def _focal_symmetry(out, c, st, ctx, k, tiebreak):
-    focal = c.particles[0]
-    return project_focal_symmetry(
-        out, c.particles[1:], st.px, st.py, ctx.masses, ctx.proj_w,
-        (st.px[focal], st.py[focal]), c.vector, k,
-    )
+def _bind_focal_symmetry(c, ctx):
+    v = c.vector
+    vx, vy = v
+    return c.particles[0], c.particles[1:], v, vx, vy, vx * vx + vy * vy, ctx.masses, ctx.proj_w
 
 
-def _focal_symmetry_violation(c, st, ctx) -> float:
+def _focal_symmetry(out, b, st, k, tiebreak):
+    focal, members, v, _, _, _, masses, w = b
     px, py = st.px, st.py
-    focal = c.particles[0]
-    cx, cy, _ = weighted_center(c.particles[1:], px, py, ctx.masses)
-    vx, vy = c.vector
-    t = ((cx - px[focal]) * vx + (cy - py[focal]) * vy) / (vx * vx + vy * vy)
+    return project_focal_symmetry(out, members, px, py, masses, w, (px[focal], py[focal]), v, k)
+
+
+def _focal_symmetry_violation(b, st) -> float:
+    focal, members, _, vx, vy, norm2, masses, _ = b
+    px, py = st.px, st.py
+    cx, cy, _ = weighted_center(members, px, py, masses)
+    t = ((cx - px[focal]) * vx + (cy - py[focal]) * vy) / norm2
     t = max(0.0, t)
     return 0.5 * ((cx - px[focal] - t * vx) ** 2 + (cy - py[focal] - t * vy) ** 2)
 
@@ -581,8 +612,9 @@ def _needs_focal_and_member(c: Constraint) -> None:
         raise ValueError("focal symmetry needs a focal and at least one member")
 
 
-FOCAL_SYMMETRY = _kind("focal_symmetry", _focal_symmetry, _focal_symmetry_violation,
-                       schedule=_RELAX, arity=None, checks=(_needs_vector, _needs_focal_and_member))
+FOCAL_SYMMETRY = _kind("focal_symmetry", _bind_focal_symmetry, _focal_symmetry,
+                       _focal_symmetry_violation, schedule=_RELAX, arity=None,
+                       checks=(_needs_vector, _needs_focal_and_member))
 
 
 def project_visual_balance(
@@ -605,19 +637,23 @@ def project_visual_balance(
     )
 
 
-def _visual_balance(out, c, st, ctx, k, tiebreak):
-    return project_visual_balance(
-        out, c.particles, st.px, st.py, ctx.visual_weight, ctx.proj_w, ctx.centroid, k
-    )
+def _bind_visual_balance(c, ctx):
+    return c.particles, ctx.visual_weight, ctx.proj_w, ctx.centroid
 
 
-def _visual_balance_violation(c, st, ctx) -> float:
-    cx, cy, _ = weighted_center(c.particles, st.px, st.py, ctx.visual_weight)
-    return 0.5 * ((cx - ctx.centroid.x) ** 2 + (cy - ctx.centroid.y) ** 2)
+def _visual_balance(out, b, st, k, tiebreak):
+    members, visual_weight, w, centroid = b
+    return project_visual_balance(out, members, st.px, st.py, visual_weight, w, centroid, k)
 
 
-VISUAL_BALANCE = _kind("visual_balance", _visual_balance, _visual_balance_violation,
-                       schedule=_RELAX, arity=None)
+def _visual_balance_violation(b, st) -> float:
+    members, visual_weight, _, centroid = b
+    cx, cy, _ = weighted_center(members, st.px, st.py, visual_weight)
+    return 0.5 * ((cx - centroid.x) ** 2 + (cy - centroid.y) ** 2)
+
+
+VISUAL_BALANCE = _kind("visual_balance", _bind_visual_balance, _visual_balance,
+                       _visual_balance_violation, schedule=_RELAX, arity=None)
 
 
 def project_wall_distance(
@@ -654,21 +690,25 @@ def project_wall_distance(
     return True
 
 
-def _wall_distance(out, c, st, ctx, k, tiebreak):
+def _bind_wall_distance(c, ctx):
     i = c.particles[0]
-    return project_wall_distance(
-        out, i, st.px[i], st.py[i], ctx.proj_w[i], ctx.room, c.distance, k, c.relation
-    )
+    return i, ctx.proj_w[i], ctx.room, c.distance, c.relation
 
 
-def _wall_distance_violation(c, st, ctx) -> float:
-    i = c.particles[0]
-    q, _, _ = nearest_wall_point(ctx.room, (st.px[i], st.py[i]))
-    return _priced(c, math.hypot(st.px[i] - q.x, st.py[i] - q.y) - c.distance)
+def _wall_distance(out, b, st, k, tiebreak):
+    i, wi, room, d, relation = b
+    return project_wall_distance(out, i, st.px[i], st.py[i], wi, room, d, k, relation)
 
 
-WALL_DISTANCE = _kind("wall_distance", _wall_distance, _wall_distance_violation, schedule=_HARD,
-                      arity=1, weight=20.0, relations=_EITHER, checks=(_needs_distance,))
+def _wall_distance_violation(b, st) -> float:
+    i, _, room, d, relation = b
+    q, _, _ = nearest_wall_point(room, (st.px[i], st.py[i]))
+    return _priced(relation, math.hypot(st.px[i] - q.x, st.py[i] - q.y) - d)
+
+
+WALL_DISTANCE = _kind("wall_distance", _bind_wall_distance, _wall_distance,
+                      _wall_distance_violation, schedule=_HARD, arity=1, weight=20.0,
+                      relations=_EITHER, checks=(_needs_distance,))
 
 
 def access_zone_active(pi, r_i: float, center, half_side: float, theta_j: float) -> bool:
@@ -833,31 +873,34 @@ def project_pairwise_orientation(
     return True
 
 
-def _orientation_target(c: Constraint, st) -> float | None:
+def _bind_pairwise_orientation(c, ctx):
     i, j = c.particles
-    if c.orientation_mode == ORIENT_FACE:
+    return i, j, ctx.proj_w[i], c.orientation_mode, c.angle_offset, c.angle_target
+
+
+def _orientation_target(b, st) -> float | None:
+    i, j, _, mode, offset, target = b
+    if mode == ORIENT_FACE:
         dx = st.px[j] - st.px[i]
         dy = st.py[j] - st.py[i]
         if dx == 0.0 and dy == 0.0:
             return None
-        return math.atan2(dy, dx) + c.angle_offset
-    if c.orientation_mode == ORIENT_MATCH:
-        return st.theta[j] + c.angle_offset
-    return c.angle_target
+        return math.atan2(dy, dx) + offset
+    if mode == ORIENT_MATCH:
+        return st.theta[j] + offset
+    return target
 
 
-def _pairwise_orientation(out, c, st, ctx, k, tiebreak):
-    i = c.particles[0]
-    return project_pairwise_orientation(
-        out, i, st.theta[i], _orientation_target(c, st), ctx.proj_w[i], k
-    )
+def _pairwise_orientation(out, b, st, k, tiebreak):
+    i = b[0]
+    return project_pairwise_orientation(out, i, st.theta[i], _orientation_target(b, st), b[2], k)
 
 
-def _pairwise_orientation_violation(c, st, ctx) -> float:
-    target = _orientation_target(c, st)
+def _pairwise_orientation_violation(b, st) -> float:
+    target = _orientation_target(b, st)
     if target is None:
         return 0.0
-    return abs(wrap_angle(target - st.theta[c.particles[0]]))
+    return abs(wrap_angle(target - st.theta[b[0]]))
 
 
 def _needs_orientation_mode(c: Constraint) -> None:
@@ -869,9 +912,9 @@ def _needs_orientation_mode(c: Constraint) -> None:
 
 # the rotation always turns to the target and the price |angle| is never
 # negative, so only the equality is meaningful
-PAIRWISE_ORIENTATION = _kind("pairwise_orientation", _pairwise_orientation,
-                             _pairwise_orientation_violation, schedule=_RELAX,
-                             checks=(_needs_orientation_mode,))
+PAIRWISE_ORIENTATION = _kind("pairwise_orientation", _bind_pairwise_orientation,
+                             _pairwise_orientation, _pairwise_orientation_violation,
+                             schedule=_RELAX, checks=(_needs_orientation_mode,))
 
 
 def wall_orientation_target(room: Room, pi, theta_i: float, offset: float) -> float:
@@ -908,21 +951,24 @@ def project_wall_orientation(
     return True
 
 
-def _wall_orientation(out, c, st, ctx, k, tiebreak):
+def _bind_wall_orientation(c, ctx):
     i = c.particles[0]
-    return project_wall_orientation(
-        out, i, st.theta[i], st.px[i], st.py[i], ctx.proj_w[i], ctx.room, c.angle_offset, k
-    )
+    return i, ctx.proj_w[i], ctx.room, c.angle_offset
 
 
-def _wall_orientation_violation(c, st, ctx) -> float:
-    i = c.particles[0]
-    target = wall_orientation_target(ctx.room, (st.px[i], st.py[i]), st.theta[i], c.angle_offset)
+def _wall_orientation(out, b, st, k, tiebreak):
+    i, wi, room, offset = b
+    return project_wall_orientation(out, i, st.theta[i], st.px[i], st.py[i], wi, room, offset, k)
+
+
+def _wall_orientation_violation(b, st) -> float:
+    i, _, room, offset = b
+    target = wall_orientation_target(room, (st.px[i], st.py[i]), st.theta[i], offset)
     return abs(wrap_angle(target - st.theta[i]))
 
 
-WALL_ORIENTATION = _kind("wall_orientation", _wall_orientation, _wall_orientation_violation,
-                         schedule=_HARD, arity=1, weight=20.0)
+WALL_ORIENTATION = _kind("wall_orientation", _bind_wall_orientation, _wall_orientation,
+                         _wall_orientation_violation, schedule=_HARD, arity=1, weight=20.0)
 
 
 def project_stacking(
@@ -959,21 +1005,26 @@ def project_stacking(
     return True
 
 
-def _stacking(out, c, st, ctx, k, tiebreak):
+def _bind_stacking(c, ctx):
     bottom, top = c.particles
-    px, py, w = st.px, st.py, ctx.proj_w
     # a pile's base stays on the ground: only a stacked bottom may move
-    w_bottom = w[bottom] if bottom in ctx.stack_top else 0.0
+    w_bottom = ctx.proj_w[bottom] if bottom in ctx.stack_top else 0.0
+    return bottom, top, w_bottom, ctx.proj_w[top], c.height_gap
+
+
+def _stacking(out, b, st, k, tiebreak):
+    bottom, top, w_bottom, w_top, height_gap = b
+    px, py, pz = st.px, st.py, st.pz
     return project_stacking(
-        out, bottom, top, px[bottom], py[bottom], px[top], py[top], st.pz[bottom], st.pz[top],
-        w_bottom, w[top], c.height_gap, k,
+        out, bottom, top, px[bottom], py[bottom], px[top], py[top], pz[bottom], pz[top],
+        w_bottom, w_top, height_gap, k,
     )
 
 
-def _stacking_violation(c, st, ctx) -> float:
-    bottom, top = c.particles
+def _stacking_violation(b, st) -> float:
+    bottom, top, _, _, height_gap = b
     px, py = st.px, st.py
-    Cz = st.pz[top] - (st.pz[bottom] + c.height_gap)
+    Cz = st.pz[top] - (st.pz[bottom] + height_gap)
     return math.sqrt(Cz * Cz + (px[top] - px[bottom]) ** 2 + (py[top] - py[bottom]) ** 2)
 
 
@@ -982,7 +1033,7 @@ def _needs_height_gap(c: Constraint) -> None:
         raise ValueError("stacking needs a nonnegative height gap")
 
 
-STACKING = _kind("stacking", _stacking, _stacking_violation,
+STACKING = _kind("stacking", _bind_stacking, _stacking, _stacking_violation,
                  schedule=_HARD, checks=(_needs_height_gap,))
 
 
@@ -1075,39 +1126,47 @@ def project_boundary(
 BOUNDARY = _kind("boundary", schedule=_HARD, arity=1, weight=150.0, generated=True)
 
 
-def _curve_anchor(c: Constraint, st, ctx) -> tuple[float, float]:
+def _bind_group_curve(c, ctx):
+    """(member, its weight, group particle, group curve, world-curve
+    cache); the members of one group share the cache in
+    ``ctx.world_curves``."""
+    m, g = c.particles
+    cache = ctx.world_curves.setdefault(c.group_id, [None, None, None, None])
+    return m, ctx.proj_w[m], g, ctx.group_by_id[c.group_id].curve, cache
+
+
+def _curve_anchor(b, st) -> tuple[float, float]:
     """Closest point (x, y) to the member on its group's world curve.
-    The world curve is kept in ``ctx.world_curves`` for as long as the
-    group particle holds the same pose objects, so the members of one
-    group share one transform (and one arc-angle computation) per pose."""
-    group = ctx.group_by_id[c.group_id]
-    g = group.particle_index
-    x, y, th = st.px[g], st.py[g], st.theta[g]
-    cached = ctx.world_curves.get(c.group_id)
+    The cache ``[x, y, theta, world curve]`` keeps the world curve for as
+    long as the group particle holds the same pose objects, so the
+    members of one group share one transform (and one arc-angle
+    computation) per pose."""
+    m, _, g, curve, cache = b
+    px, py = st.px, st.py
+    x, y, th = px[g], py[g], st.theta[g]
     # identity, not equality: the same float objects carry the same bits,
-    # where 0.0 == -0.0 would not, and the entry keeps them alive
-    if cached is None or cached[0] is not x or cached[1] is not y or cached[2] is not th:
-        world = group.curve.transformed(Vec2(x, y), th)
-        cached = ctx.world_curves[c.group_id] = (x, y, th, world)
-    return closest_point_on_curve(cached[3], (st.px[c.particles[0]], st.py[c.particles[0]]))
+    # where 0.0 == -0.0 would not, and the cache keeps them alive
+    if cache[0] is not x or cache[1] is not y or cache[2] is not th:
+        cache[3] = curve.transformed(Vec2(x, y), th)
+        cache[0], cache[1], cache[2] = x, y, th
+    return closest_point_on_curve(cache[3], (px[m], py[m]))
 
 
-def _group_curve(out, c, st, ctx, k, tiebreak):
-    m = c.particles[0]
-    ax, ay = _curve_anchor(c, st, ctx)
+def _group_curve(out, b, st, k, tiebreak):
+    m, wm, g = b[0], b[1], b[2]
+    ax, ay = _curve_anchor(b, st)
     return project_pairwise_distance(
-        out, m, c.particles[1], st.px[m], st.py[m], ax, ay, ctx.proj_w[m], 0.0,
-        0.0, k, EQUALITY, tiebreak,
+        out, m, g, st.px[m], st.py[m], ax, ay, wm, 0.0, 0.0, k, EQUALITY, tiebreak,
     )
 
 
-def _group_curve_violation(c, st, ctx) -> float:
-    m = c.particles[0]
-    ax, ay = _curve_anchor(c, st, ctx)
+def _group_curve_violation(b, st) -> float:
+    m = b[0]
+    ax, ay = _curve_anchor(b, st)
     return math.hypot(st.px[m] - ax, st.py[m] - ay)
 
 
-GROUP_CURVE = _kind("group_curve", _group_curve, _group_curve_violation,
+GROUP_CURVE = _kind("group_curve", _bind_group_curve, _group_curve, _group_curve_violation,
                     schedule=_RELAX, generated=True)
 
 KINDS = tuple(SPECS)

@@ -45,6 +45,10 @@ class Particle:
     def __post_init__(self):
         if not self.position.is_finite():
             raise ValueError("particle position must be finite")
+        for name in ("z", "orientation"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"particle {name} must be finite, not {value}")
         if self.mass != INFINITE and not self.mass > 0.0:
             raise ValueError(f"mass must be positive or INFINITE, got {self.mass}")
         self.orientation = normalize_angle(self.orientation)
@@ -371,15 +375,28 @@ class Scene:
             if not (0 <= obj.particle_index < n):
                 raise ValueError(f"object {obj.id!r} references missing particle {obj.particle_index}")
         seen_ids = set(object_ids)
-        for group in self.groups:
-            if group.id in seen_ids:
-                raise ValueError(f"duplicate id {group.id!r}")
-            seen_ids.add(group.id)
-            if not (0 <= group.particle_index < n):
-                raise ValueError(f"group {group.id!r} references missing particle {group.particle_index}")
-            for member in group.member_object_ids:
-                if member not in object_ids:
-                    raise ValueError(f"group {group.id!r} references missing object {member!r}")
+        # an object follows one group: the solver routes a rigid member to
+        # its group particle, which would leave any other group's pull unmet
+        group_of: dict[str, str] = {}
+        for i, group in enumerate(self.groups):
+            try:
+                if group.id in seen_ids:
+                    raise ValueError(f"duplicate id {group.id!r}")
+                seen_ids.add(group.id)
+                if not (0 <= group.particle_index < n):
+                    raise ValueError(
+                        f"group {group.id!r} references missing particle {group.particle_index}"
+                    )
+                for member in group.member_object_ids:
+                    if member not in object_ids:
+                        raise ValueError(f"group {group.id!r} references missing object {member!r}")
+                    if member in group_of:
+                        raise ValueError(
+                            f"object {member!r} is in groups {group_of[member]!r} and {group.id!r}"
+                        )
+                    group_of[member] = group.id
+            except ValueError as exc:
+                raise ValueError(f"groups[{i}]: {exc}") from None
         from .constraints import STACKING  # that module imports this one
 
         # stacking piles are chains: each top has one bottom, and walking

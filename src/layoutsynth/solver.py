@@ -9,9 +9,14 @@ neighbour list per attempt, which rebuilds the hash only once some
 object has moved far enough to meet a pair the last build missed.
 
 What a kind projects and how it is priced comes from its record in
-``constraints.SPECS``; ``project_constraint`` and the energy only look
-the record up. The contact projections the step and the settle share
-are ``constraints.project_collision``, ``constraints.access_corrections``,
+``constraints.SPECS``. ``SolveContext`` binds every authored constraint
+once per solve (``Bound``: its kind's ``project`` and ``violation``
+records with the record its kind's ``bind`` resolved, its weight and
+its schedule slot), and the step's round-robin loop and the energy call
+those records directly. ``project_constraint`` projects one bound entry
+for the stacking re-alignment and the settle's orientation snaps. The
+contact projections the step and the settle share are
+``constraints.project_collision``, ``constraints.access_corrections``,
 ``constraints.wall_ghost_corrections`` and ``_boundary_pass``.
 
 Every projection writes its corrections straight into the run's
@@ -46,7 +51,7 @@ import logging
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import ClassVar, NamedTuple
+from typing import Callable, ClassVar, NamedTuple
 
 import numpy as np
 
@@ -144,6 +149,20 @@ class LayoutState:
             self.theta[i] = th
 
 
+class Bound(NamedTuple):
+    """One authored constraint bound for a solve: ``project(out, record,
+    st, k, tiebreak)`` and ``violation(record, st)`` are its kind's
+    records, ``record`` what its kind's ``bind`` resolved, and ``slot``
+    indexes the step's stiffness of its schedule."""
+
+    kind: str
+    project: Callable[..., bool]
+    violation: Callable[..., float]
+    record: tuple
+    weight: float
+    slot: int
+
+
 class SolveContext:
     """Per-run view of the scene prepared for fast projection, plus the
     caches of results fixed by unchanged poses."""
@@ -210,34 +229,23 @@ class SolveContext:
         # the scene's own constraints: a run never writes to them
         self.user_constraints: list[Constraint] = list(scene.constraints)
         self.user_constraints.extend(group_curve_constraints(scene, members))
-        # constraints that share a stiffness schedule share its value, so
-        # a step computes one stiffness per slot: schedules[slot] is the
-        # slot's first constraint, and repr tells 0.0 from -0.0
-        self.schedules: list[Constraint] = []
-        slots: dict[tuple, int] = {}
-        by_kind: dict[str, list[tuple[Constraint, int]]] = {}
-        for c in self.user_constraints:
-            key = (c.schedule, repr(c.stiffness_initial), repr(c.rate))
-            if key not in slots:
-                slots[key] = len(self.schedules)
-                self.schedules.append(c)
-            by_kind.setdefault(c.kind, []).append((c, slots[key]))
-        self.has_wall = {c.particles[0] for c, _ in by_kind.get(cn.WALL_DISTANCE, ())}
+        self.has_wall = {
+            c.particles[0] for c in self.user_constraints if c.kind == cn.WALL_DISTANCE
+        }
         # a wall-hugging rigid group drags all its members along the wall,
         # so every member joins the wall-ghost bookkeeping
         wall_groups = {self.owner[i] for i in self.has_wall if self.owner[i] >= 0}
         for g, rows in self.members_of.items():
             if g in wall_groups:
                 self.has_wall.update(m for m, _ in rows)
-        # (constraint, schedule slot) pairs, like the interleavings
-        self.stacking_constraints = by_kind.get(cn.STACKING, [])
+        stacks = [c.particles for c in self.user_constraints if c.kind == cn.STACKING]
         # only objects stacked on another may leave the ground; everything
         # else keeps its authored height
-        self.stack_top = {c.particles[1] for c, _ in self.stacking_constraints}
+        self.stack_top = {top for _, top in stacks}
         # contact pushes against any member of a stack move the whole pile:
         # route them to the chain's base object (the scene's validation
         # guarantees that every chain ends)
-        parent = {c.particles[1]: c.particles[0] for c, _ in self.stacking_constraints}
+        parent = {top: bottom for bottom, top in stacks}
         self.contact_root = list(range(n))
         for i in range(n):
             root = i
@@ -252,14 +260,40 @@ class SolveContext:
         routed.update(i for i in self.object_particles if self.owner[i] >= 0)
         self.boundary_recheck = sorted(routed & set(self.object_particles))
 
-        # round-robin interleavings of the authored constraints, one per
-        # starting kind, as (constraint, schedule slot) pairs; iteration l
-        # uses rotation (l-1) mod len(kinds)
+        # results fixed by unchanged poses, keyed by the pose float
+        # objects themselves (see evaluate_energy and
+        # constraints._curve_anchor)
+        self.authored_pricing: tuple | None = None
+        self.world_curves: dict[str, list] = {}
+
+        # every constraint bound once, in user_constraints order (the
+        # pricing order); constraints that share a stiffness schedule share
+        # its value, so a step computes one stiffness per slot:
+        # schedules[slot] is the slot's first constraint, and repr tells
+        # 0.0 from -0.0
+        self.schedules: list[Constraint] = []
+        self.pricing: list[Bound] = []
+        slots: dict[tuple, int] = {}
+        by_kind: dict[str, list[Bound]] = {}
+        for c in self.user_constraints:
+            key = (c.schedule, repr(c.stiffness_initial), repr(c.rate))
+            if key not in slots:
+                slots[key] = len(self.schedules)
+                self.schedules.append(c)
+            spec = cn.SPECS[c.kind]
+            bound = Bound(c.kind, spec.project, spec.violation, spec.bind(c, self), c.weight,
+                          slots[key])
+            self.pricing.append(bound)
+            by_kind.setdefault(c.kind, []).append(bound)
+        self.stacking_constraints = by_kind.get(cn.STACKING, [])
+
+        # round-robin interleavings of the bound entries, one per starting
+        # kind; iteration l uses rotation (l-1) mod len(kinds)
         kinds = [k for k in cn.KINDS if k in by_kind]
-        self.interleavings: list[list[tuple[Constraint, int]]] = []
+        self.interleavings: list[list[Bound]] = []
         for start in range(max(1, len(kinds))):
             rotated = kinds[start:] + kinds[:start]
-            order: list[tuple[Constraint, int]] = []
+            order: list[Bound] = []
             row = 0
             remaining = len(self.user_constraints)
             while remaining:
@@ -270,12 +304,6 @@ class SolveContext:
                         remaining -= 1
                 row += 1
             self.interleavings.append(order)
-
-        # results fixed by unchanged poses, keyed by the pose float
-        # objects themselves (see evaluate_energy and
-        # constraints._curve_anchor)
-        self.authored_pricing: tuple | None = None
-        self.world_curves: dict[str, tuple] = {}
 
 
 def _group_members(scene: Scene) -> dict[str, list[int]]:
@@ -409,10 +437,10 @@ class _Applier:
         row[3] += dtheta
         row[4] += 1.0
 
-    def project(self, c: Constraint, k: float, tiebreak=None) -> bool:
-        """Project one constraint at stiffness ``k`` into ``out``."""
-        self.label = c.kind
-        return project_constraint(self.out, c, self.state, self.ctx, k, tiebreak)
+    def project(self, b: Bound, k: float, tiebreak=None) -> bool:
+        """Project one bound constraint at stiffness ``k`` into ``out``."""
+        self.label = b.kind
+        return project_constraint(self.out, b, self.state, k, tiebreak)
 
     def contact_sink(self, label: str):
         """A sink for contact corrections named ``label``: each goes to its
@@ -445,12 +473,10 @@ class _Applier:
             self._apply(particle, sx * scale, sy * scale, sz * scale, sth * scale)
 
 
-def project_constraint(
-    out, c: Constraint, st: LayoutState, ctx: SolveContext, k: float, tiebreak=None
-) -> bool:
-    """Project one constraint at stiffness ``k``, writing its corrections
-    to the sink ``out``; True when it wrote any."""
-    return cn.SPECS[c.kind].project(out, c, st, ctx, k, tiebreak)
+def project_constraint(out, b: Bound, st: LayoutState, k: float, tiebreak=None) -> bool:
+    """Project one bound constraint at stiffness ``k``, writing its
+    corrections to the sink ``out``; True when it wrote any."""
+    return b.project(out, b.record, st, k, tiebreak)
 
 
 # ---------------------------------------------------------------------------
@@ -609,11 +635,11 @@ def evaluate_energy(
     else:
         sums: dict[str, float] = {}
         total = 0.0
-        for c in ctx.user_constraints:
-            v = cn.SPECS[c.kind].violation(c, st, ctx)
+        for kind, _, violation, record, weight, _ in ctx.pricing:
+            v = violation(record, st)
             if v:
-                sums[c.kind] = sums.get(c.kind, 0.0) + v
-                total += c.weight * v * v
+                sums[kind] = sums.get(kind, 0.0) + v
+                total += weight * v * v
         if contacts is not None:
             ctx.authored_pricing = (tuple(list(column) for column in poses), total, dict(sums))
 
@@ -687,9 +713,13 @@ def step(
     ks = [cn.update_stiffness(c, iteration) for c in ctx.schedules]
 
     batching = config.projection_mode == BATCH
+    order = ctx.interleavings[(iteration - 1) % len(ctx.interleavings)]
     applier.collect(batching)
-    for c, slot in ctx.interleavings[(iteration - 1) % len(ctx.interleavings)]:
-        applier.project(c, ks[slot], tiebreak)
+    # the bound records directly, with the label the finiteness guard names
+    out = applier.out
+    for kind, project, _, record, _, slot in order:
+        applier.label = kind
+        project(out, record, st, ks[slot], tiebreak)
     applier.flush()
 
     grid = build_hash(st, ctx, config.broad_phase, neighbours)
@@ -723,8 +753,8 @@ def step(
 
     # stacked piles are hard relations too: re-align them after contacts
     # so evaluation never sees a scattered stack
-    for c, slot in ctx.stacking_constraints:
-        applier.project(c, ks[slot], tiebreak)
+    for b in ctx.stacking_constraints:
+        applier.project(b, ks[b.slot], tiebreak)
 
     for i in range(ctx.n):
         st.theta[i] = normalize_angle(st.theta[i])
@@ -776,8 +806,8 @@ def _settle_hard_constraints(
     collide = applier.contact_sink(cn.COLLISION)
     ghost = applier.contact_sink(cn.WALL_GHOST_COLLISION)
     for sweep in range(_SETTLE_MAX_SWEEPS):
-        for c, _ in ctx.stacking_constraints:
-            applier.project(c, 1.0, tiebreak)
+        for b in ctx.stacking_constraints:
+            applier.project(b, 1.0, tiebreak)
         grid = build_hash(st, ctx, config.broad_phase, neighbours)
         collisions, _, ghosts = generate_contacts(st, ctx, grid, with_accessibility=False)
         ghost_set = set(ghosts)
@@ -810,12 +840,12 @@ def _settle_hard_constraints(
     # orientation targets can be stale; for free particles an angular
     # snap cannot move positions, so it preserves feasibility (rotating
     # a rigid group would swing its members, so those are left alone)
-    for c in ctx.user_constraints:
+    for c, b in zip(ctx.user_constraints, ctx.pricing):
         if c.kind in (cn.PAIRWISE_ORIENTATION, cn.WALL_ORIENTATION):
             target = c.particles[0]
             if ctx.owner[target] >= 0 or target in ctx.members_of:
                 continue
-            applier.project(c, 1.0, tiebreak)
+            applier.project(b, 1.0, tiebreak)
     for i in range(ctx.n):
         st.theta[i] = normalize_angle(st.theta[i])
     priced = evaluate_energy(st, ctx, broad_phase=config.broad_phase)

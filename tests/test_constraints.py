@@ -25,9 +25,11 @@ from layoutsynth.constraints import (
     project_wall_orientation,
     update_stiffness,
 )
-from layoutsynth.geometry import Vec2, closest_point_on_curve
-from layoutsynth.model import Room
-from layoutsynth.solver import SolveContext, initialize
+from layoutsynth.geometry import SEGMENT, Curve, Vec2, closest_point_on_curve
+from layoutsynth.model import (
+    INFINITE, RIGID, BoundingBox, Group, LayoutObject, Particle, Room, Scene,
+)
+from layoutsynth.solver import LayoutState, SolveContext, initialize
 
 SQUARE = Room([Vec2(0, 0), Vec2(10, 0), Vec2(10, 10), Vec2(0, 10)])
 
@@ -687,7 +689,8 @@ class TestConstraintRecord:
         }
         # the contact pass projects and prices the contact kinds itself
         for kind in generated - {cn.GROUP_CURVE}:
-            assert cn.SPECS[kind].project is None and cn.SPECS[kind].violation is None
+            spec = cn.SPECS[kind]
+            assert spec.bind is None and spec.project is None and spec.violation is None
 
     def test_angular_never_positional_and_vice_versa(self):
         rng = np.random.default_rng(16)
@@ -709,28 +712,171 @@ class TestCurveAnchor:
         scene = scenes.theater2(style=style, pathways=1)
         ctx = SolveContext(scene)
         st = initialize(scene, 3)
-        attached = [c for c in ctx.user_constraints if c.kind == cn.GROUP_CURVE]
-        first, second = [c for c in attached if c.group_id == attached[0].group_id][:2]
-        group = ctx.group_by_id[first.group_id]
+        attached = [
+            (c.group_id, b.record)
+            for c, b in zip(ctx.user_constraints, ctx.pricing)
+            if c.kind == cn.GROUP_CURVE
+        ]
+        group_id = attached[0][0]
+        first, second = [record for gid, record in attached if gid == group_id][:2]
+        group = ctx.group_by_id[group_id]
         g = group.particle_index
+        # the members of one group share one cache
+        cache = ctx.world_curves[group_id]
+        assert first[4] is cache and second[4] is cache
 
-        def uncached(c):
+        def uncached(record):
             world = group.curve.transformed(Vec2(st.px[g], st.py[g]), st.theta[g])
-            m = c.particles[0]
+            m = record[0]
             return closest_point_on_curve(world, (st.px[m], st.py[m]))
 
-        assert cn._curve_anchor(first, st, ctx) == uncached(first)
-        kept = ctx.world_curves[first.group_id]
-        assert cn._curve_anchor(second, st, ctx) == uncached(second)
-        assert ctx.world_curves[first.group_id] is kept
+        assert cn._curve_anchor(first, st) == uncached(first)
+        kept = cache[3]
+        assert cn._curve_anchor(second, st) == uncached(second)
+        assert cache[3] is kept
         # the group particle moves between two member projections
         st.px[g] += 0.75
         st.theta[g] += 0.3
-        assert cn._curve_anchor(second, st, ctx) == uncached(second)
-        assert ctx.world_curves[first.group_id] is not kept
-        assert cn._curve_anchor(first, st, ctx) == uncached(first)
+        assert cn._curve_anchor(second, st) == uncached(second)
+        assert cache[3] is not kept
+        assert cn._curve_anchor(first, st) == uncached(first)
         # an equal value in a new float object transforms again
-        kept = ctx.world_curves[first.group_id]
+        kept = cache[3]
         st.py[g] = st.py[g] + 0.0
-        assert cn._curve_anchor(first, st, ctx) == uncached(first)
-        assert ctx.world_curves[first.group_id] is not kept
+        assert cn._curve_anchor(first, st) == uncached(first)
+        assert cache[3] is not kept
+
+
+def _every_record_kind_scene() -> Scene:
+    """Each kind with a record, in each variant its bind resolves, over
+    particles of unequal mass: a fixed object, a rigid pair, a three-high
+    pile and a segment-curve group."""
+    scene = Scene(room=SQUARE)
+    masses = [1.0, 2.0, 0.5, INFINITE, 3.0, 1.5, 1.0, 1.0, 2.0, 4.0]
+    for i, mass in enumerate(masses):
+        scene.particles.append(Particle(Vec2(5, 5), mass=mass))
+        scene.objects.append(
+            LayoutObject(id=f"o{i}", label="box", particle_index=i,
+                         bbox=BoundingBox(Vec2(0.4, 0.3), 0.5))
+        )
+    scene.particles += [Particle(Vec2(5, 5), mass=2.5), Particle(Vec2(5, 5), mass=3.0)]
+    scene.groups.append(Group(id="pair", particle_index=10, member_object_ids=("o6", "o7"),
+                              rigidity=RIGID, member_offsets=((-0.5, 0, 0), (0.5, 0, 0.3))))
+    scene.groups.append(Group(id="row", particle_index=11, member_object_ids=("o8", "o9"),
+                              curve=Curve(SEGMENT, Vec2(-2, 0), Vec2(2, 1))))
+    mk = make_constraint
+    scene.constraints += [
+        mk(cn.PAIRWISE_DISTANCE, (0, 1), distance=1.5),
+        mk(cn.PAIRWISE_DISTANCE, (1, 2), distance=2.0, relation=cn.INEQUALITY),
+        mk(cn.PAIRWISE_DISTANCE, (6, 4), distance=1.0),
+        mk(cn.FOCAL_POINT, (0, 4), distance=2.0),
+        mk(cn.FOCAL_POINT, (2, 1), distance=3.0, relation=cn.INEQUALITY, pin_focal=False),
+        mk(cn.FOCAL_POINT, (7, 5), distance=1.2, pin_focal=False),
+        mk(cn.TRAFFIC_LANE, (1, 2), distance=1.0, vector=Vec2(1.0, 0.5)),
+        mk(cn.TRAFFIC_LANE, (4, 0), distance=2.5, vector=Vec2(0.0, 2.0), pin_focal=False),
+        mk(cn.HEAT_POINT, (0, 1, 2)),
+        mk(cn.HEAT_POINT, (4, 5, 6), point=Vec2(3.0, 4.0)),
+        mk(cn.FOCAL_SYMMETRY, (3, 0, 1, 7), vector=Vec2(0.3, 1.0)),
+        mk(cn.VISUAL_BALANCE, (0, 1, 2, 6, 8)),
+        mk(cn.WALL_DISTANCE, (5,), distance=0.5),
+        mk(cn.WALL_DISTANCE, (2,), distance=1.0, relation=cn.INEQUALITY),
+        mk(cn.PAIRWISE_ORIENTATION, (0, 1), orientation_mode=cn.ORIENT_FACE, angle_offset=0.2),
+        mk(cn.PAIRWISE_ORIENTATION, (1, 2), orientation_mode=cn.ORIENT_MATCH, angle_offset=-0.4),
+        mk(cn.PAIRWISE_ORIENTATION, (7, 3), orientation_mode=cn.ORIENT_FIXED, angle_target=1.1),
+        mk(cn.WALL_ORIENTATION, (4,), angle_offset=math.pi / 2),
+        mk(cn.STACKING, (4, 5), height_gap=1.0),
+        mk(cn.STACKING, (5, 2), height_gap=0.8),
+    ]
+    return scene
+
+
+def _public_call(c, st, scene, k):
+    """The ``project_*`` function and its arguments for constraint ``c``,
+    read from the constraint's own fields and the scene."""
+    px, py, pz, theta = st.px, st.py, st.pz, st.theta
+    inv = [p.inverse_mass for p in scene.particles]
+    index = {obj.id: obj.particle_index for obj in scene.objects}
+    owner = {index[m]: g.particle_index for g in scene.groups if g.rigidity == RIGID
+             for m in g.member_object_ids}
+    w = [inv[owner.get(i, i)] for i in range(len(inv))]
+    masses = [p.mass for p in scene.particles]
+    p = c.particles
+    if c.kind == cn.PAIRWISE_DISTANCE:
+        i, j = p
+        return project_pairwise_distance, (
+            i, j, px[i], py[i], px[j], py[j], w[i], w[j], c.distance, k, c.relation)
+    if c.kind == cn.FOCAL_POINT:
+        i, j = p
+        return project_focal_point, (
+            i, j, px[i], py[i], px[j], py[j], w[i], w[j], c.distance, k, c.relation, c.pin_focal)
+    if c.kind == cn.TRAFFIC_LANE:
+        i, j = p
+        wj = 0.0 if c.pin_focal else w[j]
+        return project_traffic_lane, (
+            i, j, px[i], py[i], px[j], py[j], w[i], wj, c.vector, c.distance, k)
+    if c.kind == cn.HEAT_POINT:
+        members, target = (p, c.point) if c.point else (p[1:], (px[p[0]], py[p[0]]))
+        return project_heat_point, (members, px, py, masses, w, target, k)
+    if c.kind == cn.FOCAL_SYMMETRY:
+        return project_focal_symmetry, (
+            p[1:], px, py, masses, w, (px[p[0]], py[p[0]]), c.vector, k)
+    if c.kind == cn.VISUAL_BALANCE:
+        areas = [0.0] * len(px)
+        for obj in scene.objects:
+            areas[obj.particle_index] = obj.bbox.footprint_area
+        return project_visual_balance, (p, px, py, areas, w, scene.room.centroid, k)
+    if c.kind == cn.WALL_DISTANCE:
+        (i,) = p
+        return project_wall_distance, (i, px[i], py[i], w[i], scene.room, c.distance, k, c.relation)
+    if c.kind == cn.PAIRWISE_ORIENTATION:
+        i, j = p
+        target = {
+            cn.ORIENT_FACE: math.atan2(py[j] - py[i], px[j] - px[i]) + c.angle_offset,
+            cn.ORIENT_MATCH: theta[j] + c.angle_offset,
+            cn.ORIENT_FIXED: c.angle_target,
+        }[c.orientation_mode]
+        return project_pairwise_orientation, (i, theta[i], target, w[i], k)
+    if c.kind == cn.WALL_ORIENTATION:
+        (i,) = p
+        return project_wall_orientation, (
+            i, theta[i], px[i], py[i], w[i], scene.room, c.angle_offset, k)
+    if c.kind == cn.STACKING:
+        bottom, top = p
+        stacked = {s.particles[1] for s in scene.constraints if s.kind == cn.STACKING}
+        w_bottom = w[bottom] if bottom in stacked else 0.0
+        return project_stacking, (
+            bottom, top, px[bottom], py[bottom], px[top], py[top], pz[bottom], pz[top],
+            w_bottom, w[top], c.height_gap, k)
+    assert c.kind == cn.GROUP_CURVE
+    m, g = p
+    curve = next(group.curve for group in scene.groups if group.id == c.group_id)
+    ax, ay = closest_point_on_curve(curve.transformed(Vec2(px[g], py[g]), theta[g]), (px[m], py[m]))
+    return project_pairwise_distance, (
+        m, g, px[m], py[m], ax, ay, w[m], 0.0, 0.0, k, cn.EQUALITY)
+
+
+def _bits(corrs):
+    return [(c.particle, *map(float.hex, c[1:])) for c in corrs]
+
+
+class TestBoundRecords:
+    def test_every_kind_with_a_record_binds(self):
+        for kind, spec in cn.SPECS.items():
+            assert (spec.bind is None) == (spec.project is None) == (spec.violation is None)
+            assert spec.generated or spec.bind is not None, kind
+
+    def test_bound_projection_writes_what_the_public_function_writes(self):
+        scene = _every_record_kind_scene()
+        ctx = SolveContext(scene)
+        recorded = {k for k, spec in cn.SPECS.items() if spec.project is not None}
+        assert {c.kind for c in ctx.user_constraints} == recorded
+        rng = np.random.default_rng(12)
+        n = len(scene.particles)
+        for _ in range(60):
+            st = LayoutState(rng.uniform(0, 10, n).tolist(), rng.uniform(0, 10, n).tolist(),
+                             rng.uniform(0, 2, n).tolist(), rng.uniform(0, 2 * math.pi, n).tolist())
+            k = float(rng.uniform(0.1, 1.0))
+            for c, b in zip(ctx.user_constraints, ctx.pricing):
+                bound = corrections(b.project, b.record, st, k, None)
+                fn, args = _public_call(c, st, scene, k)
+                assert _bits(bound) == _bits(corrections(fn, *args)), c

@@ -42,6 +42,12 @@ class TestParticle:
         with pytest.raises(ValueError):
             Particle(Vec2(math.nan, 0))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["z", "orientation"])
+    def test_rejects_nonfinite_pose_field_by_name(self, name, value):
+        with pytest.raises(ValueError, match=rf"^particle {name} must be finite"):
+            Particle(Vec2(0, 0), **{name: value})
+
     def test_orientation_normalized(self):
         p = Particle(Vec2(0, 0), orientation=-math.pi / 2)
         assert 0.0 <= p.orientation < 2 * math.pi
@@ -169,6 +175,18 @@ class TestScene:
                   rigidity=RIGID, member_offsets=((0.0, 0.0, 0.0),))
         )
         with pytest.raises(ValueError):
+            scene.validate()
+
+    def test_validate_rejects_an_object_in_two_groups(self):
+        scene = _tiny_scene()
+        scene.particles += [Particle(Vec2(1, 1)), Particle(Vec2(2, 2))]
+        scene.groups.append(Group(id="g", particle_index=1, member_object_ids=("box",)))
+        scene.validate()
+        scene.groups.append(
+            Group(id="h", particle_index=2, member_object_ids=("box",),
+                  rigidity=RIGID, member_offsets=((0.0, 0.0, 0.0),))
+        )
+        with pytest.raises(ValueError, match=r"^groups\[1\]: object 'box' is in groups 'g' and 'h'"):
             scene.validate()
 
     def test_validate_names_the_failing_constraint(self):

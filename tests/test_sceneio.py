@@ -124,6 +124,13 @@ def _with_group(**fields):
     return edit
 
 
+def _in_two_groups(d):
+    d["groups"] = [
+        {"id": "g", "members": ["crate_0"], "curve": {"kind": "segment", "a": [-1, 0], "b": [1, 0]}},
+        {"id": "h", "members": ["crate_0"], "rigidity": "rigid", "member_offsets": [[0, 0, 0]]},
+    ]
+
+
 def _with_constraint(**fields):
     def edit(d):
         d["constraints"] = [dict({"kind": "heat_point", "objects": ["crate_0"]}, **fields)]
@@ -161,6 +168,7 @@ class TestMalformed:
         (_with_group(rigidity="rigid", member_offsets=[[0, 0, 0]],
                      curve={"kind": "segment", "a": [-1, 0], "b": [1, 0]}),
          r"^groups\[0\]: rigid groups take no curve"),
+        (_in_two_groups, r"^groups\[1\]: object 'crate_0' is in groups 'g' and 'h'"),
         (_with_constraint(pin_focal="no"), r"constraints\[0\]\.pin_focal"),
         (_with_constraint(face=True), r"constraints\[0\]: unknown field 'face'"),
         (_with_constraint(kind="pairwise_distance", objects=["crate_0", "crate_0"], distance=1.0),

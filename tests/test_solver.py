@@ -32,7 +32,6 @@ from layoutsynth.solver import (
     evaluate_energy,
     initialize,
     neighbour_list,
-    project_constraint,
     step,
     synthesize,
 )
@@ -179,11 +178,10 @@ class TestEvaluateEnergy:
             evaluate_energy(st, ctx, contacts=contacts)
         scratch = evaluate_energy(st, SolveContext(scene))
 
-        def unpriced(c, st, ctx):
+        def unpriced(record, st):
             raise AssertionError("authored constraint priced again")
 
-        for kind, spec in list(cn.SPECS.items()):
-            monkeypatch.setitem(cn.SPECS, kind, dataclasses.replace(spec, violation=unpriced))
+        monkeypatch.setattr(ctx, "pricing", [b._replace(violation=unpriced) for b in ctx.pricing])
         recheck = evaluate_energy(st, ctx)
         monkeypatch.undo()
         assert recheck[0] == scratch[0]
@@ -192,15 +190,16 @@ class TestEvaluateEnergy:
 
     def test_new_pose_objects_are_priced_afresh(self, monkeypatch):
         scene = scenes.theater2(style="seg", pathways=1)
-        ctx = SolveContext(scene)
-        st = initialize(scene, 1)
         priced = []
         for kind, spec in list(cn.SPECS.items()):
-            def counted(c, st, ctx, violation=spec.violation):
-                priced.append(c)
-                return violation(c, st, ctx)
+            def counted(record, st, violation=spec.violation):
+                priced.append(record)
+                return violation(record, st)
 
             monkeypatch.setitem(cn.SPECS, kind, dataclasses.replace(spec, violation=counted))
+        # a context binds its kinds' records when it is built
+        ctx = SolveContext(scene)
+        st = initialize(scene, 1)
         contacts = step(st, ctx, 1, SolverConfig())
         evaluate_energy(st, ctx, contacts=contacts)
         once = len(priced)
@@ -227,23 +226,26 @@ class TestStep:
         # every constraint is still projected at its own schedule's value,
         # also where a scene file overrides some of them
         scene = living_room_with_schedules()
+        projected = []
+        for kind, spec in list(cn.SPECS.items()):
+            def recorded(out, record, st, k, tiebreak, project=spec.project):
+                projected.append((id(record), k))
+                return project(out, record, st, k, tiebreak)
+
+            monkeypatch.setitem(cn.SPECS, kind, dataclasses.replace(spec, project=recorded))
+        # the step calls the records its context bound when it was built
         ctx = SolveContext(scene)
         keys = {(c.schedule, c.stiffness_initial, c.rate) for c in ctx.user_constraints}
         assert len(ctx.schedules) == len(keys) > 3
-        projected = []
-
-        def record(out, c, st, ctx, k, tiebreak=None):
-            projected.append((c, k))
-            return project_constraint(out, c, st, ctx, k, tiebreak)
-
-        monkeypatch.setattr(solver, "project_constraint", record)
+        constraint_of = {id(b.record): c for b, c in zip(ctx.pricing, ctx.user_constraints)}
+        assert len(constraint_of) == len(ctx.user_constraints)
         st = initialize(scene, 0)
         for iteration in (1, 2, 7, 40):
             projected.clear()
             step(st, ctx, iteration, SolverConfig())
-            assert sorted(map(id, (c for c, _ in projected))) == sorted(map(id, ctx.user_constraints))
-            for c, k in projected:
-                assert k == cn.update_stiffness(c, iteration)
+            assert sorted(record for record, _ in projected) == sorted(constraint_of)
+            for record, k in projected:
+                assert k == cn.update_stiffness(constraint_of[record], iteration)
 
     def test_unconstrained_scene_only_boundary(self):
         scene = box_scene(1)
@@ -390,7 +392,8 @@ class TestStep:
         ctx = SolveContext(scene)
         st = LayoutState([5.0, 5.3], [5.0, 4.8], [0.0, 0.2], [0.0, 0.0])
         step(st, ctx, 1, SolverConfig(projection_mode=BATCH))
-        assert cn.SPECS[cn.STACKING].violation(stack, st, ctx) < 1e-9
+        (bound,) = ctx.stacking_constraints
+        assert bound.violation(bound.record, st) < 1e-9
 
     def test_orientations_renormalized(self):
         scene = box_scene(2)
@@ -461,9 +464,9 @@ class TestGroups:
             [0.0] * 6,
         )
         applier = _Applier(st, ctx)
-        for c in ctx.user_constraints:
-            assert c.kind == cn.GROUP_CURVE
-            applier.project(c, 1.0)
+        for b in ctx.pricing:
+            assert b.kind == cn.GROUP_CURVE
+            applier.project(b, 1.0)
         for i in range(5):
             assert st.py[i] == pytest.approx(10.0, abs=1e-9)
             assert 6.0 - 1e-9 <= st.px[i] <= 14.0 + 1e-9
