@@ -4,9 +4,11 @@ Run it in two checkouts and diff the outputs: a refactor that claims
 byte-identical behaviour must print the same lines. The runs cover all
 seven templates, the annealing baseline, batch projection from scene
 files with a ``solver`` block, theater2's segment-curve and arc-curve
-tiers from scene files, per-constraint stiffness schedules from a scene
-file, a scene file with the authored constraint variants no template
-uses, ``suggest`` and ``compare``. They execute in a temporary directory with
+tiers from scene files, theater1 at 400 chairs from a scene file at
+acceptance criterion 7's 60-iteration budget (the run with the most
+objects, neighbour pairs and re-bucketed particles), per-constraint
+stiffness schedules from a scene file, a scene file with the authored
+constraint variants no template uses, ``suggest`` and ``compare``. They execute in a temporary directory with
 relative scene references, so no artifact records where it was written.
 
     python scripts/artifact_digests.py > digests.txt
@@ -54,6 +56,10 @@ TIER_FILES = {
     "theater2_seg1": {"style": "seg", "pathways": 1},
     "theater2_arc2": {"style": "arc", "pathways": 2},
 }
+# theater1 at the largest size of acceptance criterion 7's scaling
+# series, at that criterion's iteration budget
+THEATER1_CHAIRS = 400
+THEATER1_ITERS = 60
 
 # constraint variants no template uses, added to living_room's own:
 # focal symmetry, inequality distances, an unpinned focal point and
@@ -104,6 +110,10 @@ def _runs() -> list[tuple[str, ...]]:
     for name, params in TIER_FILES.items():
         sceneio.save_scene(scenes.build("theater2", params), f"{name}.json")
         runs.append(("synth", f"{name}.json", "--seed", "0", "--out", f"{name}_s0"))
+    name = f"theater1_{THEATER1_CHAIRS}"
+    sceneio.save_scene(scenes.build("theater1", {"chair_count": THEATER1_CHAIRS}), f"{name}.json")
+    runs.append(("synth", f"{name}.json", "--seed", "0", "--iters", str(THEATER1_ITERS),
+                 "--out", f"{name}_s0"))
     # per-constraint stiffness schedules, which no template sets: every
     # other living_room constraint (none of them stacking) overrides its
     # kind's schedule

@@ -4,9 +4,12 @@ Each iteration projects the authored constraints, each at the stiffness
 its schedule gives for that iteration (interleaved round-robin across
 kinds, or batched with over-relaxed averaging), then regenerates and projects
 contact constraints — collisions, accessibility, boundary containment —
-from a spatial hash, hard ones last. Steps and settle sweeps share one
-neighbour list per attempt, which rebuilds the hash only once some
-object has moved far enough to meet a pair the last build missed.
+from a broad phase, hard ones last. Steps and settle sweeps share one
+neighbour list per attempt. It keeps only the pairs within collision or
+zone reach (plus a skin) of each other and, at each refresh, re-buckets
+only the objects that have strayed half a skin. The annealer, the fresh
+re-check of a new best candidate and the settle's closing pricing build
+a fresh spatial hash instead.
 
 What a kind projects and how it is priced comes from its record in
 ``constraints.SPECS``. ``SolveContext`` binds every authored constraint
@@ -199,8 +202,9 @@ class SolveContext:
                         self.reach[i], region.local_center.norm() + 0.5 * region.diagonal
                     )
         self.object_particles.sort()
-        # inflating the broad phase by each accessibility reach lets one
-        # candidate-pair pass serve collisions and zone activations alike
+        # a fresh hash inserts each object grown by its accessibility reach,
+        # so one candidate-pair pass serves collisions and zone activations
+        # alike; the neighbour list tests each pair's own reach instead
         self.broad_radius = [self.radius[i] + self.reach[i] for i in range(n)]
         # cells keyed to the median extent rather than the max: a single
         # oversized object (a stage) must not coarsen everyone's buckets
@@ -484,12 +488,15 @@ def project_constraint(out, b: Bound, st: LayoutState, k: float, tiebreak=None) 
 
 
 def neighbour_list(ctx: SolveContext) -> NeighbourList:
-    """A neighbour list over the scene's objects, built at its first
-    refresh. Its skin is half the median broad radius: settle sweeps and
-    late steps move objects far less than that, so most of them reuse the
-    last build."""
+    """A neighbour list over the scene's objects, bucketed at its first
+    refresh. It pairs two objects of different rigid groups only within
+    their collision or zone reach (``ctx.radius``, ``ctx.reach``) plus a
+    skin. The skin is half the median broad radius: settle sweeps and late
+    steps move most objects far less than that, so a refresh re-buckets
+    only the few that strayed."""
     return NeighbourList(
-        ctx.broad_radius, ctx.object_particles, ctx.cell_size, skin=0.25 * ctx.cell_size
+        ctx.radius, ctx.reach, ctx.owner, ctx.object_particles, ctx.cell_size,
+        skin=0.25 * ctx.cell_size,
     )
 
 

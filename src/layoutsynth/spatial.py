@@ -2,9 +2,10 @@
 
 Candidate pairs never miss a truly overlapping pair (cells cover each
 circle's full extent) and always come in a deterministic order.
-A ``NeighbourList`` (Verlet, Phys. Rev. 159, 1967) builds the hash with
-inflated extents and reuses its candidate pairs until some particle has
-moved far enough to reach a pair the build could not see.
+A ``NeighbourList`` (Verlet, Phys. Rev. 159, 1967) keeps, per particle,
+only the pairs within collision or zone reach plus a skin of where the
+two were last bucketed; each refresh re-buckets only the particles that
+have strayed half a skin and recomputes only their pairs.
 """
 
 from __future__ import annotations
@@ -48,43 +49,95 @@ class NaiveIndex:
 
 
 class NeighbourList:
-    """Candidate pairs of a hash built with every radius grown by half a
-    skin, reused while no particle has strayed half a skin from its build
-    position.
+    """Per-particle Verlet list: the pairs that can meet while no particle
+    strays half a skin from where it was last bucketed.
 
-    Two circles that overlap now were, at the build, at most their radius
-    sum plus one skin apart, so their grown circles met and shared a
-    cell. The reused pairs are therefore a sorted superset of the pairs
-    a fresh hash would hit, and a narrow phase that walks them in order
-    finds the same contacts in the same order.
+    A pair is kept when its two particles are in different rigid groups
+    (``owner`` -1 is no group) and their centres, each at the position
+    where it was last bucketed, lie closer than
+    ``max(r_i + r_j, r_i + reach_j, r_j + reach_i)`` plus one skin: the
+    reach of a collision and of either particle's accessibility zones.
+    A refresh re-buckets only the particles that have strayed half a skin
+    and recomputes only the pairs that touch them.
+
+    After a refresh every particle lies within half a skin of its bucket
+    position, so two particles that collide or reach a zone now were, at
+    their bucketing, less than that reach plus one skin apart. The pairs
+    are therefore a sorted superset of the pairs that interact, and a
+    narrow phase that walks them in order finds the same contacts in the
+    same order as one that walks all pairs.
     """
 
-    def __init__(self, radii, indices, cell_size: float, skin: float):
+    def __init__(self, radius, reach, owner, indices, cell_size: float, skin: float):
         self.indices = sorted(indices)
-        self.radii = [r + 0.5 * skin for r in radii]
-        self.cell_size = cell_size
+        self.radius = radius
+        self.reach = reach
+        self.owner = owner
+        self.skin = skin
+        self.inv_cell = 1.0 / cell_size
+        size = self.indices[-1] + 1 if self.indices else 0
         # a hair under half the skin absorbs rounding in the displacement
         limit = 0.5 * skin * (1.0 - 1e-9)
         self.limit_sq = limit * limit
-        self.built: list[tuple[float, float]] | None = None
+        # unbucketed particles sit at infinity: each strays at its first
+        # refresh, and none pairs before it has been bucketed
+        self.bucket_x = [math.inf] * size
+        self.bucket_y = [math.inf] * size
+        self.cells: dict[tuple[int, int], set[int]] = defaultdict(set)
+        self.cells_of: list[list[tuple[int, int]]] = [[] for _ in range(size)]
         self.pairs: list[tuple[int, int]] = []
 
     def refresh(self, px, py) -> "NeighbourList":
-        """Rebuild the pairs if some particle has moved too far since the
-        last build."""
-        built = self.built
-        if built is not None:
-            limit_sq = self.limit_sq
-            for i, (bx, by) in zip(self.indices, built):
-                dx = px[i] - bx
-                dy = py[i] - by
-                if dx * dx + dy * dy > limit_sq:
-                    break
-            else:
-                return self
-        grid = rebuild(px, py, self.radii, self.indices, self.cell_size)
-        self.pairs = grid.candidate_pairs()
-        self.built = [(px[i], py[i]) for i in self.indices]
+        """Re-bucket the particles that have strayed half a skin (all of
+        them at the first refresh) and recompute the pairs touching them."""
+        bucket_x, bucket_y, limit_sq = self.bucket_x, self.bucket_y, self.limit_sq
+        movers = []
+        for i in self.indices:
+            dx = px[i] - bucket_x[i]
+            dy = py[i] - bucket_y[i]
+            if dx * dx + dy * dy > limit_sq:
+                movers.append(i)
+        if not movers:
+            return self
+        moved = set(movers)
+        radius, reach, owner, skin = self.radius, self.reach, self.owner, self.skin
+        cells, cells_of, inv = self.cells, self.cells_of, self.inv_cell
+        for i in movers:
+            for key in cells_of[i]:
+                cells[key].discard(i)
+            x = bucket_x[i] = px[i]
+            y = bucket_y[i] = py[i]
+            # two particles within reach of each other have overlapping
+            # circles grown by their reach and half a skin, so their
+            # bounding boxes share a cell
+            e = radius[i] + reach[i] + 0.5 * skin
+            y0 = math.floor((y - e) * inv)
+            y1 = math.floor((y + e) * inv)
+            keys = [
+                (cx, cy)
+                for cx in range(math.floor((x - e) * inv), math.floor((x + e) * inv) + 1)
+                for cy in range(y0, y1 + 1)
+            ]
+            for key in keys:
+                cells[key].add(i)
+            cells_of[i] = keys
+
+        pairs = [p for p in self.pairs if p[0] not in moved and p[1] not in moved]
+        for i in movers:
+            xi, yi, ri, ei, oi = bucket_x[i], bucket_y[i], radius[i], reach[i], owner[i]
+            for j in set().union(*[cells[key] for key in cells_of[i]]):
+                # a pair of two movers is found from its lower index
+                if j == i or (j < i and j in moved) or (oi >= 0 and owner[j] == oi):
+                    continue
+                rj = radius[j]
+                span = max(ri + rj, ri + reach[j], rj + ei) + skin
+                dx = xi - bucket_x[j]
+                dy = yi - bucket_y[j]
+                if dx * dx + dy * dy < span * span:
+                    pairs.append((i, j) if i < j else (j, i))
+        # the kept pairs are one sorted run, so the sort merges the new in
+        pairs.sort()
+        self.pairs = pairs
         return self
 
     def candidate_pairs(self) -> list[tuple[int, int]]:

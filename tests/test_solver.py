@@ -30,6 +30,7 @@ from layoutsynth.solver import (
     _Applier,
     _settle_hard_constraints,
     evaluate_energy,
+    generate_contacts,
     initialize,
     neighbour_list,
     step,
@@ -682,3 +683,35 @@ class TestSynthesize:
             scenes.living_room(), SolverConfig(seed=0, max_iterations=10, broad_phase="naive")
         )
         assert 0 <= trace.best_iteration < len(trace.energies)
+
+
+class TestNeighbourListNarrowPhase:
+    """The narrow phase walks the neighbour list's pairs and must find
+    exactly what it finds over all pairs."""
+
+    @pytest.mark.parametrize("template, seed", [
+        ("living_room", 0),
+        ("desk", 1),  # stacked books, separated vertically
+        ("tp_bedroom", 2),  # rigid bunk groups
+        ("tp_picnic", 3),  # rigid table groups
+        ("picnic", 0),  # zones on both objects of a pair
+    ])
+    def test_contacts_match_all_pairs_mid_solve(self, template, seed):
+        scene = scenes.build(template, seed=seed)
+        ctx = SolveContext(scene)
+        st = initialize(scene, seed)
+        start = st.snapshot()
+        config = SolverConfig(seed=seed)
+        neighbours = neighbour_list(ctx)
+        everything = spatial.NaiveIndex(ctx.object_particles)
+        collisions = activations = 0
+        for iteration in range(1, 41):
+            step(st, ctx, iteration, config, neighbours=neighbours)
+            if iteration == 40:
+                # a settle restores an earlier snapshot: a jump of every object
+                st.restore(start)
+            listed = generate_contacts(st, ctx, neighbours.refresh(st.px, st.py))
+            assert listed == generate_contacts(st, ctx, everything)
+            collisions += len(listed[0])
+            activations += len(listed[1])
+        assert collisions and (activations or not any(ctx.zones))

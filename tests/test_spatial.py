@@ -98,49 +98,84 @@ def test_naive_index_is_sound_and_exhaustive():
 
 
 class TestNeighbourList:
-    def _list(self, radii):
-        cell = 2.0 * float(np.median(radii))
+    """The per-particle Verlet list against an all-pairs oracle of what
+    the narrow phase can find: a collision, or a particle within the
+    other's zone reach."""
+
+    def _setup(self, rng, n):
+        # particle indices with gaps, as a scene's group particles leave
+        total = n + int(rng.integers(0, 5))
+        indices = sorted(int(i) for i in rng.choice(total, n, replace=False))
+        radius = rng.uniform(0.05, 1.5, total)
+        reach = np.where(rng.random(total) < 0.4, rng.uniform(0.2, 2.5, total), 0.0)
+        owner = [int(g) if rng.random() < 0.3 else -1 for g in rng.integers(0, 5, total)]
+        broad = radius[indices] + reach[indices]
+        cell = 2.0 * float(np.sort(broad)[len(broad) // 2])
         skin = 0.25 * cell
-        return NeighbourList(list(radii), range(len(radii)), cell, skin), skin
+        nl = NeighbourList(list(radius), list(reach), owner, indices, cell, skin)
+        return nl, indices, radius, reach, owner, skin
 
-    def test_reused_pairs_cover_overlaps_after_moves_under_half_skin(self):
+    @staticmethod
+    def _interacting(px, py, radius, reach, indices):
+        idx = np.asarray(indices)
+        x, y, r, e = px[idx], py[idx], radius[idx], reach[idx]
+        d2 = (x[:, None] - x[None, :]) ** 2 + (y[:, None] - y[None, :]) ** 2
+        span = np.maximum(
+            r[:, None] + r[None, :],
+            np.maximum(r[:, None] + e[None, :], r[None, :] + e[:, None]),
+        )
+        ii, jj = np.where(np.triu(d2 <= span * span, k=1))
+        return {(int(idx[a]), int(idx[b])) for a, b in zip(ii, jj)}
+
+    def test_pairs_cover_every_interaction_across_refreshes(self):
         rng = np.random.default_rng(108)
-        for _ in range(200):
-            n = int(rng.integers(2, 200))
-            px0 = rng.uniform(0, 30, n)
-            py0 = rng.uniform(0, 30, n)
-            radii = rng.uniform(0.05, 1.5, n)
-            nl, skin = self._list(radii)
-            nl.refresh(list(px0), list(py0))
-            built = nl.built
-            for _ in range(3):
-                # every particle strays up to a hair under half the skin
-                # from its build position, many of them by the full amount
-                reach = 0.5 * skin * (1.0 - 1e-6)
-                length = np.where(rng.random(n) < 0.5, reach, rng.uniform(0, reach, n))
-                angle = rng.uniform(0, 2 * np.pi, n)
-                px = px0 + length * np.cos(angle)
-                py = py0 + length * np.sin(angle)
+        for _ in range(60):
+            n = int(rng.integers(2, 201))
+            nl, indices, radius, reach, owner, skin = self._setup(rng, n)
+            size = len(radius)
+            px = rng.uniform(0, 30, size)
+            py = rng.uniform(0, 30, size)
+            for _ in range(5):
                 pairs = nl.refresh(list(px), list(py)).candidate_pairs()
-                assert nl.built is built, "a move under half the skin rebuilt the list"
-                assert pairs == sorted(pairs)
-                truth = brute_force_overlaps(px, py, radii)
+                assert pairs == sorted(set(pairs)), "pairs unsorted or repeated"
+                truth = self._interacting(px, py, radius, reach, indices)
+                truth = {(i, j) for i, j in truth if owner[i] < 0 or owner[i] != owner[j]}
                 missing = truth - set(pairs)
-                assert not missing, f"reused list missed {len(missing)} pairs at n={n}"
+                assert not missing, f"list missed {len(missing)} pairs at n={n}"
+                assert all(owner[i] < 0 or owner[i] != owner[j] for i, j in pairs)
+                # most particles stray up to a hair under half the skin,
+                # the rest up to three skins
+                reach_half = 0.5 * skin * (1.0 - 1e-6)
+                length = np.where(
+                    rng.random(size) < 0.8,
+                    rng.uniform(0, reach_half, size),
+                    rng.uniform(reach_half, 3.0 * skin, size),
+                )
+                angle = rng.uniform(0, 2 * np.pi, size)
+                px = px + length * np.cos(angle)
+                py = py + length * np.sin(angle)
 
-    def test_move_past_half_skin_rebuilds(self):
+    def test_refresh_changes_only_the_movers_pairs(self):
         rng = np.random.default_rng(109)
-        px = list(rng.uniform(0, 10, 40))
-        py = list(rng.uniform(0, 10, 40))
-        radii = rng.uniform(0.1, 0.8, 40)
-        nl, skin = self._list(radii)
-        first = nl.refresh(px, py).built
-        px[17] += 0.51 * skin
-        nl.refresh(px, py)
-        assert nl.built is not first
-        assert nl.built[17] == (px[17], py[17])
-        grown = [r + 0.5 * skin for r in radii]
-        assert nl.candidate_pairs() == candidate_pairs(rebuild(px, py, grown, cell_size=nl.cell_size))
+        for _ in range(20):
+            nl, indices, radius, reach, owner, skin = self._setup(rng, 120)
+            px = list(rng.uniform(0, 20, len(radius)))
+            py = list(rng.uniform(0, 20, len(radius)))
+            before = list(nl.refresh(px, py).candidate_pairs())
+            # moves under half the skin keep the list as it is
+            nudged = [x + 0.49 * skin for x in px]
+            assert nl.refresh(nudged, py).candidate_pairs() == before
+            mover = int(rng.choice(indices))
+            px[mover] += float(rng.uniform(0.51, 4.0)) * skin
+            after = nl.refresh(px, py).candidate_pairs()
+            assert after == sorted(after)
+            changed = set(before) ^ set(after)
+            assert all(mover in pair for pair in changed)
+            truth = self._interacting(np.asarray(px), np.asarray(py), radius, reach, indices)
+            assert {
+                (i, j) for i, j in truth
+                if mover in (i, j) and (owner[i] < 0 or owner[i] != owner[j])
+            } <= set(after)
 
 
 def test_rejects_bad_cell_size():
