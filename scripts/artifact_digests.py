@@ -8,7 +8,9 @@ tiers from scene files, theater1 at 400 chairs from a scene file at
 acceptance criterion 7's 60-iteration budget (the run with the most
 objects, neighbour pairs and re-bucketed particles), per-constraint
 stiffness schedules from a scene file, a scene file with the authored
-constraint variants no template uses, ``suggest`` and ``compare``. They execute in a temporary directory with
+constraint variants no template uses, living_room moved far from the
+origin and living_room turned off the axes (see ``MOVED_ROOMS``),
+``suggest`` and ``compare``. They execute in a temporary directory with
 relative scene references, so no artifact records where it was written.
 
     python scripts/artifact_digests.py > digests.txt
@@ -20,6 +22,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -79,6 +82,35 @@ VARIANT_CONSTRAINTS = [
     {"kind": "heat_point", "objects": ["plant_0", "plant_1"], "point": [1, 1]},
 ]
 
+# living_room with its room and every object pose moved, as file stem ->
+# (translation, rotation in degrees about the room's centre): far from
+# the origin, where rounding is coarser and a rectangle's sides decide
+# containment less often, and turned 30 degrees, where the room is no
+# axis-aligned rectangle and only the per-wall measure decides
+MOVED_ROOMS = {
+    "living_room_far": ((5000.0, -3000.0), 0.0),
+    "living_room_turned": ((0.0, 0.0), 30.0),
+}
+
+
+def _moved_scene(doc: dict, shift: tuple[float, float], degrees: float) -> dict:
+    """The scene document with its room and every object pose rotated
+    about the centre of the room's bounds by ``degrees``, then shifted."""
+    xs, ys = zip(*doc["room"]["boundary"])
+    cx, cy = 0.5 * (min(xs) + max(xs)), 0.5 * (min(ys) + max(ys))
+    c, s = math.cos(math.radians(degrees)), math.sin(math.radians(degrees))
+
+    def move(x: float, y: float) -> list[float]:
+        return [cx + c * (x - cx) - s * (y - cy) + shift[0],
+                cy + s * (x - cx) + c * (y - cy) + shift[1]]
+
+    doc["room"]["boundary"] = [move(x, y) for x, y in doc["room"]["boundary"]]
+    for obj in doc["objects"]:
+        pose = obj["pose"]
+        pose["x"], pose["y"] = move(pose["x"], pose["y"])
+        pose["theta_deg"] += degrees
+    return doc
+
 
 def _cli(*argv: str) -> None:
     with contextlib.redirect_stdout(io.StringIO()):
@@ -133,6 +165,14 @@ def _runs() -> list[tuple[str, ...]]:
         ("synth", path, "--seed", str(seed), "--out", f"living_room_variants_s{seed}")
         for seed in (0, 1)
     ]
+    for name, (shift, degrees) in MOVED_ROOMS.items():
+        doc = json.loads(sceneio.serialize_scene(scenes.living_room()))
+        doc = _moved_scene(doc, shift, degrees)
+        Path(f"{name}.json").write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+        runs += [
+            ("synth", f"{name}.json", "--seed", str(seed), "--out", f"{name}_s{seed}")
+            for seed in (0, 1)
+        ]
     runs.append(("suggest", "picnic", "--seeds", "2", "--out", "picnic_suggest"))
     runs.append(("compare", "living_room", "--seed", "0", "--out", "living_room_compare"))
     return runs

@@ -28,6 +28,11 @@ NONRIGID = "nonrigid"
 # accessibility face order; index k-1 into FACES gives the face name
 FACES = ("back", "left", "front", "right")
 
+# half-width of a rectangular room's side band, per unit of its largest
+# coordinate magnitude: 64 machine epsilons, several times the rounding
+# of the per-wall boundary measure (see Room)
+_SIDE_BAND = 64.0 * math.ulp(1.0)
+
 
 @dataclass
 class Particle:
@@ -215,7 +220,20 @@ class Group:
 
 @dataclass
 class Room:
-    """Bounded region whose counterclockwise boundary polygon is the walls."""
+    """Bounded region whose counterclockwise boundary polygon is the walls.
+
+    In an axis-aligned rectangle the per-wall boundary measure of a
+    point inside is its smallest side clearance (``x - x0``, ``x1 - x``,
+    ``y - y0``, ``y1 - y``) up to rounding: each wall's perpendicular
+    offset is the very subtraction its side clearance makes, and the
+    along-wall residue, squaring, sum and root add a few units in the
+    last place of the room's coordinates (Goldberg, ACM Computing
+    Surveys 23(1), 1991). ``_band``, 64 machine epsilons times the
+    largest coordinate magnitude, bounds that rounding several times
+    over, so wherever the sides clear a containment threshold by more
+    than it they decide the test exactly (``constraints.pokes_out``).
+    It is derived from the walls and never set.
+    """
 
     boundary: list[Vec2]
 
@@ -240,12 +258,13 @@ class Room:
             tangent = normalize_angle(math.atan2(ny, nx) + 0.5 * math.pi)
             self._wall_data.append((a.x, a.y, dx, dy, 1.0 / (length * length), nx, ny, tangent))
         # axis-aligned rectangles (the common case) get a bounds-only
-        # containment test
+        # containment test and side clearances that decide outside _band
         xs = {v.x for v in self.boundary}
         ys = {v.y for v in self.boundary}
         self._rect = None
         if len(self.boundary) == 4 and len(xs) == 2 and len(ys) == 2:
             self._rect = (min(xs), min(ys), max(xs), max(ys))
+        self._band = _SIDE_BAND * max(abs(c) for v in self.boundary for c in v)
         # one shared Vec2: every particle placed by default points at it
         self._centroid = polygon_centroid(self.boundary)
 

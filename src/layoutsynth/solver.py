@@ -4,12 +4,13 @@ Each iteration projects the authored constraints, each at the stiffness
 its schedule gives for that iteration (interleaved round-robin across
 kinds, or batched with over-relaxed averaging), then regenerates and projects
 contact constraints — collisions, accessibility, boundary containment —
-from a broad phase, hard ones last. Steps and settle sweeps share one
-neighbour list per attempt. It keeps only the pairs within collision or
-zone reach (plus a skin) of each other and, at each refresh, re-buckets
-only the objects that have strayed half a skin. The annealer, the fresh
-re-check of a new best candidate and the settle's closing pricing build
-a fresh spatial hash instead.
+from a broad phase, hard ones last. Every broad phase of an attempt
+walks one neighbour list: its steps, settle sweeps and fresh pricings
+(the attempt's first pricing, the re-check of a new best candidate and
+each settle's closing pricing). It keeps only the pairs within collision
+or zone reach (plus a skin) of each other and, at each refresh,
+re-buckets only the objects that have strayed half a skin. Only the
+annealer builds a fresh spatial hash per pricing.
 
 What a kind projects and how it is priced comes from its record in
 ``constraints.SPECS``. ``SolveContext`` binds every authored constraint
@@ -508,7 +509,8 @@ def build_hash(
 ):
     """The broad-phase index for the current poses: empty when collisions
     are off, all pairs for the naive broad phase, otherwise the given
-    neighbour list brought up to date, or a fresh hash without one."""
+    neighbour list brought up to date, or a fresh hash without one (the
+    annealer's pricings; a solve always passes its list)."""
     if not ctx.scene.collisions_enabled:
         return NaiveIndex(())  # the narrow phase would discard any pairs
     if broad_phase == "naive":
@@ -619,6 +621,7 @@ def evaluate_energy(
     ctx: SolveContext,
     contacts: tuple | None = None,
     broad_phase: str = "hash",
+    neighbours: NeighbourList | None = None,
 ) -> tuple[float, dict[str, float], float, float]:
     """Layout energy sqrt(sum of weight * C^2) plus bookkeeping.
 
@@ -634,6 +637,12 @@ def evaluate_energy(
     because identical objects carry identical bits and a run writes to
     no constraint. Pricings without handed-over contacts (the
     annealer's, for one) keep nothing.
+
+    A pricing without contacts generates them through ``build_hash``:
+    over the given neighbour list (a solve's fresh pricings), or over a
+    fresh hash without one (the annealer's). The list's pairs are a
+    sorted superset of the pairs that interact, as are the hash's, so
+    both give the same contacts in the same order.
     """
     poses = (st.px, st.py, st.pz, st.theta)
     memo = ctx.authored_pricing
@@ -655,7 +664,7 @@ def evaluate_energy(
     # ones need a re-measure
     boundary_particles = ctx.object_particles
     if contacts is None:
-        contacts = generate_contacts(st, ctx, build_hash(st, ctx, broad_phase))
+        contacts = generate_contacts(st, ctx, build_hash(st, ctx, broad_phase, neighbours))
     else:
         boundary_particles = ctx.boundary_recheck
     collisions, activations, _ = contacts
@@ -833,8 +842,8 @@ def _settle_hard_constraints(
             ):
                 dirty = True
                 if (i, j) in ghost_set or (
-                    cn.boundary_violation(ctx.room, (st.px[i], st.py[i]), ctx.radius[i] + 0.02) > 0.0
-                    and cn.boundary_violation(ctx.room, (st.px[j], st.py[j]), ctx.radius[j] + 0.02) > 0.0
+                    cn.pokes_out(ctx.room, st.px[i], st.py[i], ctx.radius[i] + 0.02, 0.0)
+                    and cn.pokes_out(ctx.room, st.px[j], st.py[j], ctx.radius[j] + 0.02, 0.0)
                 ):
                     # both near a wall: also separate their wall ghost
                     # points so the pair slides apart along the wall
@@ -855,7 +864,7 @@ def _settle_hard_constraints(
             applier.project(b, 1.0, tiebreak)
     for i in range(ctx.n):
         st.theta[i] = normalize_angle(st.theta[i])
-    priced = evaluate_energy(st, ctx, broad_phase=config.broad_phase)
+    priced = evaluate_energy(st, ctx, broad_phase=config.broad_phase, neighbours=neighbours)
     return Settled(priced, priced[2] <= 1e-9 and priced[3] <= 1e-9)
 
 
@@ -919,7 +928,7 @@ def _synthesize_attempt(
 
     st = initialize(scene, seed)
     neighbours = neighbour_list(ctx)
-    priced = evaluate_energy(st, ctx, broad_phase=config.broad_phase)
+    priced = evaluate_energy(st, ctx, broad_phase=config.broad_phase, neighbours=neighbours)
     record(priced)
     energy = priced[0]
     initial_energy = energy if energy > 0.0 else 1.0
@@ -932,7 +941,7 @@ def _synthesize_attempt(
         contacts = step(st, ctx, iteration, config, tiebreak, neighbours)
         priced = evaluate_energy(st, ctx, contacts=contacts)
         if improves(priced):
-            priced = evaluate_energy(st, ctx, broad_phase=config.broad_phase)
+            priced = evaluate_energy(st, ctx, broad_phase=config.broad_phase, neighbours=neighbours)
         record(priced)
         energy = priced[0]
         if energy < best_any:

@@ -612,28 +612,92 @@ class TestBoundary:
         assert any("clamp" in r.message for r in caplog.records)
 
     def test_rectangle_early_out_only_where_contained(self, monkeypatch):
+        # the sides decide only what the per-wall loop would, bit for bit
+        wall_violation = cn._wall_violation
         measured = []
 
-        def spy(room, p, radius):
-            measured.append(p)
-            return boundary_violation(room, p, radius)
+        def spy(room, x, y, radius):
+            measured.append((x, y))
+            return wall_violation(room, x, y, radius)
 
-        monkeypatch.setattr(cn, "boundary_violation", spy)
+        monkeypatch.setattr(cn, "_wall_violation", spy)
+
+        def rect(x0, y0, w, h):
+            return Room([Vec2(x0, y0), Vec2(x0 + w, y0), Vec2(x0 + w, y0 + h), Vec2(x0, y0 + h)])
+
         rng = np.random.default_rng(546)
-        skipped = 0
-        for _ in range(2000):
-            x0, y0 = rng.uniform(-5, 5, 2)
-            w, h = rng.uniform(0.5, 10, 2)
-            room = Room([Vec2(x0, y0), Vec2(x0 + w, y0), Vec2(x0 + w, y0 + h), Vec2(x0, y0 + h)])
-            p = (rng.uniform(x0 - 1, x0 + w + 1), rng.uniform(y0 - 1, y0 + h + 1))
-            radius = rng.uniform(0.01, 0.5 * min(w, h))
+        skipped = {"violation": 0, "contained": 0, "pokes_out": 0}
+        calls = dict.fromkeys(skipped, 0)
+
+        def check(room, x, y, radius):
+            """Every side decision of the three tests against the loop's;
+            returns project_boundary's corrections."""
+            exact = wall_violation(room, x, y, radius)
             measured.clear()
-            corrs = corrections(project_boundary, 0, *p, 1.0, radius, room)
-            if not measured:
-                skipped += 1
-                assert corrs == []
-                assert boundary_violation(room, p, radius) == 0.0
-        assert 200 < skipped < 1800
+            assert float.hex(boundary_violation(room, (x, y), radius)) == float.hex(exact)
+            calls["violation"] += 1
+            skipped["violation"] += not measured
+            for tol, r in ((1e-12, radius), (1e-9, radius), (0.0, radius + 0.02)):
+                measured.clear()
+                assert cn.pokes_out(room, x, y, r, tol) == (wall_violation(room, x, y, r) > tol)
+                calls["pokes_out"] += 1
+                skipped["pokes_out"] += not measured
+            measured.clear()
+            corrs = corrections(project_boundary, 0, x, y, 1.0, radius, room)
+            calls["contained"] += 1
+            if not measured and not corrs:
+                # contained from the sides: touching circles may read a hair above 0
+                skipped["contained"] += 1
+                assert exact <= 1e-12
+            with monkeypatch.context() as loop_only:
+                loop_only.setattr(cn, "pokes_out",
+                                  lambda room, x, y, r, tol: wall_violation(room, x, y, r) > tol)
+                assert _bits(corrections(project_boundary, 0, x, y, 1.0, radius, room)) == \
+                    _bits(corrs)
+            return corrs
+
+        for offset in (0.0, 1e4, -1e4):
+            for _ in range(600):
+                x0, y0 = offset + rng.uniform(-5, 5, 2)
+                w, h = rng.uniform(0.5, 10, 2)
+                room = rect(x0, y0, w, h)
+                radius = rng.uniform(0.01, 0.5 * min(w, h))
+                # anywhere near the room, outside included
+                x, y = rng.uniform(x0 - 1, x0 + w + 1), rng.uniform(y0 - 1, y0 + h + 1)
+                corrs = check(room, x, y, radius)
+                # where the clamp left it, touching a wall
+                (x, y), = apply({0: (x, y)}, corrs).values()
+                check(room, x, y, radius)
+                # a corner region
+                cx, cy = rng.choice([x0, x0 + w]), rng.choice([y0, y0 + h])
+                x, y = cx + rng.uniform(-2, 2) * radius, cy + rng.uniform(-2, 2) * radius
+                corrs = check(room, x, y, radius)
+                (x, y), = apply({0: (x, y)}, corrs).values()
+                check(room, x, y, radius)
+                # just inside and just outside the band around each threshold
+                y = y0 + 0.5 * h
+                for reach in (radius - 1e-12, radius):
+                    for edge in (-1.01, -0.99, 0.99, 1.01):
+                        check(room, x0 + reach + edge * room._band, y, radius)
+        # the sides decide often, and the loop still decides inside the band
+        for name, share in (("violation", 0.1), ("contained", 0.1), ("pokes_out", 0.8)):
+            assert share * calls[name] < skipped[name] < calls[name], name
+
+        # in a 6.5 x 5 m room, circles the clamp left touching a wall are
+        # found contained from the sides
+        room = rect(0.0, 0.0, 6.5, 5.0)
+        touching = contained = 0
+        for _ in range(500):
+            radius = rng.uniform(0.1, 1.5)
+            x, y = rng.uniform(-0.5, 7.0), rng.uniform(-0.5, 5.5)
+            corrs = check(room, x, y, radius)
+            if corrs:
+                (x, y), = apply({0: (x, y)}, corrs).values()
+                touching += 1
+                measured.clear()
+                assert corrections(project_boundary, 0, x, y, 1.0, radius, room) == []
+                contained += not measured
+        assert touching > 200 and contained > 0.9 * touching
 
     def test_violation_measure(self):
         assert boundary_violation(SQUARE, (5, 5), 1.0) == 0.0

@@ -684,10 +684,23 @@ class TestSynthesize:
         )
         assert 0 <= trace.best_iteration < len(trace.energies)
 
+    @pytest.mark.parametrize("template", ["living_room", "tp_picnic"])
+    def test_hash_solve_builds_no_hash(self, monkeypatch, template):
+        # every pricing of a solve, fresh ones included, walks the
+        # attempt's neighbour list
+        def no_hash(*args, **kwargs):
+            raise AssertionError("spatial hash built in a solve")
+
+        scene = scenes.build(template)
+        monkeypatch.setattr(spatial.SpatialHash, "insert", no_hash)
+        _, trace = synthesize(scene, SolverConfig(seed=0, max_iterations=40))
+        assert 0 <= trace.best_iteration < len(trace.energies)
+
 
 class TestNeighbourListNarrowPhase:
     """The narrow phase walks the neighbour list's pairs and must find
-    exactly what it finds over all pairs."""
+    exactly what it finds over all pairs, and a pricing through the list
+    must return what one through a fresh hash returns, bit for bit."""
 
     @pytest.mark.parametrize("template, seed", [
         ("living_room", 0),
@@ -712,6 +725,9 @@ class TestNeighbourListNarrowPhase:
                 st.restore(start)
             listed = generate_contacts(st, ctx, neighbours.refresh(st.px, st.py))
             assert listed == generate_contacts(st, ctx, everything)
+            # a solve's fresh pricing walks the list, the annealer's a fresh hash
+            assert repr(evaluate_energy(st, ctx, neighbours=neighbours)) == \
+                repr(evaluate_energy(st, ctx))
             collisions += len(listed[0])
             activations += len(listed[1])
         assert collisions and (activations or not any(ctx.zones))
