@@ -43,6 +43,13 @@ def _resolve_scene(ref: str, seed: int) -> Scene:
     )
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of a run count: an integer of at least 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return int(text)
+
+
 def _solver_config(scene: Scene, args) -> SolverConfig:
     # a scene file's solver block is checked at parse time to hold only
     # SolverConfig fields
@@ -306,7 +313,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("suggest", help="independent runs from different seeds")
     p.add_argument("scene")
-    p.add_argument("--seeds", type=int, default=4, help="number of runs")
+    p.add_argument("--seeds", type=_positive_int, default=4, help="number of runs")
     p.add_argument("--seed", type=int, default=0, help="first seed")
     p.add_argument("--iters", type=int, default=0)
     p.add_argument("--out", default="suggestions")
@@ -316,7 +323,7 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="timing runs, optionally over a chair-count series")
     p.add_argument("--scene", default="theater1")
     p.add_argument("--counts", default="", help="comma-separated chair counts (theater1)")
-    p.add_argument("--repeat", type=int, default=10)
+    p.add_argument("--repeat", type=_positive_int, default=10, help="runs per scene")
     p.add_argument("--iters", type=int, default=0, help="fixed iteration budget")
     p.add_argument("--broad-phase", choices=("hash", "naive"), default="hash")
     p.add_argument("--out", default="bench")

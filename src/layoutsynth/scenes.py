@@ -73,6 +73,8 @@ _SEATS_PER_RING = 40
 
 
 def theater1(chair_count: int = 200) -> Scene:
+    if chair_count < 0:
+        raise ValueError(f"chair count must be nonnegative, not {chair_count}")
     # ring count and floor area grow with the seat count so the packing
     # density stays constant across the scaling series
     rings = max(1, math.ceil(chair_count / _SEATS_PER_RING))
@@ -101,8 +103,6 @@ def theater1(chair_count: int = 200) -> Scene:
 
 def scaling_series(counts: list[int]) -> list[Scene]:
     """Theater-1 scenes that differ only in their chair count."""
-    if any(c < 0 for c in counts):
-        raise ValueError("chair counts must be nonnegative")
     return [theater1(chair_count=c) for c in counts]
 
 
@@ -412,11 +412,10 @@ TP_PICNIC_RANGES = {
 }
 
 
-def tp_picnic(seed: int = 0, ranges: dict | None = None) -> Scene:
-    ranges = dict(TP_PICNIC_RANGES, **(ranges or {}))
+def tp_picnic(seed: int = 0) -> Scene:
     rng = np.random.default_rng(seed)
     counts = {
-        key: int(rng.integers(low, high + 1)) for key, (low, high) in ranges.items()
+        key: int(rng.integers(low, high + 1)) for key, (low, high) in TP_PICNIC_RANGES.items()
     }
 
     b = _SceneBuilder(_rect_room(20.0, 15.0))

@@ -38,22 +38,22 @@ Results fixed by unchanged inputs are computed once and reused, each
 bit-identical to a recomputation because it is the same arithmetic on
 the same operands:
 
-* the authored part of a step's pricing, when the fresh re-check of a
-  new best candidate prices the same pose objects again;
+* the authored part of a step's pricing, which the attempt hands to the
+  fresh re-check of a new best candidate;
 * a curve group's world curve, and an arc's start, sweep and radius,
   while the group particle keeps its pose objects;
 * one stiffness per distinct schedule per step, since a schedule's value
   depends only on (schedule, initial stiffness, rate) and the iteration.
 
-The caches live on the run's ``SolveContext``. A run writes nothing onto
-its scene: each stiffness is passed to the projection, never stored.
+The world curves live on the run's ``SolveContext``. A run writes
+nothing onto its scene: each stiffness is passed to the projection,
+never stored.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import Callable, ClassVar, NamedTuple
 
@@ -169,7 +169,7 @@ class Bound(NamedTuple):
 
 class SolveContext:
     """Per-run view of the scene prepared for fast projection, plus the
-    caches of results fixed by unchanged poses."""
+    world curves fixed by unchanged group poses."""
 
     def __init__(self, scene: Scene):
         scene.validate()
@@ -208,9 +208,10 @@ class SolveContext:
         # alike; the neighbour list tests each pair's own reach instead
         self.broad_radius = [self.radius[i] + self.reach[i] for i in range(n)]
         # cells keyed to the median extent rather than the max: a single
-        # oversized object (a stage) must not coarsen everyone's buckets
+        # oversized object (a stage) must not coarsen everyone's buckets,
+        # yet none may cover more than about eight cells a side
         spans = sorted(self.broad_radius[i] for i in self.object_particles)
-        self.cell_size = 2.0 * spans[len(spans) // 2] if spans else 1.0
+        self.cell_size = max(2.0 * spans[len(spans) // 2], 0.25 * spans[-1]) if spans else 1.0
 
         # rigid-group routing
         members = _group_members(scene)
@@ -265,10 +266,8 @@ class SolveContext:
         routed.update(i for i in self.object_particles if self.owner[i] >= 0)
         self.boundary_recheck = sorted(routed & set(self.object_particles))
 
-        # results fixed by unchanged poses, keyed by the pose float
-        # objects themselves (see evaluate_energy and
-        # constraints._curve_anchor)
-        self.authored_pricing: tuple | None = None
+        # world curves fixed by unchanged group poses, keyed by the pose
+        # float objects themselves (see constraints._curve_anchor)
         self.world_curves: dict[str, list] = {}
 
         # every constraint bound once, in user_constraints order (the
@@ -616,12 +615,26 @@ def generate_contacts(
 # energy
 
 
+def authored_energy(st: LayoutState, ctx: SolveContext) -> tuple[float, dict[str, float]]:
+    """The authored part of a pricing: (sum of weight * C^2, per-kind
+    violation sums) over the bound constraints, in pricing order."""
+    sums: dict[str, float] = {}
+    total = 0.0
+    for kind, _, violation, record, weight, _ in ctx.pricing:
+        v = violation(record, st)
+        if v:
+            sums[kind] = sums.get(kind, 0.0) + v
+            total += weight * v * v
+    return total, sums
+
+
 def evaluate_energy(
     st: LayoutState,
     ctx: SolveContext,
     contacts: tuple | None = None,
     broad_phase: str = "hash",
     neighbours: NeighbourList | None = None,
+    authored: tuple[float, dict[str, float]] | None = None,
 ) -> tuple[float, dict[str, float], float, float]:
     """Layout energy sqrt(sum of weight * C^2) plus bookkeeping.
 
@@ -629,14 +642,10 @@ def evaluate_energy(
     worst boundary violation). Satisfied inequalities contribute zero;
     the sums dict carries only the kinds that violated.
 
-    A pricing handed a step's contacts keeps its authored total and sums
-    on ``ctx``, with the pose lists' float objects. A fresh pricing of
-    the same objects (the re-check of a new best candidate) starts from
-    them and adds the contact terms in the usual order, so every float
-    sum accumulates exactly as a full pricing would. This is exact
-    because identical objects carry identical bits and a run writes to
-    no constraint. Pricings without handed-over contacts (the
-    annealer's, for one) keep nothing.
+    ``authored``, when given, is ``authored_energy`` of the current poses
+    (a step's, handed to its pricing and to the re-check of a new best
+    candidate). A copy of its sums takes the contact terms in the usual
+    order, so every float sum accumulates exactly as a full pricing would.
 
     A pricing without contacts generates them through ``build_hash``:
     over the given neighbour list (a solve's fresh pricings), or over a
@@ -644,20 +653,10 @@ def evaluate_energy(
     sorted superset of the pairs that interact, as are the hash's, so
     both give the same contacts in the same order.
     """
-    poses = (st.px, st.py, st.pz, st.theta)
-    memo = ctx.authored_pricing
-    if contacts is None and memo is not None and all(map(_same_objects, memo[0], poses)):
-        total, sums = memo[1], dict(memo[2])
+    if authored is None:
+        total, sums = authored_energy(st, ctx)
     else:
-        sums: dict[str, float] = {}
-        total = 0.0
-        for kind, _, violation, record, weight, _ in ctx.pricing:
-            v = violation(record, st)
-            if v:
-                sums[kind] = sums.get(kind, 0.0) + v
-                total += weight * v * v
-        if contacts is not None:
-            ctx.authored_pricing = (tuple(list(column) for column in poses), total, dict(sums))
+        total, sums = authored[0], dict(authored[1])
 
     # with contacts handed over from a just-finished step, the boundary
     # pass has already contained every un-routed object, so only routed
@@ -702,10 +701,6 @@ def evaluate_energy(
             max_boundary = max(max_boundary, v)
 
     return math.sqrt(total), sums, max_overlap, max_boundary
-
-
-def _same_objects(a: list, b: list) -> bool:
-    return len(a) == len(b) and all(map(operator.is_, a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -937,11 +932,14 @@ def _synthesize_attempt(
     stall = 0
     for iteration in range(1, config.max_iterations + 1):
         # the step's own contact lists price this iteration's energy; a
-        # fresh regeneration double-checks any new best-feasible candidate
+        # fresh regeneration double-checks any new best-feasible candidate,
+        # and both start from the same authored part
         contacts = step(st, ctx, iteration, config, tiebreak, neighbours)
-        priced = evaluate_energy(st, ctx, contacts=contacts)
+        authored = authored_energy(st, ctx)
+        priced = evaluate_energy(st, ctx, contacts=contacts, authored=authored)
         if improves(priced):
-            priced = evaluate_energy(st, ctx, broad_phase=config.broad_phase, neighbours=neighbours)
+            priced = evaluate_energy(st, ctx, broad_phase=config.broad_phase,
+                                     neighbours=neighbours, authored=authored)
         record(priced)
         energy = priced[0]
         if energy < best_any:

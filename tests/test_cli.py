@@ -1,6 +1,8 @@
 import csv
 import json
 
+import pytest
+
 from layoutsynth import cli
 from layoutsynth.cli import main
 from layoutsynth.sceneio import save_scene
@@ -214,6 +216,23 @@ class TestBench:
     def test_counts_only_for_theater1(self, tmp_path):
         assert run(["bench", "--scene", "desk", "--counts", "5",
                     "--repeat", "1", "--iters", "5", "--out", tmp_path / "x"]) == 1
+
+    def test_negative_chair_count_rejected(self, tmp_path, capsys):
+        assert run(["bench", "--counts", "-3", "--repeat", "1", "--iters", "5",
+                    "--out", tmp_path / "x"]) == 1
+        assert "chair count must be nonnegative, not -3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["bench", "--scene", "living_room", "--repeat", "0"],
+    ["suggest", "living_room", "--seeds", "-2"],
+])
+def test_run_counts_must_be_positive(argv, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--out", tmp_path / "x"])
+    assert exc.value.code == 2
+    assert "is not a positive integer" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 class TestExport:

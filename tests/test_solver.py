@@ -166,9 +166,9 @@ class TestEvaluateEnergy:
 
 
     def test_recheck_reuses_the_authored_pricing_bit_exactly(self, monkeypatch):
-        # the fresh re-check after a step prices the poses the stale
-        # pricing just priced: its authored part must come from the memo
-        # and equal a from-scratch pricing exactly
+        # the fresh re-check after a step is handed the step pricing's
+        # authored part: it prices no authored constraint again and
+        # equals a from-scratch pricing exactly
         scene = scenes.theater2()
         ctx = SolveContext(scene)
         st = initialize(scene, 0)
@@ -176,49 +176,68 @@ class TestEvaluateEnergy:
         neighbours = neighbour_list(ctx)
         for iteration in range(1, 6):
             contacts = step(st, ctx, iteration, config, neighbours=neighbours)
-            evaluate_energy(st, ctx, contacts=contacts)
+        authored = solver.authored_energy(st, ctx)
+        evaluate_energy(st, ctx, contacts=contacts, authored=authored)
         scratch = evaluate_energy(st, SolveContext(scene))
 
         def unpriced(record, st):
             raise AssertionError("authored constraint priced again")
 
         monkeypatch.setattr(ctx, "pricing", [b._replace(violation=unpriced) for b in ctx.pricing])
-        recheck = evaluate_energy(st, ctx)
+        recheck = evaluate_energy(st, ctx, neighbours=neighbours, authored=authored)
         monkeypatch.undo()
         assert recheck[0] == scratch[0]
         assert list(recheck[1].items()) == list(scratch[1].items())
         assert recheck[2:] == scratch[2:]
 
-    def test_new_pose_objects_are_priced_afresh(self, monkeypatch):
-        scene = scenes.theater2(style="seg", pathways=1)
-        priced = []
-        for kind, spec in list(cn.SPECS.items()):
-            def counted(record, st, violation=spec.violation):
-                priced.append(record)
-                return violation(record, st)
+    def test_attempt_prices_the_authored_part_once_per_step(self, monkeypatch):
+        # every authored pricing is either the attempt's one per step or
+        # one of a pricing handed none; re-checks are handed the step's
+        calls = {"authored": 0, "steps": 0, "unhanded": 0, "rechecks": 0}
+        authored_energy, step_fn, energy = solver.authored_energy, solver.step, evaluate_energy
 
-            monkeypatch.setitem(cn.SPECS, kind, dataclasses.replace(spec, violation=counted))
-        # a context binds its kinds' records when it is built
+        def counted_authored(*args):
+            calls["authored"] += 1
+            return authored_energy(*args)
+
+        def counted_step(*args):
+            calls["steps"] += 1
+            return step_fn(*args)
+
+        def counted_energy(st, ctx, contacts=None, authored=None, **kwargs):
+            calls["unhanded"] += authored is None
+            calls["rechecks"] += contacts is None and authored is not None
+            return energy(st, ctx, contacts=contacts, authored=authored, **kwargs)
+
+        monkeypatch.setattr(solver, "authored_energy", counted_authored)
+        monkeypatch.setattr(solver, "step", counted_step)
+        monkeypatch.setattr(solver, "evaluate_energy", counted_energy)
+        synthesize(scenes.theater2(style="seg", pathways=1), SolverConfig(max_iterations=20))
+        assert calls["rechecks"] > 0
+        assert calls["authored"] == calls["steps"] + calls["unhanded"]
+
+    def test_pricing_leaves_the_context_as_it_was(self):
+        # handed, fresh and naive pricings keep nothing on the context
+        scene = scenes.theater2()
         ctx = SolveContext(scene)
-        st = initialize(scene, 1)
-        contacts = step(st, ctx, 1, SolverConfig())
-        evaluate_energy(st, ctx, contacts=contacts)
-        once = len(priced)
-        evaluate_energy(st, ctx)
-        assert len(priced) == once
-        # an equal value in a new float object is priced again, and a
-        # fresh pricing keeps nothing for the next one
-        st.px[0] = st.px[0] + 0.0
-        evaluate_energy(st, ctx)
-        assert len(priced) == 2 * once
-        evaluate_energy(st, ctx)
-        assert len(priced) == 3 * once
-        st.px[0] += 0.5
-        moved = evaluate_energy(st, ctx)
-        monkeypatch.undo()
-        scratch = evaluate_energy(st, SolveContext(scene))
-        assert moved[0] == scratch[0]
-        assert list(moved[1].items()) == list(scratch[1].items())
+        st = initialize(scene, 0)
+        neighbours = neighbour_list(ctx)
+        contacts = step(st, ctx, 1, SolverConfig(), neighbours=neighbours)
+        before = dict(vars(ctx))
+
+        def priced_and_unchanged(**kwargs):
+            evaluate_energy(st, ctx, **kwargs)
+            after = vars(ctx)
+            return list(after) == list(before) and all(
+                after[key] is value for key, value in before.items())
+
+        assert priced_and_unchanged(contacts=contacts)
+        authored = solver.authored_energy(st, ctx)
+        assert priced_and_unchanged(contacts=contacts, authored=authored)
+        assert priced_and_unchanged(neighbours=neighbours, authored=authored)
+        assert priced_and_unchanged(neighbours=neighbours)
+        assert priced_and_unchanged()
+        assert priced_and_unchanged(broad_phase="naive")
 
 
 class TestStep:
@@ -695,6 +714,29 @@ class TestSynthesize:
         monkeypatch.setattr(spatial.SpatialHash, "insert", no_hash)
         _, trace = synthesize(scene, SolverConfig(seed=0, max_iterations=40))
         assert 0 <= trace.best_iteration < len(trace.energies)
+
+
+class TestCellSize:
+    def test_mixed_sizes_stay_within_a_few_cells(self):
+        # five 1 cm pins and one 20 m slab in a 60 m room: the median rule
+        # alone would give 1.4 cm cells, some 4e6 of them under the slab
+        scene = Scene(room=square_room(60.0))
+        for i, half in enumerate([0.005] * 5 + [10.0]):
+            scene.particles.append(Particle(Vec2(30.0, 30.0)))
+            scene.objects.append(LayoutObject(
+                id=f"obj_{i}", label="box", particle_index=i,
+                bbox=BoundingBox(Vec2(half, half), 0.1),
+            ))
+        ctx = SolveContext(scene)
+        # checked from the cell size alone, before anything is bucketed
+        assert 2.0 * max(ctx.broad_radius) / ctx.cell_size <= 8.0
+        # the floor leaves every template's median-rule cell size alone
+        for name in scenes.TEMPLATE_NAMES:
+            template = SolveContext(scenes.build(name))
+            spans = sorted(template.broad_radius[i] for i in template.object_particles)
+            assert template.cell_size == 2.0 * spans[len(spans) // 2], name
+        layout, trace = synthesize(scene, SolverConfig(max_iterations=3))
+        assert len(layout) == 6 and math.isfinite(trace.best_energy)
 
 
 class TestNeighbourListNarrowPhase:
