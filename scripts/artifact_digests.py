@@ -10,7 +10,8 @@ objects, neighbour pairs and re-bucketed particles), per-constraint
 stiffness schedules from a scene file, a scene file with the authored
 constraint variants no template uses, living_room moved far from the
 origin and living_room turned off the axes (see ``MOVED_ROOMS``),
-``suggest`` and ``compare``. They execute in a temporary directory with
+living_room in a non-convex L-shaped room (see ``L_ROOM``), ``suggest``
+and ``compare``. They execute in a temporary directory with
 relative scene references, so no artifact records where it was written.
 
     python scripts/artifact_digests.py > digests.txt
@@ -91,6 +92,10 @@ MOVED_ROOMS = {
     "living_room_far": ((5000.0, -3000.0), 0.0),
     "living_room_turned": ((0.0, 0.0), 30.0),
 }
+
+# living_room in an L-shaped room: no rectangle, so every containment
+# test goes through the per-wall measure and the ray-cast Room.contains
+L_ROOM = [[0, 0], [8, 0], [8, 4], [5.5, 4], [5.5, 6], [0, 6]]
 
 
 def _moved_scene(doc: dict, shift: tuple[float, float], degrees: float) -> dict:
@@ -173,6 +178,13 @@ def _runs() -> list[tuple[str, ...]]:
             ("synth", f"{name}.json", "--seed", str(seed), "--out", f"{name}_s{seed}")
             for seed in (0, 1)
         ]
+    doc = json.loads(sceneio.serialize_scene(scenes.living_room()))
+    doc["room"]["boundary"] = L_ROOM
+    Path("living_room_l.json").write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    runs += [
+        ("synth", "living_room_l.json", "--seed", str(seed), "--out", f"living_room_l_s{seed}")
+        for seed in (0, 1)
+    ]
     runs.append(("suggest", "picnic", "--seeds", "2", "--out", "picnic_suggest"))
     runs.append(("compare", "living_room", "--seed", "0", "--out", "living_room_compare"))
     return runs

@@ -50,6 +50,14 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _counts(text: str) -> list[int]:
+    """argparse type of ``--counts``: comma-separated integers (the
+    template rejects a negative chair count)."""
+    if not all(item.removeprefix("-").isdecimal() for item in text.split(",")):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a comma-separated list of integers")
+    return [int(item) for item in text.split(",")]
+
+
 def _solver_config(scene: Scene, args) -> SolverConfig:
     # a scene file's solver block is checked at parse time to hold only
     # SolverConfig fields
@@ -211,7 +219,7 @@ def cmd_suggest(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    counts = [int(c) for c in args.counts.split(",")] if args.counts else [None]
+    counts = args.counts or [None]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
@@ -322,7 +330,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="timing runs, optionally over a chair-count series")
     p.add_argument("--scene", default="theater1")
-    p.add_argument("--counts", default="", help="comma-separated chair counts (theater1)")
+    p.add_argument("--counts", type=_counts, help="comma-separated chair counts (theater1)")
     p.add_argument("--repeat", type=_positive_int, default=10, help="runs per scene")
     p.add_argument("--iters", type=int, default=0, help="fixed iteration budget")
     p.add_argument("--broad-phase", choices=("hash", "naive"), default="hash")

@@ -6,8 +6,10 @@ wrote any. It reads all of its inputs before its first ``out`` call, so a
 sink that applies each correction in place (the solver's sequential mode)
 gets the same bits as one that first gathers them (batch mode, or a test
 collecting ``Correction`` records into a list). One- and two-particle
-projections take positions as scalar coordinates, the n-body ones the
-position lists. Positional projections write zero turns and angular
+projections take positions as scalar coordinates, so their particle ids
+only label the corrections and a caller may route them elsewhere (the
+solver sends contact corrections to a pile's base); the n-body ones take
+the position lists. Positional projections write zero turns and angular
 ones zero moves, so the solver can apply corrections in any
 interleaving.
 
@@ -21,18 +23,19 @@ what a solve never changes (particle indices, inverse masses, distance,
 relation, lane vector, orientation mode, group curve and the like) into
 a plain tuple, the bound record ``b``; ``project(out, b, st, k,
 tiebreak)`` and ``violation(b, st)`` read only that record and the pose
-state ``st``. The projection records call the ``project_*`` functions
-through this module's globals, so a wrapper installed on the module is
-seen at call time. A projection runs at the stiffness ``k`` its caller
-passes: the solver evaluates the constraint's schedule for the
-iteration, and nothing writes that value onto the constraint.
+state ``st``: only ``bind`` reads the solve context. The projection
+records call the ``project_*`` functions through this module's globals,
+so a wrapper installed on the module is seen at call time. A projection
+runs at the stiffness ``k`` its caller passes: the solver evaluates the
+constraint's schedule for the iteration, and nothing writes that value
+onto the constraint.
 
 The solver generates five kinds, and a scene cannot name them. It
 builds a ``group_curve`` for each member of a nonrigid curve group and
 binds it like an authored constraint. The four contact kinds come from
-the broad and narrow phase every iteration, and the solver's contact
-pass projects and prices them itself, so their records carry only a
-weight, a schedule and a relation.
+the broad and narrow phase every iteration; the solver projects them
+through their ``project_*`` kernels and prices them itself, so their
+records carry only a weight, a schedule and a relation.
 
 Conventions shared by every projection:
 
@@ -760,29 +763,6 @@ def project_accessibility(
     )
 
 
-def zone_center(st, ctx, j: int, face: int):
-    """(world center, diagonal) of object j's accessibility zone on
-    ``face``, a zone j has: activations only name existing zones."""
-    for zone_face, local_center, diagonal, _ in ctx.zones[j]:
-        if zone_face == face:
-            c, s = math.cos(st.theta[j]), math.sin(st.theta[j])
-            lx, ly = local_center
-            return (st.px[j] + c * lx - s * ly, st.py[j] + s * lx + c * ly), diagonal
-
-
-def access_corrections(
-    out: Sink, i: int, j: int, face: int, st, ctx, k: float, tiebreak: TieBreak = None
-) -> bool:
-    """Keep object i out of object j's zone on ``face`` at the current
-    poses."""
-    center, diagonal = zone_center(st, ctx, j, face)
-    w = ctx.proj_w
-    return project_accessibility(
-        out, i, j, st.px[i], st.py[i], w[i], w[j], center[0], center[1], st.theta[j],
-        diagonal, ctx.b_diag[i], ctx.radius[i], k, tiebreak,
-    )
-
-
 ACCESSIBILITY = _kind("accessibility", schedule=_STIFFEN, weight=150.0,
                       relations=(INEQUALITY,), generated=True)
 
@@ -833,19 +813,6 @@ def project_wall_ghost_collision(
     return project_pairwise_distance(
         out, i, j, x_ghost_i, y_ghost_i, x_ghost_j, y_ghost_j, wi, wj, r_i + r_j, k,
         INEQUALITY, tiebreak,
-    )
-
-
-def wall_ghost_corrections(
-    out: Sink, i: int, j: int, st, ctx, k: float, tiebreak: TieBreak = None
-) -> bool:
-    """Separate the nearest-wall ghost points of objects i and j at the
-    current poses."""
-    gi, _, _ = nearest_wall_point(ctx.room, (st.px[i], st.py[i]))
-    gj, _, _ = nearest_wall_point(ctx.room, (st.px[j], st.py[j]))
-    w, r = ctx.proj_w, ctx.radius
-    return project_wall_ghost_collision(
-        out, i, j, gi.x, gi.y, gj.x, gj.y, w[i], w[j], r[i], r[j], k, tiebreak
     )
 
 

@@ -19,9 +19,10 @@ records with the record its kind's ``bind`` resolved, its weight and
 its schedule slot), and the step's round-robin loop and the energy call
 those records directly. ``project_constraint`` projects one bound entry
 for the stacking re-alignment and the settle's orientation snaps. The
-contact projections the step and the settle share are
-``constraints.project_collision``, ``constraints.access_corrections``,
-``constraints.wall_ghost_corrections`` and ``_boundary_pass``.
+contact glue lives here: the step, the settle and ``_boundary_pass``
+call the ``constraints.project_*`` contact kernels with each object's
+contact root (``ctx.contact_root``, its pile's base) as its particle id,
+helped by ``zone_center`` and ``wall_ghost_corrections``.
 
 Every projection writes its corrections straight into the run's
 ``_Applier`` through a sink, ``out(particle, dx, dy, dz, dtheta)``, and
@@ -62,7 +63,7 @@ import numpy as np
 from . import constraints as cn
 from .constraints import Constraint
 from .geometry import Vec2, normalize_angle
-from .model import Scene, RIGID
+from .model import Scene, RIGID, nearest_wall_point
 from .spatial import NaiveIndex, NeighbourList, SpatialHash, rebuild
 
 SEQUENTIAL = "sequential"
@@ -185,7 +186,8 @@ class SolveContext:
         self.b_diag = [0.0] * n
         self.half_height = [0.0] * n
         self.visual_weight = [0.0] * n
-        self.zones: list[list[tuple[int, Vec2, float, float]]] = [[] for _ in range(n)]
+        # (local center, diagonal, half side) of each enabled zone
+        self.zones: list[list[tuple[Vec2, float, float]]] = [[] for _ in range(n)]
         self.reach = [0.0] * n
         self.object_particles: list[int] = []
         for obj in scene.objects:
@@ -195,10 +197,10 @@ class SolveContext:
             self.b_diag[i] = obj.bbox.footprint_diagonal
             self.half_height[i] = obj.bbox.half_height
             self.visual_weight[i] = obj.bbox.footprint_area
-            for k, region in enumerate(obj.accessibility, start=1):
+            for region in obj.accessibility:
                 if region.enabled:
                     half_side = region.diagonal / (2.0 * math.sqrt(2.0))
-                    self.zones[i].append((k, region.local_center, region.diagonal, half_side))
+                    self.zones[i].append((region.local_center, region.diagonal, half_side))
                     self.reach[i] = max(
                         self.reach[i], region.local_center.norm() + 0.5 * region.diagonal
                     )
@@ -391,12 +393,11 @@ class _Applier:
     place. Between ``collect(True)`` and ``flush()`` it adds them instead
     to per-particle sums, all against the same poses, and ``flush``
     applies each sum over-relaxed by ``BATCH_AVERAGING`` over its count
-    (batch mode). ``label`` names what is being projected, for the error
-    a non-finite pose raises."""
+    (batch mode), so read ``out`` after ``collect``. ``label`` names what
+    is being projected, for the error a non-finite pose raises."""
 
     def __init__(self, state: LayoutState, ctx: SolveContext):
         self.state = state
-        self.ctx = ctx
         # the pose lists and routing tables every correction touches
         self.px, self.py, self.pz, self.theta = state.px, state.py, state.pz, state.theta
         self.owner = ctx.owner
@@ -445,17 +446,6 @@ class _Applier:
         """Project one bound constraint at stiffness ``k`` into ``out``."""
         self.label = b.kind
         return project_constraint(self.out, b, self.state, k, tiebreak)
-
-    def contact_sink(self, label: str):
-        """A sink for contact corrections named ``label``: each goes to its
-        particle's contact root (the base of its stack), then to ``out``."""
-        root = self.ctx.contact_root
-
-        def push(i: int, dx: float, dy: float, dz: float, dtheta: float) -> None:
-            self.label = label
-            self.out(root[i], dx, dy, dz, dtheta)
-
-        return push
 
     def collect(self, batching: bool) -> None:
         """Gather the corrections that follow until ``flush`` when batching;
@@ -531,7 +521,8 @@ def generate_contacts(
     with_accessibility: bool = True,
 ) -> tuple[list[tuple[int, int]], list[tuple[int, int, int]], list[tuple[int, int]]]:
     """(collision pairs, accessibility activations, wall-ghost pairs) for
-    the current poses.
+    the current poses. An activation ``(i, j, z)`` puts object i in the
+    zone ``ctx.zones[j][z]``.
 
     Pairs inside one rigid group and pairs separated vertically never
     collide. Ghost pairs are the colliding pairs whose two objects both
@@ -558,8 +549,8 @@ def generate_contacts(
                 cj,
                 sj,
                 [
-                    (face, xj + cj * lc.x - sj * lc.y, yj + sj * lc.x + cj * lc.y, half_side)
-                    for face, lc, _, half_side in zones[j]
+                    (z, xj + cj * lc.x - sj * lc.y, yj + sj * lc.x + cj * lc.y, half_side)
+                    for z, (lc, _, half_side) in enumerate(zones[j])
                 ],
             )
             zone_cache[j] = cached
@@ -574,7 +565,7 @@ def generate_contacts(
         if dx * dx + dy * dy > span * span:
             return
         cj, sj, faces = owner_faces(j)
-        for face, cx, cy, half_side in faces:
+        for z, cx, cy, half_side in faces:
             relx = xi - cx
             rely = yi - cy
             lx = cj * relx + sj * rely
@@ -584,7 +575,7 @@ def generate_contacts(
             dqx = lx - qx
             dqy = ly - qy
             if dqx * dqx + dqy * dqy <= ri * ri:
-                activations.append((i, j, face))
+                activations.append((i, j, z))
 
     for i, j in grid.candidate_pairs():
         if owner[i] >= 0 and owner[i] == owner[j]:
@@ -609,6 +600,27 @@ def generate_contacts(
             if zones[i]:
                 activate(j, i)
     return collisions, activations, ghosts
+
+
+def zone_center(st: LayoutState, ctx: SolveContext, j: int, z: int):
+    """(world center, diagonal) of object j's zone ``ctx.zones[j][z]`` at
+    the current poses."""
+    (lx, ly), diagonal, _ = ctx.zones[j][z]
+    c, s = math.cos(st.theta[j]), math.sin(st.theta[j])
+    return (st.px[j] + c * lx - s * ly, st.py[j] + s * lx + c * ly), diagonal
+
+
+def wall_ghost_corrections(
+    out, i: int, j: int, st: LayoutState, ctx: SolveContext, k: float, tiebreak=None
+) -> bool:
+    """Separate the nearest-wall ghost points of objects i and j at the
+    current poses, each correction going to its object's contact root."""
+    gi, _, _ = nearest_wall_point(ctx.room, (st.px[i], st.py[i]))
+    gj, _, _ = nearest_wall_point(ctx.room, (st.px[j], st.py[j]))
+    w, r, root = ctx.proj_w, ctx.radius, ctx.contact_root
+    return cn.project_wall_ghost_collision(
+        out, root[i], root[j], gi.x, gi.y, gj.x, gj.y, w[i], w[j], r[i], r[j], k, tiebreak
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -681,11 +693,9 @@ def evaluate_energy(
             max_overlap = max(max_overlap, v)
 
     w_acc = cn.SPECS[cn.ACCESSIBILITY].weight
-    for i, j, face in activations:
-        center, diagonal = cn.zone_center(st, ctx, j, face)
-        C = math.hypot(st.px[i] - center[0], st.py[i] - center[1]) - (
-            ctx.b_diag[i] + diagonal
-        )
+    for i, j, z in activations:
+        (cx, cy), diagonal = zone_center(st, ctx, j, z)
+        C = math.hypot(st.px[i] - cx, st.py[i] - cy) - (ctx.b_diag[i] + diagonal)
         v = max(0.0, -C)
         if v:
             sums[cn.ACCESSIBILITY] = sums.get(cn.ACCESSIBILITY, 0.0) + v
@@ -741,20 +751,27 @@ def step(
     k_acc = cn.update_stiffness(cn.SPECS[cn.ACCESSIBILITY], iteration)
     k_ghost = cn.update_stiffness(cn.SPECS[cn.WALL_GHOST_COLLISION], iteration)
 
+    # every contact correction goes to its object's contact root
     applier.collect(batching)
-    collide = applier.contact_sink(cn.COLLISION)
-    ghost = applier.contact_sink(cn.WALL_GHOST_COLLISION)
-    access = applier.contact_sink(cn.ACCESSIBILITY)
+    out = applier.out
     ghost_set = set(ghosts)
-    px, py, w, r = st.px, st.py, ctx.proj_w, ctx.radius
+    px, py, w, r, root = st.px, st.py, ctx.proj_w, ctx.radius, ctx.contact_root
     for i, j in collisions:
+        applier.label = cn.COLLISION
         cn.project_collision(
-            collide, i, j, px[i], py[i], px[j], py[j], w[i], w[j], r[i], r[j], k_col, tiebreak
+            out, root[i], root[j], px[i], py[i], px[j], py[j], w[i], w[j], r[i], r[j], k_col,
+            tiebreak,
         )
         if (i, j) in ghost_set:
-            cn.wall_ghost_corrections(ghost, i, j, st, ctx, k_ghost, tiebreak)
-    for i, j, face in activations:
-        cn.access_corrections(access, i, j, face, st, ctx, k_acc, tiebreak)
+            applier.label = cn.WALL_GHOST_COLLISION
+            wall_ghost_corrections(out, i, j, st, ctx, k_ghost, tiebreak)
+    applier.label = cn.ACCESSIBILITY
+    for i, j, z in activations:
+        (cx, cy), diagonal = zone_center(st, ctx, j, z)
+        cn.project_accessibility(
+            out, root[i], root[j], px[i], py[i], w[i], w[j], cx, cy, st.theta[j], diagonal,
+            ctx.b_diag[i], r[i], k_acc, tiebreak,
+        )
     applier.flush()
 
     # boundary containment gets the final word, always at full stiffness
@@ -775,11 +792,12 @@ def step(
 def _boundary_pass(st: LayoutState, ctx: SolveContext, applier: _Applier) -> bool:
     """Boundary containment of every object at full stiffness, each push
     routed to the object's contact root; True when some object moved."""
-    push = applier.contact_sink(cn.BOUNDARY)
+    applier.label = cn.BOUNDARY
+    out, root = applier.out, ctx.contact_root
     pushed = False
     for i in ctx.object_particles:
         if cn.project_boundary(
-            push, i, st.px[i], st.py[i], ctx.proj_w[i], ctx.radius[i], ctx.room, 1.0
+            out, root[i], st.px[i], st.py[i], ctx.proj_w[i], ctx.radius[i], ctx.room, 1.0
         ):
             pushed = True
     return pushed
@@ -792,7 +810,8 @@ def _boundary_pass(st: LayoutState, ctx: SolveContext, applier: _Applier) -> boo
 class Settled(NamedTuple):
     """A settle's closing ``evaluate_energy`` pricing and whether the
     settle came out clean, with every hard violation below 1e-9. Its
-    truth value is ``clean``."""
+    truth value is ``clean``: ``perfbench/tracer.py`` counts the clean
+    settles by testing each result for truth."""
 
     priced: tuple[float, dict[str, float], float, float]
     clean: bool
@@ -814,8 +833,7 @@ def _settle_hard_constraints(
     also at full stiffness, whatever schedule a constraint follows in the
     steps. Returns the settled layout's pricing, clean or not."""
     applier = _Applier(st, ctx)
-    collide = applier.contact_sink(cn.COLLISION)
-    ghost = applier.contact_sink(cn.WALL_GHOST_COLLISION)
+    out, root = applier.out, ctx.contact_root
     for sweep in range(_SETTLE_MAX_SWEEPS):
         for b in ctx.stacking_constraints:
             applier.project(b, 1.0, tiebreak)
@@ -830,8 +848,9 @@ def _settle_hard_constraints(
         for i, j in collisions:
             # the hair of extra separation keeps resolved contacts from
             # re-arming off boundary clamps and float noise
+            applier.label = cn.COLLISION
             if cn.project_collision(
-                collide, i, j, st.px[i], st.py[i], st.px[j], st.py[j],
+                out, root[i], root[j], st.px[i], st.py[i], st.px[j], st.py[j],
                 ctx.proj_w[i], ctx.proj_w[j],
                 ctx.radius[i] + 5e-4, ctx.radius[j] + 5e-4, 1.0, tiebreak,
             ):
@@ -842,7 +861,8 @@ def _settle_hard_constraints(
                 ):
                     # both near a wall: also separate their wall ghost
                     # points so the pair slides apart along the wall
-                    cn.wall_ghost_corrections(ghost, i, j, st, ctx, 1.0, tiebreak)
+                    applier.label = cn.WALL_GHOST_COLLISION
+                    wall_ghost_corrections(out, i, j, st, ctx, 1.0, tiebreak)
         if _boundary_pass(st, ctx, applier):
             dirty = True
         if not dirty:

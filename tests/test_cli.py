@@ -223,15 +223,19 @@ class TestBench:
         assert "chair count must be nonnegative, not -3" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [
-    ["bench", "--scene", "living_room", "--repeat", "0"],
-    ["suggest", "living_room", "--seeds", "-2"],
+@pytest.mark.parametrize("argv, rule", [
+    (["bench", "--scene", "living_room", "--repeat", "0"], "--repeat: '0' is not a positive integer"),
+    (["suggest", "living_room", "--seeds", "-2"], "--seeds: '-2' is not a positive integer"),
+    (["bench", "--counts", "5,a"], "--counts: '5,a' is not a comma-separated list of integers"),
+    (["bench", "--counts", "5,,6"], "--counts: '5,,6' is not a comma-separated list of integers"),
+    (["bench", "--counts", "5,"], "--counts: '5,' is not a comma-separated list of integers"),
+    (["bench", "--counts", ""], "--counts: '' is not a comma-separated list of integers"),
 ])
-def test_run_counts_must_be_positive(argv, tmp_path, capsys):
+def test_run_counts_must_be_positive(argv, rule, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         run(argv + ["--out", tmp_path / "x"])
     assert exc.value.code == 2
-    assert "is not a positive integer" in capsys.readouterr().err
+    assert f"argument {rule}" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
 
 

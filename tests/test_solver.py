@@ -11,6 +11,7 @@ from layoutsynth import sceneio, scenes, solver
 from layoutsynth import spatial
 from layoutsynth.geometry import Curve, SEGMENT, Vec2
 from layoutsynth.model import (
+    AccessRegion,
     BoundingBox,
     Group,
     LayoutObject,
@@ -35,6 +36,7 @@ from layoutsynth.solver import (
     neighbour_list,
     step,
     synthesize,
+    zone_center,
 )
 
 
@@ -773,3 +775,108 @@ class TestNeighbourListNarrowPhase:
             collisions += len(listed[0])
             activations += len(listed[1])
         assert collisions and (activations or not any(ctx.zones))
+
+
+class TestContactRouting:
+    """Every contact correction goes to the contact root of its object,
+    the base of its pile: a contact never moves a stacked object itself,
+    in the step (sequential or batch) or in the settle."""
+
+    CONTACT_LABELS = {cn.COLLISION, cn.ACCESSIBILITY, cn.WALL_GHOST_COLLISION, cn.BOUNDARY}
+
+    @staticmethod
+    def _spy(monkeypatch) -> list[tuple[str, int]]:
+        """(label, particle) of every correction the appliers apply or
+        gather from now on."""
+        named = []
+        for name in ("_apply", "_gather"):
+            original = getattr(_Applier, name)
+
+            def spy(self, i, dx, dy, dz, dtheta, original=original):
+                named.append((self.label, i))
+                return original(self, i, dx, dy, dz, dtheta)
+
+            monkeypatch.setattr(_Applier, name, spy)
+        return named
+
+    def _assert_routed(self, named, ctx) -> set[str]:
+        contacts = [(label, i) for label, i in named if label in self.CONTACT_LABELS]
+        assert contacts
+        for label, i in contacts:
+            assert ctx.contact_root[i] == i, (label, i)
+            assert i not in ctx.stack_top, (label, i)
+        return {label for label, _ in contacts}
+
+    @staticmethod
+    def _pile_scene() -> Scene:
+        """A two-object pile whose top carries a wall distance and a zone,
+        beside a tall object with both as well: in one step the top
+        collides with it, shares a wall-ghost pair with it, sits in its
+        zone, holds it in its own zone and pokes out of the room."""
+        scene = Scene(room=square_room(4.0))
+        front = AccessRegion(Vec2(0.6, 0.0), 0.5)
+        off = AccessRegion(Vec2(0.0, 0.0), 0.0)
+        for i, (half_height, zoned) in enumerate([(0.2, False), (0.2, True), (1.0, True)]):
+            scene.particles.append(Particle(Vec2(2.0, 2.0), z=half_height))
+            scene.objects.append(LayoutObject(
+                id=f"o{i}", label="box", particle_index=i,
+                bbox=BoundingBox(Vec2(0.3, 0.3), half_height),
+                accessibility=(off, off, front, off) if zoned else (off,) * 4,
+            ))
+        scene.constraints += [
+            cn.make_constraint(cn.STACKING, (0, 1), height_gap=0.4),
+            cn.make_constraint(cn.WALL_DISTANCE, (1,), distance=0.4),
+            cn.make_constraint(cn.WALL_DISTANCE, (2,), distance=0.4),
+        ]
+        return scene
+
+    @pytest.mark.parametrize("mode", [solver.SEQUENTIAL, BATCH])
+    def test_step_routes_every_contact_kind(self, mode, monkeypatch):
+        ctx = SolveContext(self._pile_scene())
+        assert ctx.contact_root == [0, 0, 2]
+        st = LayoutState([1.0, 1.0, 1.4], [0.4, 0.4, 0.4], [0.2, 0.6, 1.0],
+                         [0.0, 0.0, math.pi])
+        named = self._spy(monkeypatch)
+        step(st, ctx, 1, SolverConfig(projection_mode=mode))
+        assert self._assert_routed(named, ctx) == self.CONTACT_LABELS
+
+    @pytest.mark.parametrize("mode", [solver.SEQUENTIAL, BATCH])
+    def test_desk_step_routes_to_the_pile_base(self, mode, monkeypatch):
+        scene = scenes.build("desk")
+        ctx = SolveContext(scene)
+        assert ctx.stack_top
+        st = initialize(scene, 0)
+        named = self._spy(monkeypatch)
+        step(st, ctx, 1, SolverConfig(projection_mode=mode))
+        self._assert_routed(named, ctx)
+
+    def test_desk_settle_routes_to_the_pile_base(self, monkeypatch):
+        scene = scenes.build("desk")
+        ctx = SolveContext(scene)
+        st = initialize(scene, 0)
+        named = self._spy(monkeypatch)
+        _settle_hard_constraints(st, ctx, SolverConfig(), neighbour_list(ctx))
+        self._assert_routed(named, ctx)
+
+
+@pytest.mark.parametrize("template", ["living_room", "tp_bedroom"])
+def test_activation_names_its_zone_by_index(template):
+    """An activation (i, j, z) names the z-th enabled accessibility region
+    of object j, whose world centre zone_center gives bit for bit."""
+    scene = scenes.build(template)
+    ctx = SolveContext(scene)
+    obj_at = {obj.particle_index: obj for obj in scene.objects}
+    st = initialize(scene, 0)
+    neighbours = neighbour_list(ctx)
+    seen = 0
+    for iteration in range(1, 6):
+        _, activations, _ = generate_contacts(st, ctx, neighbours.refresh(st.px, st.py))
+        for i, j, z in activations:
+            region = [r for r in obj_at[j].accessibility if r.enabled][z]
+            world = region.world_center(Vec2(st.px[j], st.py[j]), st.theta[j])
+            center, diagonal = zone_center(st, ctx, j, z)
+            assert repr(center) == repr((world.x, world.y))
+            assert diagonal == region.diagonal
+            seen += 1
+        step(st, ctx, iteration, SolverConfig(), neighbours=neighbours)
+    assert seen
