@@ -10,8 +10,9 @@ objects, neighbour pairs and re-bucketed particles), per-constraint
 stiffness schedules from a scene file, a scene file with the authored
 constraint variants no template uses, living_room moved far from the
 origin and living_room turned off the axes (see ``MOVED_ROOMS``),
-living_room in a non-convex L-shaped room (see ``L_ROOM``), ``suggest``
-and ``compare``. They execute in a temporary directory with
+living_room in a non-convex L-shaped room (see ``L_ROOM``) and in a
+notched room whose centroid lies outside it (see ``NOTCHED_ROOM``),
+``suggest`` and ``compare``. They execute in a temporary directory with
 relative scene references, so no artifact records where it was written.
 
     python scripts/artifact_digests.py > digests.txt
@@ -97,6 +98,11 @@ MOVED_ROOMS = {
 # test goes through the per-wall measure and the ray-cast Room.contains
 L_ROOM = [[0, 0], [8, 0], [8, 4], [5.5, 4], [5.5, 6], [0, 6]]
 
+# living_room in a 6.5 x 5 m room with a 2.5 x 3 m notch: its centroid
+# (3.25, 2.2) lies in the notch, outside the room, so the boundary
+# projection's centroid fallback runs (and logs its warning on stderr)
+NOTCHED_ROOM = [[0, 0], [6.5, 0], [6.5, 5], [4.5, 5], [4.5, 2], [2, 2], [2, 5], [0, 5]]
+
 
 def _moved_scene(doc: dict, shift: tuple[float, float], degrees: float) -> dict:
     """The scene document with its room and every object pose rotated
@@ -178,13 +184,14 @@ def _runs() -> list[tuple[str, ...]]:
             ("synth", f"{name}.json", "--seed", str(seed), "--out", f"{name}_s{seed}")
             for seed in (0, 1)
         ]
-    doc = json.loads(sceneio.serialize_scene(scenes.living_room()))
-    doc["room"]["boundary"] = L_ROOM
-    Path("living_room_l.json").write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-    runs += [
-        ("synth", "living_room_l.json", "--seed", str(seed), "--out", f"living_room_l_s{seed}")
-        for seed in (0, 1)
-    ]
+    for name, boundary in (("living_room_l", L_ROOM), ("living_room_notched", NOTCHED_ROOM)):
+        doc = json.loads(sceneio.serialize_scene(scenes.living_room()))
+        doc["room"]["boundary"] = boundary
+        Path(f"{name}.json").write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+        runs += [
+            ("synth", f"{name}.json", "--seed", str(seed), "--out", f"{name}_s{seed}")
+            for seed in (0, 1)
+        ]
     runs.append(("suggest", "picnic", "--seeds", "2", "--out", "picnic_suggest"))
     runs.append(("compare", "living_room", "--seed", "0", "--out", "living_room_compare"))
     return runs

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Scene
-from .solver import EnergyTrace, LayoutState, SolveContext, evaluate_energy, initialize
+from .solver import EnergyTrace, LayoutState, SolveContext, check_seed, evaluate_energy, initialize
 
 
 # the schedule starts at 2% of the run's initial energy, which puts most
@@ -45,6 +45,7 @@ class AnnealConfig:
     def validate(self) -> None:
         if self.total_iterations < 1:
             raise ValueError("need at least one iteration")
+        check_seed(self.seed)
 
 
 class _Move:
@@ -141,8 +142,9 @@ def run_sa_mcmc(
     config = config or AnnealConfig()
     config.validate()
     ctx = SolveContext(scene)
-    rng = np.random.default_rng(config.seed ^ 0xA11EA1)
-    state = initialize(scene, config.seed)
+    seed = int(config.seed)  # a small numpy integer would overflow the mix
+    rng = np.random.default_rng(seed ^ 0xA11EA1)
+    state = initialize(scene, seed)
 
     movable = movable_particles(ctx)
     if not movable:

@@ -50,6 +50,14 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _non_negative_int(text: str) -> int:
+    """argparse type of a seed or an iteration budget (0 keeps the
+    default budget): an integer of at least 0."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"{text!r} is not a non-negative integer")
+    return int(text)
+
+
 def _counts(text: str) -> list[int]:
     """argparse type of ``--counts``: comma-separated integers (the
     template rejects a negative chair count)."""
@@ -311,9 +319,10 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="synthesize one layout")
     p.add_argument("scene", help="scene file or template name")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--mode", choices=("pbd", "mcmc"), default="pbd")
-    p.add_argument("--iters", type=int, default=0, help="override the iteration budget")
+    p.add_argument("--iters", type=_non_negative_int, default=0,
+                   help="override the iteration budget")
     p.add_argument("--out", default="out")
     p.add_argument("--broad-phase", choices=("hash", "naive"), default=None)
     _add_render_flags(p)
@@ -322,8 +331,8 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("suggest", help="independent runs from different seeds")
     p.add_argument("scene")
     p.add_argument("--seeds", type=_positive_int, default=4, help="number of runs")
-    p.add_argument("--seed", type=int, default=0, help="first seed")
-    p.add_argument("--iters", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0, help="first seed")
+    p.add_argument("--iters", type=_non_negative_int, default=0)
     p.add_argument("--out", default="suggestions")
     _add_render_flags(p)
     p.set_defaults(func=cmd_suggest)
@@ -332,15 +341,16 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--scene", default="theater1")
     p.add_argument("--counts", type=_counts, help="comma-separated chair counts (theater1)")
     p.add_argument("--repeat", type=_positive_int, default=10, help="runs per scene")
-    p.add_argument("--iters", type=int, default=0, help="fixed iteration budget")
+    p.add_argument("--iters", type=_non_negative_int, default=0, help="fixed iteration budget")
     p.add_argument("--broad-phase", choices=("hash", "naive"), default="hash")
     p.add_argument("--out", default="bench")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("compare", help="run both optimizers from identical starts")
     p.add_argument("scene")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--iters", type=int, default=0, help="override both iteration budgets")
+    p.add_argument("--seed", type=_non_negative_int, default=0)
+    p.add_argument("--iters", type=_non_negative_int, default=0,
+                   help="override both iteration budgets")
     p.add_argument("--out", default="compare")
     p.add_argument("--broad-phase", choices=("hash", "naive"), default=None)
     _add_render_flags(p)
@@ -352,7 +362,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export", help="write a template to a scene file")
     p.add_argument("scene", choices=TEMPLATE_NAMES)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_export)
 

@@ -37,6 +37,10 @@ the broad and narrow phase every iteration; the solver projects them
 through their ``project_*`` kernels and prices them itself, so their
 records carry only a weight, a schedule and a relation.
 
+Room containment (``boundary_violation``, ``pokes_out`` and the clamp
+``clamp_inside``) is decided in ``model`` and imported here;
+``project_boundary`` keeps its gates and the centroid fallback.
+
 Conventions shared by every projection:
 
 * a particle with zero inverse mass never receives a correction;
@@ -54,7 +58,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 from .geometry import Vec2, closest_point_on_curve, wrap_angle
-from .model import Room, nearest_wall_point
+from .model import Room, boundary_violation, clamp_inside, nearest_wall_point, pokes_out
 
 log = logging.getLogger(__name__)
 
@@ -1004,71 +1008,6 @@ STACKING = _kind("stacking", _bind_stacking, _stacking, _stacking_violation,
                  schedule=_HARD, checks=(_needs_height_gap,))
 
 
-def boundary_violation(room: Room, p, radius: float) -> float:
-    """How far the bounding circle pokes outside the room; 0 if contained.
-
-    In an axis-aligned rectangle a circle clear of every side by more
-    than the room's rounding band (``Room._band``) is contained, and the
-    answer is 0.0 from the four side clearances; everywhere else, and in
-    every other room, the per-wall measure ``_wall_violation`` decides.
-    Both give the same bits.
-    """
-    x, y = p[0], p[1]
-    rect = room._rect
-    if rect is not None:
-        x0, y0, x1, y1 = rect
-        clear = radius + room._band
-        if x - x0 > clear and x1 - x > clear and y - y0 > clear and y1 - y > clear:
-            return 0.0
-    return _wall_violation(room, x, y, radius)
-
-
-def _wall_violation(room: Room, x: float, y: float, radius: float) -> float:
-    """The boundary measure from every wall: the radius less the signed
-    distance from (x, y) to the nearest wall, floored at 0."""
-    best = math.inf
-    for ax, ay, dx, dy, inv_len2, _, _, _ in room._wall_data:
-        t = ((x - ax) * dx + (y - ay) * dy) * inv_len2
-        if t < 0.0:
-            t = 0.0
-        elif t > 1.0:
-            t = 1.0
-        ex = x - (ax + t * dx)
-        ey = y - (ay + t * dy)
-        d2 = ex * ex + ey * ey
-        if d2 < best:
-            best = d2
-    d = math.sqrt(best)
-    clearance = d if room.contains((x, y)) else -d
-    return max(0.0, radius - clearance)
-
-
-def pokes_out(room: Room, x: float, y: float, radius: float, tol: float) -> bool:
-    """Whether the circle pokes out of the room by more than ``tol``:
-    ``boundary_violation(room, (x, y), radius) > tol``, bit for bit.
-
-    In an axis-aligned rectangle the side clearances decide whenever they
-    lie more than the room's rounding band from ``radius - tol``: every
-    side above it, and the circle is inside and pokes out by less than
-    ``tol``; the smallest below it, and it pokes out by more (outside the
-    room the violation only grows beyond what the sides show). So a
-    circle left touching a wall costs four subtractions. Only inside the
-    band, and in other rooms, does the per-wall measure run.
-    """
-    rect = room._rect
-    if rect is not None:
-        x0, y0, x1, y1 = rect
-        band = room._band
-        reach = radius - tol
-        # above the band and inside the room, also when reach <= 0
-        clear = reach + band if reach > 0.0 else band
-        if x - x0 > clear and x1 - x > clear and y - y0 > clear and y1 - y > clear:
-            return False
-        if min(x - x0, x1 - x, y - y0, y1 - y) < reach - band:
-            return True
-    return _wall_violation(room, x, y, radius) > tol
-
-
 def project_boundary(
     out: Sink,
     i: int,
@@ -1083,45 +1022,18 @@ def project_boundary(
 
     A circle that pokes out by at most 1e-12 (``pokes_out``; in a
     rectangle the side clearances decide it, touching circles included)
-    is left alone. Otherwise the per-wall clamps iterate until contained.
-    If the room genuinely cannot contain the circle, the particle is
-    clamped to the centroid and a warning is logged.
+    is left alone. Otherwise ``clamp_inside`` moves it in. If the clamp
+    leaves it poking out by more than 1e-9, the particle goes to the
+    room centroid and a warning is logged.
     """
     if wi <= 0.0 or k == 0.0:
         return False
     if not pokes_out(room, xi, yi, radius, 1e-12):
         return False
-    x, y = xi, yi
-    for _ in range(16):
-        changed = False
-        if not room.contains((x, y)):
-            q, normal, _ = nearest_wall_point(room, (x, y))
-            x = q.x + normal.x * radius
-            y = q.y + normal.y * radius
-            changed = True
-        for ax, ay, wdx, wdy, inv_len2, wnx, wny, _ in room._wall_data:
-            t = ((x - ax) * wdx + (y - ay) * wdy) * inv_len2
-            if t < 0.0:
-                t = 0.0
-            elif t > 1.0:
-                t = 1.0
-            qx = ax + t * wdx
-            qy = ay + t * wdy
-            dx = x - qx
-            dy = y - qy
-            dist = math.hypot(dx, dy)
-            if dist < radius - 1e-12:
-                if dist > _EPS:
-                    nx, ny = dx / dist, dy / dist
-                else:
-                    nx, ny = wnx, wny
-                x = qx + nx * radius
-                y = qy + ny * radius
-                changed = True
-        if not changed:
-            break
+    x, y = clamp_inside(room, xi, yi, radius)
     if pokes_out(room, x, y, radius, 1e-9):
-        log.warning("room cannot contain a circle of radius %.3g; clamping to centroid", radius)
+        log.warning("the clamp could not bring a circle of radius %.3g inside the room; "
+                    "moving it to the room centroid", radius)
         x, y = room.centroid
     dx = (x - xi) * k
     dy = (y - yi) * k

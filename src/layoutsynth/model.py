@@ -2,6 +2,11 @@
 
 Everything here is value-semantic. The solver never mutates a Scene; it
 reads the structure and keeps its own pose state.
+
+Room containment lives here, beside the room's tables:
+``nearest_wall_point``, ``boundary_violation``, ``pokes_out`` and the
+clamp ``clamp_inside``. No other module reads a room's wall table,
+rectangle or side band.
 """
 
 from __future__ import annotations
@@ -231,8 +236,8 @@ class Room:
     Surveys 23(1), 1991). ``_band``, 64 machine epsilons times the
     largest coordinate magnitude, bounds that rounding several times
     over, so wherever the sides clear a containment threshold by more
-    than it they decide the test exactly (``constraints.pokes_out``).
-    It is derived from the walls and never set.
+    than it they decide the test exactly. It is derived from the walls
+    and never set.
     """
 
     boundary: list[Vec2]
@@ -316,6 +321,110 @@ def nearest_wall_point(room: Room, p) -> tuple[Vec2, Vec2, float]:
             best = wall
             best_q = (qx, qy)
     return Vec2(*best_q), Vec2(best[5], best[6]), best[7]
+
+
+def boundary_violation(room: Room, p, radius: float) -> float:
+    """How far the bounding circle pokes outside the room; 0 if contained.
+
+    In an axis-aligned rectangle a circle clear of every side by more
+    than the room's rounding band (``Room._band``) is contained, and the
+    answer is 0.0 from the four side clearances; everywhere else, and in
+    every other room, the per-wall measure ``_wall_violation`` decides.
+    Both give the same bits.
+    """
+    x, y = p[0], p[1]
+    rect = room._rect
+    if rect is not None:
+        x0, y0, x1, y1 = rect
+        clear = radius + room._band
+        if x - x0 > clear and x1 - x > clear and y - y0 > clear and y1 - y > clear:
+            return 0.0
+    return _wall_violation(room, x, y, radius)
+
+
+def _wall_violation(room: Room, x: float, y: float, radius: float) -> float:
+    """The boundary measure from every wall: the radius less the signed
+    distance from (x, y) to the nearest wall, floored at 0."""
+    best = math.inf
+    for ax, ay, dx, dy, inv_len2, _, _, _ in room._wall_data:
+        t = ((x - ax) * dx + (y - ay) * dy) * inv_len2
+        if t < 0.0:
+            t = 0.0
+        elif t > 1.0:
+            t = 1.0
+        ex = x - (ax + t * dx)
+        ey = y - (ay + t * dy)
+        d2 = ex * ex + ey * ey
+        if d2 < best:
+            best = d2
+    d = math.sqrt(best)
+    clearance = d if room.contains((x, y)) else -d
+    return max(0.0, radius - clearance)
+
+
+def pokes_out(room: Room, x: float, y: float, radius: float, tol: float) -> bool:
+    """Whether the circle pokes out of the room by more than ``tol``:
+    ``boundary_violation(room, (x, y), radius) > tol``, bit for bit.
+
+    In an axis-aligned rectangle the side clearances decide whenever they
+    lie more than the room's rounding band from ``radius - tol``: every
+    side above it, and the circle is inside and pokes out by less than
+    ``tol``; the smallest below it, and it pokes out by more (outside the
+    room the violation only grows beyond what the sides show). So a
+    circle left touching a wall costs four subtractions. Only inside the
+    band, and in other rooms, does the per-wall measure run.
+    """
+    rect = room._rect
+    if rect is not None:
+        x0, y0, x1, y1 = rect
+        band = room._band
+        reach = radius - tol
+        # above the band and inside the room, also when reach <= 0
+        clear = reach + band if reach > 0.0 else band
+        if x - x0 > clear and x1 - x > clear and y - y0 > clear and y1 - y > clear:
+            return False
+        if min(x - x0, x1 - x, y - y0, y1 - y) < reach - band:
+            return True
+    return _wall_violation(room, x, y, radius) > tol
+
+
+def clamp_inside(room: Room, x: float, y: float, radius: float) -> tuple[float, float]:
+    """The centre (x, y) moved so its circle of ``radius`` sits inside
+    the room, in up to 16 rounds. Each round pulls a centre outside the
+    room to its nearest wall point, then pushes the circle off every wall
+    it overlaps by more than 1e-12. Where the rounds do not settle (a
+    room too small or too concave for the circle) the result may still
+    poke out; the caller checks.
+    """
+    for _ in range(16):
+        changed = False
+        if not room.contains((x, y)):
+            q, normal, _ = nearest_wall_point(room, (x, y))
+            x = q.x + normal.x * radius
+            y = q.y + normal.y * radius
+            changed = True
+        for ax, ay, wdx, wdy, inv_len2, wnx, wny, _ in room._wall_data:
+            t = ((x - ax) * wdx + (y - ay) * wdy) * inv_len2
+            if t < 0.0:
+                t = 0.0
+            elif t > 1.0:
+                t = 1.0
+            qx = ax + t * wdx
+            qy = ay + t * wdy
+            dx = x - qx
+            dy = y - qy
+            dist = math.hypot(dx, dy)
+            if dist < radius - 1e-12:
+                if dist > 1e-9:
+                    nx, ny = dx / dist, dy / dist
+                else:
+                    nx, ny = wnx, wny
+                x = qx + nx * radius
+                y = qy + ny * radius
+                changed = True
+        if not changed:
+            break
+    return x, y
 
 
 @dataclass

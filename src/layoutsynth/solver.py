@@ -107,6 +107,13 @@ class SolverConfig:
             raise ValueError("need at least one iteration")
         if self.broad_phase not in ("hash", "naive"):
             raise ValueError(f"unknown broad phase {self.broad_phase!r}")
+        check_seed(self.seed)
+
+
+def check_seed(seed) -> None:
+    """Reject a seed that is not an integer >= 0; numpy integers pass."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, not {seed!r}")
 
 
 Pose = tuple[float, float, float, float]  # x, y, z, orientation
@@ -390,21 +397,21 @@ class _Applier:
     poses.
 
     ``out(particle, dx, dy, dz, dtheta)`` applies each correction in
-    place. Between ``collect(True)`` and ``flush()`` it adds them instead
-    to per-particle sums, all against the same poses, and ``flush``
-    applies each sum over-relaxed by ``BATCH_AVERAGING`` over its count
-    (batch mode), so read ``out`` after ``collect``. ``label`` names what
-    is being projected, for the error a non-finite pose raises."""
+    place. A batching applier's ``out`` adds them instead to per-particle
+    sums, all against the same poses, and ``flush`` applies each sum
+    over-relaxed by ``BATCH_AVERAGING`` over its count (batch mode).
+    ``project`` always applies at once. ``label`` names what is being
+    projected, for the error a non-finite pose raises."""
 
-    def __init__(self, state: LayoutState, ctx: SolveContext):
+    def __init__(self, state: LayoutState, ctx: SolveContext, batching: bool = False):
         self.state = state
         # the pose lists and routing tables every correction touches
         self.px, self.py, self.pz, self.theta = state.px, state.py, state.pz, state.theta
         self.owner = ctx.owner
         self.members_of = ctx.members_of
         self.label = ""
-        self.sums: dict[int, list[float]] | None = None
-        self.out = self._apply
+        self.sums: dict[int, list[float]] = {}
+        self.out = self._gather if batching else self._apply
 
     def _apply(self, i: int, dx: float, dy: float, dz: float, dtheta: float) -> None:
         px, py, theta = self.px, self.py, self.theta
@@ -443,21 +450,14 @@ class _Applier:
         row[4] += 1.0
 
     def project(self, b: Bound, k: float, tiebreak=None) -> bool:
-        """Project one bound constraint at stiffness ``k`` into ``out``."""
+        """Project one bound constraint at stiffness ``k``, applying its
+        corrections at once."""
         self.label = b.kind
-        return project_constraint(self.out, b, self.state, k, tiebreak)
-
-    def collect(self, batching: bool) -> None:
-        """Gather the corrections that follow until ``flush`` when batching;
-        otherwise keep applying each one at once."""
-        if batching:
-            self.sums = {}
-            self.out = self._gather
+        return project_constraint(self._apply, b, self.state, k, tiebreak)
 
     def flush(self) -> None:
-        """Apply the gathered corrections and go back to applying at once."""
-        sums, self.sums = self.sums, None
-        self.out = self._apply
+        """Apply the gathered corrections and start new sums."""
+        sums, self.sums = self.sums, {}
         if not sums:
             return
         self.label = "batched corrections"
@@ -730,14 +730,12 @@ def step(
     neighbour list along; without one the step starts a fresh list."""
     if neighbours is None:
         neighbours = neighbour_list(ctx)
-    applier = _Applier(st, ctx)
+    applier = _Applier(st, ctx, batching=config.projection_mode == BATCH)
+    out = applier.out
     ks = [cn.update_stiffness(c, iteration) for c in ctx.schedules]
 
-    batching = config.projection_mode == BATCH
     order = ctx.interleavings[(iteration - 1) % len(ctx.interleavings)]
-    applier.collect(batching)
     # the bound records directly, with the label the finiteness guard names
-    out = applier.out
     for kind, project, _, record, _, slot in order:
         applier.label = kind
         project(out, record, st, ks[slot], tiebreak)
@@ -752,8 +750,6 @@ def step(
     k_ghost = cn.update_stiffness(cn.SPECS[cn.WALL_GHOST_COLLISION], iteration)
 
     # every contact correction goes to its object's contact root
-    applier.collect(batching)
-    out = applier.out
     ghost_set = set(ghosts)
     px, py, w, r, root = st.px, st.py, ctx.proj_w, ctx.radius, ctx.contact_root
     for i, j in collisions:
@@ -775,7 +771,6 @@ def step(
     applier.flush()
 
     # boundary containment gets the final word, always at full stiffness
-    applier.collect(batching)
     _boundary_pass(st, ctx, applier)
     applier.flush()
 
@@ -896,14 +891,15 @@ def synthesize(scene: Scene, config: SolverConfig | None = None) -> tuple[list[P
     config = config or SolverConfig()
     config.validate()
     ctx = SolveContext(scene)
-    attempt_seed = config.seed
+    # a plain int, so a small numpy integer seed cannot overflow the mix
+    seed = attempt_seed = int(config.seed)
     for attempt in range(4):
         snapshot, trace, feasible = _synthesize_attempt(scene, ctx, config, attempt_seed)
         trace.restarts = attempt
         if feasible:
             return snapshot, trace
         failed_seed = attempt_seed
-        attempt_seed = (config.seed ^ ((attempt + 1) * 0x9E3779B9)) & 0x7FFFFFFF
+        attempt_seed = (seed ^ ((attempt + 1) * 0x9E3779B9)) & 0x7FFFFFFF
         if attempt < 3:
             log.warning(
                 "attempt %d (seed %d) could not be settled collision-free; "

@@ -230,6 +230,14 @@ class TestBench:
     (["bench", "--counts", "5,,6"], "--counts: '5,,6' is not a comma-separated list of integers"),
     (["bench", "--counts", "5,"], "--counts: '5,' is not a comma-separated list of integers"),
     (["bench", "--counts", ""], "--counts: '' is not a comma-separated list of integers"),
+    (["synth", "living_room", "--seed", "-1"], "--seed: '-1' is not a non-negative integer"),
+    (["synth", "living_room", "--iters", "-3"], "--iters: '-3' is not a non-negative integer"),
+    (["suggest", "picnic", "--seed", "1.5"], "--seed: '1.5' is not a non-negative integer"),
+    (["suggest", "picnic", "--iters", "x"], "--iters: 'x' is not a non-negative integer"),
+    (["bench", "--iters", "-1"], "--iters: '-1' is not a non-negative integer"),
+    (["compare", "desk", "--seed", "-2"], "--seed: '-2' is not a non-negative integer"),
+    (["compare", "desk", "--iters", "2.0"], "--iters: '2.0' is not a non-negative integer"),
+    (["export", "desk", "--seed", "-1"], "--seed: '-1' is not a non-negative integer"),
 ])
 def test_run_counts_must_be_positive(argv, rule, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -1,10 +1,11 @@
+import logging
 import math
 
 import numpy as np
 import pytest
 
 from layoutsynth import constraints as cn
-from layoutsynth import scenes
+from layoutsynth import model, scenes
 from layoutsynth.constraints import (
     Constraint,
     boundary_violation,
@@ -32,6 +33,10 @@ from layoutsynth.model import (
 from layoutsynth.solver import LayoutState, SolveContext, initialize
 
 SQUARE = Room([Vec2(0, 0), Vec2(10, 0), Vec2(10, 10), Vec2(0, 10)])
+# non-convex rooms with 2 m arms or more: an L, and a 6.5 x 5 m room with
+# a 2.5 x 3 m notch whose centroid lies in the notch
+L_ROOM = [(0, 0), (8, 0), (8, 4), (5.5, 4), (5.5, 6), (0, 6)]
+NOTCHED_ROOM = [(0, 0), (6.5, 0), (6.5, 5), (4.5, 5), (4.5, 2), (2, 2), (2, 5), (0, 5)]
 
 
 def corrections(project, *args, **kwargs):
@@ -602,8 +607,6 @@ class TestBoundary:
         assert boundary_violation(SQUARE, moved[0], 1.0) < 1e-9
 
     def test_room_too_small_clamps_to_centroid(self, caplog):
-        import logging
-
         tiny = Room([Vec2(0, 0), Vec2(1, 0), Vec2(1, 1), Vec2(0, 1)])
         with caplog.at_level(logging.WARNING):
             corrs = corrections(project_boundary, 0, 0.1, 0.1, 1.0, 5.0, tiny)
@@ -613,14 +616,14 @@ class TestBoundary:
 
     def test_rectangle_early_out_only_where_contained(self, monkeypatch):
         # the sides decide only what the per-wall loop would, bit for bit
-        wall_violation = cn._wall_violation
+        wall_violation = model._wall_violation
         measured = []
 
         def spy(room, x, y, radius):
             measured.append((x, y))
             return wall_violation(room, x, y, radius)
 
-        monkeypatch.setattr(cn, "_wall_violation", spy)
+        monkeypatch.setattr(model, "_wall_violation", spy)
 
         def rect(x0, y0, w, h):
             return Room([Vec2(x0, y0), Vec2(x0 + w, y0), Vec2(x0 + w, y0 + h), Vec2(x0, y0 + h)])
@@ -698,6 +701,29 @@ class TestBoundary:
                 assert corrections(project_boundary, 0, x, y, 1.0, radius, room) == []
                 contained += not measured
         assert touching > 200 and contained > 0.9 * touching
+
+    @pytest.mark.parametrize("boundary, angle, shift", [
+        (L_ROOM, 0.0, (0.0, 0.0)),
+        (NOTCHED_ROOM, 0.0, (0.0, 0.0)),
+        ([(0, 0), (6.5, 0), (6.5, 5), (0, 5)], math.radians(30.0), (0.0, 0.0)),
+        (L_ROOM, 0.0, (1e4, -1e4)),
+        (NOTCHED_ROOM, 0.4, (5e3, -2e3)),
+    ], ids=["l", "notched", "rectangle_turned", "l_far", "notched_turned_far"])
+    def test_one_projection_contains_outside_rectangles(self, boundary, angle, shift, caplog):
+        # rooms where no rectangle side test decides: the clamp alone
+        # brings every circle narrower than the arms inside
+        c, s = math.cos(angle), math.sin(angle)
+        room = Room([Vec2(c * x - s * y + shift[0], s * x + c * y + shift[1]) for x, y in boundary])
+        x0, y0, x1, y1 = room.bounds()
+        rng = np.random.default_rng(17)
+        with caplog.at_level(logging.WARNING, logger="layoutsynth.constraints"):
+            for _ in range(6000):
+                radius = rng.uniform(0.05, 0.9)
+                x, y = rng.uniform(x0 - 1, x1 + 1), rng.uniform(y0 - 1, y1 + 1)
+                corrs = corrections(project_boundary, 0, x, y, 1.0, radius, room)
+                (x, y), = apply({0: (x, y)}, corrs).values()
+                assert boundary_violation(room, (x, y), radius) <= 1e-9
+        assert not caplog.records
 
     def test_violation_measure(self):
         assert boundary_violation(SQUARE, (5, 5), 1.0) == 0.0

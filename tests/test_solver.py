@@ -9,6 +9,7 @@ import pytest
 from layoutsynth import constraints as cn
 from layoutsynth import sceneio, scenes, solver
 from layoutsynth import spatial
+from layoutsynth.annealer import AnnealConfig, run_sa_mcmc
 from layoutsynth.geometry import Curve, SEGMENT, Vec2
 from layoutsynth.model import (
     AccessRegion,
@@ -405,6 +406,19 @@ class TestStep:
             assert batch.px[i] - x0[i] == pytest.approx(BATCH_AVERAGING * dx, abs=1e-12)
             assert batch.py[i] - y0[i] == pytest.approx(BATCH_AVERAGING * dy, abs=1e-12)
 
+    def test_batch_contacts_see_the_authored_pass(self):
+        # the authored pass is applied before contacts are generated, so
+        # the pull that brings two far boxes together shows as a collision
+        scene = box_scene(2)
+        scene.constraints.append(cn.make_constraint(
+            cn.PAIRWISE_DISTANCE, (0, 1), distance=0.5,
+            schedule=cn.CONSTANT, stiffness_initial=1.0,
+        ))
+        ctx = SolveContext(scene)
+        st = LayoutState([3.0, 7.0], [5.0, 5.0], [0.0, 0.0], [0.0, 0.0])
+        collisions, _, _ = step(st, ctx, 1, SolverConfig(projection_mode=BATCH))
+        assert collisions == [(0, 1)]
+
     def test_batch_step_ends_with_stacks_aligned(self):
         # the authored pass over-relaxes the stacking push past the base;
         # the closing re-alignment applies at once and lands exactly
@@ -716,6 +730,22 @@ class TestSynthesize:
         monkeypatch.setattr(spatial.SpatialHash, "insert", no_hash)
         _, trace = synthesize(scene, SolverConfig(seed=0, max_iterations=40))
         assert 0 <= trace.best_iteration < len(trace.energies)
+
+
+@pytest.mark.parametrize("config", [SolverConfig, AnnealConfig])
+def test_seed_must_be_a_non_negative_integer(config):
+    for seed in (-1, 1.5, "3", None):
+        with pytest.raises(ValueError, match=r"seed must be an integer >= 0, not "):
+            config(seed=seed).validate()
+    for seed in (0, 7, np.int64(3), np.uint8(5)):
+        config(seed=seed).validate()
+    # a small numpy integer seeds like the plain int, without overflowing
+    if config is SolverConfig:
+        solve, budget = synthesize, {"max_iterations": 5}
+    else:
+        solve, budget = run_sa_mcmc, {"total_iterations": 50}
+    runs = [solve(box_scene(4), config(seed=s, **budget)) for s in (5, np.uint8(5))]
+    assert repr(runs[0]) == repr(runs[1])
 
 
 class TestCellSize:
