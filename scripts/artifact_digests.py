@@ -12,6 +12,7 @@ constraint variants no template uses, living_room moved far from the
 origin and living_room turned off the axes (see ``MOVED_ROOMS``),
 living_room in a non-convex L-shaped room (see ``L_ROOM``) and in a
 notched room whose centroid lies outside it (see ``NOTCHED_ROOM``),
+three templates under the naive broad phase (see ``NAIVE_RUNS``),
 ``suggest`` and ``compare``. They execute in a temporary directory with
 relative scene references, so no artifact records where it was written.
 
@@ -44,6 +45,11 @@ TEMPLATE_SEEDS = {
     "tp_picnic": (0, 1),
 }
 MCMC_TEMPLATES = ("living_room", "desk")
+# (template, seed) solved again with ``--broad-phase naive``: piles,
+# rigid groups and collisions off. Each run's layout, svg and trace must
+# equal its hash twin's above; only run_meta.json names the broad phase
+NAIVE_RUNS = (("desk", 0), ("tp_bedroom", 1), ("theater2", 0))
+TWIN_ARTIFACTS = ("layout.json", "layout.svg", "trace.csv")
 # scenes solved in batch mode through their scene file's solver block, as
 # file stem -> (template, template parameters, seeds); picnic and the
 # segment tiers bring heat points, focal points, traffic lanes and curve
@@ -141,6 +147,11 @@ def _runs() -> list[tuple[str, ...]]:
     runs += [
         ("synth", name, "--mode", "mcmc", "--out", f"{name}_mcmc") for name in MCMC_TEMPLATES
     ]
+    runs += [
+        ("synth", name, "--seed", str(seed), "--broad-phase", "naive", "--out",
+         f"{name}_naive_s{seed}")
+        for name, seed in NAIVE_RUNS
+    ]
     for name, (template, params, seeds) in BATCH_FILES.items():
         path = f"{name}.json"
         doc = json.loads(sceneio.serialize_scene(scenes.build(template, params)))
@@ -199,6 +210,7 @@ def _runs() -> list[tuple[str, ...]]:
 
 def main() -> None:
     home = os.getcwd()
+    digests = {}
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
@@ -207,9 +219,15 @@ def main() -> None:
                 out = Path(argv[argv.index("--out") + 1])
                 for path in sorted(out.iterdir()):
                     digest = hashlib.sha256(path.read_bytes()).hexdigest()
+                    digests[path.as_posix()] = digest
                     print(f"{digest}  {path.as_posix()}", flush=True)
         finally:
             os.chdir(home)
+    for name, seed in NAIVE_RUNS:
+        for artifact in TWIN_ARTIFACTS:
+            naive, twin = f"{name}_naive_s{seed}/{artifact}", f"{name}_s{seed}/{artifact}"
+            if digests[naive] != digests[twin]:
+                raise SystemExit(f"{naive} differs from its hash twin {twin}")
 
 
 if __name__ == "__main__":

@@ -211,9 +211,9 @@ def cmd_synth(args) -> int:
 
 
 def cmd_suggest(args) -> int:
+    scene = _resolve_scene(args.scene, args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    scene = _resolve_scene(args.scene, args.seed)
     # the solves are pure Python, so worker threads would only queue on
     # the interpreter lock
     for seed in range(args.seed, args.seed + args.seeds):
@@ -227,15 +227,19 @@ def cmd_suggest(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    counts = args.counts or [None]
+    # every scene is built before --out is made, so a bad scene or chair
+    # count leaves no directory behind
+    if args.counts and args.scene != "theater1":
+        raise CliError("--counts only applies to the theater1 scaling series")
+    if args.counts:
+        series = [(count, build("theater1", {"chair_count": count})) for count in args.counts]
+    else:
+        scene = build(args.scene) if args.scene in TEMPLATE_NAMES else _resolve_scene(args.scene, 0)
+        series = [(len(scene.objects), scene)]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
-    for count in counts:
-        params = {"chair_count": count} if count is not None else None
-        if count is not None and args.scene != "theater1":
-            raise CliError("--counts only applies to the theater1 scaling series")
-        scene = build(args.scene, params) if args.scene in TEMPLATE_NAMES else _resolve_scene(args.scene, 0)
+    for label, scene in series:
         times = []
         for run in range(args.repeat):
             config = _solver_config(scene, args)
@@ -246,7 +250,6 @@ def cmd_bench(args) -> int:
             synthesize(scene, config)
             times.append(time.perf_counter() - start)
         mean = sum(times) / len(times)
-        label = count if count is not None else len(scene.objects)
         rows.append((label, len(scene.objects), args.broad_phase, args.repeat, mean))
         print(f"{args.scene} count={label}: mean {mean:.3f} s over {args.repeat} runs "
               f"({args.broad_phase} broad phase)")
@@ -258,10 +261,10 @@ def cmd_bench(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     scene = _resolve_scene(args.scene, args.seed)
     solver_config = _solver_config(scene, args)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
     pbd_layout, pbd_trace = synthesize(scene, solver_config)
     pbd_time = time.perf_counter() - start

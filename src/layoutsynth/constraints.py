@@ -30,6 +30,16 @@ runs at the stiffness ``k`` its caller passes: the solver evaluates the
 constraint's schedule for the iteration, and nothing writes that value
 onto the constraint.
 
+Each projection is written once. A kind that is a special case of
+another binds that kind's record and registers its records: a focal
+point is a pairwise distance whose focal weight ``bind`` pins to 0, and
+visual balance is a heat point pulled to the room centroid with
+footprint areas as weights. ``project_focal_point`` and
+``project_visual_balance`` stay as the public forms of those cases. The
+wall-ghost kernel is the collision kernel under a second name, and the
+wall-orientation kernel finds its target and turns through
+``project_pairwise_orientation``.
+
 The solver generates five kinds, and a scene cannot name them. It
 builds a ``group_curve`` for each member of a nonrigid curve group and
 binds it like an authored constraint. The four contact kinds come from
@@ -333,9 +343,8 @@ def _pairwise_distance(out, b, st, k, tiebreak):
 
 
 def _center_distance_violation(b, st) -> float:
-    # the focal point's record extends the pairwise one
-    i, j, d = b[0], b[1], b[4]
-    return _priced(b[5], math.hypot(st.px[i] - st.px[j], st.py[i] - st.py[j]) - d)
+    i, j, _, _, d, relation = b
+    return _priced(relation, math.hypot(st.px[i] - st.px[j], st.py[i] - st.py[j]) - d)
 
 
 PAIRWISE_DISTANCE = _kind("pairwise_distance", _bind_pairwise_distance, _pairwise_distance,
@@ -369,19 +378,16 @@ def project_focal_point(
 
 
 def _bind_focal_point(c, ctx):
-    return _bind_pairwise_distance(c, ctx) + (c.pin_focal,)
+    """The pairwise record, with the focal's weight pinned as
+    ``project_focal_point`` pins it."""
+    i, j = c.particles
+    wj = 0.0 if c.pin_focal else ctx.proj_w[j]
+    return i, j, ctx.proj_w[i], wj, c.distance, c.relation
 
 
-def _focal_point(out, b, st, k, tiebreak):
-    i, j, wi, wj, d, relation, pin_focal = b
-    px, py = st.px, st.py
-    return project_focal_point(
-        out, i, j, px[i], py[i], px[j], py[j], wi, wj, d, k, relation, pin_focal, tiebreak,
-    )
-
-
-FOCAL_POINT = _kind("focal_point", _bind_focal_point, _focal_point, _center_distance_violation,
-                    schedule=_RELAX, relations=_EITHER, checks=(_needs_distance,))
+FOCAL_POINT = _kind("focal_point", _bind_focal_point, _pairwise_distance,
+                    _center_distance_violation, schedule=_RELAX, relations=_EITHER,
+                    checks=(_needs_distance,))
 
 
 def lane_projection_point(pj, v: Vec2, pi) -> tuple[float, float]:
@@ -645,22 +651,14 @@ def project_visual_balance(
 
 
 def _bind_visual_balance(c, ctx):
-    return c.particles, ctx.visual_weight, ctx.proj_w, ctx.centroid
+    """The heat-point record of a pull to the room centroid, weighted by
+    footprint area as ``project_visual_balance`` weights it; the one
+    place that picks visual balance's target."""
+    return c.particles, ctx.centroid, -1, ctx.visual_weight, ctx.proj_w
 
 
-def _visual_balance(out, b, st, k, tiebreak):
-    members, visual_weight, w, centroid = b
-    return project_visual_balance(out, members, st.px, st.py, visual_weight, w, centroid, k)
-
-
-def _visual_balance_violation(b, st) -> float:
-    members, visual_weight, _, centroid = b
-    cx, cy, _ = weighted_center(members, st.px, st.py, visual_weight)
-    return 0.5 * ((cx - centroid.x) ** 2 + (cy - centroid.y) ** 2)
-
-
-VISUAL_BALANCE = _kind("visual_balance", _bind_visual_balance, _visual_balance,
-                       _visual_balance_violation, schedule=_RELAX, arity=None)
+VISUAL_BALANCE = _kind("visual_balance", _bind_visual_balance, _heat_point,
+                       _heat_point_violation, schedule=_RELAX, arity=None)
 
 
 def project_wall_distance(
@@ -796,28 +794,12 @@ COLLISION = _kind("collision", schedule=_STIFFEN, weight=150.0, relations=(INEQU
                   generated=True)
 
 
-def project_wall_ghost_collision(
-    out: Sink,
-    i: int,
-    j: int,
-    x_ghost_i: float,
-    y_ghost_i: float,
-    x_ghost_j: float,
-    y_ghost_j: float,
-    wi: float,
-    wj: float,
-    r_i: float,
-    r_j: float,
-    k: float,
-    tiebreak: TieBreak = None,
-) -> bool:
-    """Extra separation between the nearest-wall ghost points of two
-    colliding, wall-constrained objects; it slides the hosts apart along
-    the wall instead of pushing them off it."""
-    return project_pairwise_distance(
-        out, i, j, x_ghost_i, y_ghost_i, x_ghost_j, y_ghost_j, wi, wj, r_i + r_j, k,
-        INEQUALITY, tiebreak,
-    )
+# Extra separation between the nearest-wall ghost points of two colliding,
+# wall-constrained objects, at their hosts' radii: it slides the hosts apart
+# along the wall instead of pushing them off it. The ghost points take the
+# place of the centres, so the kernel is the collision's; its own name lets
+# a wrapper installed on this module tell the two apart.
+project_wall_ghost_collision = project_collision
 
 
 WALL_GHOST_COLLISION = _kind("wall_ghost_collision", schedule=_STIFFEN,
@@ -915,11 +897,7 @@ def project_wall_orientation(
     if wi <= 0.0 or k == 0.0:
         return False
     target = wall_orientation_target(room, (xi, yi), theta_i, offset)
-    delta = wrap_angle(target - theta_i)
-    if delta == 0.0:
-        return False
-    out(i, 0.0, 0.0, 0.0, k * delta)
-    return True
+    return project_pairwise_orientation(out, i, theta_i, target, wi, k)
 
 
 def _bind_wall_orientation(c, ctx):

@@ -5,12 +5,15 @@ its schedule gives for that iteration (interleaved round-robin across
 kinds, or batched with over-relaxed averaging), then regenerates and projects
 contact constraints — collisions, accessibility, boundary containment —
 from a broad phase, hard ones last. Every broad phase of an attempt
-walks one neighbour list: its steps, settle sweeps and fresh pricings
+walks one pair source, which ``neighbour_list`` picks once from the
+configured broad phase: its steps, settle sweeps and fresh pricings
 (the attempt's first pricing, the re-check of a new best candidate and
-each settle's closing pricing). It keeps only the pairs within collision
-or zone reach (plus a skin) of each other and, at each refresh,
-re-buckets only the objects that have strayed half a skin. Only the
-annealer builds a fresh spatial hash per pricing.
+each settle's closing pricing) refresh it through ``build_hash``. Under
+the naive broad phase the source is every pair of objects
+(``NaiveIndex``). Otherwise it is a neighbour list, which keeps only
+the pairs within collision or zone reach (plus a skin) of each other
+and, at each refresh, re-buckets only the objects that have strayed
+half a skin. Only the annealer builds a fresh spatial hash per pricing.
 
 What a kind projects and how it is priced comes from its record in
 ``constraints.SPECS``. ``SolveContext`` binds every authored constraint
@@ -18,7 +21,9 @@ once per solve (``Bound``: its kind's ``project`` and ``violation``
 records with the record its kind's ``bind`` resolved, its weight and
 its schedule slot), and the step's round-robin loop and the energy call
 those records directly. ``project_constraint`` projects one bound entry
-for the stacking re-alignment and the settle's orientation snaps. The
+for the stacking re-alignment and the settle's orientation snaps, both
+selected once per solve (``ctx.stacking_constraints``,
+``ctx.orientation_snaps``). The
 contact glue lives here: the step, the settle and ``_boundary_pass``
 call the ``constraints.project_*`` contact kernels with each object's
 contact root (``ctx.contact_root``, its pile's base) as its particle id,
@@ -299,6 +304,13 @@ class SolveContext:
             self.pricing.append(bound)
             by_kind.setdefault(c.kind, []).append(bound)
         self.stacking_constraints = by_kind.get(cn.STACKING, [])
+        # the settle's orientation snaps, in pricing order: only free
+        # particles turn, since rotating a rigid group would swing its members
+        self.orientation_snaps = [
+            b for c, b in zip(self.user_constraints, self.pricing)
+            if c.kind in (cn.PAIRWISE_ORIENTATION, cn.WALL_ORIENTATION)
+            and self.owner[c.particles[0]] < 0 and c.particles[0] not in self.members_of
+        ]
 
         # round-robin interleavings of the bound entries, one per starting
         # kind; iteration l uses rotation (l-1) mod len(kinds)
@@ -477,13 +489,16 @@ def project_constraint(out, b: Bound, st: LayoutState, k: float, tiebreak=None) 
 # contact generation
 
 
-def neighbour_list(ctx: SolveContext) -> NeighbourList:
-    """A neighbour list over the scene's objects, bucketed at its first
-    refresh. It pairs two objects of different rigid groups only within
-    their collision or zone reach (``ctx.radius``, ``ctx.reach``) plus a
-    skin. The skin is half the median broad radius: settle sweeps and late
-    steps move most objects far less than that, so a refresh re-buckets
-    only the few that strayed."""
+def neighbour_list(ctx: SolveContext, broad_phase: str = "hash") -> NaiveIndex | NeighbourList:
+    """An attempt's pair source: every pair of objects under the naive
+    broad phase, otherwise a neighbour list bucketed at its first refresh.
+    The list pairs two objects of different rigid groups only within their
+    collision or zone reach (``ctx.radius``, ``ctx.reach``) plus a skin.
+    The skin is half the median broad radius: settle sweeps and late steps
+    move most objects far less than that, so a refresh re-buckets only the
+    few that strayed."""
+    if broad_phase == "naive":
+        return NaiveIndex(ctx.object_particles)
     return NeighbourList(
         ctx.radius, ctx.reach, ctx.owner, ctx.object_particles, ctx.cell_size,
         skin=0.25 * ctx.cell_size,
@@ -494,18 +509,19 @@ def build_hash(
     st: LayoutState,
     ctx: SolveContext,
     broad_phase: str = "hash",
-    neighbours: NeighbourList | None = None,
+    neighbours: NaiveIndex | NeighbourList | None = None,
 ):
     """The broad-phase index for the current poses: empty when collisions
-    are off, all pairs for the naive broad phase, otherwise the given
-    neighbour list brought up to date, or a fresh hash without one (the
-    annealer's pricings; a solve always passes its list)."""
+    are off, otherwise the given pair source brought up to date (a solve
+    always passes its attempt's), or without one all pairs for the naive
+    broad phase and a fresh hash for the default one (the annealer's
+    pricings)."""
     if not ctx.scene.collisions_enabled:
         return NaiveIndex(())  # the narrow phase would discard any pairs
-    if broad_phase == "naive":
-        return NaiveIndex(ctx.object_particles)
     if neighbours is not None:
         return neighbours.refresh(st.px, st.py)
+    if broad_phase == "naive":
+        return NaiveIndex(ctx.object_particles)
     # insertion extents carry the accessibility reach so zone pairs also
     # share cells; soundness holds for any cell size
     return rebuild(
@@ -645,7 +661,7 @@ def evaluate_energy(
     ctx: SolveContext,
     contacts: tuple | None = None,
     broad_phase: str = "hash",
-    neighbours: NeighbourList | None = None,
+    neighbours: NaiveIndex | NeighbourList | None = None,
     authored: tuple[float, dict[str, float]] | None = None,
 ) -> tuple[float, dict[str, float], float, float]:
     """Layout energy sqrt(sum of weight * C^2) plus bookkeeping.
@@ -660,19 +676,22 @@ def evaluate_energy(
     order, so every float sum accumulates exactly as a full pricing would.
 
     A pricing without contacts generates them through ``build_hash``:
-    over the given neighbour list (a solve's fresh pricings), or over a
-    fresh hash without one (the annealer's). The list's pairs are a
-    sorted superset of the pairs that interact, as are the hash's, so
-    both give the same contacts in the same order.
+    over the given pair source (a solve's fresh pricings), or without one
+    over all pairs under ``broad_phase="naive"`` and a fresh hash
+    otherwise (the annealer's). The list's pairs are a sorted superset of
+    the pairs that interact, as are the hash's, so all three give the
+    same contacts in the same order.
     """
     if authored is None:
         total, sums = authored_energy(st, ctx)
     else:
         total, sums = authored[0], dict(authored[1])
 
-    # with contacts handed over from a just-finished step, the boundary
-    # pass has already contained every un-routed object, so only routed
-    # ones need a re-measure
+    # with contacts handed over from a just-finished step, only the routed
+    # objects (ctx.boundary_recheck) are re-measured. The step's boundary
+    # pass contains the others only up to its gates, not bit for bit: one
+    # left poking out by at most 1e-12, or sent to a room centroid outside
+    # the room, keeps a violation this pricing does not see
     boundary_particles = ctx.object_particles
     if contacts is None:
         contacts = generate_contacts(st, ctx, build_hash(st, ctx, broad_phase, neighbours))
@@ -722,14 +741,12 @@ def step(
     ctx: SolveContext,
     iteration: int,
     config: SolverConfig,
+    neighbours: NaiveIndex | NeighbourList,
     tiebreak=None,
-    neighbours: NeighbourList | None = None,
 ) -> tuple:
-    """One solver iteration; returns the contacts it generated so the
-    caller can reuse them for the energy evaluation. A run passes its
-    neighbour list along; without one the step starts a fresh list."""
-    if neighbours is None:
-        neighbours = neighbour_list(ctx)
+    """One solver iteration over the attempt's pair source
+    (``neighbour_list``); returns the contacts it generated so the caller
+    can reuse them for the energy evaluation."""
     applier = _Applier(st, ctx, batching=config.projection_mode == BATCH)
     out = applier.out
     ks = [cn.update_stiffness(c, iteration) for c in ctx.schedules]
@@ -741,8 +758,7 @@ def step(
         project(out, record, st, ks[slot], tiebreak)
     applier.flush()
 
-    grid = build_hash(st, ctx, config.broad_phase, neighbours)
-    contacts = generate_contacts(st, ctx, grid)
+    contacts = generate_contacts(st, ctx, build_hash(st, ctx, neighbours=neighbours))
     collisions, activations, ghosts = contacts
     # generated contacts follow their kind's default schedule
     k_col = cn.update_stiffness(cn.SPECS[cn.COLLISION], iteration)
@@ -818,8 +834,7 @@ class Settled(NamedTuple):
 def _settle_hard_constraints(
     st: LayoutState,
     ctx: SolveContext,
-    config: SolverConfig,
-    neighbours: NeighbourList,
+    neighbours: NaiveIndex | NeighbourList,
     tiebreak=None,
 ) -> Settled:
     """Project only collisions (with wall-ghost assists), stacking, and
@@ -832,7 +847,7 @@ def _settle_hard_constraints(
     for sweep in range(_SETTLE_MAX_SWEEPS):
         for b in ctx.stacking_constraints:
             applier.project(b, 1.0, tiebreak)
-        grid = build_hash(st, ctx, config.broad_phase, neighbours)
+        grid = build_hash(st, ctx, neighbours=neighbours)
         collisions, _, ghosts = generate_contacts(st, ctx, grid, with_accessibility=False)
         ghost_set = set(ghosts)
         if collisions and sweep:
@@ -864,17 +879,12 @@ def _settle_hard_constraints(
             break
     # settling may have slid objects along or across walls, so their
     # orientation targets can be stale; for free particles an angular
-    # snap cannot move positions, so it preserves feasibility (rotating
-    # a rigid group would swing its members, so those are left alone)
-    for c, b in zip(ctx.user_constraints, ctx.pricing):
-        if c.kind in (cn.PAIRWISE_ORIENTATION, cn.WALL_ORIENTATION):
-            target = c.particles[0]
-            if ctx.owner[target] >= 0 or target in ctx.members_of:
-                continue
-            applier.project(b, 1.0, tiebreak)
+    # snap cannot move positions, so it preserves feasibility
+    for b in ctx.orientation_snaps:
+        applier.project(b, 1.0, tiebreak)
     for i in range(ctx.n):
         st.theta[i] = normalize_angle(st.theta[i])
-    priced = evaluate_energy(st, ctx, broad_phase=config.broad_phase, neighbours=neighbours)
+    priced = evaluate_energy(st, ctx, neighbours=neighbours)
     return Settled(priced, priced[2] <= 1e-9 and priced[3] <= 1e-9)
 
 
@@ -938,8 +948,8 @@ def _synthesize_attempt(
             best = (priced[0], len(trace.energies) - 1, poses or st.snapshot())
 
     st = initialize(scene, seed)
-    neighbours = neighbour_list(ctx)
-    priced = evaluate_energy(st, ctx, broad_phase=config.broad_phase, neighbours=neighbours)
+    neighbours = neighbour_list(ctx, config.broad_phase)
+    priced = evaluate_energy(st, ctx, neighbours=neighbours)
     record(priced)
     energy = priced[0]
     initial_energy = energy if energy > 0.0 else 1.0
@@ -950,12 +960,11 @@ def _synthesize_attempt(
         # the step's own contact lists price this iteration's energy; a
         # fresh regeneration double-checks any new best-feasible candidate,
         # and both start from the same authored part
-        contacts = step(st, ctx, iteration, config, tiebreak, neighbours)
+        contacts = step(st, ctx, iteration, config, neighbours, tiebreak)
         authored = authored_energy(st, ctx)
         priced = evaluate_energy(st, ctx, contacts=contacts, authored=authored)
         if improves(priced):
-            priced = evaluate_energy(st, ctx, broad_phase=config.broad_phase,
-                                     neighbours=neighbours, authored=authored)
+            priced = evaluate_energy(st, ctx, neighbours=neighbours, authored=authored)
         record(priced)
         energy = priced[0]
         if energy < best_any:
@@ -989,7 +998,7 @@ def _synthesize_attempt(
         if clean_energy <= candidate_energy:
             break  # settling cannot beat its own starting energy by much
         st.restore(snapshot)
-        priced, clean = _settle_hard_constraints(st, ctx, config, neighbours, tiebreak)
+        priced, clean = _settle_hard_constraints(st, ctx, neighbours, tiebreak)
         if not clean:
             settled = settled or (priced, st.snapshot())
         elif priced[0] < clean_energy:

@@ -38,10 +38,15 @@ class SpatialHash:
 
 class NaiveIndex:
     """All-pairs stand-in for the spatial hash, for benchmarking the
-    broad phase against the O(n^2) baseline."""
+    broad phase against the O(n^2) baseline. It answers ``refresh`` as a
+    ``NeighbourList`` does, so a solve walks either through one
+    interface; its pairs never depend on the positions."""
 
     def __init__(self, indices):
         self.indices = sorted(indices)
+
+    def refresh(self, px, py) -> "NaiveIndex":
+        return self
 
     def candidate_pairs(self) -> list[tuple[int, int]]:
         idx = self.indices

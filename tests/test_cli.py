@@ -216,11 +216,14 @@ class TestBench:
     def test_counts_only_for_theater1(self, tmp_path):
         assert run(["bench", "--scene", "desk", "--counts", "5",
                     "--repeat", "1", "--iters", "5", "--out", tmp_path / "x"]) == 1
+        assert not (tmp_path / "x").exists()
 
     def test_negative_chair_count_rejected(self, tmp_path, capsys):
-        assert run(["bench", "--counts", "-3", "--repeat", "1", "--iters", "5",
+        # a bad count late in the series is caught before any solve
+        assert run(["bench", "--counts", "5,-3", "--repeat", "1", "--iters", "5",
                     "--out", tmp_path / "x"]) == 1
         assert "chair count must be nonnegative, not -3" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("argv, rule", [
@@ -254,5 +257,14 @@ class TestExport:
         assert run(["validate", path]) == 0
 
 
-def test_unknown_scene_is_runtime_error(tmp_path):
-    assert run(["synth", "nowhere.json", "--out", tmp_path / "x"]) == 1
+@pytest.mark.parametrize("argv", [
+    ["synth", "nowhere.json"],
+    ["suggest", "nowhere.json"],
+    ["compare", "nowhere.json"],
+    ["bench", "--scene", "nowhere.json"],
+], ids=lambda argv: argv[0])
+def test_unknown_scene_is_runtime_error(argv, tmp_path, capsys):
+    # the scene is resolved before --out is made
+    assert run(argv + ["--out", tmp_path / "x"]) == 1
+    assert "'nowhere.json' is neither a file nor a template" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()

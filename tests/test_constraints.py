@@ -26,7 +26,7 @@ from layoutsynth.constraints import (
     project_wall_orientation,
     update_stiffness,
 )
-from layoutsynth.geometry import SEGMENT, Curve, Vec2, closest_point_on_curve
+from layoutsynth.geometry import SEGMENT, Curve, Vec2, closest_point_on_curve, wrap_angle
 from layoutsynth.model import (
     INFINITE, RIGID, BoundingBox, Group, LayoutObject, Particle, Room, Scene,
 )
@@ -945,6 +945,67 @@ def _public_call(c, st, scene, k):
         m, g, px[m], py[m], ax, ay, w[m], 0.0, 0.0, k, cn.EQUALITY)
 
 
+def _reference_violation(c, st, scene) -> float:
+    """The price of constraint ``c``, read from the constraint's own
+    fields and the scene."""
+    px, py, pz, theta = st.px, st.py, st.pz, st.theta
+    p = c.particles
+
+    def priced(C):
+        return max(0.0, -C) if c.relation == cn.INEQUALITY else abs(C)
+
+    def pull(members, weights, target):
+        cx, cy, _ = cn.weighted_center(members, px, py, weights)
+        return 0.5 * ((cx - target[0]) ** 2 + (cy - target[1]) ** 2)
+
+    masses = [q.mass for q in scene.particles]
+    if c.kind in (cn.PAIRWISE_DISTANCE, cn.FOCAL_POINT):
+        i, j = p
+        return priced(math.hypot(px[i] - px[j], py[i] - py[j]) - c.distance)
+    if c.kind == cn.TRAFFIC_LANE:
+        i, j = p
+        ax, ay = cn.lane_projection_point((px[j], py[j]), c.vector, (px[i], py[i]))
+        return max(0.0, c.distance - math.hypot(px[i] - ax, py[i] - ay))
+    if c.kind == cn.HEAT_POINT:
+        members, target = (p, c.point) if c.point else (p[1:], (px[p[0]], py[p[0]]))
+        return pull(members, masses, target)
+    if c.kind == cn.VISUAL_BALANCE:
+        areas = [0.0] * len(px)
+        for obj in scene.objects:
+            areas[obj.particle_index] = obj.bbox.footprint_area
+        return pull(p, areas, scene.room.centroid)
+    if c.kind == cn.FOCAL_SYMMETRY:
+        (vx, vy), (fx, fy) = c.vector, (px[p[0]], py[p[0]])
+        cx, cy, _ = cn.weighted_center(p[1:], px, py, masses)
+        t = max(0.0, ((cx - fx) * vx + (cy - fy) * vy) / (vx * vx + vy * vy))
+        return 0.5 * ((cx - fx - t * vx) ** 2 + (cy - fy - t * vy) ** 2)
+    if c.kind == cn.WALL_DISTANCE:
+        (i,) = p
+        q, _, _ = model.nearest_wall_point(scene.room, (px[i], py[i]))
+        return priced(math.hypot(px[i] - q.x, py[i] - q.y) - c.distance)
+    if c.kind == cn.PAIRWISE_ORIENTATION:
+        i, j = p
+        target = {
+            cn.ORIENT_FACE: math.atan2(py[j] - py[i], px[j] - px[i]) + c.angle_offset,
+            cn.ORIENT_MATCH: theta[j] + c.angle_offset,
+            cn.ORIENT_FIXED: c.angle_target,
+        }[c.orientation_mode]
+        return abs(wrap_angle(target - theta[i]))
+    if c.kind == cn.WALL_ORIENTATION:
+        (i,) = p
+        target = cn.wall_orientation_target(scene.room, (px[i], py[i]), theta[i], c.angle_offset)
+        return abs(wrap_angle(target - theta[i]))
+    if c.kind == cn.STACKING:
+        bottom, top = p
+        Cz = pz[top] - (pz[bottom] + c.height_gap)
+        return math.sqrt(Cz * Cz + (px[top] - px[bottom]) ** 2 + (py[top] - py[bottom]) ** 2)
+    assert c.kind == cn.GROUP_CURVE
+    m, g = p
+    curve = next(group.curve for group in scene.groups if group.id == c.group_id)
+    ax, ay = closest_point_on_curve(curve.transformed(Vec2(px[g], py[g]), theta[g]), (px[m], py[m]))
+    return math.hypot(px[m] - ax, py[m] - ay)
+
+
 def _bits(corrs):
     return [(c.particle, *map(float.hex, c[1:])) for c in corrs]
 
@@ -970,3 +1031,17 @@ class TestBoundRecords:
                 bound = corrections(b.project, b.record, st, k, None)
                 fn, args = _public_call(c, st, scene, k)
                 assert _bits(bound) == _bits(corrections(fn, *args)), c
+
+    def test_bound_violation_prices_what_the_constraint_says(self):
+        # bit for bit: kinds that share a record (focal points and visual
+        # balance) must still price their own fields
+        scene = _every_record_kind_scene()
+        ctx = SolveContext(scene)
+        rng = np.random.default_rng(13)
+        n = len(scene.particles)
+        for _ in range(60):
+            st = LayoutState(rng.uniform(0, 10, n).tolist(), rng.uniform(0, 10, n).tolist(),
+                             rng.uniform(0, 2, n).tolist(), rng.uniform(0, 2 * math.pi, n).tolist())
+            for c, b in zip(ctx.user_constraints, ctx.pricing):
+                reference = _reference_violation(c, st, scene)
+                assert b.violation(b.record, st).hex() == reference.hex(), c

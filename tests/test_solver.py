@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import logging
 import math
@@ -263,9 +264,10 @@ class TestStep:
         constraint_of = {id(b.record): c for b, c in zip(ctx.pricing, ctx.user_constraints)}
         assert len(constraint_of) == len(ctx.user_constraints)
         st = initialize(scene, 0)
+        neighbours = neighbour_list(ctx)
         for iteration in (1, 2, 7, 40):
             projected.clear()
-            step(st, ctx, iteration, SolverConfig())
+            step(st, ctx, iteration, SolverConfig(), neighbours)
             assert sorted(record for record, _ in projected) == sorted(constraint_of)
             for record, k in projected:
                 assert k == cn.update_stiffness(constraint_of[record], iteration)
@@ -274,7 +276,7 @@ class TestStep:
         scene = box_scene(1)
         ctx = SolveContext(scene)
         st = LayoutState([0.1], [5.0], [0.0], [0.0])  # circle pokes out
-        step(st, ctx, 1, SolverConfig())
+        step(st, ctx, 1, SolverConfig(), neighbour_list(ctx))
         r = scene.objects[0].bbox.bounding_radius
         assert st.px[0] == pytest.approx(r, abs=1e-9)
 
@@ -283,7 +285,7 @@ class TestStep:
         ctx = SolveContext(scene)
         st = LayoutState([3.0, 7.0], [5.0, 5.0], [0.0, 0.0], [0.3, 0.4])
         before = st.snapshot()
-        step(st, ctx, 1, SolverConfig())
+        step(st, ctx, 1, SolverConfig(), neighbour_list(ctx))
         assert st.snapshot() == before
 
     def test_single_equality_satisfied_after_one_step(self):
@@ -296,7 +298,7 @@ class TestStep:
         )
         ctx = SolveContext(scene)
         st = LayoutState([2.0, 8.0], [5.0, 5.0], [0.0, 0.0], [0.0, 0.0])
-        step(st, ctx, 1, SolverConfig())
+        step(st, ctx, 1, SolverConfig(), neighbour_list(ctx))
         d = math.hypot(st.px[0] - st.px[1], st.py[0] - st.py[1])
         assert d == pytest.approx(3.0, abs=1e-9)
 
@@ -320,12 +322,14 @@ class TestStep:
         ctx = SolveContext(scene)
         st = LayoutState([10.0, 4.0, 16.0], [10.0, 10.0, 10.0], [0.0] * 3, [0.0] * 3)
         config = SolverConfig()
+        neighbours = neighbour_list(ctx)
         for l in range(1, 101):
-            step(st, ctx, l, config)
+            step(st, ctx, l, config, neighbours)
         reference = LayoutState([10.0, 4.0, 16.0], [10.0, 10.0, 10.0], [0.0] * 3, [0.0] * 3)
         ctx2 = SolveContext(build())
+        neighbours = neighbour_list(ctx2)
         for l in range(1, 10_001):
-            step(reference, ctx2, l, config)
+            step(reference, ctx2, l, config, neighbours)
         assert st.px[0] == pytest.approx(reference.px[0], abs=1e-6)
         assert st.py[0] == pytest.approx(reference.py[0], abs=1e-6)
 
@@ -337,7 +341,7 @@ class TestStep:
         ctx = SolveContext(scene)
         st = LayoutState([math.inf, 1.0], [5.0, 5.0], [0.0, 0.0], [0.0, 0.0])
         with pytest.raises(SolverNumericsError, match="pairwise_distance"):
-            step(st, ctx, 1, SolverConfig())
+            step(st, ctx, 1, SolverConfig(), neighbour_list(ctx))
 
     def test_nan_guard_names_batched_corrections(self):
         scene = box_scene(2)
@@ -347,14 +351,15 @@ class TestStep:
         ctx = SolveContext(scene)
         st = LayoutState([math.inf, 1.0], [5.0, 5.0], [0.0, 0.0], [0.0, 0.0])
         with pytest.raises(SolverNumericsError, match="projecting batched corrections"):
-            step(st, ctx, 1, SolverConfig(projection_mode=BATCH))
+            step(st, ctx, 1, SolverConfig(projection_mode=BATCH), neighbour_list(ctx))
 
     def test_nan_guard_names_collision(self):
         # coincident boxes separate along the tie-break direction
         ctx = SolveContext(box_scene(2))
         st = LayoutState([5.0, 5.0], [5.0, 5.0], [0.0, 0.0], [0.0, 0.0])
         with pytest.raises(SolverNumericsError, match="pose after projecting collision"):
-            step(st, ctx, 1, SolverConfig(), tiebreak=lambda: (math.nan, math.nan))
+            step(st, ctx, 1, SolverConfig(), neighbour_list(ctx),
+                 tiebreak=lambda: (math.nan, math.nan))
 
     def test_nan_guard_names_stacking_height(self):
         scene = box_scene(2)
@@ -362,14 +367,14 @@ class TestStep:
         ctx = SolveContext(scene)
         st = LayoutState([5.0, 5.0], [5.0, 5.0], [0.0, math.inf], [0.0, 0.0])
         with pytest.raises(SolverNumericsError, match="height after projecting stacking"):
-            step(st, ctx, 1, SolverConfig())
+            step(st, ctx, 1, SolverConfig(), neighbour_list(ctx))
 
     def test_nan_guard_inside_the_settle(self):
         ctx = SolveContext(box_scene(2))
         st = LayoutState([5.0, 5.0], [5.0, 5.0], [0.0, 0.0], [0.0, 0.0])
         with pytest.raises(SolverNumericsError, match="pose after projecting collision"):
             _settle_hard_constraints(
-                st, ctx, SolverConfig(), neighbour_list(ctx),
+                st, ctx, neighbour_list(ctx),
                 tiebreak=lambda: (math.nan, math.nan),
             )
 
@@ -388,7 +393,7 @@ class TestStep:
         st = LayoutState([15.0, 10.0, 20.0], [15.0, 15.0, 15.0], [0.0] * 3, [0.0] * 3)
         # both constraints pull particle 0 toward their anchors by 4 each,
         # in opposite directions: batch mean is zero net, times omega
-        step(st, ctx, 1, SolverConfig(projection_mode=BATCH))
+        step(st, ctx, 1, SolverConfig(projection_mode=BATCH), neighbour_list(ctx))
         assert st.px[0] == pytest.approx(15.0, abs=1e-9)
 
     def test_batch_contacts_overrelax_the_sequential_push(self):
@@ -398,8 +403,8 @@ class TestStep:
         x0, y0 = [4.6, 5.4], [5.0, 5.1]
         sequential = LayoutState(x0, y0, [0.0, 0.0], [0.0, 0.0])
         batch = LayoutState(x0, y0, [0.0, 0.0], [0.0, 0.0])
-        step(sequential, ctx, 1, SolverConfig())
-        step(batch, ctx, 1, SolverConfig(projection_mode=BATCH))
+        step(sequential, ctx, 1, SolverConfig(), neighbour_list(ctx))
+        step(batch, ctx, 1, SolverConfig(projection_mode=BATCH), neighbour_list(ctx))
         for i in range(2):
             dx, dy = sequential.px[i] - x0[i], sequential.py[i] - y0[i]
             assert dx and dy
@@ -416,7 +421,8 @@ class TestStep:
         ))
         ctx = SolveContext(scene)
         st = LayoutState([3.0, 7.0], [5.0, 5.0], [0.0, 0.0], [0.0, 0.0])
-        collisions, _, _ = step(st, ctx, 1, SolverConfig(projection_mode=BATCH))
+        config = SolverConfig(projection_mode=BATCH)
+        collisions, _, _ = step(st, ctx, 1, config, neighbour_list(ctx))
         assert collisions == [(0, 1)]
 
     def test_batch_step_ends_with_stacks_aligned(self):
@@ -427,7 +433,7 @@ class TestStep:
         scene.constraints.append(stack)
         ctx = SolveContext(scene)
         st = LayoutState([5.0, 5.3], [5.0, 4.8], [0.0, 0.2], [0.0, 0.0])
-        step(st, ctx, 1, SolverConfig(projection_mode=BATCH))
+        step(st, ctx, 1, SolverConfig(projection_mode=BATCH), neighbour_list(ctx))
         (bound,) = ctx.stacking_constraints
         assert bound.violation(bound.record, st) < 1e-9
 
@@ -441,7 +447,7 @@ class TestStep:
         )
         ctx = SolveContext(scene)
         st = LayoutState([3.0, 7.0], [5.0, 5.0], [0.0, 0.0], [6.2, 1.0])
-        step(st, ctx, 1, SolverConfig())
+        step(st, ctx, 1, SolverConfig(), neighbour_list(ctx))
         assert all(0.0 <= t < 2 * math.pi for t in st.theta)
 
 
@@ -474,7 +480,7 @@ class TestGroups:
         ctx = SolveContext(scene)
         st = LayoutState([9.0, 11.0, 10.0, 4.0], [10.0, 10.0, 10.0, 10.0], [0.0] * 4, [0.0] * 4)
         before_offset = (st.px[1] - st.px[0], st.py[1] - st.py[0])
-        step(st, ctx, 1, SolverConfig())
+        step(st, ctx, 1, SolverConfig(), neighbour_list(ctx))
         after_offset = (st.px[1] - st.px[0], st.py[1] - st.py[0])
         assert after_offset == pytest.approx(before_offset, abs=1e-9)
         # member 0 satisfied its constraint by dragging the group
@@ -540,8 +546,9 @@ class TestGroups:
             [0.0] * 5,
         )
         config = SolverConfig()
+        neighbours = neighbour_list(ctx)
         for l in range(1, 101):
-            step(st, ctx, l, config)
+            step(st, ctx, l, config, neighbours)
         gaps = [
             math.hypot(st.px[i + 1] - st.px[i], st.py[i + 1] - st.py[i]) for i in range(3)
         ]
@@ -710,14 +717,23 @@ class TestSynthesize:
 
     def test_naive_broad_phase_builds_no_hash(self, monkeypatch):
         # the all-pairs baseline must not price any state through the hash
+        # or the neighbour list: its pair source is all pairs, whatever
+        # the poses
         def no_hash(*args, **kwargs):
-            raise AssertionError("spatial hash built in a naive run")
+            raise AssertionError("spatial hash or neighbour list built in a naive run")
 
         monkeypatch.setattr(spatial.SpatialHash, "insert", no_hash)
-        _, trace = synthesize(
-            scenes.living_room(), SolverConfig(seed=0, max_iterations=10, broad_phase="naive")
-        )
+        monkeypatch.setattr(spatial.NeighbourList, "__init__", no_hash)
+        scene = scenes.living_room()
+        _, trace = synthesize(scene, SolverConfig(seed=0, max_iterations=10, broad_phase="naive"))
         assert 0 <= trace.best_iteration < len(trace.energies)
+        ctx = SolveContext(scene)
+        index = neighbour_list(ctx, "naive")
+        everything = list(itertools.combinations(sorted(ctx.object_particles), 2))
+        for seed in (0, 1):
+            st = initialize(scene, seed)
+            assert index.refresh(st.px, st.py) is index
+            assert index.candidate_pairs() == everything
 
     @pytest.mark.parametrize("template", ["living_room", "tp_picnic"])
     def test_hash_solve_builds_no_hash(self, monkeypatch, template):
@@ -867,7 +883,7 @@ class TestContactRouting:
         st = LayoutState([1.0, 1.0, 1.4], [0.4, 0.4, 0.4], [0.2, 0.6, 1.0],
                          [0.0, 0.0, math.pi])
         named = self._spy(monkeypatch)
-        step(st, ctx, 1, SolverConfig(projection_mode=mode))
+        step(st, ctx, 1, SolverConfig(projection_mode=mode), neighbour_list(ctx))
         assert self._assert_routed(named, ctx) == self.CONTACT_LABELS
 
     @pytest.mark.parametrize("mode", [solver.SEQUENTIAL, BATCH])
@@ -877,7 +893,7 @@ class TestContactRouting:
         assert ctx.stack_top
         st = initialize(scene, 0)
         named = self._spy(monkeypatch)
-        step(st, ctx, 1, SolverConfig(projection_mode=mode))
+        step(st, ctx, 1, SolverConfig(projection_mode=mode), neighbour_list(ctx))
         self._assert_routed(named, ctx)
 
     def test_desk_settle_routes_to_the_pile_base(self, monkeypatch):
@@ -885,7 +901,7 @@ class TestContactRouting:
         ctx = SolveContext(scene)
         st = initialize(scene, 0)
         named = self._spy(monkeypatch)
-        _settle_hard_constraints(st, ctx, SolverConfig(), neighbour_list(ctx))
+        _settle_hard_constraints(st, ctx, neighbour_list(ctx))
         self._assert_routed(named, ctx)
 
 
