@@ -3,7 +3,7 @@ simulated-annealing baseline, benchmark scenes, scene file IO, and
 overhead SVG rendering."""
 
 from .annealer import AnnealConfig, accept, run_sa_mcmc
-from .constraints import Constraint, Correction, make_constraint, update_stiffness
+from .constraints import Constraint, make_constraint, update_stiffness
 from .geometry import Curve, Vec2
 from .model import (
     AccessRegion,
@@ -33,7 +33,6 @@ __all__ = [
     "AnnealConfig",
     "BoundingBox",
     "Constraint",
-    "Correction",
     "Curve",
     "EnergyTrace",
     "Group",

@@ -5,12 +5,8 @@ dz, dtheta)``, one call per corrected particle, and returns whether it
 wrote any. It reads all of its inputs before its first ``out`` call, so a
 sink that applies each correction in place (the solver's sequential mode)
 gets the same bits as one that first gathers them (batch mode, or a test
-collecting ``Correction`` records into a list). One- and two-particle
-projections take positions as scalar coordinates, so their particle ids
-only label the corrections and a caller may route them elsewhere (the
-solver sends contact corrections to a pile's base); the n-body ones take
-the position lists. Positional projections write zero turns and angular
-ones zero moves, so the solver can apply corrections in any
+collecting them into a list). Positional projections write zero turns
+and angular ones zero moves, so the solver can apply corrections in any
 interleaving.
 
 Every constraint kind is described once, by the ``KindSpec`` registered
@@ -23,29 +19,30 @@ what a solve never changes (particle indices, inverse masses, distance,
 relation, lane vector, orientation mode, group curve and the like) into
 a plain tuple, the bound record ``b``; ``project(out, b, st, k,
 tiebreak)`` and ``violation(b, st)`` read only that record and the pose
-state ``st``: only ``bind`` reads the solve context. The projection
-records call the ``project_*`` functions through this module's globals,
-so a wrapper installed on the module is seen at call time. A projection
-runs at the stiffness ``k`` its caller passes: the solver evaluates the
+state ``st``: only ``bind`` reads the solve context. A projection runs
+at the stiffness ``k`` its caller passes: the solver evaluates the
 constraint's schedule for the iteration, and nothing writes that value
 onto the constraint.
 
-Each projection is written once. A kind that is a special case of
-another binds that kind's record and registers its records: a focal
-point is a pairwise distance whose focal weight ``bind`` pins to 0, and
-visual balance is a heat point pulled to the room centroid with
-footprint areas as weights. ``project_focal_point`` and
-``project_visual_balance`` stay as the public forms of those cases. The
-wall-ghost kernel is the collision kernel under a second name, and the
-wall-orientation kernel finds its target and turns through
-``project_pairwise_orientation``.
+Each projection is written once, most of them in their kind's record.
+A kind that is a special case of another binds that kind's record and
+registers its records: a focal point is a pairwise distance whose focal
+weight ``bind`` pins to 0, and visual balance is a heat point pulled to
+the room centroid with footprint areas as weights. The kernels that
+more than one caller shares stay public functions that take positions as
+scalar coordinates, so their particle ids only label the corrections and
+a caller may route them elsewhere: ``project_pairwise_distance`` (the
+distance-like records and the contacts) and
+``project_pairwise_orientation`` (the orientation records).
 
 The solver generates five kinds, and a scene cannot name them. It
 builds a ``group_curve`` for each member of a nonrigid curve group and
 binds it like an authored constraint. The four contact kinds come from
 the broad and narrow phase every iteration; the solver projects them
-through their ``project_*`` kernels and prices them itself, so their
-records carry only a weight, a schedule and a relation.
+through their ``project_*`` kernels, sending each correction to the
+object's pile base, and prices them itself, so their records carry only
+a weight, a schedule and a relation. The wall-ghost kernel is the
+collision kernel under a second name.
 
 Room containment (``boundary_violation``, ``pokes_out`` and the clamp
 ``clamp_inside``) is decided in ``model`` and imported here;
@@ -65,7 +62,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 from .geometry import Vec2, closest_point_on_curve, wrap_angle
 from .model import Room, boundary_violation, clamp_inside, nearest_wall_point, pokes_out
@@ -89,17 +86,6 @@ ORIENT_FIXED = "fixed"          # theta' given explicitly
 INCREASING_FLOOR = 0.05
 
 _EPS = 1e-9
-
-
-class Correction(NamedTuple):
-    """One particle's pose delta as a projection writes it to its sink,
-    for callers that collect corrections into a list."""
-
-    particle: int
-    dx: float = 0.0
-    dy: float = 0.0
-    dz: float = 0.0
-    dtheta: float = 0.0
 
 
 @dataclass
@@ -352,34 +338,9 @@ PAIRWISE_DISTANCE = _kind("pairwise_distance", _bind_pairwise_distance, _pairwis
                           checks=(_needs_distance,))
 
 
-def project_focal_point(
-    out: Sink,
-    member: int,
-    focal: int,
-    x_member: float,
-    y_member: float,
-    x_focal: float,
-    y_focal: float,
-    w_member: float,
-    w_focal: float,
-    d: float,
-    k: float,
-    relation: str = EQUALITY,
-    pin_focal: bool = True,
-    tiebreak: TieBreak = None,
-) -> bool:
-    """Keep a member at distance d from a focal object. With
-    ``pin_focal`` the focal behaves as an infinite-mass anchor."""
-    wf = 0.0 if pin_focal else w_focal
-    return project_pairwise_distance(
-        out, member, focal, x_member, y_member, x_focal, y_focal, w_member, wf, d, k,
-        relation, tiebreak,
-    )
-
-
 def _bind_focal_point(c, ctx):
-    """The pairwise record, with the focal's weight pinned as
-    ``project_focal_point`` pins it."""
+    """The pairwise record, with the focal's weight pinned to 0 unless
+    ``pin_focal`` is off: a pinned focal is an infinite-mass anchor."""
     i, j = c.particles
     wj = 0.0 if c.pin_focal else ctx.proj_w[j]
     return i, j, ctx.proj_w[i], wj, c.distance, c.relation
@@ -390,36 +351,26 @@ FOCAL_POINT = _kind("focal_point", _bind_focal_point, _pairwise_distance,
                     checks=(_needs_distance,))
 
 
-def lane_projection_point(pj, v: Vec2, pi) -> tuple[float, float]:
-    """Point on the lane axis (through pj along v) nearest to pi."""
-    vx, vy = v
-    t = ((pi[0] - pj[0]) * vx + (pi[1] - pj[1]) * vy) / (vx * vx + vy * vy)
-    return pj[0] + t * vx, pj[1] + t * vy
+def _bind_traffic_lane(c, ctx):
+    """(member, origin, their weights, clearance, lane vector, its squared
+    and plain norm); a pinned origin gets weight 0."""
+    i, j = c.particles
+    vx, vy = c.vector
+    wj = 0.0 if c.pin_focal else ctx.proj_w[j]
+    return i, j, ctx.proj_w[i], wj, c.distance, vx, vy, vx * vx + vy * vy, c.vector.norm()
 
 
-def project_traffic_lane(
-    out: Sink,
-    i: int,
-    j: int,
-    xi: float,
-    yi: float,
-    xj: float,
-    yj: float,
-    wi: float,
-    wj: float,
-    v: Vec2,
-    d: float,
-    k: float,
-) -> bool:
+def _traffic_lane(out, b, st, k, tiebreak):
     """Clearance corridor around the axis from particle j along v.
 
     The axis-projection point acts as a ghost rigidly attached to j: its
     share of the correction moves j. Inactive while the perpendicular
     distance is at least d.
     """
-    # lane_projection_point, inlined
-    vx, vy = v
-    t = ((xi - xj) * vx + (yi - yj) * vy) / (vx * vx + vy * vy)
+    i, j, wi, wj, d, vx, vy, norm2, norm = b
+    px, py = st.px, st.py
+    xi, yi, xj, yj = px[i], py[i], px[j], py[j]
+    t = ((xi - xj) * vx + (yi - yj) * vy) / norm2
     dx = xi - (xj + t * vx)
     dy = yi - (yj + t * vy)
     dist = math.hypot(dx, dy)
@@ -427,8 +378,7 @@ def project_traffic_lane(
         return False
     if dist < _EPS:
         # on the axis: push left of v
-        norm = v.norm()
-        nx, ny = -v.y / norm, v.x / norm
+        nx, ny = -vy / norm, vx / norm
     else:
         nx, ny = dx / dist, dy / dist
     wsum = wi + wj
@@ -443,25 +393,10 @@ def project_traffic_lane(
     return True
 
 
-def _bind_traffic_lane(c, ctx):
-    i, j = c.particles
-    v = c.vector
-    vx, vy = v
-    wj = 0.0 if c.pin_focal else ctx.proj_w[j]
-    return i, j, ctx.proj_w[i], wj, v, c.distance, vx, vy, vx * vx + vy * vy
-
-
-def _traffic_lane(out, b, st, k, tiebreak):
-    i, j, wi, wj, v, d, _, _, _ = b
-    px, py = st.px, st.py
-    return project_traffic_lane(out, i, j, px[i], py[i], px[j], py[j], wi, wj, v, d, k)
-
-
 def _traffic_lane_violation(b, st) -> float:
-    i, j, _, _, _, d, vx, vy, norm2 = b
+    i, j, _, _, d, vx, vy, norm2, _ = b
     px, py = st.px, st.py
     xi, yi, xj, yj = px[i], py[i], px[j], py[j]
-    # lane_projection_point, inlined
     t = ((xi - xj) * vx + (yi - yj) * vy) / norm2
     return max(0.0, d - math.hypot(xi - (xj + t * vx), yi - (yj + t * vy)))
 
@@ -530,33 +465,20 @@ def _project_center_to_target(
     return True
 
 
-def project_heat_point(
-    out: Sink,
-    indices,
-    px,
-    py,
-    masses,
-    inv_masses,
-    target,
-    k: float,
-) -> bool:
-    """Pull the mass-weighted center of the participants to the target."""
-    return _project_center_to_target(out, indices, px, py, masses, inv_masses, target, k)
-
-
 def _bind_heat_point(c, ctx):
-    """(participants, target point, anchor, ...): the point when given,
-    else the first participant anchors the rest."""
+    """(participants, target point, anchor, weights, inverse masses): the
+    point when given, else the first participant anchors the rest."""
     if c.point is not None:
         return c.particles, c.point, -1, ctx.masses, ctx.proj_w
     return c.particles[1:], None, c.particles[0], ctx.masses, ctx.proj_w
 
 
 def _heat_point(out, b, st, k, tiebreak):
-    members, target, anchor, masses, w = b
+    """Pull the weighted center of the participants to the target."""
+    members, target, anchor, weights, w = b
     if target is None:
         target = (st.px[anchor], st.py[anchor])
-    return project_heat_point(out, members, st.px, st.py, masses, w, target, k)
+    return _project_center_to_target(out, members, st.px, st.py, weights, w, target, k)
 
 
 def _heat_point_violation(b, st) -> float:
@@ -577,42 +499,29 @@ HEAT_POINT = _kind("heat_point", _bind_heat_point, _heat_point, _heat_point_viol
                    schedule=_RELAX, arity=None, checks=(_needs_heat_target,))
 
 
-def project_focal_symmetry(
-    out: Sink,
-    indices,
-    px,
-    py,
-    masses,
-    inv_masses,
-    focal,
-    v: Vec2,
-    k: float,
-) -> bool:
-    """Center the participants' center of mass on the ray from the focal
-    point along v (the moving target is the center's own projection)."""
-    cx, cy, _ = weighted_center(indices, px, py, masses)
-    vx, vy = v
-    t = ((cx - focal[0]) * vx + (cy - focal[1]) * vy) / (vx * vx + vy * vy)
-    if t < 0.0:
-        t = 0.0
-    target = (focal[0] + t * vx, focal[1] + t * vy)
-    return _project_center_to_target(out, indices, px, py, masses, inv_masses, target, k)
-
-
 def _bind_focal_symmetry(c, ctx):
-    v = c.vector
-    vx, vy = v
-    return c.particles[0], c.particles[1:], v, vx, vy, vx * vx + vy * vy, ctx.masses, ctx.proj_w
+    """(focal, members, axis vector and its squared norm, masses, inverse
+    masses)."""
+    vx, vy = c.vector
+    return c.particles[0], c.particles[1:], vx, vy, vx * vx + vy * vy, ctx.masses, ctx.proj_w
 
 
 def _focal_symmetry(out, b, st, k, tiebreak):
-    focal, members, v, _, _, _, masses, w = b
+    """Center the members' center of mass on the ray from the focal along
+    v (the moving target is the center's own projection)."""
+    focal, members, vx, vy, norm2, masses, w = b
     px, py = st.px, st.py
-    return project_focal_symmetry(out, members, px, py, masses, w, (px[focal], py[focal]), v, k)
+    fx, fy = px[focal], py[focal]
+    cx, cy, _ = weighted_center(members, px, py, masses)
+    t = ((cx - fx) * vx + (cy - fy) * vy) / norm2
+    if t < 0.0:
+        t = 0.0
+    target = (fx + t * vx, fy + t * vy)
+    return _project_center_to_target(out, members, px, py, masses, w, target, k)
 
 
 def _focal_symmetry_violation(b, st) -> float:
-    focal, members, _, vx, vy, norm2, masses, _ = b
+    focal, members, vx, vy, norm2, masses, _ = b
     px, py = st.px, st.py
     cx, cy, _ = weighted_center(members, px, py, masses)
     t = ((cx - px[focal]) * vx + (cy - py[focal]) * vy) / norm2
@@ -630,30 +539,10 @@ FOCAL_SYMMETRY = _kind("focal_symmetry", _bind_focal_symmetry, _focal_symmetry,
                        checks=(_needs_vector, _needs_focal_and_member))
 
 
-def project_visual_balance(
-    out: Sink,
-    indices,
-    px,
-    py,
-    visual_weights,
-    inv_masses,
-    room_centroid,
-    k: float,
-) -> bool:
-    """Pull the visual-weight-weighted center to the room centroid.
-
-    Visual weights are the objects' ground-plane footprint areas; the
-    centroid itself is a zero-inverse-mass anchor.
-    """
-    return _project_center_to_target(
-        out, indices, px, py, visual_weights, inv_masses, room_centroid, k
-    )
-
-
 def _bind_visual_balance(c, ctx):
     """The heat-point record of a pull to the room centroid, weighted by
-    footprint area as ``project_visual_balance`` weights it; the one
-    place that picks visual balance's target."""
+    footprint area (the visual weight); the one place that picks visual
+    balance's target."""
     return c.particles, ctx.centroid, -1, ctx.visual_weight, ctx.proj_w
 
 
@@ -661,23 +550,20 @@ VISUAL_BALANCE = _kind("visual_balance", _bind_visual_balance, _heat_point,
                        _heat_point_violation, schedule=_RELAX, arity=None)
 
 
-def project_wall_distance(
-    out: Sink,
-    i: int,
-    xi: float,
-    yi: float,
-    wi: float,
-    room: Room,
-    d: float,
-    k: float,
-    relation: str = EQUALITY,
-) -> bool:
+def _bind_wall_distance(c, ctx):
+    i = c.particles[0]
+    return i, ctx.proj_w[i], ctx.room, c.distance, c.relation
+
+
+def _wall_distance(out, b, st, k, tiebreak):
     """Hold particle i at (or beyond) distance d from the nearest wall.
 
     The wall point is a fixed anchor, so only the particle moves.
     """
+    i, wi, room, d, relation = b
     if wi <= 0.0 or k == 0.0:
         return False
+    xi, yi = st.px[i], st.py[i]
     q, normal, _ = nearest_wall_point(room, (xi, yi))
     dx = xi - q.x
     dy = yi - q.y
@@ -693,16 +579,6 @@ def project_wall_distance(
         return False
     out(i, -k * C * nx, -k * C * ny, 0.0, 0.0)
     return True
-
-
-def _bind_wall_distance(c, ctx):
-    i = c.particles[0]
-    return i, ctx.proj_w[i], ctx.room, c.distance, c.relation
-
-
-def _wall_distance(out, b, st, k, tiebreak):
-    i, wi, room, d, relation = b
-    return project_wall_distance(out, i, st.px[i], st.py[i], wi, room, d, k, relation)
 
 
 def _wall_distance_violation(b, st) -> float:
@@ -881,33 +757,20 @@ def wall_orientation_target(room: Room, pi, theta_i: float, offset: float) -> fl
     return twin
 
 
-def project_wall_orientation(
-    out: Sink,
-    i: int,
-    theta_i: float,
-    xi: float,
-    yi: float,
-    wi: float,
-    room: Room,
-    offset: float,
-    k: float,
-) -> bool:
-    """Align particle i with the nearest wall (offset 0 is parallel,
-    pi/2 is perpendicular to it)."""
-    if wi <= 0.0 or k == 0.0:
-        return False
-    target = wall_orientation_target(room, (xi, yi), theta_i, offset)
-    return project_pairwise_orientation(out, i, theta_i, target, wi, k)
-
-
 def _bind_wall_orientation(c, ctx):
     i = c.particles[0]
     return i, ctx.proj_w[i], ctx.room, c.angle_offset
 
 
 def _wall_orientation(out, b, st, k, tiebreak):
+    """Align particle i with the nearest wall (offset 0 is parallel,
+    pi/2 is perpendicular to it)."""
     i, wi, room, offset = b
-    return project_wall_orientation(out, i, st.theta[i], st.px[i], st.py[i], wi, room, offset, k)
+    if wi <= 0.0 or k == 0.0:
+        return False
+    theta_i = st.theta[i]
+    target = wall_orientation_target(room, (st.px[i], st.py[i]), theta_i, offset)
+    return project_pairwise_orientation(out, i, theta_i, target, wi, k)
 
 
 def _wall_orientation_violation(b, st) -> float:
@@ -920,40 +783,6 @@ WALL_ORIENTATION = _kind("wall_orientation", _bind_wall_orientation, _wall_orien
                          _wall_orientation_violation, schedule=_HARD, arity=1, weight=20.0)
 
 
-def project_stacking(
-    out: Sink,
-    bottom: int,
-    top: int,
-    x_bottom: float,
-    y_bottom: float,
-    x_top: float,
-    y_top: float,
-    z_bottom: float,
-    z_top: float,
-    w_bottom: float,
-    w_top: float,
-    height_gap: float,
-    k: float,
-) -> bool:
-    """Stack ``top`` onto ``bottom``: the vertical gap between centers
-    equals half the summed heights, and the ground-plane coordinates
-    coincide. Both parts split by inverse mass."""
-    wsum = w_bottom + w_top
-    if wsum <= 0.0 or k == 0.0:
-        return False
-    Cz = z_top - (z_bottom + height_gap)
-    ex = x_top - x_bottom
-    ey = y_top - y_bottom
-    if Cz == 0.0 and ex == 0.0 and ey == 0.0:
-        return False
-    s = k / wsum
-    if w_top > 0.0:
-        out(top, -s * w_top * ex, -s * w_top * ey, -s * w_top * Cz, 0.0)
-    if w_bottom > 0.0:
-        out(bottom, s * w_bottom * ex, s * w_bottom * ey, s * w_bottom * Cz, 0.0)
-    return True
-
-
 def _bind_stacking(c, ctx):
     bottom, top = c.particles
     # a pile's base stays on the ground: only a stacked bottom may move
@@ -962,12 +791,25 @@ def _bind_stacking(c, ctx):
 
 
 def _stacking(out, b, st, k, tiebreak):
+    """Stack ``top`` onto ``bottom``: the vertical gap between centers
+    equals half the summed heights, and the ground-plane coordinates
+    coincide. Both parts split by inverse mass."""
     bottom, top, w_bottom, w_top, height_gap = b
+    wsum = w_bottom + w_top
+    if wsum <= 0.0 or k == 0.0:
+        return False
     px, py, pz = st.px, st.py, st.pz
-    return project_stacking(
-        out, bottom, top, px[bottom], py[bottom], px[top], py[top], pz[bottom], pz[top],
-        w_bottom, w_top, height_gap, k,
-    )
+    Cz = pz[top] - (pz[bottom] + height_gap)
+    ex = px[top] - px[bottom]
+    ey = py[top] - py[bottom]
+    if Cz == 0.0 and ex == 0.0 and ey == 0.0:
+        return False
+    s = k / wsum
+    if w_top > 0.0:
+        out(top, -s * w_top * ex, -s * w_top * ey, -s * w_top * Cz, 0.0)
+    if w_bottom > 0.0:
+        out(bottom, s * w_bottom * ex, s * w_bottom * ey, s * w_bottom * Cz, 0.0)
+    return True
 
 
 def _stacking_violation(b, st) -> float:

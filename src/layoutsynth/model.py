@@ -525,7 +525,7 @@ class Scene:
                     group_of[member] = group.id
             except ValueError as exc:
                 raise ValueError(f"groups[{i}]: {exc}") from None
-        from .constraints import STACKING  # that module imports this one
+        from .constraints import FOCAL_SYMMETRY, HEAT_POINT, STACKING  # it imports this module
 
         # stacking piles are chains: each top has one bottom, and walking
         # down from any object reaches the ground
@@ -537,6 +537,14 @@ class Scene:
                     if not (0 <= idx < n):
                         raise ValueError(f"{constraint.kind} references missing particle {idx}")
                 constraint.validate()
+                if constraint.kind in (HEAT_POINT, FOCAL_SYMMETRY):
+                    # an infinite mass leaves the weighted center undefined;
+                    # an anchor or focal (the first participant) is unweighed
+                    anchored = constraint.kind == FOCAL_SYMMETRY or constraint.point is None
+                    for idx in constraint.particles[1 if anchored else 0:]:
+                        if self.particles[idx].fixed:
+                            raise ValueError(f"{constraint.kind} weighs fixed object "
+                                             f"{ids.get(idx, idx)!r} by its infinite mass")
                 if constraint.kind == STACKING:
                     bottom, top = constraint.particles
                     on = f"{ids.get(top, top)!r} on {ids.get(bottom, bottom)!r}"

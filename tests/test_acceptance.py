@@ -11,7 +11,10 @@ from layoutsynth import constraints as cn
 from layoutsynth.annealer import AnnealConfig, run_sa_mcmc
 from layoutsynth.cli import main as cli_main
 from layoutsynth.geometry import Vec2, wrap_angle
-from layoutsynth.model import Room
+from layoutsynth.model import (
+    INFINITE, RIGID, AccessRegion, BoundingBox, Group, LayoutObject, Particle, Room, Scene,
+    nearest_wall_point,
+)
 from layoutsynth.sceneio import parse_scene, serialize_scene
 from layoutsynth.scenes import TEMPLATE_NAMES, build
 from layoutsynth.solver import (
@@ -20,6 +23,8 @@ from layoutsynth.solver import (
     SolverConfig,
     evaluate_energy,
     synthesize,
+    wall_ghost_corrections,
+    zone_center,
 )
 from layoutsynth.spatial import candidate_pairs, rebuild
 
@@ -41,17 +46,79 @@ def _state_from(layout):
 # 1. projection oracle suite
 
 
-def corrections(project, *args, **kwargs):
-    """The corrections ``project`` writes to its sink, as a list; its
-    return value says whether it wrote any."""
+def corrections(project, *args):
+    """The corrections ``project`` writes to its sink, as plain
+    (particle, dx, dy, dz, dtheta) tuples; its return value says whether
+    it wrote any."""
     out = []
-    wrote = project(lambda *c: out.append(cn.Correction(*c)), *args, **kwargs)
+    wrote = project(lambda *c: out.append(c), *args)
     assert wrote == bool(out)
     return out
 
 
-def _assert_inert(corrs):
-    assert corrs == []
+def _shift(corrs, i):
+    """The summed (dx, dy, dz, dtheta) the corrections write to particle i."""
+    return tuple(sum(c[k] for c in corrs if c[0] == i) for k in range(1, 5))
+
+
+def _moved(st, i, corrs):
+    """Pose (x, y, z, theta) of particle i after the corrections."""
+    dx, dy, dz, dtheta = _shift(corrs, i)
+    return st.px[i] + dx, st.py[i] + dy, st.pz[i] + dz, st.theta[i] + dtheta
+
+
+def _center(st, members, corrs, weights):
+    """Weighted center of the members after the corrections."""
+    moved = [_moved(st, i, corrs) for i in members]
+    cx, cy, _ = cn.weighted_center(
+        range(len(moved)), [p[0] for p in moved], [p[1] for p in moved], weights)
+    return cx, cy
+
+
+class _RoundScene:
+    """One round's scene in ROOM: a box object per particle, the
+    particles ``pin`` holds joined in one fixed rigid group, and the
+    constraints ``bind`` hands to a ``SolveContext``."""
+
+    def __init__(self):
+        self.scene = Scene(room=ROOM)
+        self.poses = []
+        self.pinned = []
+
+    def add(self, x, y, mass=1.0, z=0.0, theta=0.0, half=(0.25, 0.25), zone=None):
+        """A box of half extents ``half`` at the pose, with a clearance
+        zone of diagonal ``zone`` before its front face when given; its
+        particle."""
+        i = len(self.poses)
+        self.scene.particles.append(Particle(Vec2(x, y), mass=mass))
+        regions = [AccessRegion(Vec2(0.0, 0.0))] * 4
+        if zone is not None:
+            regions[2] = AccessRegion(Vec2(half[0] + 0.5 * zone, 0.0), zone)
+        self.scene.objects.append(
+            LayoutObject(f"o{i}", "box", i, BoundingBox(Vec2(*half), 0.5), tuple(regions)))
+        self.poses.append((float(x), float(y), float(z), float(theta)))
+        return i
+
+    def pin_all_but_one(self, rng, members):
+        """Hold every member but a random one by the fixed group."""
+        free = int(rng.integers(len(members)))
+        self.pinned += members[:free] + members[free + 1:]
+
+    def constrain(self, kind, particles, **fields):
+        c = cn.make_constraint(kind, tuple(particles), **fields)
+        self.scene.constraints.append(c)
+        return c
+
+    def bind(self):
+        """The scene's SolveContext and poses."""
+        if self.pinned:
+            g = len(self.poses)
+            self.scene.particles.append(Particle(Vec2(5.0, 5.0), mass=INFINITE))
+            self.poses.append((5.0, 5.0, 0.0, 0.0))
+            self.scene.groups.append(Group(
+                "pinned", g, tuple(f"o{i}" for i in self.pinned), rigidity=RIGID,
+                member_offsets=((0.0, 0.0, 0.0),) * len(self.pinned)))
+        return SolveContext(self.scene), LayoutState(*zip(*self.poses))
 
 
 def test_criterion_1_projection_oracles():
@@ -60,197 +127,203 @@ def test_criterion_1_projection_oracles():
     checks = 0
 
     for _ in range(100):
-        # pairwise distance, equality, partner anchored
+        # one scene per round: the authored kinds bind and project through
+        # their SPECS records, the contact kinds through the solver's calls
+        r = _RoundScene()
+
+        # pairwise distance, equality, partner anchored; an inequality
+        # already satisfied
         pi = rng.uniform(1, 9, 2)
         pj = rng.uniform(1, 9, 2)
         d = rng.uniform(0.1, 4)
-        corrs = corrections(cn.project_pairwise_distance, 0, 1, *pi, *pj, 1.0, 0.0, d, 1.0)
-        p0 = (pi[0] + sum(c.dx for c in corrs), pi[1] + sum(c.dy for c in corrs))
-        assert abs(math.hypot(p0[0] - pj[0], p0[1] - pj[1]) - d) < 1e-9
-        # inequality inert when satisfied
-        far = pj + np.array([d + rng.uniform(0.01, 2), 0.0])
-        _assert_inert(corrections(
-            cn.project_pairwise_distance, 0, 1, *far, *pj, 1.0, 0.0, d, 1.0, cn.INEQUALITY,
-        ))
+        anchor = r.add(*pj, mass=INFINITE)
+        pair = r.constrain(cn.PAIRWISE_DISTANCE, (r.add(*pi), anchor), distance=d)
+        far = r.add(pj[0] + d + rng.uniform(0.01, 2), pj[1])
+        apart = r.constrain(cn.PAIRWISE_DISTANCE, (far, anchor), distance=d,
+                            relation=cn.INEQUALITY)
 
-        # focal point
-        corrs = corrections(
-            cn.project_focal_point, 0, 1, *pi, *pj, 1.0, 1.0, d, 1.0, pin_focal=True,
-        )
-        p0 = (pi[0] + sum(c.dx for c in corrs), pi[1] + sum(c.dy for c in corrs))
-        assert abs(math.hypot(p0[0] - pj[0], p0[1] - pj[1]) - d) < 1e-9
+        # focal point: the focal is free, and the record pins it
+        focal = r.constrain(cn.FOCAL_POINT, (r.add(*pi), r.add(*pj)), distance=d)
 
-        # traffic lane
+        # traffic lane: the origin is free, and the record pins it
         origin = rng.uniform(2, 8, 2)
         angle = rng.uniform(0, 2 * math.pi)
         v = Vec2(math.cos(angle), math.sin(angle))
         offset = rng.uniform(-0.9, 0.9)
         along = rng.uniform(0.5, 3)
         clearance = rng.uniform(1.0, 2.0)
-        p_lane = (
+        lane_origin = r.add(*origin)
+        lane = r.constrain(cn.TRAFFIC_LANE, (r.add(
             origin[0] + along * v.x - offset * v.y,
             origin[1] + along * v.y + offset * v.x,
-        )
-        corrs = corrections(
-            cn.project_traffic_lane, 0, 1, *p_lane, *origin, 1.0, 0.0, v, clearance, 1.0,
-        )
-        moved = (
-            p_lane[0] + sum(c.dx for c in corrs),
-            p_lane[1] + sum(c.dy for c in corrs),
-        )
-        qx, qy = cn.lane_projection_point(origin, v, moved)
-        assert abs(math.hypot(moved[0] - qx, moved[1] - qy) - clearance) < 1e-9
-        clear_point = (
+        ), lane_origin), distance=clearance, vector=v)
+        clear = r.constrain(cn.TRAFFIC_LANE, (r.add(
             origin[0] + along * v.x - (clearance + 0.5) * v.y,
             origin[1] + along * v.y + (clearance + 0.5) * v.x,
-        )
-        _assert_inert(corrections(
-            cn.project_traffic_lane, 0, 1, *clear_point, *origin, 1.0, 0.0, v, clearance, 1.0,
-        ))
+        ), lane_origin), distance=clearance, vector=v)
 
-        # heat point: one free particle among up to four
-        n = int(rng.integers(1, 5))
-        px = list(rng.uniform(0, 10, n))
-        py = list(rng.uniform(0, 10, n))
-        masses = list(rng.uniform(0.2, 4, n))
-        inv = [0.0] * n
-        free = int(rng.integers(n))
-        inv[free] = 1.0 / masses[free]
+        # heat point: one free particle among up to four, the others held
+        # by the fixed group but weighed by their own masses
+        heat_masses = rng.uniform(0.2, 4, int(rng.integers(1, 5))).tolist()
+        heat_members = [r.add(*rng.uniform(0, 10, 2), mass=m) for m in heat_masses]
+        r.pin_all_but_one(rng, heat_members)
         target = rng.uniform(0, 10, 2)
-        corrs = corrections(cn.project_heat_point, range(n), px, py, masses, inv, target, 1.0)
-        for c in corrs:
-            px[c.particle] += c.dx
-            py[c.particle] += c.dy
-        cx, cy, _ = cn.weighted_center(range(n), px, py, masses)
-        C = 0.5 * ((cx - target[0]) ** 2 + (cy - target[1]) ** 2)
-        assert C < 1e-9
+        heat = r.constrain(cn.HEAT_POINT, heat_members, point=Vec2(*target))
 
-        # focal symmetry
-        n = int(rng.integers(1, 4))
-        px = list(rng.uniform(2, 8, n))
-        py = list(rng.uniform(2, 8, n))
-        masses = list(rng.uniform(0.2, 4, n))
-        inv = [0.0] * n
-        free = int(rng.integers(n))
-        inv[free] = 1.0 / masses[free]
-        focal = (0.5, 0.5)
-        corrs = corrections(
-            cn.project_focal_symmetry, range(n), px, py, masses, inv, focal, Vec2(1, 0.4), 1.0,
-        )
-        for c in corrs:
-            px[c.particle] += c.dx
-            py[c.particle] += c.dy
-        cx, cy, _ = cn.weighted_center(range(n), px, py, masses)
-        vx, vy = 1.0, 0.4
-        t = max(0.0, ((cx - focal[0]) * vx + (cy - focal[1]) * vy) / (vx * vx + vy * vy))
-        C = 0.5 * ((cx - focal[0] - t * vx) ** 2 + (cy - focal[1] - t * vy) ** 2)
-        assert C < 1e-9
+        # focal symmetry, likewise, about a free focal
+        sym_masses = rng.uniform(0.2, 4, int(rng.integers(1, 4))).tolist()
+        sym_members = [r.add(*rng.uniform(2, 8, 2), mass=m) for m in sym_masses]
+        r.pin_all_but_one(rng, sym_members)
+        sym = r.constrain(cn.FOCAL_SYMMETRY, [r.add(0.5, 0.5)] + sym_members,
+                          vector=Vec2(1, 0.4))
 
-        # visual balance
-        n = int(rng.integers(1, 4))
-        px = list(rng.uniform(0, 10, n))
-        py = list(rng.uniform(0, 10, n))
-        weights = list(rng.uniform(0.2, 4, n))
-        inv = [0.0] * n
-        inv[int(rng.integers(n))] = rng.uniform(0.3, 3)
-        corrs = corrections(
-            cn.project_visual_balance, range(n), px, py, weights, inv, (5.0, 5.0), 1.0,
-        )
-        for c in corrs:
-            px[c.particle] += c.dx
-            py[c.particle] += c.dy
-        cx, cy, _ = cn.weighted_center(range(n), px, py, weights)
-        assert 0.5 * ((cx - 5.0) ** 2 + (cy - 5.0) ** 2) < 1e-9
+        # visual balance, likewise, weighed by footprint area, not by mass
+        areas = rng.uniform(0.2, 4, int(rng.integers(1, 4))).tolist()
+        balance_members = [r.add(*rng.uniform(0, 10, 2), mass=rng.uniform(0.3, 3),
+                                 half=(0.25 * area, 1.0)) for area in areas]
+        r.pin_all_but_one(rng, balance_members)
+        balance = r.constrain(cn.VISUAL_BALANCE, balance_members)
 
         # wall distance; geometry chosen so the same wall stays nearest
-        p = (rng.uniform(0.2, 2.0), rng.uniform(4, 6))
-        d = rng.uniform(0.1, 3.5)
-        corrs = corrections(cn.project_wall_distance, 0, *p, 1.0, ROOM, d, 1.0)
-        moved = (p[0] + sum(c.dx for c in corrs), p[1] + sum(c.dy for c in corrs))
-        from layoutsynth.model import nearest_wall_point
+        d_wall = rng.uniform(0.1, 3.5)
+        wall = r.constrain(cn.WALL_DISTANCE, (r.add(rng.uniform(0.2, 2.0), rng.uniform(4, 6)),),
+                           distance=d_wall)
+        wall_far = r.constrain(cn.WALL_DISTANCE, (r.add(3.0, 5.0),), distance=1.0,
+                               relation=cn.INEQUALITY)
 
-        q, _, _ = nearest_wall_point(ROOM, moved)
-        assert abs(math.hypot(moved[0] - q.x, moved[1] - q.y) - d) < 1e-9
-        _assert_inert(corrections(
-            cn.project_wall_distance, 0, 3.0, 5.0, 1.0, ROOM, 1.0, 1.0, cn.INEQUALITY,
-        ))
-
-        # accessibility
-        b_i = rng.uniform(0.3, 1.0)
-        r_i = 0.5 * b_i
-        diag = rng.uniform(0.2, 0.8)
-        center = rng.uniform(3, 7, 2)
-        p = center + rng.uniform(-0.2, 0.2, 2)
-        corrs = corrections(
-            cn.project_accessibility, 0, 1, *p, 1.0, 0.0, *center, rng.uniform(0, 6), diag, b_i,
-            r_i, 1.0, tiebreak=lambda: (1.0, 0.0),
-        )
-        moved = (p[0] + sum(c.dx for c in corrs), p[1] + sum(c.dy for c in corrs))
-        assert abs(math.hypot(moved[0] - center[0], moved[1] - center[1]) - (b_i + diag)) < 1e-9
-        far = center + np.array([b_i + diag + 1.0, 0.0])
-        _assert_inert(corrections(
-            cn.project_accessibility, 0, 1, *far, 1.0, 0.0, *center, 0.0, diag, b_i, r_i, 1.0,
-        ))
-
-        # collision
-        r0, r1 = rng.uniform(0.2, 1.5, 2)
-        pj = rng.uniform(2, 8, 2)
-        pi = pj + rng.uniform(-0.5, 0.5, 2)
-        corrs = corrections(
-            cn.project_collision, 0, 1, *pi, *pj, 1.0, 0.0, r0, r1, 1.0,
-            tiebreak=lambda: (0.0, 1.0),
-        )
-        moved = (pi[0] + sum(c.dx for c in corrs), pi[1] + sum(c.dy for c in corrs))
-        assert abs(math.hypot(moved[0] - pj[0], moved[1] - pj[1]) - (r0 + r1)) < 1e-9
-        apart = pj + np.array([r0 + r1 + 0.1, 0.0])
-        _assert_inert(corrections(cn.project_collision, 0, 1, *apart, *pj, 1.0, 0.0, r0, r1, 1.0))
-
-        # wall ghost collision (ghosts along one wall)
-        g0 = (0.0, rng.uniform(2, 5))
-        g1 = (0.0, g0[1] + rng.uniform(0.0, 0.5))
-        corrs = corrections(
-            cn.project_wall_ghost_collision, 0, 1, *g0, *g1, 1.0, 0.0, 0.5, 0.5, 1.0,
-            tiebreak=lambda: (0.0, 1.0),
-        )
-        m0 = (g0[0] + sum(c.dx for c in corrs if c.particle == 0),
-              g0[1] + sum(c.dy for c in corrs if c.particle == 0))
-        assert abs(math.hypot(m0[0] - g1[0], m0[1] - g1[1]) - 1.0) < 1e-9
-
-        # pairwise orientation
-        theta = rng.uniform(0, 2 * math.pi)
-        target_theta = rng.uniform(0, 2 * math.pi)
-        corrs = corrections(cn.project_pairwise_orientation, 0, theta, target_theta, 1.0, 1.0)
-        new = theta + sum(c.dtheta for c in corrs)
-        assert abs(wrap_angle(target_theta - new)) < 1e-9
+        # pairwise orientation, in a random target mode
+        mode = (cn.ORIENT_FACE, cn.ORIENT_MATCH, cn.ORIENT_FIXED)[int(rng.integers(3))]
+        orient = r.constrain(
+            cn.PAIRWISE_ORIENTATION,
+            (r.add(*rng.uniform(1, 9, 2), theta=rng.uniform(0, 2 * math.pi)),
+             r.add(*rng.uniform(1, 9, 2), theta=rng.uniform(0, 2 * math.pi))),
+            orientation_mode=mode, angle_offset=rng.uniform(-1, 1),
+            angle_target=rng.uniform(0, 2 * math.pi))
 
         # wall orientation
-        p = (rng.uniform(0.2, 4.0), rng.uniform(2, 8))
-        theta = rng.uniform(0, 2 * math.pi)
-        offset = rng.choice([0.0, math.pi / 2])
-        corrs = corrections(cn.project_wall_orientation, 0, theta, *p, 1.0, ROOM, offset, 1.0)
-        new = theta + sum(c.dtheta for c in corrs)
-        target = cn.wall_orientation_target(ROOM, p, new, offset)
-        assert abs(wrap_angle(target - new)) < 1e-9
+        p_turn = (rng.uniform(0.2, 4.0), rng.uniform(2, 8))
+        wall_offset = (0.0, math.pi / 2)[int(rng.integers(2))]
+        wall_turn = r.constrain(
+            cn.WALL_ORIENTATION, (r.add(*p_turn, theta=rng.uniform(0, 2 * math.pi)),),
+            angle_offset=wall_offset)
 
-        # stacking, bottom anchored
+        # stacking: the base is free, and the record keeps a pile's base
+        # on the ground
         zb = rng.uniform(0, 1)
         gap = rng.uniform(0.1, 1)
         pb = rng.uniform(0, 10, 2)
-        pt = pb + rng.uniform(-1, 1, 2)
-        zt = zb + rng.uniform(-0.5, 0.5)
-        corrs = corrections(cn.project_stacking, 0, 1, *pb, *pt, zb, zt, 0.0, 1.0, gap, 1.0)
-        mx = pt[0] + sum(c.dx for c in corrs)
-        my = pt[1] + sum(c.dy for c in corrs)
-        mz = zt + sum(c.dz for c in corrs)
-        C = math.sqrt((mz - zb - gap) ** 2 + (mx - pb[0]) ** 2 + (my - pb[1]) ** 2)
-        assert C < 1e-9
+        top = r.add(*(pb + rng.uniform(-1, 1, 2)), z=zb + rng.uniform(-0.5, 0.5))
+        stack = r.constrain(cn.STACKING, (r.add(*pb, z=zb), top), height_gap=gap)
 
-        # boundary containment
-        r = rng.uniform(0.2, 1.5)
-        p = rng.uniform(-1, 11, 2)
-        corrs = corrections(cn.project_boundary, 0, *p, 1.0, r, ROOM, 1.0)
-        moved = (p[0] + sum(c.dx for c in corrs), p[1] + sum(c.dy for c in corrs))
-        assert cn.boundary_violation(ROOM, moved, r) < 1e-9
+        # contact objects: a fixed zone owner and two intruders, placed
+        # from its zone once bound; an overlapping pair, the struck one
+        # fixed, and a third placed clear of it once bound; two objects
+        # hugging the wall x=0, one fixed; one object anywhere near the room
+        owner = r.add(*rng.uniform(3, 7, 2), mass=INFINITE, theta=rng.uniform(0, 6),
+                      zone=rng.uniform(0.2, 0.8))
+        half = tuple(rng.uniform(0.22, 0.5, 2))
+        intruder, outsider = r.add(0, 0, half=half), r.add(0, 0, half=half)
+        pc = rng.uniform(2, 8, 2)
+        half = tuple(rng.uniform(0.3, 1.05, 2))
+        hit, clear_of = r.add(*(pc + rng.uniform(-0.5, 0.5, 2)), half=half), r.add(0, 0, half=half)
+        struck = r.add(*pc, mass=INFINITE, half=tuple(rng.uniform(0.3, 1.05, 2)))
+        y0 = rng.uniform(2, 5)
+        hugger = r.add(rng.uniform(0.05, 1.0), y0, half=(0.3, 0.4))
+        hugged = r.add(rng.uniform(0.05, 1.0), y0 + rng.uniform(0.0, 0.5), mass=INFINITE,
+                       half=(0.3, 0.4))
+        boxed = r.add(*rng.uniform(-1, 11, 2), half=tuple(rng.uniform(0.15, 1.05, 2)))
+
+        ctx, st = r.bind()
+        px, py = st.px, st.py
+
+        def project(c):
+            spec = cn.SPECS[c.kind]
+            return corrections(spec.project, spec.bind(c, ctx), st, 1.0, None)
+
+        x, y, _, _ = _moved(st, pair.particles[0], project(pair))
+        assert abs(math.hypot(x - pj[0], y - pj[1]) - d) < 1e-9
+        assert project(apart) == []
+
+        x, y, _, _ = _moved(st, focal.particles[0], project(focal))
+        assert abs(math.hypot(x - pj[0], y - pj[1]) - d) < 1e-9
+
+        x, y, _, _ = _moved(st, lane.particles[0], project(lane))
+        t = ((x - origin[0]) * v.x + (y - origin[1]) * v.y) / (v.x * v.x + v.y * v.y)
+        assert abs(math.hypot(x - (origin[0] + t * v.x), y - (origin[1] + t * v.y))
+                   - clearance) < 1e-9
+        assert project(clear) == []
+
+        cx, cy = _center(st, heat_members, project(heat), heat_masses)
+        assert 0.5 * ((cx - target[0]) ** 2 + (cy - target[1]) ** 2) < 1e-9
+
+        cx, cy = _center(st, sym_members, project(sym), sym_masses)
+        vx, vy = 1.0, 0.4
+        t = max(0.0, ((cx - 0.5) * vx + (cy - 0.5) * vy) / (vx * vx + vy * vy))
+        assert 0.5 * ((cx - 0.5 - t * vx) ** 2 + (cy - 0.5 - t * vy) ** 2) < 1e-9
+
+        cx, cy = _center(st, balance_members, project(balance), areas)
+        assert 0.5 * ((cx - 5.0) ** 2 + (cy - 5.0) ** 2) < 1e-9
+
+        x, y, _, _ = _moved(st, wall.particles[0], project(wall))
+        q, _, _ = nearest_wall_point(ROOM, (x, y))
+        assert abs(math.hypot(x - q.x, y - q.y) - d_wall) < 1e-9
+        assert project(wall_far) == []
+
+        i, j = orient.particles
+        new = _moved(st, i, project(orient))[3]
+        target_theta = {
+            cn.ORIENT_FACE: math.atan2(py[j] - py[i], px[j] - px[i]) + orient.angle_offset,
+            cn.ORIENT_MATCH: st.theta[j] + orient.angle_offset,
+            cn.ORIENT_FIXED: orient.angle_target,
+        }[mode]
+        assert abs(wrap_angle(target_theta - new)) < 1e-9
+
+        new = _moved(st, wall_turn.particles[0], project(wall_turn))[3]
+        target_theta = cn.wall_orientation_target(ROOM, p_turn, new, wall_offset)
+        assert abs(wrap_angle(target_theta - new)) < 1e-9
+
+        x, y, z, _ = _moved(st, top, project(stack))
+        assert math.sqrt((z - zb - gap) ** 2 + (x - pb[0]) ** 2 + (y - pb[1]) ** 2) < 1e-9
+
+        # the contact kernels, called as the step calls them
+        root, w, radius = ctx.contact_root, ctx.proj_w, ctx.radius
+        (cx, cy), diagonal = zone_center(st, ctx, owner, 0)
+        px[intruder], py[intruder] = cx + rng.uniform(-0.2, 0.2), cy + rng.uniform(-0.2, 0.2)
+        px[outsider], py[outsider] = cx + ctx.b_diag[outsider] + diagonal + 1.0, cy
+
+        def intrude(i, tiebreak=None):
+            return corrections(
+                cn.project_accessibility, root[i], root[owner], px[i], py[i], w[i], w[owner],
+                cx, cy, st.theta[owner], diagonal, ctx.b_diag[i], radius[i], 1.0, tiebreak)
+
+        x, y, _, _ = _moved(st, intruder, intrude(intruder, lambda: (1.0, 0.0)))
+        assert abs(math.hypot(x - cx, y - cy) - (ctx.b_diag[intruder] + diagonal)) < 1e-9
+        assert intrude(outsider) == []
+
+        px[clear_of], py[clear_of] = px[struck] + radius[clear_of] + radius[struck] + 0.1, py[struck]
+
+        def collide(i, tiebreak=None):
+            return corrections(
+                cn.project_collision, root[i], root[struck], px[i], py[i], px[struck],
+                py[struck], w[i], w[struck], radius[i], radius[struck], 1.0, tiebreak)
+
+        x, y, _, _ = _moved(st, hit, collide(hit, lambda: (0.0, 1.0)))
+        assert abs(math.hypot(x - px[struck], y - py[struck]) - (radius[hit] + radius[struck])) \
+            < 1e-9
+        assert collide(clear_of) == []
+
+        corrs = corrections(wall_ghost_corrections, hugger, hugged, st, ctx, 1.0,
+                            lambda: (0.0, 1.0))
+        gi, _, _ = nearest_wall_point(ROOM, (px[hugger], py[hugger]))
+        gj, _, _ = nearest_wall_point(ROOM, (px[hugged], py[hugged]))
+        dx, dy, _, _ = _shift(corrs, hugger)
+        assert abs(math.hypot(gi.x + dx - gj.x, gi.y + dy - gj.y)
+                   - (radius[hugger] + radius[hugged])) < 1e-9
+
+        corrs = corrections(cn.project_boundary, root[boxed], px[boxed], py[boxed], w[boxed],
+                            radius[boxed], ctx.room, 1.0)
+        x, y, _, _ = _moved(st, boxed, corrs)
+        assert cn.boundary_violation(ROOM, (x, y), radius[boxed]) < 1e-9
         checks += 14
 
     elapsed = time.perf_counter() - started
@@ -274,10 +347,10 @@ def test_criterion_2_two_body_conservation():
         k = rng.uniform(0, 1)
         corrs = corrections(cn.project_pairwise_distance, 0, 1, *pi, *pj, 1 / mi, 1 / mj, d, k)
         sx = sy = 0.0
-        for c in corrs:
-            m = mi if c.particle == 0 else mj
-            sx += m * c.dx
-            sy += m * c.dy
+        for particle, dx, dy, _, _ in corrs:
+            m = mi if particle == 0 else mj
+            sx += m * dx
+            sy += m * dy
         worst = max(worst, abs(sx), abs(sy))
     assert worst < 1e-9
     _passed(2, f"mass-weighted center preserved over 10^4 cases (worst drift {worst:.2e})")

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import logging
 import math
 
@@ -5,7 +7,7 @@ import numpy as np
 import pytest
 
 from layoutsynth import constraints as cn
-from layoutsynth import model, scenes
+from layoutsynth import model, scenes, solver
 from layoutsynth.constraints import (
     Constraint,
     boundary_violation,
@@ -13,17 +15,9 @@ from layoutsynth.constraints import (
     project_accessibility,
     project_boundary,
     project_collision,
-    project_focal_point,
-    project_focal_symmetry,
-    project_heat_point,
     project_pairwise_distance,
     project_pairwise_orientation,
-    project_stacking,
-    project_traffic_lane,
-    project_visual_balance,
-    project_wall_distance,
     project_wall_ghost_collision,
-    project_wall_orientation,
     update_stiffness,
 )
 from layoutsynth.geometry import SEGMENT, Curve, Vec2, closest_point_on_curve, wrap_angle
@@ -40,19 +34,40 @@ NOTCHED_ROOM = [(0, 0), (6.5, 0), (6.5, 5), (4.5, 5), (4.5, 2), (2, 2), (2, 5), 
 
 
 def corrections(project, *args, **kwargs):
-    """The corrections ``project`` writes to its sink, as a list; its
-    return value says whether it wrote any."""
+    """The corrections ``project`` writes to its sink, as plain
+    (particle, dx, dy, dz, dtheta) tuples; its return value says whether
+    it wrote any."""
     out = []
-    wrote = project(lambda *c: out.append(cn.Correction(*c)), *args, **kwargs)
+    wrote = project(lambda *c: out.append(c), *args, **kwargs)
     assert wrote == bool(out)
     return out
 
 
+def record_corrections(constraint, poses, k=1.0, *, masses=None, areas=None, room=SQUARE,
+                       others=()):
+    """The corrections the solver's record of ``constraint`` writes at
+    stiffness ``k``. A tiny scene in ``room`` holds one box per pose
+    (x, y[, z, theta]) with the given masses and footprint areas (1 by
+    default) and the ``others`` constraints; the constraint is bound on
+    its ``SolveContext`` and projected as a solve does."""
+    n = len(poses)
+    scene = Scene(room=room)
+    for i, (mass, area) in enumerate(zip(masses or [1.0] * n, areas or [1.0] * n)):
+        scene.particles.append(Particle(Vec2(*poses[i][:2]), mass=mass))
+        scene.objects.append(LayoutObject(id=f"o{i}", label="box", particle_index=i,
+                                          bbox=BoundingBox(Vec2(0.25 * area, 1.0), 0.5)))
+    scene.constraints += [constraint, *others]
+    ctx = SolveContext(scene)
+    st = LayoutState(*zip(*[(*pose, 0.0, 0.0)[:4] for pose in poses]))
+    spec = cn.SPECS[constraint.kind]
+    return corrections(spec.project, spec.bind(constraint, ctx), st, k, None)
+
+
 def apply(positions, corrs):
     out = {i: list(p) for i, p in positions.items()}
-    for c in corrs:
-        out[c.particle][0] += c.dx
-        out[c.particle][1] += c.dy
+    for i, dx, dy, _, _ in corrs:
+        out[i][0] += dx
+        out[i][1] += dy
     return out
 
 
@@ -139,79 +154,77 @@ class TestPairwiseDistance:
             k = rng.uniform(0, 1)
             corrs = corrections(project_pairwise_distance, 0, 1, *pi, *pj, 1 / mi, 1 / mj, d, k)
             sx = sy = 0.0
-            for c in corrs:
-                m = mi if c.particle == 0 else mj
-                sx += m * c.dx
-                sy += m * c.dy
+            for particle, dx, dy, _, _ in corrs:
+                m = mi if particle == 0 else mj
+                sx += m * dx
+                sy += m * dy
             assert abs(sx) < 1e-9 and abs(sy) < 1e-9
 
 
 class TestFocalPoint:
     def test_member_pulled_to_radius(self):
-        corrs = corrections(project_focal_point, 0, 1, 5, 0, 0, 0, 1.0, 0.0, 3.0, 1.0)
+        corrs = record_corrections(make_constraint(cn.FOCAL_POINT, (0, 1), distance=3.0),
+                                   [(5, 0), (0, 0)], masses=[1.0, INFINITE])
         moved = apply({0: (5, 0), 1: (0, 0)}, corrs)
         assert moved[0] == pytest.approx([3.0, 0.0])
         assert moved[1] == pytest.approx([0.0, 0.0])
 
     def test_on_circle_is_silent(self):
-        assert corrections(project_focal_point, 0, 1, 3, 0, 0, 0, 1.0, 0.0, 3.0, 1.0) == []
+        assert record_corrections(make_constraint(cn.FOCAL_POINT, (0, 1), distance=3.0),
+                                  [(3, 0), (0, 0)], masses=[1.0, INFINITE]) == []
 
     def test_pinned_focal_never_moves_even_with_mass(self):
-        corrs = corrections(
-            project_focal_point, 0, 1, 5, 0, 0, 0, 1.0, 1.0, 3.0, 1.0, pin_focal=True,
+        corrs = record_corrections(
+            make_constraint(cn.FOCAL_POINT, (0, 1), distance=3.0, pin_focal=True),
+            [(5, 0), (0, 0)],
         )
-        assert all(c.particle == 0 for c in corrs)
+        assert all(particle == 0 for particle, *_ in corrs)
 
     def test_two_members_sequentially_reach_circle(self):
         focal = (0.0, 0.0)
         members = {0: (5.0, 0.0), 1: (0.0, -7.0)}
-        for idx, pos in members.items():
-            corrs = corrections(project_focal_point, idx, 2, *pos, *focal, 1.0, 0.0, 3.0, 1.0)
+        for idx in (0, 1):
+            corrs = record_corrections(make_constraint(cn.FOCAL_POINT, (idx, 2), distance=3.0),
+                                       [members[0], members[1], focal],
+                                       masses=[1.0, 1.0, INFINITE])
             members = apply({**members, 2: focal}, corrs)
             members.pop(2)
         for pos in members.values():
             assert math.hypot(*pos) == pytest.approx(3.0, abs=1e-12)
 
 
+def _lane(distance, **kw):
+    return make_constraint(cn.TRAFFIC_LANE, (0, 1), distance=distance, vector=Vec2(1, 0), **kw)
+
+
 class TestTrafficLane:
     def test_push_off_axis(self):
-        corrs = corrections(
-            project_traffic_lane, 0, 1, 2, 1, 0, 0, 1.0, 0.0, Vec2(1, 0), 2.0, 1.0,
-        )
+        corrs = record_corrections(_lane(2.0), [(2, 1), (0, 0)])
         moved = apply({0: (2, 1), 1: (0, 0)}, corrs)
         assert moved[0] == pytest.approx([2.0, 2.0], abs=1e-12)
 
     def test_inactive_when_clear(self):
-        assert corrections(
-            project_traffic_lane, 0, 1, 2, 3, 0, 0, 1.0, 0.0, Vec2(1, 0), 2.0, 1.0,
-        ) == []
+        assert record_corrections(_lane(2.0), [(2, 3), (0, 0)]) == []
 
     def test_ghost_share_moves_origin(self):
-        corrs = corrections(
-            project_traffic_lane, 0, 1, 2, 1, 0, 0, 1.0, 1.0, Vec2(1, 0), 2.0, 1.0,
-        )
-        by_particle = {c.particle: c for c in corrs}
+        corrs = record_corrections(_lane(2.0, pin_focal=False), [(2, 1), (0, 0)])
+        by_particle = {i: (dx, dy) for i, dx, dy, _, _ in corrs}
         assert 1 in by_particle
         # momentum split: equal inverse masses move by half each, in
         # opposite perpendicular directions
-        assert by_particle[0].dy == pytest.approx(0.5)
-        assert by_particle[1].dy == pytest.approx(-0.5)
+        assert by_particle[0][1] == pytest.approx(0.5)
+        assert by_particle[1][1] == pytest.approx(-0.5)
 
     def test_on_axis_pushes_left_of_vector(self):
-        corrs = corrections(
-            project_traffic_lane, 0, 1, 3, 0, 0, 0, 1.0, 0.0, Vec2(1, 0), 1.0, 1.0,
-        )
+        corrs = record_corrections(_lane(1.0), [(3, 0), (0, 0)])
         moved = apply({0: (3, 0), 1: (0, 0)}, corrs)
         assert moved[0][1] == pytest.approx(1.0, abs=1e-12)
 
 
 class TestHeatPoint:
     def test_center_already_at_target(self):
-        px = [0.0, 2.0]
-        py = [0.0, 0.0]
-        assert corrections(
-            project_heat_point, (0, 1), px, py, [1.0, 1.0], [1.0, 1.0], (1, 0), 1.0,
-        ) == []
+        assert record_corrections(make_constraint(cn.HEAT_POINT, (0, 1), point=Vec2(1, 0)),
+                                  [(0.0, 0.0), (2.0, 0.0)]) == []
 
     def test_gradient_hand_value(self):
         # two unit masses at (0,0),(2,0), target (0,0): each gradient 0.5*(1,0)
@@ -219,8 +232,8 @@ class TestHeatPoint:
         assert grad == pytest.approx((0.5, 0.0))
 
     def test_single_particle_moves_exactly_to_target(self):
-        px, py = [5.0], [5.0]
-        corrs = corrections(project_heat_point, (0,), px, py, [2.0], [0.5], (1.0, -1.0), 1.0)
+        corrs = record_corrections(make_constraint(cn.HEAT_POINT, (0,), point=Vec2(1.0, -1.0)),
+                                   [(5.0, 5.0)], masses=[2.0])
         moved = apply({0: (5, 5)}, corrs)
         assert moved[0] == pytest.approx([1.0, -1.0], abs=1e-12)
 
@@ -231,72 +244,64 @@ class TestHeatPoint:
             px = list(rng.uniform(-5, 5, n))
             py = list(rng.uniform(-5, 5, n))
             masses = list(rng.uniform(0.2, 4, n))
-            inv = [1 / m for m in masses]
             target = rng.uniform(-5, 5, 2)
             k = rng.uniform(0.1, 1.0)
             cx0, cy0, _ = cn.weighted_center(range(n), px, py, masses)
-            corrs = corrections(project_heat_point, range(n), px, py, masses, inv, target, k)
-            for c in corrs:
-                px[c.particle] += c.dx
-                py[c.particle] += c.dy
+            corrs = record_corrections(
+                make_constraint(cn.HEAT_POINT, tuple(range(n)), point=Vec2(*target)),
+                list(zip(px, py)), k, masses=masses,
+            )
+            for i, dx, dy, _, _ in corrs:
+                px[i] += dx
+                py[i] += dy
             cx1, cy1, _ = cn.weighted_center(range(n), px, py, masses)
             assert cx1 == pytest.approx(cx0 + k * (target[0] - cx0), abs=1e-9)
             assert cy1 == pytest.approx(cy0 + k * (target[1] - cy0), abs=1e-9)
 
 
+def _symmetry():
+    """Focal symmetry of particles 1 and 2 about the +x ray from focal 0."""
+    return make_constraint(cn.FOCAL_SYMMETRY, (0, 1, 2), vector=Vec2(1, 0))
+
+
 class TestFocalSymmetry:
     def test_symmetric_configuration_is_silent(self):
-        px = [1.0, 1.0]
-        py = [1.0, -1.0]
-        assert corrections(
-            project_focal_symmetry, (0, 1), px, py, [1, 1], [1, 1], (0, 0), Vec2(1, 0), 1.0,
-        ) == []
+        assert record_corrections(_symmetry(), [(0, 0), (1.0, 1.0), (1.0, -1.0)]) == []
 
     def test_center_projected_onto_axis(self):
-        px = [1.0, 1.0]
-        py = [1.0, 0.0]
-        corrs = corrections(
-            project_focal_symmetry, (0, 1), px, py, [1, 1], [1, 1], (0, 0), Vec2(1, 0), 1.0,
-        )
+        corrs = record_corrections(_symmetry(), [(0, 0), (1.0, 1.0), (1.0, 0.0)])
         assert len(corrs) == 2
         # equal masses pushed down equally
-        assert corrs[0].dy == pytest.approx(-0.5)
-        assert corrs[1].dy == pytest.approx(-0.5)
-        assert corrs[0].dx == pytest.approx(0.0)
+        assert corrs[0][2] == pytest.approx(-0.5)
+        assert corrs[1][2] == pytest.approx(-0.5)
+        assert corrs[0][1] == pytest.approx(0.0)
 
     def test_zero_stiffness_silent(self):
-        px = [1.0, 1.0]
-        py = [1.0, 0.0]
-        assert corrections(
-            project_focal_symmetry, (0, 1), px, py, [1, 1], [1, 1], (0, 0), Vec2(1, 0), 0.0,
-        ) == []
+        assert record_corrections(_symmetry(), [(0, 0), (1.0, 1.0), (1.0, 0.0)], 0.0) == []
 
 
 class TestVisualBalance:
     def test_symmetric_about_centroid_silent(self):
-        px = [4.0, 6.0]
-        py = [5.0, 5.0]
-        assert corrections(
-            project_visual_balance, (0, 1), px, py, [2.0, 2.0], [1, 1], (5, 5), 1.0,
-        ) == []
+        assert record_corrections(make_constraint(cn.VISUAL_BALANCE, (0, 1)),
+                                  [(4.0, 5.0), (6.0, 5.0)], areas=[2.0, 2.0]) == []
 
     def test_single_object_moves_to_centroid(self):
-        corrs = corrections(
-            project_visual_balance, (0,), [1.0], [1.0], [3.0], [1.0], (5, 5), 1.0,
-        )
+        corrs = record_corrections(make_constraint(cn.VISUAL_BALANCE, (0,)), [(1.0, 1.0)],
+                                   areas=[3.0])
         moved = apply({0: (1, 1)}, corrs)
         assert moved[0] == pytest.approx([5.0, 5.0], abs=1e-12)
 
     def test_gradient_proportional_to_weight_share(self):
         # big object carries more of the gradient but moves by its own
-        # inverse mass share
-        px = [0.0, 4.0]
-        py = [0.0, 0.0]
+        # inverse mass share; the 4 x 4 room's centroid is (2, 2)
+        room = Room([Vec2(0, 0), Vec2(4, 0), Vec2(4, 4), Vec2(0, 4)])
         weights = [3.0, 1.0]
         inv = [0.5, 2.0]
-        corrs = corrections(project_visual_balance, (0, 1), px, py, weights, inv, (2, 2), 1.0)
-        by = {c.particle: c for c in corrs}
-        ratio = (by[0].dx / by[1].dx)
+        corrs = record_corrections(make_constraint(cn.VISUAL_BALANCE, (0, 1)),
+                                   [(0.0, 0.0), (4.0, 0.0)], masses=[1 / w for w in inv],
+                                   areas=weights, room=room)
+        by = {i: dx for i, dx, _, _, _ in corrs}
+        ratio = (by[0] / by[1])
         assert ratio == pytest.approx((weights[0] * inv[0]) / (weights[1] * inv[1]))
 
 
@@ -383,26 +388,26 @@ class TestGradientChecks:
                 assert ay == pytest.approx(ny, rel=1e-4, abs=1e-8)
 
 
+def _wall(distance, relation=cn.EQUALITY):
+    return make_constraint(cn.WALL_DISTANCE, (0,), distance=distance, relation=relation)
+
+
 class TestWallDistance:
     def test_equality_pulls_to_distance(self):
-        corrs = corrections(project_wall_distance, 0, 3, 5, 1.0, SQUARE, 1.0, 1.0)
+        corrs = record_corrections(_wall(1.0), [(3, 5)])
         moved = apply({0: (3, 5)}, corrs)
         assert moved[0] == pytest.approx([1.0, 5.0], abs=1e-12)
 
     def test_satisfied_is_silent(self):
-        assert corrections(project_wall_distance, 0, 1, 5, 1.0, SQUARE, 1.0, 1.0) == []
+        assert record_corrections(_wall(1.0), [(1, 5)]) == []
 
     def test_inequality_pushes_away(self):
-        corrs = corrections(
-            project_wall_distance, 0, 0.5, 5, 1.0, SQUARE, 1.0, 1.0, cn.INEQUALITY,
-        )
+        corrs = record_corrections(_wall(1.0, cn.INEQUALITY), [(0.5, 5)])
         moved = apply({0: (0.5, 5)}, corrs)
         assert moved[0][0] == pytest.approx(1.0, abs=1e-12)
 
     def test_inequality_inactive_when_far(self):
-        assert corrections(
-            project_wall_distance, 0, 2, 5, 1.0, SQUARE, 1.0, 1.0, cn.INEQUALITY,
-        ) == []
+        assert record_corrections(_wall(1.0, cn.INEQUALITY), [(2, 5)]) == []
 
 
 class TestAccessibility:
@@ -427,14 +432,14 @@ class TestAccessibility:
             project_accessibility, 0, 1, 0.5, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0,
             access_diagonal=0.8, b_i=0.7, r_i=0.35, k=1.0,
         )
-        assert all(c.particle == 0 for c in corrs)
+        assert all(particle == 0 for particle, *_ in corrs)
 
     def test_owner_share_when_movable(self):
         corrs = corrections(
             project_accessibility, 0, 1, 0.5, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0,
             access_diagonal=0.8, b_i=0.7, r_i=0.35, k=1.0,
         )
-        assert {c.particle for c in corrs} == {0, 1}
+        assert {particle for particle, *_ in corrs} == {0, 1}
 
     def test_zone_activation_geometry(self):
         # square zone of diagonal d has half side d / (2*sqrt(2))
@@ -465,9 +470,9 @@ class TestWallGhostCollision:
         corrs = corrections(
             project_wall_ghost_collision, 0, 1, 0.0, 4.0, 0.0, 4.5, 1.0, 1.0, 1.0, 1.0, 1.0,
         )
-        by = {c.particle: c for c in corrs}
-        assert by[0].dy < 0 < by[1].dy
-        assert by[0].dx == pytest.approx(0.0)
+        by = {i: (dx, dy) for i, dx, dy, _, _ in corrs}
+        assert by[0][1] < 0 < by[1][1]
+        assert by[0][0] == pytest.approx(0.0)
 
     def test_far_ghosts_inactive(self):
         assert corrections(
@@ -481,25 +486,18 @@ class TestWallGhostCollision:
         pos = {0: [1.0, 4.0], 1: [1.0, 4.5]}
         for _ in range(50):
             for i in (0, 1):
-                for c in corrections(project_wall_distance, i, *pos[i], 1.0, SQUARE, 1.0, 1.0):
-                    pos[c.particle][0] += c.dx
-                    pos[c.particle][1] += c.dy
+                wall = make_constraint(cn.WALL_DISTANCE, (i,), distance=1.0)
+                pos = apply(pos, record_corrections(wall, [pos[0], pos[1]]))
             corrs = corrections(
                 project_collision, 0, 1, *pos[0], *pos[1], 1.0, 1.0, 1.0, 1.0, 1.0,
             )
-            for c in corrs:
-                pos[c.particle][0] += c.dx
-                pos[c.particle][1] += c.dy
+            pos = apply(pos, corrs)
             if corrs:
-                from layoutsynth.model import nearest_wall_point
-
-                g0, _, _ = nearest_wall_point(SQUARE, pos[0])
-                g1, _, _ = nearest_wall_point(SQUARE, pos[1])
-                for c in corrections(
+                g0, _, _ = model.nearest_wall_point(SQUARE, pos[0])
+                g1, _, _ = model.nearest_wall_point(SQUARE, pos[1])
+                pos = apply(pos, corrections(
                     project_wall_ghost_collision, 0, 1, *g0, *g1, 1.0, 1.0, 1.0, 1.0, 1.0,
-                ):
-                    pos[c.particle][0] += c.dx
-                    pos[c.particle][1] += c.dy
+                ))
         assert pos[0][0] == pytest.approx(1.0, abs=1e-6)
         assert pos[1][0] == pytest.approx(1.0, abs=1e-6)
         assert abs(pos[0][1] - pos[1][1]) >= 2.0 - 1e-6
@@ -511,7 +509,7 @@ class TestPairwiseOrientation:
             project_pairwise_orientation, 0, math.radians(350), math.radians(370), 1.0, 0.5,
         )
         assert len(corrs) == 1
-        new = math.radians(350) + corrs[0].dtheta
+        new = math.radians(350) + corrs[0][4]
         assert new % (2 * math.pi) == pytest.approx(0.0, abs=1e-9)
 
     def test_satisfied_is_silent(self):
@@ -519,59 +517,63 @@ class TestPairwiseOrientation:
 
     def test_antipodal_rotates_positive(self):
         corrs = corrections(project_pairwise_orientation, 0, 0.0, math.pi, 1.0, 1.0)
-        assert corrs[0].dtheta == pytest.approx(math.pi)
+        assert corrs[0][4] == pytest.approx(math.pi)
 
     def test_positions_untouched(self):
         corrs = corrections(project_pairwise_orientation, 0, 0.2, 1.3, 1.0, 1.0)
-        assert all(c.dx == 0.0 and c.dy == 0.0 and c.dz == 0.0 for c in corrs)
+        assert all(dx == 0.0 and dy == 0.0 and dz == 0.0 for _, dx, dy, dz, _ in corrs)
+
+
+def _wall_turn(offset):
+    return make_constraint(cn.WALL_ORIENTATION, (0,), angle_offset=offset)
 
 
 class TestWallOrientation:
     def test_snaps_parallel_to_nearest_wall(self):
-        corrs = corrections(
-            project_wall_orientation, 0, math.radians(45), 0.5, 5, 1.0, SQUARE, 0.0, 1.0,
-        )
-        new = math.radians(45) + corrs[0].dtheta
+        corrs = record_corrections(_wall_turn(0.0), [(0.5, 5, 0.0, math.radians(45))])
+        new = math.radians(45) + corrs[0][4]
         assert new == pytest.approx(math.pi / 2, abs=1e-9)
 
     def test_parallel_is_silent(self):
-        assert corrections(
-            project_wall_orientation, 0, math.pi / 2, 0.5, 5, 1.0, SQUARE, 0.0, 1.0,
-        ) == []
+        assert record_corrections(_wall_turn(0.0), [(0.5, 5, 0.0, math.pi / 2)]) == []
 
     def test_half_stiffness_blends(self):
-        corrs = corrections(
-            project_wall_orientation, 0, 0.0, 5, 0.5, 1.0, SQUARE, math.pi / 2, 0.5,
-        )
+        corrs = record_corrections(_wall_turn(math.pi / 2), [(5, 0.5, 0.0, 0.0)], 0.5)
         # near wall y=0 (tangent pi), offset pi/2: both perpendicular
         # candidates are a quarter turn away; half of it gets applied
-        assert abs(corrs[0].dtheta) == pytest.approx(math.pi / 4)
+        assert abs(corrs[0][4]) == pytest.approx(math.pi / 4)
+
+
+def _stack(bottom, top, gap):
+    return make_constraint(cn.STACKING, (bottom, top), height_gap=gap)
 
 
 class TestStacking:
     def test_anchored_bottom_lifts_top(self):
-        corrs = corrections(project_stacking, 0, 1, 0, 0, 0, 0, 0.0, 0.0, 0.0, 1.0, 1.5, 1.0)
+        # the pile's base stays on the ground
+        corrs = record_corrections(_stack(0, 1, 1.5), [(0, 0, 0.0), (0, 0, 0.0)])
         assert len(corrs) == 1
-        assert corrs[0].particle == 1
-        assert corrs[0].dz == pytest.approx(1.5)
+        assert corrs[0][0] == 1
+        assert corrs[0][3] == pytest.approx(1.5)
 
     def test_already_stacked_silent(self):
-        assert corrections(project_stacking, 0, 1, 0, 0, 0, 0, 0.0, 1.5, 0.0, 1.0, 1.5, 1.0) == []
+        assert record_corrections(_stack(0, 1, 1.5), [(0, 0, 0.0), (0, 0, 1.5)]) == []
 
     def test_three_book_chain_converges(self):
-        # fixed-point iteration: z offsets accumulate along the chain
+        # fixed-point iteration: z offsets accumulate along the chain; the
+        # middle book is a stacked bottom, so it moves too
         z = [0.0, 0.0, 0.0]
         xy = [[0.0, 0.0], [0.3, 0.1], [-0.2, 0.4]]
         gap01, gap12 = 0.035, 0.035
+        pile = [_stack(0, 1, gap01), _stack(1, 2, gap12)]
         for _ in range(50):
-            for (b, t, gap) in ((0, 1, gap01), (1, 2, gap12)):
-                wb = 0.0 if b == 0 else 1.0
-                for c in corrections(
-                    project_stacking, b, t, *xy[b], *xy[t], z[b], z[t], wb, 1.0, gap, 1.0,
-                ):
-                    xy[c.particle][0] += c.dx
-                    xy[c.particle][1] += c.dy
-                    z[c.particle] += c.dz
+            for c in pile:
+                poses = [(x, y, zi) for (x, y), zi in zip(xy, z)]
+                others = [other for other in pile if other is not c]
+                for i, dx, dy, dz, _ in record_corrections(c, poses, others=others):
+                    xy[i][0] += dx
+                    xy[i][1] += dy
+                    z[i] += dz
         assert z[0] == pytest.approx(0.0, abs=1e-6)
         assert z[1] == pytest.approx(gap01, abs=1e-6)
         assert z[2] == pytest.approx(gap01 + gap12, abs=1e-6)
@@ -580,10 +582,12 @@ class TestStacking:
             assert xy[j][1] == pytest.approx(xy[0][1], abs=1e-6)
 
     def test_ground_plane_pull_mass_weighted(self):
-        corrs = corrections(project_stacking, 0, 1, 0, 0, 2, 0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0)
-        by = {c.particle: c for c in corrs}
-        assert by[0].dx == pytest.approx(1.0)
-        assert by[1].dx == pytest.approx(-1.0)
+        # particle 0 is itself stacked on particle 2, so both 0 and 1 move
+        corrs = record_corrections(_stack(0, 1, 1.0), [(0, 0, 0.0), (2, 0, 1.0), (0, 0, 0.0)],
+                                   others=[_stack(2, 0, 0.0)])
+        by = {i: dx for i, dx, _, _, _ in corrs}
+        assert by[0] == pytest.approx(1.0)
+        assert by[1] == pytest.approx(-1.0)
 
 
 class TestBoundary:
@@ -788,12 +792,14 @@ class TestConstraintRecord:
             pi = tuple(rng.uniform(-3, 3, 2))
             pj = tuple(rng.uniform(-3, 3, 2))
             d = rng.uniform(0.1, 3)
-            for c in corrections(project_pairwise_distance, 0, 1, *pi, *pj, 1.0, 1.0, d, 1.0):
-                assert c.dtheta == 0.0
-            for c in corrections(
+            for *_, dtheta in corrections(
+                project_pairwise_distance, 0, 1, *pi, *pj, 1.0, 1.0, d, 1.0,
+            ):
+                assert dtheta == 0.0
+            for _, dx, dy, dz, _ in corrections(
                 project_pairwise_orientation, 0, rng.uniform(0, 6), rng.uniform(0, 6), 1.0, 1.0,
             ):
-                assert (c.dx, c.dy, c.dz) == (0.0, 0.0, 0.0)
+                assert (dx, dy, dz) == (0.0, 0.0, 0.0)
 
 
 class TestCurveAnchor:
@@ -880,71 +886,6 @@ def _every_record_kind_scene() -> Scene:
     return scene
 
 
-def _public_call(c, st, scene, k):
-    """The ``project_*`` function and its arguments for constraint ``c``,
-    read from the constraint's own fields and the scene."""
-    px, py, pz, theta = st.px, st.py, st.pz, st.theta
-    inv = [p.inverse_mass for p in scene.particles]
-    index = {obj.id: obj.particle_index for obj in scene.objects}
-    owner = {index[m]: g.particle_index for g in scene.groups if g.rigidity == RIGID
-             for m in g.member_object_ids}
-    w = [inv[owner.get(i, i)] for i in range(len(inv))]
-    masses = [p.mass for p in scene.particles]
-    p = c.particles
-    if c.kind == cn.PAIRWISE_DISTANCE:
-        i, j = p
-        return project_pairwise_distance, (
-            i, j, px[i], py[i], px[j], py[j], w[i], w[j], c.distance, k, c.relation)
-    if c.kind == cn.FOCAL_POINT:
-        i, j = p
-        return project_focal_point, (
-            i, j, px[i], py[i], px[j], py[j], w[i], w[j], c.distance, k, c.relation, c.pin_focal)
-    if c.kind == cn.TRAFFIC_LANE:
-        i, j = p
-        wj = 0.0 if c.pin_focal else w[j]
-        return project_traffic_lane, (
-            i, j, px[i], py[i], px[j], py[j], w[i], wj, c.vector, c.distance, k)
-    if c.kind == cn.HEAT_POINT:
-        members, target = (p, c.point) if c.point else (p[1:], (px[p[0]], py[p[0]]))
-        return project_heat_point, (members, px, py, masses, w, target, k)
-    if c.kind == cn.FOCAL_SYMMETRY:
-        return project_focal_symmetry, (
-            p[1:], px, py, masses, w, (px[p[0]], py[p[0]]), c.vector, k)
-    if c.kind == cn.VISUAL_BALANCE:
-        areas = [0.0] * len(px)
-        for obj in scene.objects:
-            areas[obj.particle_index] = obj.bbox.footprint_area
-        return project_visual_balance, (p, px, py, areas, w, scene.room.centroid, k)
-    if c.kind == cn.WALL_DISTANCE:
-        (i,) = p
-        return project_wall_distance, (i, px[i], py[i], w[i], scene.room, c.distance, k, c.relation)
-    if c.kind == cn.PAIRWISE_ORIENTATION:
-        i, j = p
-        target = {
-            cn.ORIENT_FACE: math.atan2(py[j] - py[i], px[j] - px[i]) + c.angle_offset,
-            cn.ORIENT_MATCH: theta[j] + c.angle_offset,
-            cn.ORIENT_FIXED: c.angle_target,
-        }[c.orientation_mode]
-        return project_pairwise_orientation, (i, theta[i], target, w[i], k)
-    if c.kind == cn.WALL_ORIENTATION:
-        (i,) = p
-        return project_wall_orientation, (
-            i, theta[i], px[i], py[i], w[i], scene.room, c.angle_offset, k)
-    if c.kind == cn.STACKING:
-        bottom, top = p
-        stacked = {s.particles[1] for s in scene.constraints if s.kind == cn.STACKING}
-        w_bottom = w[bottom] if bottom in stacked else 0.0
-        return project_stacking, (
-            bottom, top, px[bottom], py[bottom], px[top], py[top], pz[bottom], pz[top],
-            w_bottom, w[top], c.height_gap, k)
-    assert c.kind == cn.GROUP_CURVE
-    m, g = p
-    curve = next(group.curve for group in scene.groups if group.id == c.group_id)
-    ax, ay = closest_point_on_curve(curve.transformed(Vec2(px[g], py[g]), theta[g]), (px[m], py[m]))
-    return project_pairwise_distance, (
-        m, g, px[m], py[m], ax, ay, w[m], 0.0, 0.0, k, cn.EQUALITY)
-
-
 def _reference_violation(c, st, scene) -> float:
     """The price of constraint ``c``, read from the constraint's own
     fields and the scene."""
@@ -964,8 +905,9 @@ def _reference_violation(c, st, scene) -> float:
         return priced(math.hypot(px[i] - px[j], py[i] - py[j]) - c.distance)
     if c.kind == cn.TRAFFIC_LANE:
         i, j = p
-        ax, ay = cn.lane_projection_point((px[j], py[j]), c.vector, (px[i], py[i]))
-        return max(0.0, c.distance - math.hypot(px[i] - ax, py[i] - ay))
+        (vx, vy), (xj, yj) = c.vector, (px[j], py[j])
+        t = ((px[i] - xj) * vx + (py[i] - yj) * vy) / (vx * vx + vy * vy)
+        return max(0.0, c.distance - math.hypot(px[i] - (xj + t * vx), py[i] - (yj + t * vy)))
     if c.kind == cn.HEAT_POINT:
         members, target = (p, c.point) if c.point else (p[1:], (px[p[0]], py[p[0]]))
         return pull(members, masses, target)
@@ -1007,7 +949,35 @@ def _reference_violation(c, st, scene) -> float:
 
 
 def _bits(corrs):
-    return [(c.particle, *map(float.hex, c[1:])) for c in corrs]
+    return [(c[0], *map(float.hex, c[1:])) for c in corrs]
+
+
+def _read_only(c, scene) -> set[int]:
+    """The participants of constraint ``c`` that its projection must not
+    write, read from the constraint's own fields and the scene: those of
+    zero inverse mass (a rigid member's is its group's), a pinned focal
+    or lane origin, a pile's base, and the participants that only set a
+    target (an anchor, a focal, an orientation partner, a group)."""
+    p = c.particles
+    index = {obj.id: obj.particle_index for obj in scene.objects}
+    owner = {index[m]: g.particle_index for g in scene.groups if g.rigidity == RIGID
+             for m in g.member_object_ids}
+    out = {i for i in p if scene.particles[owner.get(i, i)].fixed}
+    stacked = {s.particles[1] for s in scene.constraints if s.kind == cn.STACKING}
+    if c.kind in (cn.FOCAL_POINT, cn.TRAFFIC_LANE) and c.pin_focal:
+        out.add(p[1])
+    if c.kind == cn.STACKING and p[0] not in stacked:
+        out.add(p[0])
+    if c.kind == cn.FOCAL_SYMMETRY or (c.kind == cn.HEAT_POINT and c.point is None):
+        out.add(p[0])
+    if c.kind in (cn.PAIRWISE_ORIENTATION, cn.GROUP_CURVE):
+        out.add(p[1])
+    return out
+
+
+def _random_state(rng, n):
+    return LayoutState(rng.uniform(0, 10, n).tolist(), rng.uniform(0, 10, n).tolist(),
+                       rng.uniform(0, 2, n).tolist(), rng.uniform(0, 2 * math.pi, n).tolist())
 
 
 class TestBoundRecords:
@@ -1016,21 +986,42 @@ class TestBoundRecords:
             assert (spec.bind is None) == (spec.project is None) == (spec.violation is None)
             assert spec.generated or spec.bind is not None, kind
 
-    def test_bound_projection_writes_what_the_public_function_writes(self):
+    def test_bound_projection_satisfies_its_own_violation(self):
+        # at k=1 each record moves its participants onto its own price's
+        # zero, writes nothing while priced at zero, and never writes a
+        # participant it only reads
         scene = _every_record_kind_scene()
         ctx = SolveContext(scene)
         recorded = {k for k, spec in cn.SPECS.items() if spec.project is not None}
         assert {c.kind for c in ctx.user_constraints} == recorded
         rng = np.random.default_rng(12)
         n = len(scene.particles)
+        satisfied, walls_kept = set(), 0
         for _ in range(60):
-            st = LayoutState(rng.uniform(0, 10, n).tolist(), rng.uniform(0, 10, n).tolist(),
-                             rng.uniform(0, 2, n).tolist(), rng.uniform(0, 2 * math.pi, n).tolist())
-            k = float(rng.uniform(0.1, 1.0))
+            st = _random_state(rng, n)
             for c, b in zip(ctx.user_constraints, ctx.pricing):
-                bound = corrections(b.project, b.record, st, k, None)
-                fn, args = _public_call(c, st, scene, k)
-                assert _bits(bound) == _bits(corrections(fn, *args)), c
+                corrs = corrections(b.project, b.record, st, 1.0, None)
+                assert not {i for i, *_ in corrs} & _read_only(c, scene), c
+                if b.violation(b.record, st) == 0.0:
+                    satisfied.add(c.kind)
+                    assert corrs == [], c
+                moved = LayoutState(st.px, st.py, st.pz, st.theta)
+                for i, dx, dy, dz, dtheta in corrs:
+                    moved.px[i] += dx
+                    moved.py[i] += dy
+                    moved.pz[i] += dz
+                    moved.theta[i] += dtheta
+                if c.kind == cn.WALL_DISTANCE:
+                    (i,) = c.particles
+                    _, before, _ = model.nearest_wall_point(scene.room, (st.px[i], st.py[i]))
+                    _, after, _ = model.nearest_wall_point(scene.room, (moved.px[i], moved.py[i]))
+                    if before != after:
+                        continue
+                    walls_kept += 1
+                assert b.violation(b.record, moved) < 1e-9, c
+        # the inequalities were met satisfied, and most wall moves kept their wall
+        assert satisfied >= {c.kind for c in ctx.user_constraints if c.relation == cn.INEQUALITY}
+        assert walls_kept > 60
 
     def test_bound_violation_prices_what_the_constraint_says(self):
         # bit for bit: kinds that share a record (focal points and visual
@@ -1040,8 +1031,33 @@ class TestBoundRecords:
         rng = np.random.default_rng(13)
         n = len(scene.particles)
         for _ in range(60):
-            st = LayoutState(rng.uniform(0, 10, n).tolist(), rng.uniform(0, 10, n).tolist(),
-                             rng.uniform(0, 2, n).tolist(), rng.uniform(0, 2 * math.pi, n).tolist())
+            st = _random_state(rng, n)
             for c, b in zip(ctx.user_constraints, ctx.pricing):
                 reference = _reference_violation(c, st, scene)
                 assert b.violation(b.record, st).hex() == reference.hex(), c
+
+    def test_every_public_kernel_runs_in_a_solve(self):
+        # a public project_* kernel is called by the solver or by a record;
+        # helpers that only tests would call have no place here
+        def called(source, attribute_of=None):
+            calls = set()
+            for node in ast.walk(ast.parse(source)):
+                if not isinstance(node, ast.Call):
+                    continue
+                f = node.func
+                if attribute_of is None and isinstance(f, ast.Name):
+                    calls.add(f.id)
+                elif (attribute_of is not None and isinstance(f, ast.Attribute)
+                      and isinstance(f.value, ast.Name) and f.value.id == attribute_of):
+                    calls.add(f.attr)
+            return calls
+
+        by_solver = called(inspect.getsource(solver), attribute_of="cn")
+        by_records = set()
+        for spec in cn.SPECS.values():
+            if spec.project is not None:
+                by_records |= called(inspect.getsource(spec.project))
+        public = {name for name in vars(cn) if name.startswith("project_")}
+        assert {"project_pairwise_distance", "project_collision", "project_boundary"} <= public
+        for name in sorted(public):
+            assert name in by_solver or name in by_records, name

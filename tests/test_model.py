@@ -201,6 +201,35 @@ class TestScene:
         with pytest.raises(ValueError, match=r"^constraints\[1\]: .*missing particle 7"):
             scene.validate()
 
+    @pytest.mark.parametrize("kind, fields", [
+        ("heat_point", {"point": Vec2(3, 4)}), ("focal_symmetry", {"vector": Vec2(1, 0)}),
+    ])
+    def test_validate_rejects_weighing_a_fixed_object(self, kind, fields):
+        from layoutsynth.constraints import make_constraint
+        from layoutsynth.solver import SolverConfig, synthesize
+
+        # objects of mass INFINITE, 1 and 2; a solve would reach a weighted
+        # center that is not a number
+        scene = Scene(room=SQUARE)
+        for i, mass in enumerate((INFINITE, 1.0, 2.0)):
+            scene.particles.append(Particle(Vec2(2.0 + 2 * i, 5.0), mass=mass))
+            scene.objects.append(LayoutObject(id=f"o{i}", label="box", particle_index=i,
+                                              bbox=BoundingBox(Vec2(0.5, 0.5), 0.5)))
+        scene.constraints.append(make_constraint("wall_distance", (1,), distance=1.0))
+        weighed = (0, 1, 2) if kind == "heat_point" else (1, 0, 2)
+        scene.constraints.append(make_constraint(kind, weighed, **fields))
+        message = rf"^constraints\[1\]: {kind} weighs fixed object 'o0' by its infinite mass$"
+        with pytest.raises(ValueError, match=message):
+            scene.validate()
+        with pytest.raises(ValueError, match=message):
+            synthesize(scene, SolverConfig(max_iterations=5))
+        # a fixed anchor or focal is not weighed: the solve ends finite
+        scene.constraints[1] = make_constraint(kind, (0, 1, 2), **(
+            {} if kind == "heat_point" else fields))
+        scene.validate()
+        _, trace = synthesize(scene, SolverConfig(max_iterations=5))
+        assert math.isfinite(trace.best_energy)
+
     def test_add_object_and_group_defaults(self):
         scene = Scene(room=SQUARE, catalogue={"crate": {"size": [1.0, 2.0, 0.5],
                                                         "access": {"front": 0.4}}})

@@ -266,6 +266,27 @@ class TestUnsolvableConstraints:
         with pytest.raises(SceneFormatError, match="roughly"):
             parse_scene(json.dumps(d))
 
+    @pytest.mark.parametrize("constraint", [
+        {"kind": "heat_point", "objects": ["crate_1", "crate_0"], "point": [3, 4]},
+        {"kind": "heat_point", "objects": ["crate_1", "crate_0"]},
+        {"kind": "focal_symmetry", "objects": ["crate_1", "crate_0"], "vector": [1, 0]},
+    ], ids=["heat_point_to_a_point", "heat_point_to_an_anchor", "focal_symmetry"])
+    def test_weighing_a_fixed_object_rejected(self, constraint, tmp_path, capsys):
+        # its infinite mass would make the weighted center not a number
+        d = self._two_crates(constraint)
+        d["objects"][0]["fixed"] = True
+        where = rf"^constraints\[0\]: {constraint['kind']} weighs fixed object 'crate_0' by its"
+        with pytest.raises(SceneFormatError, match=where):
+            parse_scene(json.dumps(d))
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(d))
+        assert main(["validate", str(path)]) == 2
+        assert "constraints[0]: " in capsys.readouterr().err
+        if "point" not in constraint:
+            # the unweighted anchor or focal may be fixed
+            d["constraints"][0]["objects"].reverse()
+            parse_scene(json.dumps(d))
+
     @pytest.mark.parametrize("kind", ["pairwise_distance", "focal_point", "wall_distance"])
     def test_either_relation_accepted_where_honoured(self, kind):
         objects = ["crate_0"] if kind == "wall_distance" else ["crate_0", "crate_1"]

@@ -556,25 +556,6 @@ class TestGroups:
 
 
 class TestSynthesize:
-    @pytest.mark.parametrize("mode", [solver.SEQUENTIAL, BATCH])
-    @pytest.mark.parametrize("template, params", [
-        ("living_room", {}),
-        ("tp_bedroom", {}),  # rigid groups and stacking
-        ("theater2", {"style": "seg", "pathways": 1}),  # curve groups and lanes
-    ])
-    def test_solve_builds_no_correction(self, template, params, mode, monkeypatch):
-        # projections write into the applier's sinks; no correction record
-        # is built anywhere in a solve, settles included
-        def refuse(cls, *args, **kwargs):
-            raise AssertionError("a solve built a Correction")
-
-        monkeypatch.setattr(cn.Correction, "__new__", refuse)
-        with pytest.raises(AssertionError, match="built a Correction"):
-            cn.Correction(0, 1.0, 0.0, 0.0, 0.0)
-        config = SolverConfig(max_iterations=40, projection_mode=mode)
-        layout, trace = synthesize(scenes.build(template, params), config)
-        assert len(trace.energies) >= 2 and math.isfinite(trace.best_energy)
-
     def test_pre_satisfied_terminates_at_window_plus_one(self):
         scene = box_scene(0)
         scene.particles.append(Particle(Vec2(5, 5), mass=math.inf))
