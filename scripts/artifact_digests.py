@@ -2,11 +2,10 @@
 
 Run it in two checkouts and diff the outputs: a refactor that claims
 byte-identical behaviour must print the same lines. The runs cover all
-seven templates, the annealing baseline, batch projection from scene
-files with a ``solver`` block, theater2's segment-curve and arc-curve
-tiers from scene files, theater1 at 400 chairs from a scene file at
-acceptance criterion 7's 60-iteration budget (the run with the most
-objects, neighbour pairs and re-bucketed particles), per-constraint
+seven templates, the annealing baseline, theater2's segment-curve and
+arc-curve tiers from scene files, theater1 at 400 chairs from a scene
+file at acceptance criterion 7's 60-iteration budget (the run with the
+most objects, neighbour pairs and re-bucketed particles), per-constraint
 stiffness schedules from a scene file, a scene file with the authored
 constraint variants no template uses, living_room moved far from the
 origin and living_room turned off the axes (see ``MOVED_ROOMS``),
@@ -50,16 +49,6 @@ MCMC_TEMPLATES = ("living_room", "desk")
 # equal its hash twin's above; only run_meta.json names the broad phase
 NAIVE_RUNS = (("desk", 0), ("tp_bedroom", 1), ("theater2", 0))
 TWIN_ARTIFACTS = ("layout.json", "layout.svg", "trace.csv")
-# scenes solved in batch mode through their scene file's solver block, as
-# file stem -> (template, template parameters, seeds); picnic and the
-# segment tiers bring heat points, focal points, traffic lanes and curve
-# groups under batch gathering
-BATCH_FILES = {
-    "desk": ("desk", None, (0, 1)),
-    "tp_bedroom": ("tp_bedroom", None, (0, 1)),
-    "picnic": ("picnic", None, (0,)),
-    "theater2_seg": ("theater2", {"style": "seg", "pathways": 1}, (0,)),
-}
 # theater2's tiers read back from scene files, as file stem -> template
 # parameters: the segment tiers, which no template name reaches, and
 # the template's own arc tiers, so both curve kinds pass the parser
@@ -138,7 +127,7 @@ def _cli(*argv: str) -> None:
 
 def _runs() -> list[tuple[str, ...]]:
     """The CLI argument lists to run, after exporting the scene files
-    that the batch-mode runs read."""
+    that they read."""
     runs = [
         ("synth", name, "--seed", str(seed), "--out", f"{name}_s{seed}")
         for name, seeds in TEMPLATE_SEEDS.items()
@@ -152,15 +141,6 @@ def _runs() -> list[tuple[str, ...]]:
          f"{name}_naive_s{seed}")
         for name, seed in NAIVE_RUNS
     ]
-    for name, (template, params, seeds) in BATCH_FILES.items():
-        path = f"{name}.json"
-        doc = json.loads(sceneio.serialize_scene(scenes.build(template, params)))
-        doc.setdefault("solver", {})["projection_mode"] = "batch"
-        Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-        runs += [
-            ("synth", path, "--seed", str(seed), "--out", f"{name}_batch_s{seed}")
-            for seed in seeds
-        ]
     for name, params in TIER_FILES.items():
         sceneio.save_scene(scenes.build("theater2", params), f"{name}.json")
         runs.append(("synth", f"{name}.json", "--seed", "0", "--out", f"{name}_s0"))

@@ -150,10 +150,7 @@ def _run_meta(scene_ref: str, mode: str, seed: int, solver_config: SolverConfig 
     if solver_config is not None:
         meta["solver"] = {
             "max_iterations": solver_config.max_iterations,
-            "projection_mode": solver_config.projection_mode,
-            "batch_averaging": solver.BATCH_AVERAGING,
             "termination_window": solver_config.termination_window,
-            "interleave": True,
             "broad_phase": solver_config.broad_phase,
             "feasibility_tolerance": solver.FEASIBILITY_TOLERANCE,
         }

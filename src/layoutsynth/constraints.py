@@ -3,11 +3,10 @@
 Each projection writes its corrections to a sink ``out(particle, dx, dy,
 dz, dtheta)``, one call per corrected particle, and returns whether it
 wrote any. It reads all of its inputs before its first ``out`` call, so a
-sink that applies each correction in place (the solver's sequential mode)
-gets the same bits as one that first gathers them (batch mode, or a test
-collecting them into a list). Positional projections write zero turns
-and angular ones zero moves, so the solver can apply corrections in any
-interleaving.
+sink that applies each correction in place (the solver's) gets the same
+bits as one that first gathers them (a test collecting them into a
+list). Positional projections write zero turns and angular ones zero
+moves, so the solver can apply corrections in any interleaving.
 
 Every constraint kind is described once, by the ``KindSpec`` registered
 next to its projection in ``SPECS``: arity, default weight and stiffness
@@ -220,7 +219,8 @@ def _needs_distance(c: Constraint) -> None:
 
 
 def _needs_vector(c: Constraint) -> None:
-    if c.vector is None or c.vector.norm() <= 0.0:
+    # the records divide by the squared norm, which underflows first
+    if c.vector is None or c.vector.x * c.vector.x + c.vector.y * c.vector.y <= 0.0:
         raise ValueError(f"{c.kind} needs a nonzero vector")
 
 

@@ -525,7 +525,10 @@ class Scene:
                     group_of[member] = group.id
             except ValueError as exc:
                 raise ValueError(f"groups[{i}]: {exc}") from None
-        from .constraints import FOCAL_SYMMETRY, HEAT_POINT, STACKING  # it imports this module
+        # constraints imports this module
+        from .constraints import FOCAL_SYMMETRY, HEAT_POINT, STACKING, VISUAL_BALANCE
+
+        object_particles = {obj.particle_index for obj in self.objects}
 
         # stacking piles are chains: each top has one bottom, and walking
         # down from any object reaches the ground
@@ -545,6 +548,10 @@ class Scene:
                         if self.particles[idx].fixed:
                             raise ValueError(f"{constraint.kind} weighs fixed object "
                                              f"{ids.get(idx, idx)!r} by its infinite mass")
+                # footprints weigh visual balance, and a group has none
+                if constraint.kind == VISUAL_BALANCE and object_particles.isdisjoint(
+                        constraint.particles):
+                    raise ValueError("visual_balance weighs only groups, which have no footprint")
                 if constraint.kind == STACKING:
                     bottom, top = constraint.particles
                     on = f"{ids.get(top, top)!r} on {ids.get(bottom, bottom)!r}"

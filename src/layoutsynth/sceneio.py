@@ -17,7 +17,6 @@ from typing import Any
 from . import constraints as cn
 from .geometry import ARC, Curve, SEGMENT, Vec2, stable_radians
 from .model import FACES, Particle, Room, Scene, mass_from_bbox
-from .solver import BATCH, SEQUENTIAL
 
 
 class SceneFormatError(ValueError):
@@ -87,11 +86,6 @@ def _as_positive_int(value: Any, path: str) -> int:
     return value
 
 
-def _as_projection_mode(value: Any, path: str) -> str:
-    _expect(value in (SEQUENTIAL, BATCH), path, f"expected {SEQUENTIAL!r} or {BATCH!r}")
-    return value
-
-
 def _as_list(doc: dict, key: str) -> list:
     value = doc.get(key, [])
     _expect(isinstance(value, list), key, "expected a list")
@@ -146,7 +140,6 @@ _CONSTRAINT_KEYS = {"kind", "objects", *(row[0] for row in _CONSTRAINT_FIELDS)}
 # the scene-file solver defaults: the SolverConfig fields a scene may set
 _SOLVER_FIELDS = {
     "max_iterations": _as_positive_int,
-    "projection_mode": _as_projection_mode,
     "termination_window": _as_positive_int,
 }
 

@@ -1,8 +1,8 @@
 """Iterative layout synthesis by sequential constraint projection.
 
-Each iteration projects the authored constraints, each at the stiffness
-its schedule gives for that iteration (interleaved round-robin across
-kinds, or batched with over-relaxed averaging), then regenerates and projects
+Each iteration projects the authored constraints one after another
+(Gauss-Seidel), interleaved round-robin across kinds and each at the
+stiffness its schedule gives for that iteration, then regenerates and projects
 contact constraints — collisions, accessibility, boundary containment —
 from a broad phase, hard ones last. Every broad phase of an attempt
 walks one pair source, which ``neighbour_list`` picks once from the
@@ -31,11 +31,9 @@ helped by ``zone_center`` and ``wall_ghost_corrections``.
 
 Every projection writes its corrections straight into the run's
 ``_Applier`` through a sink, ``out(particle, dx, dy, dz, dtheta)``, and
-builds no list of them. In sequential mode the sink applies each
-correction in place; in batch mode it adds it to per-particle sums that
-are applied at the end of the pass. A projection reads all of its inputs
-before it writes, so applying at once gives the bits that computing
-every correction first would.
+builds no list of them. The sink applies each correction in place. A
+projection reads all of its inputs before it writes, so applying at once
+gives the bits that computing every correction first would.
 
 The run returns the lowest-energy snapshot that satisfies the hard
 constraints, together with the full energy trace.
@@ -71,15 +69,10 @@ from .geometry import Vec2, normalize_angle
 from .model import Scene, RIGID, nearest_wall_point
 from .spatial import NaiveIndex, NeighbourList, SpatialHash, rebuild
 
-SEQUENTIAL = "sequential"
-BATCH = "batch"
-
 # lowest-energy iterates given a hard-constraint settling attempt
 _SETTLE_CANDIDATES = 3
 # sweep budget of one settle
 _SETTLE_MAX_SWEEPS = 500
-# over-relaxation of the averaged corrections in batch mode
-BATCH_AVERAGING = 1.2
 # worst circle overlap and boundary violation a feasible layout may keep
 FEASIBILITY_TOLERANCE = 1e-6
 
@@ -93,19 +86,16 @@ class SolverNumericsError(RuntimeError):
 @dataclass
 class SolverConfig:
     """The settings callers choose. Authored constraints are always
-    interleaved round-robin across kinds; batch mode over-relaxes by
-    ``BATCH_AVERAGING`` and feasibility means ``FEASIBILITY_TOLERANCE``."""
+    projected one after another, interleaved round-robin across kinds,
+    and feasibility means ``FEASIBILITY_TOLERANCE``."""
 
     max_iterations: int = 300
-    projection_mode: str = SEQUENTIAL
     termination_window: int = 50
     seed: int = 0
     broad_phase: str = "hash"
     feasibility_tolerance: ClassVar[float] = FEASIBILITY_TOLERANCE
 
     def validate(self) -> None:
-        if self.projection_mode not in (SEQUENTIAL, BATCH):
-            raise ValueError(f"unknown projection mode {self.projection_mode!r}")
         if self.termination_window < 1:
             raise ValueError("termination window must be >= 1")
         if self.max_iterations < 1:
@@ -409,21 +399,18 @@ class _Applier:
     poses.
 
     ``out(particle, dx, dy, dz, dtheta)`` applies each correction in
-    place. A batching applier's ``out`` adds them instead to per-particle
-    sums, all against the same poses, and ``flush`` applies each sum
-    over-relaxed by ``BATCH_AVERAGING`` over its count (batch mode).
-    ``project`` always applies at once. ``label`` names what is being
-    projected, for the error a non-finite pose raises."""
+    place, and ``project`` projects one bound constraint through it.
+    ``label`` names what is being projected, for the error a non-finite
+    pose raises."""
 
-    def __init__(self, state: LayoutState, ctx: SolveContext, batching: bool = False):
+    def __init__(self, state: LayoutState, ctx: SolveContext):
         self.state = state
         # the pose lists and routing tables every correction touches
         self.px, self.py, self.pz, self.theta = state.px, state.py, state.pz, state.theta
         self.owner = ctx.owner
         self.members_of = ctx.members_of
         self.label = ""
-        self.sums: dict[int, list[float]] = {}
-        self.out = self._gather if batching else self._apply
+        self.out = self._apply
 
     def _apply(self, i: int, dx: float, dy: float, dz: float, dtheta: float) -> None:
         px, py, theta = self.px, self.py, self.theta
@@ -451,32 +438,10 @@ class _Applier:
                 py[m] = y + s * ox + c * oy
                 theta[m] = th + oth
 
-    def _gather(self, i: int, dx: float, dy: float, dz: float, dtheta: float) -> None:
-        row = self.sums.get(i)
-        if row is None:
-            row = self.sums[i] = [0.0, 0.0, 0.0, 0.0, 0.0]
-        row[0] += dx
-        row[1] += dy
-        row[2] += dz
-        row[3] += dtheta
-        row[4] += 1.0
-
     def project(self, b: Bound, k: float, tiebreak=None) -> bool:
-        """Project one bound constraint at stiffness ``k``, applying its
-        corrections at once."""
+        """Project one bound constraint at stiffness ``k``."""
         self.label = b.kind
-        return project_constraint(self._apply, b, self.state, k, tiebreak)
-
-    def flush(self) -> None:
-        """Apply the gathered corrections and start new sums."""
-        sums, self.sums = self.sums, {}
-        if not sums:
-            return
-        self.label = "batched corrections"
-        for particle in sorted(sums):
-            sx, sy, sz, sth, count = sums[particle]
-            scale = BATCH_AVERAGING / count
-            self._apply(particle, sx * scale, sy * scale, sz * scale, sth * scale)
+        return project_constraint(self.out, b, self.state, k, tiebreak)
 
 
 def project_constraint(out, b: Bound, st: LayoutState, k: float, tiebreak=None) -> bool:
@@ -740,14 +705,13 @@ def step(
     st: LayoutState,
     ctx: SolveContext,
     iteration: int,
-    config: SolverConfig,
     neighbours: NaiveIndex | NeighbourList,
     tiebreak=None,
 ) -> tuple:
     """One solver iteration over the attempt's pair source
     (``neighbour_list``); returns the contacts it generated so the caller
     can reuse them for the energy evaluation."""
-    applier = _Applier(st, ctx, batching=config.projection_mode == BATCH)
+    applier = _Applier(st, ctx)
     out = applier.out
     ks = [cn.update_stiffness(c, iteration) for c in ctx.schedules]
 
@@ -756,7 +720,6 @@ def step(
     for kind, project, _, record, _, slot in order:
         applier.label = kind
         project(out, record, st, ks[slot], tiebreak)
-    applier.flush()
 
     contacts = generate_contacts(st, ctx, build_hash(st, ctx, neighbours=neighbours))
     collisions, activations, ghosts = contacts
@@ -784,11 +747,9 @@ def step(
             out, root[i], root[j], px[i], py[i], w[i], w[j], cx, cy, st.theta[j], diagonal,
             ctx.b_diag[i], r[i], k_acc, tiebreak,
         )
-    applier.flush()
 
     # boundary containment gets the final word, always at full stiffness
     _boundary_pass(st, ctx, applier)
-    applier.flush()
 
     # stacked piles are hard relations too: re-align them after contacts
     # so evaluation never sees a scattered stack
@@ -960,7 +921,7 @@ def _synthesize_attempt(
         # the step's own contact lists price this iteration's energy; a
         # fresh regeneration double-checks any new best-feasible candidate,
         # and both start from the same authored part
-        contacts = step(st, ctx, iteration, config, neighbours, tiebreak)
+        contacts = step(st, ctx, iteration, neighbours, tiebreak)
         authored = authored_energy(st, ctx)
         priced = evaluate_energy(st, ctx, contacts=contacts, authored=authored)
         if improves(priced):

@@ -1,12 +1,15 @@
 import csv
+import dataclasses
 import json
+from types import SimpleNamespace
 
 import pytest
 
-from layoutsynth import cli
+from layoutsynth import cli, sceneio
 from layoutsynth.cli import main
 from layoutsynth.sceneio import save_scene
 from layoutsynth.scenes import build
+from layoutsynth.solver import SolverConfig
 
 
 def run(argv):
@@ -67,8 +70,7 @@ class TestSynth:
             "wall_orientation": hard, "stacking": hard, "boundary": hard, "group_curve": relax,
         }
         assert meta["solver"] == {
-            "max_iterations": 40, "projection_mode": "sequential", "batch_averaging": 1.2,
-            "termination_window": 50, "interleave": True, "broad_phase": "hash",
+            "max_iterations": 40, "termination_window": 50, "broad_phase": "hash",
             "feasibility_tolerance": 1e-6,
         }
         assert "annealer" not in meta
@@ -200,13 +202,13 @@ class TestBench:
         path = tmp_path / "scene.json"
         save_scene(build("living_room"), path)
         doc = json.loads(path.read_text())
-        doc["solver"] = {"max_iterations": 5, "projection_mode": "batch"}
+        doc["solver"] = {"max_iterations": 5, "termination_window": 3}
         path.write_text(json.dumps(doc))
         configs = []
         monkeypatch.setattr(cli, "synthesize", lambda scene, config: configs.append(config))
         assert run(["bench", "--scene", path, "--repeat", "2", "--out", tmp_path / "a"]) == 0
-        assert [(c.seed, c.max_iterations, c.termination_window, c.projection_mode)
-                for c in configs] == [(0, 5, 50, "batch"), (1, 5, 50, "batch")]
+        assert [(c.seed, c.max_iterations, c.termination_window)
+                for c in configs] == [(0, 5, 3), (1, 5, 3)]
         configs.clear()
         assert run(["bench", "--scene", path, "--repeat", "1", "--iters", "7",
                     "--broad-phase", "naive", "--out", tmp_path / "b"]) == 0
@@ -248,6 +250,18 @@ def test_run_counts_must_be_positive(argv, rule, tmp_path, capsys):
     assert exc.value.code == 2
     assert f"argument {rule}" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
+
+
+def test_every_scene_solver_key_reaches_the_config():
+    # a key the parser accepts but SolverConfig lacks would reach users
+    # as a TypeError traceback, which main does not catch
+    block = {"max_iterations": 5, "termination_window": 3}
+    assert set(block) == set(sceneio._SOLVER_FIELDS)
+    assert set(block) <= {f.name for f in dataclasses.fields(SolverConfig)}
+    doc = json.loads(sceneio.serialize_scene(build("desk")))
+    doc["solver"] = block
+    config = cli._solver_config(sceneio.parse_scene(json.dumps(doc)), SimpleNamespace())
+    assert {key: getattr(config, key) for key in block} == block
 
 
 class TestExport:

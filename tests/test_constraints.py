@@ -754,6 +754,14 @@ class TestConstraintRecord:
             make_constraint(cn.PAIRWISE_DISTANCE, (0, 1), distance=-1.0).validate()
         with pytest.raises(ValueError):
             make_constraint(cn.TRAFFIC_LANE, (0, 1), distance=1.0, vector=Vec2(0, 0)).validate()
+        # the records divide by the squared norm, which underflows to 0
+        tiny = Vec2(1e-300, 0)
+        with pytest.raises(ValueError, match="nonzero vector"):
+            make_constraint(cn.TRAFFIC_LANE, (0, 1), distance=1.0, vector=tiny).validate()
+        with pytest.raises(ValueError, match="nonzero vector"):
+            make_constraint(cn.FOCAL_SYMMETRY, (0, 1, 2), vector=tiny).validate()
+        make_constraint(cn.TRAFFIC_LANE, (0, 1), distance=1.0, vector=Vec2(1e-155, 0)).validate()
+        make_constraint(cn.FOCAL_SYMMETRY, (0, 1, 2), vector=Vec2(1e-155, 0)).validate()
         with pytest.raises(ValueError):
             make_constraint(cn.PAIRWISE_DISTANCE, (0, 1), distance=1.0, weight=0.0).validate()
 

@@ -230,6 +230,31 @@ class TestScene:
         _, trace = synthesize(scene, SolverConfig(max_iterations=5))
         assert math.isfinite(trace.best_energy)
 
+    def test_validate_rejects_visual_balance_of_groups_only(self):
+        from layoutsynth.constraints import make_constraint
+        from layoutsynth.solver import SolverConfig, synthesize
+
+        # a group has no footprint, so its visual weight is 0 and the
+        # weighted center would divide by a zero total
+        scene = Scene(room=SQUARE)
+        for i in range(2):
+            scene.particles.append(Particle(Vec2(3.0 + 2 * i, 5.0)))
+            scene.objects.append(LayoutObject(id=f"o{i}", label="box", particle_index=i,
+                                              bbox=BoundingBox(Vec2(0.5, 0.5), 0.5)))
+        scene.particles.append(Particle(Vec2(4.0, 5.0)))
+        scene.groups.append(Group(id="g", particle_index=2, member_object_ids=("o0", "o1")))
+        scene.constraints.append(make_constraint("visual_balance", (2,)))
+        message = r"^constraints\[0\]: visual_balance weighs only groups, which have no footprint$"
+        with pytest.raises(ValueError, match=message):
+            scene.validate()
+        with pytest.raises(ValueError, match=message):
+            synthesize(scene, SolverConfig(max_iterations=5))
+        # a group beside an object is weighed by the object: the solve ends finite
+        scene.constraints[0] = make_constraint("visual_balance", (2, 0))
+        scene.validate()
+        _, trace = synthesize(scene, SolverConfig(max_iterations=5))
+        assert math.isfinite(trace.best_energy)
+
     def test_add_object_and_group_defaults(self):
         scene = Scene(room=SQUARE, catalogue={"crate": {"size": [1.0, 2.0, 0.5],
                                                         "access": {"front": 0.4}}})

@@ -194,16 +194,17 @@ class TestSolverBlock:
         ({"max_iterations": 2.5}, r"solver\.max_iterations"),
         ({"max_iterations": True}, r"solver\.max_iterations"),
         ({"termination_window": 0}, r"solver\.termination_window"),
-        ({"projection_mode": "jacobi"}, r"solver\.projection_mode"),
+        ({"projection_mode": "batch"}, r"solver\.projection_mode"),
         ({"max_iteration": 5}, r"solver\.max_iteration\b"),
         ([], r"^solver:"),
+        ({"projection_mode": "sequential"}, r"solver\.projection_mode"),
     ])
     def test_bad_solver_block_rejected(self, solver, where):
         with pytest.raises(SceneFormatError, match=where):
             parse_scene(json.dumps(doc(solver=solver)))
 
     def test_allowed_keys_round_trip(self):
-        solver = {"max_iterations": 5, "projection_mode": "batch", "termination_window": 3}
+        solver = {"max_iterations": 5, "termination_window": 3}
         text = serialize_scene(parse_scene(json.dumps(doc(solver=solver))))
         assert parse_scene(text).solver_defaults == solver
         assert serialize_scene(parse_scene(text)) == text
@@ -286,6 +287,21 @@ class TestUnsolvableConstraints:
             # the unweighted anchor or focal may be fixed
             d["constraints"][0]["objects"].reverse()
             parse_scene(json.dumps(d))
+
+    def test_visual_balance_of_groups_only_rejected(self, tmp_path, capsys):
+        # a group has no footprint to weigh the balance by
+        d = self._two_crates({"kind": "visual_balance", "objects": ["g"]})
+        d["groups"] = [{"id": "g", "members": ["crate_0", "crate_1"]}]
+        where = r"^constraints\[0\]: visual_balance weighs only groups, which have no footprint"
+        with pytest.raises(SceneFormatError, match=where):
+            parse_scene(json.dumps(d))
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(d))
+        assert main(["validate", str(path)]) == 2
+        assert "constraints[0]: " in capsys.readouterr().err
+        # an object beside the group weighs it
+        d["constraints"][0]["objects"].append("crate_0")
+        parse_scene(json.dumps(d))
 
     @pytest.mark.parametrize("kind", ["pairwise_distance", "focal_point", "wall_distance"])
     def test_either_relation_accepted_where_honoured(self, kind):

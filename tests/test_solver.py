@@ -24,8 +24,6 @@ from layoutsynth.model import (
     Scene,
 )
 from layoutsynth.solver import (
-    BATCH,
-    BATCH_AVERAGING,
     LayoutState,
     SolveContext,
     SolverConfig,
@@ -176,10 +174,9 @@ class TestEvaluateEnergy:
         scene = scenes.theater2()
         ctx = SolveContext(scene)
         st = initialize(scene, 0)
-        config = SolverConfig()
         neighbours = neighbour_list(ctx)
         for iteration in range(1, 6):
-            contacts = step(st, ctx, iteration, config, neighbours=neighbours)
+            contacts = step(st, ctx, iteration, neighbours=neighbours)
         authored = solver.authored_energy(st, ctx)
         evaluate_energy(st, ctx, contacts=contacts, authored=authored)
         scratch = evaluate_energy(st, SolveContext(scene))
@@ -226,7 +223,7 @@ class TestEvaluateEnergy:
         ctx = SolveContext(scene)
         st = initialize(scene, 0)
         neighbours = neighbour_list(ctx)
-        contacts = step(st, ctx, 1, SolverConfig(), neighbours=neighbours)
+        contacts = step(st, ctx, 1, neighbours=neighbours)
         before = dict(vars(ctx))
 
         def priced_and_unchanged(**kwargs):
@@ -267,7 +264,7 @@ class TestStep:
         neighbours = neighbour_list(ctx)
         for iteration in (1, 2, 7, 40):
             projected.clear()
-            step(st, ctx, iteration, SolverConfig(), neighbours)
+            step(st, ctx, iteration, neighbours)
             assert sorted(record for record, _ in projected) == sorted(constraint_of)
             for record, k in projected:
                 assert k == cn.update_stiffness(constraint_of[record], iteration)
@@ -276,7 +273,7 @@ class TestStep:
         scene = box_scene(1)
         ctx = SolveContext(scene)
         st = LayoutState([0.1], [5.0], [0.0], [0.0])  # circle pokes out
-        step(st, ctx, 1, SolverConfig(), neighbour_list(ctx))
+        step(st, ctx, 1, neighbour_list(ctx))
         r = scene.objects[0].bbox.bounding_radius
         assert st.px[0] == pytest.approx(r, abs=1e-9)
 
@@ -285,7 +282,7 @@ class TestStep:
         ctx = SolveContext(scene)
         st = LayoutState([3.0, 7.0], [5.0, 5.0], [0.0, 0.0], [0.3, 0.4])
         before = st.snapshot()
-        step(st, ctx, 1, SolverConfig(), neighbour_list(ctx))
+        step(st, ctx, 1, neighbour_list(ctx))
         assert st.snapshot() == before
 
     def test_single_equality_satisfied_after_one_step(self):
@@ -298,7 +295,7 @@ class TestStep:
         )
         ctx = SolveContext(scene)
         st = LayoutState([2.0, 8.0], [5.0, 5.0], [0.0, 0.0], [0.0, 0.0])
-        step(st, ctx, 1, SolverConfig(), neighbour_list(ctx))
+        step(st, ctx, 1, neighbour_list(ctx))
         d = math.hypot(st.px[0] - st.px[1], st.py[0] - st.py[1])
         assert d == pytest.approx(3.0, abs=1e-9)
 
@@ -321,15 +318,14 @@ class TestStep:
         scene = build()
         ctx = SolveContext(scene)
         st = LayoutState([10.0, 4.0, 16.0], [10.0, 10.0, 10.0], [0.0] * 3, [0.0] * 3)
-        config = SolverConfig()
         neighbours = neighbour_list(ctx)
         for l in range(1, 101):
-            step(st, ctx, l, config, neighbours)
+            step(st, ctx, l, neighbours)
         reference = LayoutState([10.0, 4.0, 16.0], [10.0, 10.0, 10.0], [0.0] * 3, [0.0] * 3)
         ctx2 = SolveContext(build())
         neighbours = neighbour_list(ctx2)
         for l in range(1, 10_001):
-            step(reference, ctx2, l, config, neighbours)
+            step(reference, ctx2, l, neighbours)
         assert st.px[0] == pytest.approx(reference.px[0], abs=1e-6)
         assert st.py[0] == pytest.approx(reference.py[0], abs=1e-6)
 
@@ -341,24 +337,14 @@ class TestStep:
         ctx = SolveContext(scene)
         st = LayoutState([math.inf, 1.0], [5.0, 5.0], [0.0, 0.0], [0.0, 0.0])
         with pytest.raises(SolverNumericsError, match="pairwise_distance"):
-            step(st, ctx, 1, SolverConfig(), neighbour_list(ctx))
-
-    def test_nan_guard_names_batched_corrections(self):
-        scene = box_scene(2)
-        scene.constraints.append(
-            cn.make_constraint(cn.PAIRWISE_DISTANCE, (0, 1), distance=1.0)
-        )
-        ctx = SolveContext(scene)
-        st = LayoutState([math.inf, 1.0], [5.0, 5.0], [0.0, 0.0], [0.0, 0.0])
-        with pytest.raises(SolverNumericsError, match="projecting batched corrections"):
-            step(st, ctx, 1, SolverConfig(projection_mode=BATCH), neighbour_list(ctx))
+            step(st, ctx, 1, neighbour_list(ctx))
 
     def test_nan_guard_names_collision(self):
         # coincident boxes separate along the tie-break direction
         ctx = SolveContext(box_scene(2))
         st = LayoutState([5.0, 5.0], [5.0, 5.0], [0.0, 0.0], [0.0, 0.0])
         with pytest.raises(SolverNumericsError, match="pose after projecting collision"):
-            step(st, ctx, 1, SolverConfig(), neighbour_list(ctx),
+            step(st, ctx, 1, neighbour_list(ctx),
                  tiebreak=lambda: (math.nan, math.nan))
 
     def test_nan_guard_names_stacking_height(self):
@@ -367,7 +353,7 @@ class TestStep:
         ctx = SolveContext(scene)
         st = LayoutState([5.0, 5.0], [5.0, 5.0], [0.0, math.inf], [0.0, 0.0])
         with pytest.raises(SolverNumericsError, match="height after projecting stacking"):
-            step(st, ctx, 1, SolverConfig(), neighbour_list(ctx))
+            step(st, ctx, 1, neighbour_list(ctx))
 
     def test_nan_guard_inside_the_settle(self):
         ctx = SolveContext(box_scene(2))
@@ -378,40 +364,28 @@ class TestStep:
                 tiebreak=lambda: (math.nan, math.nan),
             )
 
-    def test_batch_mode_averages_with_overrelaxation(self):
+    def test_constraints_project_one_after_another(self):
+        # two anchors pull particle 0 toward themselves by 3 each, in
+        # opposite directions; the second projection starts where the
+        # first left it (Gauss-Seidel), so the pulls do not cancel
         scene = box_scene(3, side=30.0)
         scene.particles[1] = Particle(Vec2(10.0, 15.0), mass=math.inf)
         scene.particles[2] = Particle(Vec2(20.0, 15.0), mass=math.inf)
         for anchor in (1, 2):
             scene.constraints.append(
                 cn.make_constraint(
-                    cn.PAIRWISE_DISTANCE, (0, anchor), distance=1.0,
+                    cn.PAIRWISE_DISTANCE, (0, anchor), distance=2.0,
                     schedule=cn.CONSTANT, stiffness_initial=1.0,
                 )
             )
         ctx = SolveContext(scene)
         st = LayoutState([15.0, 10.0, 20.0], [15.0, 15.0, 15.0], [0.0] * 3, [0.0] * 3)
-        # both constraints pull particle 0 toward their anchors by 4 each,
-        # in opposite directions: batch mean is zero net, times omega
-        step(st, ctx, 1, SolverConfig(projection_mode=BATCH), neighbour_list(ctx))
-        assert st.px[0] == pytest.approx(15.0, abs=1e-9)
+        collisions, _, _ = step(st, ctx, 1, neighbour_list(ctx))
+        assert collisions == []
+        assert st.px[0] == pytest.approx(18.0, abs=1e-9)
+        assert st.py[0] == pytest.approx(15.0, abs=1e-9)
 
-    def test_batch_contacts_overrelax_the_sequential_push(self):
-        # each box gets one collision correction, so the batch mean is
-        # that correction scaled by the over-relaxation
-        ctx = SolveContext(box_scene(2))
-        x0, y0 = [4.6, 5.4], [5.0, 5.1]
-        sequential = LayoutState(x0, y0, [0.0, 0.0], [0.0, 0.0])
-        batch = LayoutState(x0, y0, [0.0, 0.0], [0.0, 0.0])
-        step(sequential, ctx, 1, SolverConfig(), neighbour_list(ctx))
-        step(batch, ctx, 1, SolverConfig(projection_mode=BATCH), neighbour_list(ctx))
-        for i in range(2):
-            dx, dy = sequential.px[i] - x0[i], sequential.py[i] - y0[i]
-            assert dx and dy
-            assert batch.px[i] - x0[i] == pytest.approx(BATCH_AVERAGING * dx, abs=1e-12)
-            assert batch.py[i] - y0[i] == pytest.approx(BATCH_AVERAGING * dy, abs=1e-12)
-
-    def test_batch_contacts_see_the_authored_pass(self):
+    def test_contacts_see_the_authored_pass(self):
         # the authored pass is applied before contacts are generated, so
         # the pull that brings two far boxes together shows as a collision
         scene = box_scene(2)
@@ -421,19 +395,19 @@ class TestStep:
         ))
         ctx = SolveContext(scene)
         st = LayoutState([3.0, 7.0], [5.0, 5.0], [0.0, 0.0], [0.0, 0.0])
-        config = SolverConfig(projection_mode=BATCH)
-        collisions, _, _ = step(st, ctx, 1, config, neighbour_list(ctx))
+        collisions, _, _ = step(st, ctx, 1, neighbour_list(ctx))
         assert collisions == [(0, 1)]
 
-    def test_batch_step_ends_with_stacks_aligned(self):
-        # the authored pass over-relaxes the stacking push past the base;
-        # the closing re-alignment applies at once and lands exactly
-        scene = box_scene(2)
+    def test_step_ends_with_stacks_aligned(self):
+        # a collision pushes the pile's base, and only the base, after the
+        # authored pass; the closing re-alignment brings the top along
+        scene = box_scene(3)
         stack = cn.make_constraint(cn.STACKING, (0, 1), height_gap=1.0)
         scene.constraints.append(stack)
         ctx = SolveContext(scene)
-        st = LayoutState([5.0, 5.3], [5.0, 4.8], [0.0, 0.2], [0.0, 0.0])
-        step(st, ctx, 1, SolverConfig(projection_mode=BATCH), neighbour_list(ctx))
+        st = LayoutState([5.0, 5.3, 5.6], [5.0, 4.8, 5.0], [0.0, 0.2, 0.0], [0.0] * 3)
+        collisions, _, _ = step(st, ctx, 1, neighbour_list(ctx))
+        assert collisions
         (bound,) = ctx.stacking_constraints
         assert bound.violation(bound.record, st) < 1e-9
 
@@ -447,7 +421,7 @@ class TestStep:
         )
         ctx = SolveContext(scene)
         st = LayoutState([3.0, 7.0], [5.0, 5.0], [0.0, 0.0], [6.2, 1.0])
-        step(st, ctx, 1, SolverConfig(), neighbour_list(ctx))
+        step(st, ctx, 1, neighbour_list(ctx))
         assert all(0.0 <= t < 2 * math.pi for t in st.theta)
 
 
@@ -480,7 +454,7 @@ class TestGroups:
         ctx = SolveContext(scene)
         st = LayoutState([9.0, 11.0, 10.0, 4.0], [10.0, 10.0, 10.0, 10.0], [0.0] * 4, [0.0] * 4)
         before_offset = (st.px[1] - st.px[0], st.py[1] - st.py[0])
-        step(st, ctx, 1, SolverConfig(), neighbour_list(ctx))
+        step(st, ctx, 1, neighbour_list(ctx))
         after_offset = (st.px[1] - st.px[0], st.py[1] - st.py[0])
         assert after_offset == pytest.approx(before_offset, abs=1e-9)
         # member 0 satisfied its constraint by dragging the group
@@ -545,10 +519,9 @@ class TestGroups:
             [0.0] * 5,
             [0.0] * 5,
         )
-        config = SolverConfig()
         neighbours = neighbour_list(ctx)
         for l in range(1, 101):
-            step(st, ctx, l, config, neighbours)
+            step(st, ctx, l, neighbours)
         gaps = [
             math.hypot(st.px[i + 1] - st.px[i], st.py[i + 1] - st.py[i]) for i in range(3)
         ]
@@ -785,12 +758,11 @@ class TestNeighbourListNarrowPhase:
         ctx = SolveContext(scene)
         st = initialize(scene, seed)
         start = st.snapshot()
-        config = SolverConfig(seed=seed)
         neighbours = neighbour_list(ctx)
         everything = spatial.NaiveIndex(ctx.object_particles)
         collisions = activations = 0
         for iteration in range(1, 41):
-            step(st, ctx, iteration, config, neighbours=neighbours)
+            step(st, ctx, iteration, neighbours=neighbours)
             if iteration == 40:
                 # a settle restores an earlier snapshot: a jump of every object
                 st.restore(start)
@@ -807,23 +779,22 @@ class TestNeighbourListNarrowPhase:
 class TestContactRouting:
     """Every contact correction goes to the contact root of its object,
     the base of its pile: a contact never moves a stacked object itself,
-    in the step (sequential or batch) or in the settle."""
+    in the step or in the settle."""
 
     CONTACT_LABELS = {cn.COLLISION, cn.ACCESSIBILITY, cn.WALL_GHOST_COLLISION, cn.BOUNDARY}
 
     @staticmethod
     def _spy(monkeypatch) -> list[tuple[str, int]]:
-        """(label, particle) of every correction the appliers apply or
-        gather from now on."""
+        """(label, particle) of every correction the appliers apply from
+        now on."""
         named = []
-        for name in ("_apply", "_gather"):
-            original = getattr(_Applier, name)
+        original = _Applier._apply
 
-            def spy(self, i, dx, dy, dz, dtheta, original=original):
-                named.append((self.label, i))
-                return original(self, i, dx, dy, dz, dtheta)
+        def spy(self, i, dx, dy, dz, dtheta):
+            named.append((self.label, i))
+            return original(self, i, dx, dy, dz, dtheta)
 
-            monkeypatch.setattr(_Applier, name, spy)
+        monkeypatch.setattr(_Applier, "_apply", spy)
         return named
 
     def _assert_routed(self, named, ctx) -> set[str]:
@@ -857,24 +828,22 @@ class TestContactRouting:
         ]
         return scene
 
-    @pytest.mark.parametrize("mode", [solver.SEQUENTIAL, BATCH])
-    def test_step_routes_every_contact_kind(self, mode, monkeypatch):
+    def test_step_routes_every_contact_kind(self, monkeypatch):
         ctx = SolveContext(self._pile_scene())
         assert ctx.contact_root == [0, 0, 2]
         st = LayoutState([1.0, 1.0, 1.4], [0.4, 0.4, 0.4], [0.2, 0.6, 1.0],
                          [0.0, 0.0, math.pi])
         named = self._spy(monkeypatch)
-        step(st, ctx, 1, SolverConfig(projection_mode=mode), neighbour_list(ctx))
+        step(st, ctx, 1, neighbour_list(ctx))
         assert self._assert_routed(named, ctx) == self.CONTACT_LABELS
 
-    @pytest.mark.parametrize("mode", [solver.SEQUENTIAL, BATCH])
-    def test_desk_step_routes_to_the_pile_base(self, mode, monkeypatch):
+    def test_desk_step_routes_to_the_pile_base(self, monkeypatch):
         scene = scenes.build("desk")
         ctx = SolveContext(scene)
         assert ctx.stack_top
         st = initialize(scene, 0)
         named = self._spy(monkeypatch)
-        step(st, ctx, 1, SolverConfig(projection_mode=mode), neighbour_list(ctx))
+        step(st, ctx, 1, neighbour_list(ctx))
         self._assert_routed(named, ctx)
 
     def test_desk_settle_routes_to_the_pile_base(self, monkeypatch):
@@ -905,5 +874,5 @@ def test_activation_names_its_zone_by_index(template):
             assert repr(center) == repr((world.x, world.y))
             assert diagonal == region.diagonal
             seen += 1
-        step(st, ctx, iteration, SolverConfig(), neighbours=neighbours)
+        step(st, ctx, iteration, neighbours=neighbours)
     assert seen
