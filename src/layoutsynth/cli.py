@@ -231,7 +231,7 @@ def cmd_bench(args) -> int:
     if args.counts:
         series = [(count, build("theater1", {"chair_count": count})) for count in args.counts]
     else:
-        scene = build(args.scene) if args.scene in TEMPLATE_NAMES else _resolve_scene(args.scene, 0)
+        scene = _resolve_scene(args.scene, 0)
         series = [(len(scene.objects), scene)]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -352,7 +352,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--iters", type=_non_negative_int, default=0,
                    help="override both iteration budgets")
     p.add_argument("--out", default="compare")
-    p.add_argument("--broad-phase", choices=("hash", "naive"), default=None)
     _add_render_flags(p)
     p.set_defaults(func=cmd_compare)
 

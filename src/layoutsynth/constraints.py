@@ -836,9 +836,9 @@ def project_boundary(
     wi: float,
     radius: float,
     room: Room,
-    k: float = 1.0,
 ) -> bool:
-    """Push particle i inward so its bounding circle sits inside the room.
+    """Push particle i inward so its bounding circle sits inside the room,
+    always at full stiffness.
 
     A circle that pokes out by at most 1e-12 (``pokes_out``; in a
     rectangle the side clearances decide it, touching circles included)
@@ -846,7 +846,7 @@ def project_boundary(
     leaves it poking out by more than 1e-9, the particle goes to the
     room centroid and a warning is logged.
     """
-    if wi <= 0.0 or k == 0.0:
+    if wi <= 0.0:
         return False
     if not pokes_out(room, xi, yi, radius, 1e-12):
         return False
@@ -855,8 +855,8 @@ def project_boundary(
         log.warning("the clamp could not bring a circle of radius %.3g inside the room; "
                     "moving it to the room centroid", radius)
         x, y = room.centroid
-    dx = (x - xi) * k
-    dy = (y - yi) * k
+    dx = x - xi
+    dy = y - yi
     if dx == 0.0 and dy == 0.0:
         return False
     out(i, dx, dy, 0.0, 0.0)

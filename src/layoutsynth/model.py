@@ -100,12 +100,12 @@ class BoundingBox:
         return 4.0 * self.half_extents.x * self.half_extents.y
 
 
-def mass_from_bbox(bbox: BoundingBox, density: float = 1.0) -> float:
-    """Mass of an object as density times bounding-box volume."""
+def mass_from_bbox(bbox: BoundingBox) -> float:
+    """Mass of an object at unit density: its bounding-box volume."""
     volume = bbox.volume
     if volume <= 0.0:
         raise ValueError("cannot derive mass from a zero-volume box")
-    return density * volume
+    return volume
 
 
 @dataclass(frozen=True)
@@ -226,6 +226,8 @@ class Group:
 @dataclass
 class Room:
     """Bounded region whose counterclockwise boundary polygon is the walls.
+    The polygon must be simple, enclose area, and have no wall whose
+    squared length is zero.
 
     In an axis-aligned rectangle the per-wall boundary measure of a
     point inside is its smallest side clearance (``x - x0``, ``x1 - x``,
@@ -248,7 +250,12 @@ class Room:
             raise ValueError("room boundary needs at least three vertices")
         if not polygon_is_simple(self.boundary):
             raise ValueError("room boundary must be a simple polygon")
-        if polygon_signed_area(self.boundary) < 0.0:
+        area = polygon_signed_area(self.boundary)
+        xs = {v.x for v in self.boundary}
+        ys = {v.y for v in self.boundary}
+        if area == 0.0 or len(xs) < 2 or len(ys) < 2:
+            raise ValueError("room boundary encloses no area")
+        if area < 0.0:
             self.boundary.reverse()
         # flat per-wall scalars for the hot paths:
         # (ax, ay, dx, dy, 1/len^2, inward nx, inward ny, tangent angle)
@@ -257,15 +264,13 @@ class Room:
             dx = b.x - a.x
             dy = b.y - a.y
             length = math.hypot(dx, dy)
-            if length <= 0.0:
+            if length * length <= 0.0:
                 raise ValueError("room boundary has a zero-length wall")
             nx, ny = -dy / length, dx / length
             tangent = normalize_angle(math.atan2(ny, nx) + 0.5 * math.pi)
             self._wall_data.append((a.x, a.y, dx, dy, 1.0 / (length * length), nx, ny, tangent))
         # axis-aligned rectangles (the common case) get a bounds-only
         # containment test and side clearances that decide outside _band
-        xs = {v.x for v in self.boundary}
-        ys = {v.y for v in self.boundary}
         self._rect = None
         if len(self.boundary) == 4 and len(xs) == 2 and len(ys) == 2:
             self._rect = (min(xs), min(ys), max(xs), max(ys))

@@ -2,8 +2,9 @@
 
 Each builder returns a fully validated Scene with the constraint families
 of its scenario wired up. Object dimensions and clearance depths come
-from the shared catalogue; counts and room sizes are parameters so the
-same template serves scaling studies.
+from the shared catalogue. The parameters are theater1's chair count,
+which serves the scaling study, theater2's tier style and pathways, and
+the seed that picks tp_picnic's counts.
 """
 
 from __future__ import annotations
@@ -110,7 +111,7 @@ def scaling_series(counts: list[int]) -> list[Scene]:
 # theater, approach two: seating tiers as curve groups
 
 
-def _tier_defaults(style: str, pathways: int) -> tuple[int, int]:
+def _tier_sizes(style: str, pathways: int) -> tuple[int, int]:
     if style == "arc":
         return 6, 30
     if pathways >= 2:
@@ -118,19 +119,12 @@ def _tier_defaults(style: str, pathways: int) -> tuple[int, int]:
     return 6, 28
 
 
-def theater2(
-    style: str = "arc",
-    pathways: int = 2,
-    tiers: int | None = None,
-    chairs_per_tier: int | None = None,
-) -> Scene:
+def theater2(style: str = "arc", pathways: int = 2) -> Scene:
     if style not in ("arc", "seg"):
         raise ValueError(f"tier style must be 'arc' or 'seg', not {style!r}")
     if not 0 <= pathways <= 2:
         raise ValueError("theater2 supports 0 to 2 pathways")
-    default_tiers, default_chairs = _tier_defaults(style, pathways)
-    tiers = default_tiers if tiers is None else tiers
-    chairs_per_tier = default_chairs if chairs_per_tier is None else chairs_per_tier
+    tiers, chairs_per_tier = _tier_sizes(style, pathways)
 
     b = _SceneBuilder(_rect_room(40.0, 24.0))
     stage = b.add_object("stage", "stage", pose=(20.0, 2.0, stable_radians(90.0)))
@@ -212,14 +206,9 @@ def theater2(
 # picnic
 
 
-def picnic(
-    tables: int = 14,
-    chaired_tables: int = 12,
-    chairs_per_table: int = 4,
-    trash_cans: int = 8,
-    grills: int = 6,
-) -> Scene:
+def picnic() -> Scene:
     b = _SceneBuilder(_rect_room(40.0, 30.0))
+    tables, chaired_tables, chairs_per_table, trash_cans, grills = 14, 12, 4, 8, 6
 
     # one heat target per table, spread over a grid of layout areas
     cols = 4

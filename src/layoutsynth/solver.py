@@ -354,8 +354,6 @@ def initialize(scene: Scene, seed: int) -> LayoutState:
     rng = np.random.default_rng(seed)
     room = scene.room
     min_x, min_y, max_x, max_y = room.bounds()
-    if not (max_x > min_x and max_y > min_y):
-        raise ValueError("room is degenerate")
 
     members = _group_members(scene)
     rigid = [group for group in scene.groups if group.rigidity == RIGID]
@@ -458,15 +456,12 @@ def neighbour_list(ctx: SolveContext, broad_phase: str = "hash") -> NaiveIndex |
     """An attempt's pair source: every pair of objects under the naive
     broad phase, otherwise a neighbour list bucketed at its first refresh.
     The list pairs two objects of different rigid groups only within their
-    collision or zone reach (``ctx.radius``, ``ctx.reach``) plus a skin.
-    The skin is half the median broad radius: settle sweeps and late steps
-    move most objects far less than that, so a refresh re-buckets only the
-    few that strayed."""
+    collision or zone reach (``ctx.radius``, ``ctx.reach``) plus a skin
+    that the list derives from the cell size."""
     if broad_phase == "naive":
         return NaiveIndex(ctx.object_particles)
     return NeighbourList(
-        ctx.radius, ctx.reach, ctx.owner, ctx.object_particles, ctx.cell_size,
-        skin=0.25 * ctx.cell_size,
+        ctx.radius, ctx.reach, ctx.owner, ctx.object_particles, ctx.cell_size
     )
 
 
@@ -769,7 +764,7 @@ def _boundary_pass(st: LayoutState, ctx: SolveContext, applier: _Applier) -> boo
     pushed = False
     for i in ctx.object_particles:
         if cn.project_boundary(
-            out, root[i], st.px[i], st.py[i], ctx.proj_w[i], ctx.radius[i], ctx.room, 1.0
+            out, root[i], st.px[i], st.py[i], ctx.proj_w[i], ctx.radius[i], ctx.room
         ):
             pushed = True
     return pushed

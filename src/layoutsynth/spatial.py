@@ -71,14 +71,19 @@ class NeighbourList:
     are therefore a sorted superset of the pairs that interact, and a
     narrow phase that walks them in order finds the same contacts in the
     same order as one that walks all pairs.
+
+    The skin is a quarter of the cell size. The solver's cell is at
+    least twice the median broad radius, so the skin is at least half
+    that radius: settle sweeps and late steps move most objects far less
+    than that, so a refresh re-buckets only the few that strayed.
     """
 
-    def __init__(self, radius, reach, owner, indices, cell_size: float, skin: float):
+    def __init__(self, radius, reach, owner, indices, cell_size: float):
         self.indices = sorted(indices)
         self.radius = radius
         self.reach = reach
         self.owner = owner
-        self.skin = skin
+        self.skin = skin = 0.25 * cell_size
         self.inv_cell = 1.0 / cell_size
         size = self.indices[-1] + 1 if self.indices else 0
         # a hair under half the skin absorbs rounding in the displacement

@@ -321,7 +321,7 @@ def test_criterion_1_projection_oracles():
                    - (radius[hugger] + radius[hugged])) < 1e-9
 
         corrs = corrections(cn.project_boundary, root[boxed], px[boxed], py[boxed], w[boxed],
-                            radius[boxed], ctx.room, 1.0)
+                            radius[boxed], ctx.room)
         x, y, _, _ = _moved(st, boxed, corrs)
         assert cn.boundary_violation(ROOM, (x, y), radius[boxed]) < 1e-9
         checks += 14

@@ -166,6 +166,22 @@ class TestRun:
         energy, _, _, _ = evaluate_energy(st, ctx)
         assert energy == pytest.approx(trace.best_energy, abs=1e-9)
 
+    def test_rigid_members_follow_their_moved_group(self):
+        scene = scenes.tp_bedroom()
+        ctx = SolveContext(scene)
+        start = initialize(scene, 0)
+        layout, _ = run_sa_mcmc(scene, AnnealConfig(seed=0, total_iterations=300))
+        assert len(ctx.members_of) == 3
+        for g, rows in ctx.members_of.items():
+            gx, gy, _, gth = layout[g]
+            assert (gx, gy, gth) != (start.px[g], start.py[g], start.theta[g])
+            c, s = math.cos(gth), math.sin(gth)
+            for m, (dx, dy, dth) in rows:
+                x, y, _, theta = layout[m]
+                assert (x, y, theta) == (
+                    gx + c * dx - s * dy, gy + s * dx + c * dy, (gth + dth) % (2.0 * math.pi)
+                )
+
 
 @pytest.mark.slow
 def test_flat_energy_walk_is_uniform_over_room():

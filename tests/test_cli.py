@@ -215,6 +215,17 @@ class TestBench:
         assert [(c.max_iterations, c.termination_window, c.broad_phase)
                 for c in configs] == [(7, 7, "naive")]
 
+    def test_scene_file_before_template(self, tmp_path, monkeypatch):
+        # a file named like a template is read as the file, as every
+        # other command reads it
+        monkeypatch.chdir(tmp_path)
+        save_scene(build("living_room"), "desk")
+        monkeypatch.setattr(cli, "synthesize", lambda scene, config: None)
+        assert run(["bench", "--scene", "desk", "--repeat", "1", "--out", "out"]) == 0
+        with open("out/timings.csv") as handle:
+            rows = list(csv.DictReader(handle))
+        assert [int(r["objects"]) for r in rows] == [10]
+
     def test_counts_only_for_theater1(self, tmp_path):
         assert run(["bench", "--scene", "desk", "--counts", "5",
                     "--repeat", "1", "--iters", "5", "--out", tmp_path / "x"]) == 1

@@ -66,7 +66,6 @@ class TestBoundingBox:
         assert mass_from_bbox(BoundingBox(Vec2(0.5, 0.5), 0.5)) == pytest.approx(1.0)
         assert mass_from_bbox(BoundingBox(Vec2(1, 1), 1)) == pytest.approx(8.0)
         assert mass_from_bbox(BoundingBox(Vec2(0.5, 1.0), 0.25)) == pytest.approx(1.0)
-        assert mass_from_bbox(BoundingBox(Vec2(1, 1), 1), density=2.5) == pytest.approx(20.0)
 
     def test_rejects_degenerate(self):
         with pytest.raises(ValueError):
@@ -84,6 +83,16 @@ class TestRoom:
 
     def test_centroid(self):
         assert SQUARE.centroid == pytest.approx((5.0, 5.0))
+
+    @pytest.mark.parametrize("boundary, rule", [
+        ([(0, 0), (1, 0), (2, 0), (3, 0)], "room boundary encloses no area"),
+        ([(0, 0), (1, 1), (2, 2), (3, 3)], "room boundary encloses no area"),
+        # the wall from (1, 0) to (1, 1e-300) has a squared length of 0.0
+        ([(0, 0), (1, 0), (1, 1e-300), (0, 1e-300)], "room boundary has a zero-length wall"),
+    ])
+    def test_rejects_boundary_without_area_or_wall_length(self, boundary, rule):
+        with pytest.raises(ValueError, match=rule):
+            Room([Vec2(x, y) for x, y in boundary])
 
 
 class TestNearestWall:

@@ -47,11 +47,11 @@ def test_overlays_toggle_named_layers():
 
 
 def test_curve_layer_present_for_tier_groups():
-    scene = build("theater2", {"tiers": 2, "chairs_per_tier": 6})
+    scene = build("theater2")
     svg = render_svg(scene)
     assert '<g id="group-curves">' in svg
     curves = svg.split('<g id="group-curves">')[1].split("</g>")[0]
-    assert curves.count("<polyline") == 2
+    assert curves.count("<polyline") == len(scene.groups) == 6
 
 
 def test_deterministic_bytes():

@@ -188,6 +188,20 @@ class TestMalformed:
             parse_scene(json.dumps(d))
 
 
+@pytest.mark.parametrize("boundary, rule", [
+    ([[0, 0], [1, 0], [2, 0], [3, 0]], "encloses no area"),
+    ([[0, 0], [1, 1], [2, 2], [3, 3]], "encloses no area"),
+    ([[0, 0], [1, 0], [1, 1e-300], [0, 1e-300]], "has a zero-length wall"),
+])
+def test_room_without_area_or_wall_length_rejected(boundary, rule, tmp_path):
+    text = json.dumps(doc(room={"boundary": boundary}))
+    with pytest.raises(SceneFormatError, match=rf"^room\.boundary: room boundary {rule}"):
+        parse_scene(text)
+    path = tmp_path / "scene.json"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 2
+
+
 class TestSolverBlock:
     @pytest.mark.parametrize("solver, where", [
         ({"max_iterations": "many"}, r"solver\.max_iterations"),
@@ -328,6 +342,21 @@ class TestRoundTrip:
         scene = build("tp_picnic", seed=5)
         text = serialize_scene(scene)
         assert serialize_scene(parse_scene(text)) == text
+
+    def test_fixed_and_mass_written_only_where_set(self):
+        d = doc()
+        d["objects"] = [
+            {"id": "pinned", "label": "crate", "fixed": True},
+            {"id": "heavy", "label": "crate", "mass": 2.5},
+            {"id": "plain", "label": "crate"},
+        ]
+        scene = parse_scene(json.dumps(d))
+        text = serialize_scene(scene)
+        objects = json.loads(text)["objects"]
+        assert objects[0]["fixed"] is True and "mass" not in objects[0]
+        assert objects[1]["mass"] == 2.5 and "fixed" not in objects[1]
+        assert "fixed" not in objects[2] and "mass" not in objects[2]
+        assert parse_scene(text) == scene
 
     def test_file_helpers(self, tmp_path):
         scene = build("desk")

@@ -111,9 +111,8 @@ class TestNeighbourList:
         owner = [int(g) if rng.random() < 0.3 else -1 for g in rng.integers(0, 5, total)]
         broad = radius[indices] + reach[indices]
         cell = 2.0 * float(np.sort(broad)[len(broad) // 2])
-        skin = 0.25 * cell
-        nl = NeighbourList(list(radius), list(reach), owner, indices, cell, skin)
-        return nl, indices, radius, reach, owner, skin
+        nl = NeighbourList(list(radius), list(reach), owner, indices, cell)
+        return nl, indices, radius, reach, owner, nl.skin
 
     @staticmethod
     def _interacting(px, py, radius, reach, indices):
