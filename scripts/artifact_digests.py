@@ -2,7 +2,8 @@
 
 Run it in two checkouts and diff the outputs: a refactor that claims
 byte-identical behaviour must print the same lines. The runs cover all
-seven templates, the annealing baseline, theater2's segment-curve and
+seven templates, the annealing baseline (with rigid groups and piles),
+every render overlay (see ``OVERLAY_RUNS``), theater2's segment-curve and
 arc-curve tiers from scene files, theater1 at 400 chairs from a scene
 file at acceptance criterion 7's 60-iteration budget (the run with the
 most objects, neighbour pairs and re-bucketed particles), per-constraint
@@ -43,7 +44,12 @@ TEMPLATE_SEEDS = {
     "tp_bedroom": (0, 1, 2),
     "tp_picnic": (0, 1),
 }
-MCMC_TEMPLATES = ("living_room", "desk")
+MCMC_TEMPLATES = ("living_room", "desk", "tp_bedroom", "tp_picnic")
+# (scene, seed, iterations or None) drawn with every overlay: theater2's
+# curve tiers, zones and lanes, and living_room's variants for a lane
+# whose focal is not pinned
+OVERLAY_RUNS = (("theater2", 0, 20), ("living_room_variants.json", 0, None))
+OVERLAY_FLAGS = ("--show-access", "--show-circles", "--show-lanes")
 # (template, seed) solved again with ``--broad-phase naive``: piles,
 # rigid groups and collisions off. Each run's layout, svg and trace must
 # equal its hash twin's above; only run_meta.json names the broad phase
@@ -167,6 +173,11 @@ def _runs() -> list[tuple[str, ...]]:
         ("synth", path, "--seed", str(seed), "--out", f"living_room_variants_s{seed}")
         for seed in (0, 1)
     ]
+    for scene, seed, iters in OVERLAY_RUNS:
+        stem = scene.removesuffix(".json")
+        budget = ("--iters", str(iters)) if iters else ()
+        runs.append(("synth", scene, "--seed", str(seed), *budget, *OVERLAY_FLAGS,
+                     "--out", f"{stem}_overlays_s{seed}"))
     for name, (shift, degrees) in MOVED_ROOMS.items():
         doc = json.loads(sceneio.serialize_scene(scenes.living_room()))
         doc = _moved_scene(doc, shift, degrees)

@@ -15,7 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Scene
-from .solver import EnergyTrace, LayoutState, SolveContext, check_seed, evaluate_energy, initialize
+from .solver import (
+    EnergyTrace, LayoutState, Pose, SolveContext, check_seed, evaluate_energy, initialize,
+)
 
 
 # the schedule starts at 2% of the run's initial energy, which puts most
@@ -48,24 +50,10 @@ class AnnealConfig:
         check_seed(self.seed)
 
 
-class _Move:
-    __slots__ = ("index", "attribute", "old", "new")
-
-    def __init__(self, index, attribute, old, new):
-        self.index = index
-        self.attribute = attribute  # "position" | "orientation"
-        self.old = old
-        self.new = new
-
-
 def movable_particles(ctx: SolveContext) -> list[int]:
     """Particles the state search may shift: free particles that are not
     rigid members (those follow their group particle)."""
-    return [
-        i
-        for i in range(ctx.n)
-        if ctx.inv_mass[i] > 0.0 and ctx.owner[i] < 0
-    ]
+    return [i for i in range(ctx.n) if ctx.proj_w[i] > 0.0 and ctx.owner[i] < 0]
 
 
 def _draw_move(
@@ -75,36 +63,29 @@ def _draw_move(
     sigma_pos: float,
     sigma_theta: float,
     rng: np.random.Generator,
-) -> _Move:
+) -> tuple[int, Pose, Pose]:
+    """One proposal: a particle, its pose and the pose proposed for it."""
     idx = movable[int(rng.integers(len(movable)))]
+    pose = x, y, z, theta = state.px[idx], state.py[idx], state.pz[idx], state.theta[idx]
     if rng.random() < 0.5:
-        dx = rng.normal(0.0, sigma_pos)
-        dy = rng.normal(0.0, sigma_pos)
-        x = state.px[idx] + dx
-        y = state.py[idx] + dy
+        x += rng.normal(0.0, sigma_pos)
+        y += rng.normal(0.0, sigma_pos)
         if idx in ctx.stack_top:
-            z = state.pz[idx] + rng.normal(0.0, 0.5 * sigma_pos)
-        else:
-            z = state.pz[idx]
+            z += rng.normal(0.0, 0.5 * sigma_pos)
         # shifts that leave the room are rejected (stay put), which keeps
         # the proposal symmetric on the room's interior
         if not ctx.room.contains((x, y)):
-            x, y, z = state.px[idx], state.py[idx], state.pz[idx]
-        return _Move(idx, "position", (state.px[idx], state.py[idx], state.pz[idx]), (x, y, z))
-    dtheta = rng.normal(0.0, sigma_theta)
-    new_theta = (state.theta[idx] + dtheta) % (2.0 * math.pi)
-    return _Move(idx, "orientation", state.theta[idx], new_theta)
+            return idx, pose, pose
+        return idx, pose, (x, y, z, theta)
+    return idx, pose, (x, y, z, (theta + rng.normal(0.0, sigma_theta)) % (2.0 * math.pi))
 
 
-def _apply_move(state: LayoutState, ctx: SolveContext, move: _Move, values) -> None:
-    idx = move.index
-    if move.attribute == "position":
-        state.px[idx], state.py[idx], state.pz[idx] = values
-    else:
-        state.theta[idx] = values
+def _apply_move(state: LayoutState, ctx: SolveContext, idx: int, pose: Pose) -> None:
+    """Write a particle's whole pose and place its rigid members again."""
+    gx, gy, _, gth = pose
+    state.px[idx], state.py[idx], state.pz[idx], state.theta[idx] = pose
     rows = ctx.members_of.get(idx)
     if rows:
-        gx, gy, gth = state.px[idx], state.py[idx], state.theta[idx]
         c, s = math.cos(gth), math.sin(gth)
         for m, (dx, dy, dth) in rows:
             state.px[m] = gx + c * dx - s * dy
@@ -159,34 +140,30 @@ def run_sa_mcmc(
     t_initial = max(T_INITIAL_FRACTION * energy if energy > 0.0 else 1.0, T_FINAL)
     temperatures = np.linspace(t_initial, T_FINAL, config.total_iterations)
 
-    best_energy = math.inf
-    best_snapshot = state.snapshot()
-    best_iteration = 0
+    # (energy, iteration, poses) of the lowest-energy state seen
+    best = (math.inf, 0, state.snapshot())
     best_history: list[float] = []
 
     for iteration in range(1, config.total_iterations + 1):
-        move = _draw_move(state, ctx, movable, sigma_pos, SIGMA_THETA, rng)
-        _apply_move(state, ctx, move, move.new)
+        idx, pose, proposed = _draw_move(state, ctx, movable, sigma_pos, SIGMA_THETA, rng)
+        _apply_move(state, ctx, idx, proposed)
         candidate_energy, candidate_sums, _, _ = evaluate_energy(state, ctx)
         if accept(energy, candidate_energy, float(temperatures[iteration - 1]), rng):
             energy = candidate_energy
             sums = candidate_sums
         else:
-            _apply_move(state, ctx, move, move.old)
+            _apply_move(state, ctx, idx, pose)
         trace.energies.append(energy)
         trace.violation_sums.append(sums)
 
-        if energy < best_energy:
-            best_energy = energy
-            best_snapshot = state.snapshot()
-            best_iteration = iteration
-        best_history.append(best_energy)
+        if energy < best[0]:
+            best = (energy, iteration, state.snapshot())
+        best_history.append(best[0])
 
         if iteration > STALL_WINDOW:
             then = best_history[iteration - 1 - STALL_WINDOW]
-            if then - best_energy <= STALL_THRESHOLD * then:
+            if then - best[0] <= STALL_THRESHOLD * then:
                 break
 
-    trace.best_energy = best_energy
-    trace.best_iteration = best_iteration
-    return best_snapshot, trace
+    trace.best_energy, trace.best_iteration, poses = best
+    return poses, trace

@@ -113,28 +113,46 @@ def point_in_polygon(vertices: list[Vec2], p) -> bool:
     return inside
 
 
-def _segments_properly_intersect(a, b, c, d) -> bool:
-    def orient(p, q, r):
-        return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
+def _side(p, q, r) -> int:
+    """-1, 0 or 1 as r lies right of, on or left of the line pq: a sign,
+    since a product of two tiny cross products can underflow to 0."""
+    cross = (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
+    return (cross > 0.0) - (cross < 0.0)
 
-    o1 = orient(a, b, c)
-    o2 = orient(a, b, d)
-    o3 = orient(c, d, a)
-    o4 = orient(c, d, b)
-    return (o1 * o2 < 0) and (o3 * o4 < 0)
+
+def _within(p, q, r) -> bool:
+    """Whether r, on the line pq, lies on the segment pq."""
+    return (min(p[0], q[0]) <= r[0] <= max(p[0], q[0])
+            and min(p[1], q[1]) <= r[1] <= max(p[1], q[1]))
+
+
+def _segments_meet(a, b, c, d) -> bool:
+    """Whether the closed segments ab and cd share a point: they cross,
+    or an endpoint of one lies on the other."""
+    s1, s2, s3, s4 = _side(a, b, c), _side(a, b, d), _side(c, d, a), _side(c, d, b)
+    return (s1 * s2 < 0 and s3 * s4 < 0
+            or s1 == 0 and _within(a, b, c) or s2 == 0 and _within(a, b, d)
+            or s3 == 0 and _within(c, d, a) or s4 == 0 and _within(c, d, b))
 
 
 def polygon_is_simple(vertices: list[Vec2]) -> bool:
-    """True when no two non-adjacent edges cross. O(n^2); rooms are small."""
+    """True when the boundary neither crosses nor touches itself: no two
+    non-adjacent edges share a point, and no edge folds back along the
+    one before it. A vertex in the middle of a straight wall is allowed.
+    O(n^2); rooms are small."""
     n = len(vertices)
     if n < 3:
         return False
+    for i in range(n):
+        a, b, c = vertices[i - 1], vertices[i], vertices[(i + 1) % n]
+        along = (b[0] - a[0]) * (c[0] - b[0]) + (b[1] - a[1]) * (c[1] - b[1])
+        if _side(a, b, c) == 0 and along < 0.0:
+            return False
     edges = [(vertices[i], vertices[(i + 1) % n]) for i in range(n)]
     for i in range(n):
-        for j in range(i + 1, n):
-            if j == i or (j + 1) % n == i or (i + 1) % n == j:
-                continue
-            if _segments_properly_intersect(*edges[i], *edges[j]):
+        # edges i + 1 and i - 1 share a vertex with edge i
+        for j in range(i + 2, n if i else n - 1):
+            if _segments_meet(*edges[i], *edges[j]):
                 return False
     return True
 

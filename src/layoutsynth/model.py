@@ -248,8 +248,6 @@ class Room:
         self.boundary = [Vec2(float(p[0]), float(p[1])) for p in self.boundary]
         if len(self.boundary) < 3:
             raise ValueError("room boundary needs at least three vertices")
-        if not polygon_is_simple(self.boundary):
-            raise ValueError("room boundary must be a simple polygon")
         area = polygon_signed_area(self.boundary)
         xs = {v.x for v in self.boundary}
         ys = {v.y for v in self.boundary}
@@ -269,6 +267,10 @@ class Room:
             nx, ny = -dy / length, dx / length
             tangent = normalize_angle(math.atan2(ny, nx) + 0.5 * math.pi)
             self._wall_data.append((a.x, a.y, dx, dy, 1.0 / (length * length), nx, ny, tangent))
+        # after the area and wall-length checks, which name a degenerate
+        # boundary more precisely than this one
+        if not polygon_is_simple(self.boundary):
+            raise ValueError("room boundary must be a simple polygon")
         # axis-aligned rectangles (the common case) get a bounds-only
         # containment test and side clearances that decide outside _band
         self._rect = None

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from typing import Any
 
 from . import constraints as cn
 from .geometry import ARC, Curve, SEGMENT, Vec2, stable_radians
-from .model import FACES, Particle, Room, Scene, mass_from_bbox
+from .model import (
+    FACES, Particle, Room, Scene, bbox_from_entry, mass_from_bbox, regions_from_entry,
+)
 
 
 class SceneFormatError(ValueError):
@@ -45,11 +46,13 @@ def _expect(condition: bool, path: str, message: str) -> None:
 
 
 def _as_number(value: Any, path: str) -> float:
-    # the bound rejects NaN and infinities, and integers too large for a float
+    # the bound rejects NaN, infinities and integers too large for a
+    # float; below it the square of a difference of two file numbers is
+    # finite, so every distance the solver measures is too
     _expect(
         isinstance(value, (int, float)) and not isinstance(value, bool)
-        and abs(value) <= sys.float_info.max,
-        path, "expected a finite number",
+        and abs(value) <= 1e150,
+        path, "expected a number of magnitude at most 1e150",
     )
     return float(value)
 
@@ -327,7 +330,9 @@ def _pose_doc(particle: Particle) -> dict:
 
 
 def serialize_scene(scene: Scene) -> str:
-    """Canonical JSON for a scene; stable byte-for-byte for equal scenes."""
+    """Canonical JSON for a scene; stable byte-for-byte for equal scenes.
+    Raises ValueError for an object that its label's catalogue entry does
+    not rebuild exactly, as when two objects share a label but not a box."""
     ids: dict[int, str] = {}
     for obj in scene.objects:
         ids[obj.particle_index] = obj.id
@@ -350,6 +355,13 @@ def serialize_scene(scene: Scene) -> str:
                 ],
                 "access": access,
             }
+        # the file rebuilds each object from its label's entry alone
+        entry = catalogue[obj.label]
+        if bbox_from_entry(entry) != obj.bbox or regions_from_entry(entry) != obj.accessibility:
+            raise ValueError(
+                f"object {obj.id!r}: the catalogue entry for label {obj.label!r} does not "
+                "rebuild its box and zones, so the file would load a different object"
+            )
 
     objects = []
     for obj in scene.objects:

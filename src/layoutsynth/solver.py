@@ -182,7 +182,6 @@ class SolveContext:
         n = len(scene.particles)
         self.n = n
         self.masses = [p.mass for p in scene.particles]
-        self.inv_mass = [p.inverse_mass for p in scene.particles]
 
         self.radius = [0.0] * n
         self.b_diag = [0.0] * n
@@ -231,10 +230,10 @@ class SolveContext:
 
         # inverse mass used when splitting corrections: rigid members
         # resist with their whole group's mass
-        self.proj_w = list(self.inv_mass)
+        self.proj_w = [p.inverse_mass for p in scene.particles]
         for g, rows in self.members_of.items():
             for m, _ in rows:
-                self.proj_w[m] = self.inv_mass[g]
+                self.proj_w[m] = scene.particles[g].inverse_mass
 
         # the scene's own constraints: a run never writes to them
         self.user_constraints: list[Constraint] = list(scene.constraints)
@@ -947,24 +946,22 @@ def _synthesize_attempt(
     # settle the lowest-energy iterates so the returned layout is
     # hard-feasible; the trace's last row is the lowest-energy clean
     # settle or, when none is clean, the first (lowest-energy) candidate
-    # as settled
-    settled: tuple[tuple, list[Pose]] | None = None  # (pricing, poses)
-    clean_energy = math.inf
+    # as settled. The first candidate is always settled, so an attempt
+    # priced at infinity everywhere still returns a row
+    settled: tuple[tuple, list[Pose], bool] | None = None  # (pricing, poses, clean)
     for candidate_energy, _, snapshot in candidates:
-        if clean_energy <= candidate_energy:
+        if settled and settled[2] and settled[0][0] <= candidate_energy:
             break  # settling cannot beat its own starting energy by much
         st.restore(snapshot)
         priced, clean = _settle_hard_constraints(st, ctx, neighbours, tiebreak)
-        if not clean:
-            settled = settled or (priced, st.snapshot())
-        elif priced[0] < clean_energy:
-            clean_energy = priced[0]
-            settled = (priced, st.snapshot())
-    record(*settled)
+        if settled is None or clean and (not settled[2] or priced[0] < settled[0][0]):
+            settled = (priced, st.snapshot(), clean)
+    priced, poses, _ = settled
+    record(priced, poses)
 
     feasible = best is not None
     # with nothing feasible, the settled row is returned anyway
     trace.best_energy, trace.best_iteration, poses = best or (
-        settled[0][0], len(trace.energies) - 1, settled[1]
+        priced[0], len(trace.energies) - 1, poses
     )
     return poses, trace, feasible

@@ -31,9 +31,9 @@ def one_box_scene(side=100.0):
 def propose(state, ctx, sigma_pos, rng):
     """The candidate run_sa_mcmc would price: one drawn move applied to
     a copy of the state."""
-    move = _draw_move(state, ctx, movable_particles(ctx), sigma_pos, SIGMA_THETA, rng)
+    idx, _, new = _draw_move(state, ctx, movable_particles(ctx), sigma_pos, SIGMA_THETA, rng)
     candidate = LayoutState(state.px, state.py, state.pz, state.theta)
-    _apply_move(candidate, ctx, move, move.new)
+    _apply_move(candidate, ctx, idx, new)
     return candidate
 
 
@@ -197,8 +197,8 @@ def test_flat_energy_walk_is_uniform_over_room():
     counts = np.zeros((8, 8))
     sigma = 2.0
     for step_index in range(1_000_000):
-        move = _draw_move(state, ctx, [0], sigma, 0.3, rng)
-        _apply_move(state, ctx, move, move.new)  # flat energy: accept all
+        idx, _, new = _draw_move(state, ctx, [0], sigma, 0.3, rng)
+        _apply_move(state, ctx, idx, new)  # flat energy: accept all
         # chi-square needs near-independent samples, so thin the chain
         if step_index % 25 == 0:
             counts[min(7, int(state.px[0])), min(7, int(state.py[0]))] += 1

@@ -78,6 +78,29 @@ def test_polygon_simplicity():
     assert not polygon_is_simple(bowtie)
 
 
+@pytest.mark.parametrize("boundary", [
+    [(0, 0), (4, 0), (4, 4), (2, 4), (2, 6), (2, 4), (0, 4)],  # zero-width spike
+    [(0, 0), (4, 0), (2, 0), (2, 3)],  # an edge folds back along the last
+    [(0, 0), (4, 0), (4, 4), (2, 0), (0, 4)],  # a vertex touches the bottom wall
+    [(0, 0), (2, 2), (4, 0), (4, 4), (2, 2), (0, 4)],  # two corners meet
+    [(0, 0), (6, 0), (6, 3), (4, 3), (4, 0), (2, 0), (2, 3), (0, 3)],  # a wall runs along another
+], ids=["spike", "fold", "touch", "pinch", "overlap"])
+def test_boundary_that_touches_or_retraces_itself_is_not_simple(boundary):
+    assert not polygon_is_simple([Vec2(*v) for v in boundary])
+
+
+@pytest.mark.parametrize("boundary", [
+    [(0, 0), (2, 0), (4, 0), (4, 4), (0, 4)],  # a vertex in the middle of a wall
+    [(0, 0), (8, 0), (8, 4), (5.5, 4), (5.5, 6), (0, 6)],  # L-shaped
+    [(0, 0), (6.5, 0), (6.5, 5), (4.5, 5), (4.5, 2), (2, 2), (2, 5), (0, 5)],  # notched
+    [(0, 0), (6, 0), (6, 5), (4, 5), (4, 2), (2, 2), (2, 5), (0, 5)],  # U-shaped
+    [(0, 0), (5.6292, 3.25), (3.1292, 7.5801), (-2.5, 4.3301)],  # turned 30 degrees
+    [(0, 0), (1, 0), (1, 1e-300), (0, 1e-300)],  # orientations too small to multiply
+], ids=["straight", "l", "notched", "u", "turned", "thin"])
+def test_simple_boundaries_stay_simple(boundary):
+    assert polygon_is_simple([Vec2(*v) for v in boundary])
+
+
 class TestCurves:
     def test_segment_requires_length(self):
         with pytest.raises(ValueError):

@@ -5,6 +5,8 @@ import pytest
 
 from layoutsynth import constraints as cn
 from layoutsynth.cli import main
+from layoutsynth.geometry import Vec2
+from layoutsynth.model import BoundingBox, LayoutObject, Particle, Room, Scene, regions_from_entry
 from layoutsynth.sceneio import SceneFormatError, load_scene, parse_scene, save_scene, serialize_scene
 from layoutsynth.scenes import TEMPLATE_NAMES, build
 
@@ -187,6 +189,26 @@ class TestMalformed:
         with pytest.raises(SceneFormatError, match=where):
             parse_scene(json.dumps(d))
 
+    @pytest.mark.parametrize("edit, where", [
+        (_set(("room", "boundary"), [[0, 0], [1e155, 0], [1e155, 1e155], [0, 1e155]]),
+         r"room\.boundary\[1\]\[0\]"),
+        (_with_constraint(kind="wall_distance", distance=1e155), r"constraints\[0\]\.distance"),
+        (_with_constraint(point=[1e155, 1e155]), r"constraints\[0\]\.point\[0\]"),
+        (_set(("objects", 0, "pose"), {"x": 1e155}), r"objects\[0\]\.pose\.x"),
+        (_set(("catalogue", "crate", "size"), [1e155, 1, 1]), r"catalogue\['crate'\]\.size\[0\]"),
+    ], ids=["room", "distance", "point", "pose", "size"])
+    def test_number_too_large_to_square_fails_validate(self, edit, where, tmp_path):
+        # a distance between two such numbers would overflow to infinity
+        d = doc()
+        edit(d)
+        text = json.dumps(d)
+        message = ": expected a number of magnitude at most 1e150"
+        with pytest.raises(SceneFormatError, match=where + message):
+            parse_scene(text)
+        path = tmp_path / "scene.json"
+        path.write_text(text)
+        assert main(["validate", str(path)]) == 2
+
 
 @pytest.mark.parametrize("boundary, rule", [
     ([[0, 0], [1, 0], [2, 0], [3, 0]], "encloses no area"),
@@ -196,6 +218,21 @@ class TestMalformed:
 def test_room_without_area_or_wall_length_rejected(boundary, rule, tmp_path):
     text = json.dumps(doc(room={"boundary": boundary}))
     with pytest.raises(SceneFormatError, match=rf"^room\.boundary: room boundary {rule}"):
+        parse_scene(text)
+    path = tmp_path / "scene.json"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 2
+
+
+@pytest.mark.parametrize("boundary", [
+    [[0, 0], [4, 0], [4, 4], [2, 4], [2, 6], [2, 4], [0, 4]],
+    [[0, 0], [4, 0], [2, 0], [2, 3]],
+    [[0, 0], [4, 0], [4, 4], [2, 0], [0, 4]],
+], ids=["spike", "fold", "touch"])
+def test_room_that_touches_or_retraces_itself_rejected(boundary, tmp_path):
+    text = json.dumps(doc(room={"boundary": boundary}))
+    with pytest.raises(SceneFormatError,
+                       match=r"^room\.boundary: room boundary must be a simple polygon"):
         parse_scene(text)
     path = tmp_path / "scene.json"
     path.write_text(text)
@@ -357,6 +394,24 @@ class TestRoundTrip:
         assert objects[1]["mass"] == 2.5 and "fixed" not in objects[1]
         assert "fixed" not in objects[2] and "mass" not in objects[2]
         assert parse_scene(text) == scene
+
+    def test_object_its_label_cannot_rebuild_is_refused(self):
+        # a scene built without a catalogue writes one entry per label,
+        # taken from the label's first object: the 2 x 1 m box o1 would
+        # load as o0's 0.6 x 0.6 m box with o0's front zone
+        scene = Scene(room=Room([Vec2(0, 0), Vec2(10, 0), Vec2(10, 8), Vec2(0, 8)]))
+        zones = regions_from_entry({"size": [0.6, 0.6, 0.6], "access": {"front": 0.6}})
+        no_zones = regions_from_entry({"size": [2.0, 1.0, 1.0]})
+        boxes = (("o0", BoundingBox(Vec2(0.3, 0.3), 0.3), zones),
+                 ("o1", BoundingBox(Vec2(1.0, 0.5), 0.5), no_zones))
+        for object_id, bbox, regions in boxes:
+            scene.particles.append(Particle(Vec2(5, 4)))
+            scene.objects.append(LayoutObject(object_id, "box", len(scene.objects), bbox, regions))
+        with pytest.raises(ValueError, match="^object 'o1': the catalogue entry for label 'box'"):
+            serialize_scene(scene)
+        del scene.objects[1], scene.particles[1]
+        again = parse_scene(serialize_scene(scene)).objects[0]
+        assert (again.bbox, again.accessibility) == (scene.objects[0].bbox, zones)
 
     def test_file_helpers(self, tmp_path):
         scene = build("desk")

@@ -701,6 +701,24 @@ class TestSynthesize:
         _, trace = synthesize(scene, SolverConfig(seed=0, max_iterations=40))
         assert 0 <= trace.best_iteration < len(trace.energies)
 
+    @pytest.mark.parametrize("far", ["heat_point", "fixed_object"])
+    def test_attempt_priced_at_infinity_returns(self, far):
+        # every pricing is infinite, so no settle can beat its candidate:
+        # the first candidate is still settled and returned
+        doc = json.loads(sceneio.serialize_scene(scenes.living_room()))
+        if far == "heat_point":
+            doc["constraints"].append(
+                {"kind": "heat_point", "objects": ["sofa"], "point": [1e100, 1e100]}
+            )
+        else:
+            obj = next(o for o in doc["objects"] if o["id"] == "sofa")
+            obj["fixed"] = True
+            obj["pose"]["x"] = 1e100
+        scene = sceneio.parse_scene(json.dumps(doc))
+        layout, trace = synthesize(scene, SolverConfig(seed=0, max_iterations=20))
+        assert len(layout) == len(scene.particles)
+        assert trace.best_energy == math.inf
+
 
 @pytest.mark.parametrize("config", [SolverConfig, AnnealConfig])
 def test_seed_must_be_a_non_negative_integer(config):
