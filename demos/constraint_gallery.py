@@ -31,7 +31,7 @@ def corrections(kind, poses, k=1.0, **fields):
     for i, (x, y, _, _) in enumerate(poses):
         scene.particles.append(Particle(Vec2(x, y)))
         scene.objects.append(LayoutObject(f"o{i}", "box", i, BoundingBox(Vec2(0.25, 0.25), 0.25)))
-    c = cn.make_constraint(kind, tuple(range(len(poses))), **fields)
+    c = cn.Constraint(kind, range(len(poses)), **fields)
     scene.constraints.append(c)
     spec = cn.SPECS[kind]
     record = spec.bind(c, SolveContext(scene))

@@ -12,7 +12,8 @@ constraint variants no template uses, living_room moved far from the
 origin and living_room turned off the axes (see ``MOVED_ROOMS``),
 living_room in a non-convex L-shaped room (see ``L_ROOM``) and in a
 notched room whose centroid lies outside it (see ``NOTCHED_ROOM``),
-three templates under the naive broad phase (see ``NAIVE_RUNS``),
+three templates under the naive broad phase (see ``NAIVE_RUNS``), two
+rigid-group templates exported and read back (see ``FILE_TWINS``),
 ``suggest`` and ``compare``. They execute in a temporary directory with
 relative scene references, so no artifact records where it was written.
 
@@ -54,6 +55,10 @@ OVERLAY_FLAGS = ("--show-access", "--show-circles", "--show-lanes")
 # rigid groups and collisions off. Each run's layout, svg and trace must
 # equal its hash twin's above; only run_meta.json names the broad phase
 NAIVE_RUNS = (("desk", 0), ("tp_bedroom", 1), ("theater2", 0))
+# (template, seed) exported to a scene file and solved from it: rigid
+# groups whose member offsets and a solver block pass the parser. Each
+# run's layout, svg and trace must equal its template twin's above
+FILE_TWINS = (("tp_bedroom", 1), ("tp_picnic", 0))
 TWIN_ARTIFACTS = ("layout.json", "layout.svg", "trace.csv")
 # theater2's tiers read back from scene files, as file stem -> template
 # parameters: the segment tiers, which no template name reaches, and
@@ -147,6 +152,10 @@ def _runs() -> list[tuple[str, ...]]:
          f"{name}_naive_s{seed}")
         for name, seed in NAIVE_RUNS
     ]
+    for name, seed in FILE_TWINS:
+        sceneio.save_scene(scenes.build(name, seed=seed), f"{name}_s{seed}.json")
+        runs.append(("synth", f"{name}_s{seed}.json", "--seed", str(seed), "--out",
+                     f"{name}_file_s{seed}"))
     for name, params in TIER_FILES.items():
         sceneio.save_scene(scenes.build("theater2", params), f"{name}.json")
         runs.append(("synth", f"{name}.json", "--seed", "0", "--out", f"{name}_s0"))
@@ -214,11 +223,13 @@ def main() -> None:
                     print(f"{digest}  {path.as_posix()}", flush=True)
         finally:
             os.chdir(home)
-    for name, seed in NAIVE_RUNS:
+    twins = [(f"{name}_naive_s{seed}", f"{name}_s{seed}", "hash") for name, seed in NAIVE_RUNS]
+    twins += [(f"{name}_file_s{seed}", f"{name}_s{seed}", "template") for name, seed in FILE_TWINS]
+    for run, twin, label in twins:
         for artifact in TWIN_ARTIFACTS:
-            naive, twin = f"{name}_naive_s{seed}/{artifact}", f"{name}_s{seed}/{artifact}"
-            if digests[naive] != digests[twin]:
-                raise SystemExit(f"{naive} differs from its hash twin {twin}")
+            ours, theirs = f"{run}/{artifact}", f"{twin}/{artifact}"
+            if digests[ours] != digests[theirs]:
+                raise SystemExit(f"{ours} differs from its {label} twin {theirs}")
 
 
 if __name__ == "__main__":

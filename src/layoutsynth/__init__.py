@@ -3,7 +3,7 @@ simulated-annealing baseline, benchmark scenes, scene file IO, and
 overhead SVG rendering."""
 
 from .annealer import AnnealConfig, accept, run_sa_mcmc
-from .constraints import Constraint, make_constraint, update_stiffness
+from .constraints import Constraint, update_stiffness
 from .geometry import Curve, Vec2
 from .model import (
     AccessRegion,
@@ -49,7 +49,6 @@ __all__ = [
     "evaluate_energy",
     "initialize",
     "load_scene",
-    "make_constraint",
     "mass_from_bbox",
     "nearest_wall_point",
     "parse_scene",

@@ -94,7 +94,9 @@ class Constraint:
     Kind-specific targets live in the optional fields; unused ones stay
     None. ``schedule``, ``stiffness_initial`` and ``rate`` describe the
     stiffness schedule (see ``update_stiffness``); the solver evaluates
-    it per iteration and passes the value to the projection.
+    it per iteration and passes the value to the projection. Those three,
+    ``relation`` and ``weight`` take their kind's defaults from ``SPECS``
+    when left unset.
 
     Participant conventions: focal-point and traffic-lane constraints
     list (member, focal); focal symmetry lists (focal, members...);
@@ -104,7 +106,7 @@ class Constraint:
 
     kind: str
     particles: tuple[int, ...]
-    relation: str = EQUALITY
+    relation: Optional[str] = None
     distance: Optional[float] = None
     point: Optional[Vec2] = None
     vector: Optional[Vec2] = None
@@ -114,10 +116,21 @@ class Constraint:
     height_gap: Optional[float] = None
     group_id: Optional[str] = None
     pin_focal: bool = True
-    weight: float = 1.0
-    schedule: str = CONSTANT
-    stiffness_initial: float = 1.0
-    rate: float = 1.0
+    weight: Optional[float] = None
+    schedule: Optional[str] = None
+    stiffness_initial: Optional[float] = None
+    rate: Optional[float] = None
+
+    def __post_init__(self):
+        self.particles = tuple(self.particles)
+        spec = SPECS.get(self.kind)
+        if spec is None:
+            return  # validate names the unknown kind
+        if self.relation is None:
+            self.relation = spec.relations[0]
+        for name in ("weight", "schedule", "stiffness_initial", "rate"):
+            if getattr(self, name) is None:
+                setattr(self, name, getattr(spec, name))
 
     def validate(self) -> None:
         spec = SPECS.get(self.kind)
@@ -222,20 +235,6 @@ def _needs_vector(c: Constraint) -> None:
     # the records divide by the squared norm, which underflows first
     if c.vector is None or c.vector.x * c.vector.x + c.vector.y * c.vector.y <= 0.0:
         raise ValueError(f"{c.kind} needs a nonzero vector")
-
-
-def make_constraint(kind: str, particles: tuple[int, ...], **kw) -> Constraint:
-    """Constraint with its kind's default weight, schedule, and relation."""
-    spec = SPECS[kind]
-    defaults = dict(
-        weight=spec.weight,
-        schedule=spec.schedule,
-        stiffness_initial=spec.stiffness_initial,
-        rate=spec.rate,
-        relation=spec.relations[0],
-    )
-    defaults.update(kw)
-    return Constraint(kind=kind, particles=tuple(particles), **defaults)
 
 
 def update_stiffness(constraint: Constraint | KindSpec, iteration: int) -> float:

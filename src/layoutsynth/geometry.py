@@ -157,39 +157,31 @@ def polygon_is_simple(vertices: list[Vec2]) -> bool:
     return True
 
 
-SEGMENT = "segment"
-ARC = "arc"
-
-
 @dataclass(frozen=True)
 class Curve:
-    """Placement curve: a line segment or a circular arc.
+    """Placement curve: a line segment, or a circular arc when it has a
+    ``center``.
 
     Segments run from ``a`` to ``b``. Arcs sweep counterclockwise around
     ``center`` from ``a`` to ``b``; both endpoints must lie at the same
     radius (within 1e-6).
     """
 
-    kind: str
     a: Vec2
     b: Vec2
     center: Vec2 | None = None
 
     def validate(self) -> None:
-        if self.kind == SEGMENT:
+        if self.center is None:
             if (self.b - self.a).norm() <= 0.0:
                 raise ValueError("segment curve has zero length")
-        elif self.kind == ARC:
-            if self.center is None:
-                raise ValueError("arc curve needs a center")
+        else:
             ra = (self.a - self.center).norm()
             rb = (self.b - self.center).norm()
             if abs(ra - rb) > 1e-6:
                 raise ValueError(f"arc endpoints at different radii: {ra} vs {rb}")
             if ra <= 0.0:
                 raise ValueError("arc has zero radius")
-        else:
-            raise ValueError(f"unknown curve kind {self.kind!r}")
 
     @cached_property
     def _arc_angles(self) -> tuple[float, float, float]:
@@ -205,7 +197,7 @@ class Curve:
 
     def point_at(self, t: float) -> Vec2:
         t = min(1.0, max(0.0, t))
-        if self.kind == SEGMENT:
+        if self.center is None:
             return Vec2(
                 self.a.x + t * (self.b.x - self.a.x),
                 self.a.y + t * (self.b.y - self.a.y),
@@ -216,7 +208,7 @@ class Curve:
         return Vec2(cx + radius * math.cos(ang), cy + radius * math.sin(ang))
 
     def length(self) -> float:
-        if self.kind == SEGMENT:
+        if self.center is None:
             return (self.b - self.a).norm()
         _, sweep, radius = self._arc_angles
         return sweep * radius
@@ -229,7 +221,6 @@ class Curve:
             return Vec2(origin.x + c * p.x - s * p.y, origin.y + s * p.x + c * p.y)
 
         return Curve(
-            self.kind,
             xf(self.a),
             xf(self.b),
             xf(self.center) if self.center is not None else None,
@@ -244,7 +235,7 @@ def closest_point_on_curve(curve: Curve, p) -> tuple[float, float]:
     falls outside the span clamp to the nearer endpoint.
     """
     ax, ay = curve.a
-    if curve.kind == SEGMENT:
+    if curve.center is None:
         abx = curve.b.x - ax
         aby = curve.b.y - ay
         denom = abx * abx + aby * aby

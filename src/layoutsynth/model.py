@@ -27,9 +27,6 @@ from .geometry import (
 
 INFINITE = math.inf
 
-RIGID = "rigid"
-NONRIGID = "nonrigid"
-
 # accessibility face order; index k-1 into FACES gives the face name
 FACES = ("back", "left", "front", "right")
 
@@ -186,33 +183,31 @@ class LayoutObject:
 class Group:
     """A set of member objects tied to one oriented group particle.
 
-    Rigid groups store fixed member offsets (dx, dy, dtheta) in the group
-    frame; member world poses always equal group pose composed with the
-    offset. Nonrigid groups may carry a placement curve, expressed in the
-    group frame; the solver attaches each member to its nearest curve
-    point. Each field is read under one rigidity only, so offsets on a
-    nonrigid group and a curve on a rigid one are rejected.
+    A group is rigid when it carries member offsets (dx, dy, dtheta) in
+    the group frame; member world poses always equal group pose composed
+    with the offset. Nonrigid groups may carry a placement curve,
+    expressed in the group frame; the solver attaches each member to its
+    nearest curve point. A group takes offsets or a curve, not both.
     """
 
     id: str
     particle_index: int
     member_object_ids: tuple[str, ...]
-    rigidity: str = NONRIGID
     curve: Optional[Curve] = None
     member_offsets: Optional[tuple[tuple[float, float, float], ...]] = None
 
     def __post_init__(self):
-        if self.rigidity not in (RIGID, NONRIGID):
-            raise ValueError(f"unknown rigidity {self.rigidity!r}")
-        if self.rigidity == RIGID:
-            if self.member_offsets is None or len(self.member_offsets) != len(self.member_object_ids):
+        if self.rigid:
+            if len(self.member_offsets) != len(self.member_object_ids):
                 raise ValueError("rigid groups need one offset per member")
             if self.curve is not None:
                 raise ValueError("rigid groups take no curve")
-        elif self.member_offsets is not None:
-            raise ValueError("nonrigid groups take no member offsets")
         if self.curve is not None:
             self.curve.validate()
+
+    @property
+    def rigid(self) -> bool:
+        return self.member_offsets is not None
 
     def member_world_pose(self, k: int, group_pos: Vec2, group_theta: float) -> tuple[Vec2, float]:
         dx, dy, dth = self.member_offsets[k]
@@ -277,8 +272,12 @@ class Room:
         if len(self.boundary) == 4 and len(xs) == 2 and len(ys) == 2:
             self._rect = (min(xs), min(ys), max(xs), max(ys))
         self._band = _SIDE_BAND * max(abs(c) for v in self.boundary for c in v)
-        # one shared Vec2: every particle placed by default points at it
+        # one shared Vec2: every particle placed by default points at it.
+        # Its sums are cubes of the coordinates, which overflow where the
+        # squares that every other measure takes stay finite
         self._centroid = polygon_centroid(self.boundary)
+        if not all(map(math.isfinite, self._centroid)):
+            raise ValueError("room boundary is too large: its centroid overflows")
 
     @property
     def centroid(self) -> Vec2:
@@ -458,10 +457,13 @@ class Scene:
     ) -> int:
         """Append an object of catalogue ``label`` and its particle; returns
         the particle index. The pose defaults to the room centroid and the
-        mass to the box volume; a fixed object gets infinite mass."""
+        mass to the box volume; a fixed object gets infinite mass and takes
+        no other."""
         entry = self.catalogue[label]
         bbox = bbox_from_entry(entry)
         if fixed:
+            if mass is not None:
+                raise ValueError("a fixed object takes no mass")
             mass = INFINITE
         elif mass is None:
             mass = mass_from_bbox(bbox)
@@ -482,8 +484,8 @@ class Scene:
         **fields,
     ) -> int:
         """Append a group over the ``members`` object ids and its particle;
-        returns the particle index. ``fields`` are the Group's rigidity,
-        curve and member offsets; the pose defaults to the room centroid."""
+        returns the particle index. ``fields`` are the Group's curve and
+        member offsets; the pose defaults to the room centroid."""
         group = Group(group_id, len(self.particles), tuple(members), **fields)
         self._add_particle(position, z, theta, mass)
         self.groups.append(group)

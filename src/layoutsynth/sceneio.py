@@ -14,7 +14,7 @@ import math
 from typing import Any
 
 from . import constraints as cn
-from .geometry import ARC, Curve, SEGMENT, Vec2, stable_radians
+from .geometry import Curve, Vec2, stable_radians
 from .model import (
     FACES, Particle, Room, Scene, bbox_from_entry, mass_from_bbox, regions_from_entry,
 )
@@ -30,8 +30,8 @@ _ROOM_KEYS = {"boundary"}
 _CATALOGUE_KEYS = {"size", "access"}
 _OBJECT_KEYS = {"id", "label", "pose", "fixed", "mass"}
 _POSE_KEYS = {"x", "y", "z", "theta_deg"}
-_GROUP_KEYS = {"id", "members", "rigidity", "curve", "member_offsets", "mass", "pose"}
-_CURVE_KEYS = {"kind", "a", "b", "center"}
+_GROUP_KEYS = {"id", "members", "curve", "member_offsets", "mass", "pose"}
+_CURVE_KEYS = {"a", "b", "center"}
 
 
 def _check_keys(mapping: dict, allowed: set[str], path: str) -> None:
@@ -218,13 +218,13 @@ def parse_scene(text: str) -> Scene:
         object_id = _new_id(obj_doc, index_of, path)
         label = _as_ref(obj_doc.get("label"), catalogue, f"{path}.label", "catalogue label")
         mass = _as_positive(obj_doc["mass"], f"{path}.mass") if "mass" in obj_doc else None
-        index_of[object_id] = scene.add_object(
-            object_id,
-            label,
-            fixed=_as_bool(obj_doc.get("fixed", False), f"{path}.fixed"),
-            mass=mass,
-            **_read_pose(obj_doc, path),
-        )
+        fixed = _as_bool(obj_doc.get("fixed", False), f"{path}.fixed")
+        pose = _read_pose(obj_doc, path)
+        try:
+            index_of[object_id] = scene.add_object(object_id, label, fixed=fixed, mass=mass,
+                                                   **pose)
+        except ValueError as exc:
+            raise SceneFormatError(f"{path}: {exc}") from None
 
     for g, group_doc in enumerate(_as_list(doc, "groups")):
         path = f"groups[{g}]"
@@ -241,15 +241,11 @@ def parse_scene(text: str) -> Scene:
             curve_doc = group_doc["curve"]
             _expect(isinstance(curve_doc, dict), f"{path}.curve", "expected an object")
             _check_keys(curve_doc, _CURVE_KEYS, f"{path}.curve")
-            kind = curve_doc.get("kind")
-            _expect(kind in (SEGMENT, ARC), f"{path}.curve.kind",
-                    f"unknown curve kind {kind!r}")
             curve = Curve(
-                kind,
                 _as_point(curve_doc.get("a"), f"{path}.curve.a"),
                 _as_point(curve_doc.get("b"), f"{path}.curve.b"),
-                _as_point(curve_doc.get("center"), f"{path}.curve.center")
-                if kind == ARC else None,
+                _as_point(curve_doc["center"], f"{path}.curve.center")
+                if "center" in curve_doc else None,
             )
         member_offsets = None
         if "member_offsets" in group_doc:
@@ -275,7 +271,6 @@ def parse_scene(text: str) -> Scene:
                 group_id,
                 members,
                 mass=mass,
-                rigidity=group_doc.get("rigidity", "nonrigid"),
                 curve=curve,
                 member_offsets=member_offsets,
                 **pose,
@@ -301,7 +296,7 @@ def parse_scene(text: str) -> Scene:
             for key, attr, read, _, _ in _CONSTRAINT_FIELDS
             if key in con_doc
         }
-        scene.constraints.append(cn.make_constraint(kind, particles, **kw))
+        scene.constraints.append(cn.Constraint(kind, particles, **kw))
 
     if "collisions_enabled" in doc:
         scene.collisions_enabled = _as_bool(doc["collisions_enabled"], "collisions_enabled")
@@ -383,13 +378,11 @@ def serialize_scene(scene: Scene) -> str:
         entry = {
             "id": group.id,
             "members": list(group.member_object_ids),
-            "rigidity": group.rigidity,
             "mass": particle.mass,
             "pose": _pose_doc(particle),
         }
         if group.curve is not None:
             curve_doc: dict[str, Any] = {
-                "kind": group.curve.kind,
                 "a": list(group.curve.a),
                 "b": list(group.curve.b),
             }

@@ -15,8 +15,8 @@ import numpy as np
 
 from . import constraints as cn
 from .catalogue import CATALOGUE
-from .geometry import ARC, SEGMENT, Curve, Vec2, stable_radians
-from .model import BoundingBox, NONRIGID, RIGID, Room, Scene, mass_from_bbox
+from .geometry import Curve, Vec2, stable_radians
+from .model import BoundingBox, Room, Scene, mass_from_bbox
 
 TEMPLATE_NAMES = (
     "theater1",
@@ -55,7 +55,7 @@ class _SceneBuilder:
         return self.scene.add_group(group_id, members, mass=mass, **fields)
 
     def constrain(self, kind: str, particles, **kw) -> None:
-        self.scene.constraints.append(cn.make_constraint(kind, tuple(particles), **kw))
+        self.scene.constraints.append(cn.Constraint(kind, particles, **kw))
 
     def done(self) -> Scene:
         self.scene.validate()
@@ -162,16 +162,15 @@ def theater2(style: str = "arc", pathways: int = 2) -> Scene:
                 radius + radius * math.cos(math.pi + 0.5 * sweep),
                 radius * math.sin(math.pi + 0.5 * sweep),
             )
-            curve = Curve(ARC, start, end, center)
+            curve = Curve(start, end, center)
         else:
-            curve = Curve(SEGMENT, Vec2(0.0, -0.5 * length), Vec2(0.0, 0.5 * length))
+            curve = Curve(Vec2(0.0, -0.5 * length), Vec2(0.0, 0.5 * length))
 
         group_particle = b.add_group(
             f"tier_{t}",
             [f"tier{t}_chair_{i}" for i in range(chairs_per_tier)],
             Vec2(0.4, 0.5 * length + 0.4),
             0.5,
-            rigidity=NONRIGID,
             curve=curve,
         )
         chair_particles = tier_chairs[t]
@@ -372,7 +371,6 @@ def tp_bedroom() -> Scene:
             (f"bed_{i}", f"footlocker_{i}"),
             Vec2(1.35, 0.5),
             0.3,
-            rigidity=RIGID,
             member_offsets=((0.0, 0.0, 0.0), (1.35, 0.0, 0.0)),
         )
         b.constrain(cn.WALL_DISTANCE, (bed_particles[i],), distance=1.15)
@@ -446,7 +444,6 @@ def tp_picnic(seed: int = 0) -> Scene:
             (f"round_table_{t}", *(f"round_table{t}_chair_{s}" for s in range(4))),
             Vec2(chair_r + 0.25, chair_r + 0.25),
             0.45,
-            rigidity=RIGID,
             member_offsets=((0.0, 0.0, 0.0), *chair_seats),
         )
 

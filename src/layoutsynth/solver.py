@@ -66,7 +66,7 @@ import numpy as np
 from . import constraints as cn
 from .constraints import Constraint
 from .geometry import Vec2, normalize_angle
-from .model import Scene, RIGID, nearest_wall_point
+from .model import Scene, nearest_wall_point
 from .spatial import NaiveIndex, NeighbourList, SpatialHash, rebuild
 
 # lowest-energy iterates given a hard-constraint settling attempt
@@ -222,7 +222,7 @@ class SolveContext:
         self.members_of: dict[int, list[tuple[int, tuple[float, float, float]]]] = {}
         self.group_by_id = {group.id: group for group in scene.groups}
         for group in scene.groups:
-            if group.rigidity == RIGID:
+            if group.rigid:
                 g = group.particle_index
                 for m in members[group.id]:
                     self.owner[m] = g
@@ -334,14 +334,7 @@ def group_curve_constraints(scene: Scene, members: dict[str, list[int]]) -> list
         if group.curve is None:
             continue
         for m in members[group.id]:
-            out.append(
-                cn.make_constraint(
-                    cn.GROUP_CURVE,
-                    (m, group.particle_index),
-                    distance=0.0,
-                    group_id=group.id,
-                )
-            )
+            out.append(Constraint(cn.GROUP_CURVE, (m, group.particle_index), group_id=group.id))
     return out
 
 
@@ -355,7 +348,7 @@ def initialize(scene: Scene, seed: int) -> LayoutState:
     min_x, min_y, max_x, max_y = room.bounds()
 
     members = _group_members(scene)
-    rigid = [group for group in scene.groups if group.rigidity == RIGID]
+    rigid = [group for group in scene.groups if group.rigid]
     owned = {m for group in rigid for m in members[group.id]}
 
     px, py, pz, theta = [], [], [], []

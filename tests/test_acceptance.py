@@ -12,7 +12,7 @@ from layoutsynth.annealer import AnnealConfig, run_sa_mcmc
 from layoutsynth.cli import main as cli_main
 from layoutsynth.geometry import Vec2, wrap_angle
 from layoutsynth.model import (
-    INFINITE, RIGID, AccessRegion, BoundingBox, Group, LayoutObject, Particle, Room, Scene,
+    INFINITE, AccessRegion, BoundingBox, Group, LayoutObject, Particle, Room, Scene,
     nearest_wall_point,
 )
 from layoutsynth.sceneio import parse_scene, serialize_scene
@@ -105,7 +105,7 @@ class _RoundScene:
         self.pinned += members[:free] + members[free + 1:]
 
     def constrain(self, kind, particles, **fields):
-        c = cn.make_constraint(kind, tuple(particles), **fields)
+        c = cn.Constraint(kind, tuple(particles), **fields)
         self.scene.constraints.append(c)
         return c
 
@@ -116,7 +116,7 @@ class _RoundScene:
             self.scene.particles.append(Particle(Vec2(5.0, 5.0), mass=INFINITE))
             self.poses.append((5.0, 5.0, 0.0, 0.0))
             self.scene.groups.append(Group(
-                "pinned", g, tuple(f"o{i}" for i in self.pinned), rigidity=RIGID,
+                "pinned", g, tuple(f"o{i}" for i in self.pinned),
                 member_offsets=((0.0, 0.0, 0.0),) * len(self.pinned)))
         return SolveContext(self.scene), LayoutState(*zip(*self.poses))
 

@@ -11,7 +11,6 @@ from layoutsynth import model, scenes, solver
 from layoutsynth.constraints import (
     Constraint,
     boundary_violation,
-    make_constraint,
     project_accessibility,
     project_boundary,
     project_collision,
@@ -20,9 +19,9 @@ from layoutsynth.constraints import (
     project_wall_ghost_collision,
     update_stiffness,
 )
-from layoutsynth.geometry import SEGMENT, Curve, Vec2, closest_point_on_curve, wrap_angle
+from layoutsynth.geometry import Curve, Vec2, closest_point_on_curve, wrap_angle
 from layoutsynth.model import (
-    INFINITE, RIGID, BoundingBox, Group, LayoutObject, Particle, Room, Scene,
+    INFINITE, BoundingBox, Group, LayoutObject, Particle, Room, Scene,
 )
 from layoutsynth.solver import LayoutState, SolveContext, initialize
 
@@ -163,19 +162,19 @@ class TestPairwiseDistance:
 
 class TestFocalPoint:
     def test_member_pulled_to_radius(self):
-        corrs = record_corrections(make_constraint(cn.FOCAL_POINT, (0, 1), distance=3.0),
+        corrs = record_corrections(Constraint(cn.FOCAL_POINT, (0, 1), distance=3.0),
                                    [(5, 0), (0, 0)], masses=[1.0, INFINITE])
         moved = apply({0: (5, 0), 1: (0, 0)}, corrs)
         assert moved[0] == pytest.approx([3.0, 0.0])
         assert moved[1] == pytest.approx([0.0, 0.0])
 
     def test_on_circle_is_silent(self):
-        assert record_corrections(make_constraint(cn.FOCAL_POINT, (0, 1), distance=3.0),
+        assert record_corrections(Constraint(cn.FOCAL_POINT, (0, 1), distance=3.0),
                                   [(3, 0), (0, 0)], masses=[1.0, INFINITE]) == []
 
     def test_pinned_focal_never_moves_even_with_mass(self):
         corrs = record_corrections(
-            make_constraint(cn.FOCAL_POINT, (0, 1), distance=3.0, pin_focal=True),
+            Constraint(cn.FOCAL_POINT, (0, 1), distance=3.0, pin_focal=True),
             [(5, 0), (0, 0)],
         )
         assert all(particle == 0 for particle, *_ in corrs)
@@ -184,7 +183,7 @@ class TestFocalPoint:
         focal = (0.0, 0.0)
         members = {0: (5.0, 0.0), 1: (0.0, -7.0)}
         for idx in (0, 1):
-            corrs = record_corrections(make_constraint(cn.FOCAL_POINT, (idx, 2), distance=3.0),
+            corrs = record_corrections(Constraint(cn.FOCAL_POINT, (idx, 2), distance=3.0),
                                        [members[0], members[1], focal],
                                        masses=[1.0, 1.0, INFINITE])
             members = apply({**members, 2: focal}, corrs)
@@ -194,7 +193,7 @@ class TestFocalPoint:
 
 
 def _lane(distance, **kw):
-    return make_constraint(cn.TRAFFIC_LANE, (0, 1), distance=distance, vector=Vec2(1, 0), **kw)
+    return Constraint(cn.TRAFFIC_LANE, (0, 1), distance=distance, vector=Vec2(1, 0), **kw)
 
 
 class TestTrafficLane:
@@ -223,7 +222,7 @@ class TestTrafficLane:
 
 class TestHeatPoint:
     def test_center_already_at_target(self):
-        assert record_corrections(make_constraint(cn.HEAT_POINT, (0, 1), point=Vec2(1, 0)),
+        assert record_corrections(Constraint(cn.HEAT_POINT, (0, 1), point=Vec2(1, 0)),
                                   [(0.0, 0.0), (2.0, 0.0)]) == []
 
     def test_gradient_hand_value(self):
@@ -232,7 +231,7 @@ class TestHeatPoint:
         assert grad == pytest.approx((0.5, 0.0))
 
     def test_single_particle_moves_exactly_to_target(self):
-        corrs = record_corrections(make_constraint(cn.HEAT_POINT, (0,), point=Vec2(1.0, -1.0)),
+        corrs = record_corrections(Constraint(cn.HEAT_POINT, (0,), point=Vec2(1.0, -1.0)),
                                    [(5.0, 5.0)], masses=[2.0])
         moved = apply({0: (5, 5)}, corrs)
         assert moved[0] == pytest.approx([1.0, -1.0], abs=1e-12)
@@ -248,7 +247,7 @@ class TestHeatPoint:
             k = rng.uniform(0.1, 1.0)
             cx0, cy0, _ = cn.weighted_center(range(n), px, py, masses)
             corrs = record_corrections(
-                make_constraint(cn.HEAT_POINT, tuple(range(n)), point=Vec2(*target)),
+                Constraint(cn.HEAT_POINT, tuple(range(n)), point=Vec2(*target)),
                 list(zip(px, py)), k, masses=masses,
             )
             for i, dx, dy, _, _ in corrs:
@@ -261,7 +260,7 @@ class TestHeatPoint:
 
 def _symmetry():
     """Focal symmetry of particles 1 and 2 about the +x ray from focal 0."""
-    return make_constraint(cn.FOCAL_SYMMETRY, (0, 1, 2), vector=Vec2(1, 0))
+    return Constraint(cn.FOCAL_SYMMETRY, (0, 1, 2), vector=Vec2(1, 0))
 
 
 class TestFocalSymmetry:
@@ -282,11 +281,11 @@ class TestFocalSymmetry:
 
 class TestVisualBalance:
     def test_symmetric_about_centroid_silent(self):
-        assert record_corrections(make_constraint(cn.VISUAL_BALANCE, (0, 1)),
+        assert record_corrections(Constraint(cn.VISUAL_BALANCE, (0, 1)),
                                   [(4.0, 5.0), (6.0, 5.0)], areas=[2.0, 2.0]) == []
 
     def test_single_object_moves_to_centroid(self):
-        corrs = record_corrections(make_constraint(cn.VISUAL_BALANCE, (0,)), [(1.0, 1.0)],
+        corrs = record_corrections(Constraint(cn.VISUAL_BALANCE, (0,)), [(1.0, 1.0)],
                                    areas=[3.0])
         moved = apply({0: (1, 1)}, corrs)
         assert moved[0] == pytest.approx([5.0, 5.0], abs=1e-12)
@@ -297,7 +296,7 @@ class TestVisualBalance:
         room = Room([Vec2(0, 0), Vec2(4, 0), Vec2(4, 4), Vec2(0, 4)])
         weights = [3.0, 1.0]
         inv = [0.5, 2.0]
-        corrs = record_corrections(make_constraint(cn.VISUAL_BALANCE, (0, 1)),
+        corrs = record_corrections(Constraint(cn.VISUAL_BALANCE, (0, 1)),
                                    [(0.0, 0.0), (4.0, 0.0)], masses=[1 / w for w in inv],
                                    areas=weights, room=room)
         by = {i: dx for i, dx, _, _, _ in corrs}
@@ -389,7 +388,7 @@ class TestGradientChecks:
 
 
 def _wall(distance, relation=cn.EQUALITY):
-    return make_constraint(cn.WALL_DISTANCE, (0,), distance=distance, relation=relation)
+    return Constraint(cn.WALL_DISTANCE, (0,), distance=distance, relation=relation)
 
 
 class TestWallDistance:
@@ -486,7 +485,7 @@ class TestWallGhostCollision:
         pos = {0: [1.0, 4.0], 1: [1.0, 4.5]}
         for _ in range(50):
             for i in (0, 1):
-                wall = make_constraint(cn.WALL_DISTANCE, (i,), distance=1.0)
+                wall = Constraint(cn.WALL_DISTANCE, (i,), distance=1.0)
                 pos = apply(pos, record_corrections(wall, [pos[0], pos[1]]))
             corrs = corrections(
                 project_collision, 0, 1, *pos[0], *pos[1], 1.0, 1.0, 1.0, 1.0, 1.0,
@@ -525,7 +524,7 @@ class TestPairwiseOrientation:
 
 
 def _wall_turn(offset):
-    return make_constraint(cn.WALL_ORIENTATION, (0,), angle_offset=offset)
+    return Constraint(cn.WALL_ORIENTATION, (0,), angle_offset=offset)
 
 
 class TestWallOrientation:
@@ -545,7 +544,7 @@ class TestWallOrientation:
 
 
 def _stack(bottom, top, gap):
-    return make_constraint(cn.STACKING, (bottom, top), height_gap=gap)
+    return Constraint(cn.STACKING, (bottom, top), height_gap=gap)
 
 
 class TestStacking:
@@ -736,47 +735,57 @@ class TestBoundary:
 
 
 class TestConstraintRecord:
-    def test_make_constraint_defaults(self):
-        c = make_constraint(cn.COLLISION, (0, 1))
+    def test_constraint_takes_its_kinds_defaults(self):
+        c = Constraint(cn.COLLISION, (0, 1))
         assert c.relation == cn.INEQUALITY
         assert c.weight == 150.0
         assert c.schedule == cn.INCREASING
-        c = make_constraint(cn.WALL_DISTANCE, (0,), distance=0.5)
+        c = Constraint(cn.WALL_DISTANCE, (0,), distance=0.5)
         assert c.weight == 20.0
         assert c.schedule == cn.CONSTANT and c.stiffness_initial == 1.0
+        c = Constraint(cn.PAIRWISE_DISTANCE, [0, 1], distance=1.0)
+        assert c.particles == (0, 1)
+        assert (c.schedule, c.stiffness_initial, c.rate) == (cn.DECREASING, 0.9, 10.0)
+        # a lane is an inequality, and a constraint left unset takes it
+        Constraint(cn.TRAFFIC_LANE, (0, 1), vector=Vec2(1, 0), distance=0.8).validate()
+        # what a caller sets is kept
+        c = Constraint(cn.PAIRWISE_DISTANCE, (0, 1), distance=1.0, relation=cn.INEQUALITY,
+                       weight=3.0, schedule=cn.CONSTANT, stiffness_initial=0.5, rate=2.0)
+        assert (c.relation, c.weight, c.schedule, c.stiffness_initial, c.rate) == (
+            cn.INEQUALITY, 3.0, cn.CONSTANT, 0.5, 2.0)
 
     def test_validation_errors(self):
         with pytest.raises(ValueError):
             Constraint("warp", (0, 1)).validate()
         with pytest.raises(ValueError):
-            make_constraint(cn.PAIRWISE_DISTANCE, (0, 1, 2), distance=1.0).validate()
+            Constraint(cn.PAIRWISE_DISTANCE, (0, 1, 2), distance=1.0).validate()
         with pytest.raises(ValueError):
-            make_constraint(cn.PAIRWISE_DISTANCE, (0, 1), distance=-1.0).validate()
+            Constraint(cn.PAIRWISE_DISTANCE, (0, 1), distance=-1.0).validate()
         with pytest.raises(ValueError):
-            make_constraint(cn.TRAFFIC_LANE, (0, 1), distance=1.0, vector=Vec2(0, 0)).validate()
+            Constraint(cn.TRAFFIC_LANE, (0, 1), distance=1.0, vector=Vec2(0, 0)).validate()
         # the records divide by the squared norm, which underflows to 0
         tiny = Vec2(1e-300, 0)
         with pytest.raises(ValueError, match="nonzero vector"):
-            make_constraint(cn.TRAFFIC_LANE, (0, 1), distance=1.0, vector=tiny).validate()
+            Constraint(cn.TRAFFIC_LANE, (0, 1), distance=1.0, vector=tiny).validate()
         with pytest.raises(ValueError, match="nonzero vector"):
-            make_constraint(cn.FOCAL_SYMMETRY, (0, 1, 2), vector=tiny).validate()
-        make_constraint(cn.TRAFFIC_LANE, (0, 1), distance=1.0, vector=Vec2(1e-155, 0)).validate()
-        make_constraint(cn.FOCAL_SYMMETRY, (0, 1, 2), vector=Vec2(1e-155, 0)).validate()
+            Constraint(cn.FOCAL_SYMMETRY, (0, 1, 2), vector=tiny).validate()
+        Constraint(cn.TRAFFIC_LANE, (0, 1), distance=1.0, vector=Vec2(1e-155, 0)).validate()
+        Constraint(cn.FOCAL_SYMMETRY, (0, 1, 2), vector=Vec2(1e-155, 0)).validate()
         with pytest.raises(ValueError):
-            make_constraint(cn.PAIRWISE_DISTANCE, (0, 1), distance=1.0, weight=0.0).validate()
+            Constraint(cn.PAIRWISE_DISTANCE, (0, 1), distance=1.0, weight=0.0).validate()
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field, build", [
-        ("distance", lambda v: make_constraint(cn.PAIRWISE_DISTANCE, (0, 1), distance=v)),
-        ("height_gap", lambda v: make_constraint(cn.STACKING, (0, 1), height_gap=v)),
-        ("rate", lambda v: make_constraint(cn.PAIRWISE_DISTANCE, (0, 1), distance=1.0, rate=v)),
+        ("distance", lambda v: Constraint(cn.PAIRWISE_DISTANCE, (0, 1), distance=v)),
+        ("height_gap", lambda v: Constraint(cn.STACKING, (0, 1), height_gap=v)),
+        ("rate", lambda v: Constraint(cn.PAIRWISE_DISTANCE, (0, 1), distance=1.0, rate=v)),
         ("weight",
-         lambda v: make_constraint(cn.PAIRWISE_DISTANCE, (0, 1), distance=1.0, weight=v)),
-        ("angle_offset", lambda v: make_constraint(cn.WALL_ORIENTATION, (0,), angle_offset=v)),
-        ("angle_target", lambda v: make_constraint(
+         lambda v: Constraint(cn.PAIRWISE_DISTANCE, (0, 1), distance=1.0, weight=v)),
+        ("angle_offset", lambda v: Constraint(cn.WALL_ORIENTATION, (0,), angle_offset=v)),
+        ("angle_target", lambda v: Constraint(
             cn.PAIRWISE_ORIENTATION, (0, 1), orientation_mode=cn.ORIENT_FIXED, angle_target=v)),
-        ("point", lambda v: make_constraint(cn.HEAT_POINT, (0,), point=Vec2(1.0, v))),
-        ("vector", lambda v: make_constraint(
+        ("point", lambda v: Constraint(cn.HEAT_POINT, (0,), point=Vec2(1.0, v))),
+        ("vector", lambda v: Constraint(
             cn.TRAFFIC_LANE, (0, 1), distance=1.0, vector=Vec2(v, 0.0))),
     ])
     def test_non_finite_number_rejected_by_name(self, field, build, value):
@@ -865,10 +874,10 @@ def _every_record_kind_scene() -> Scene:
         )
     scene.particles += [Particle(Vec2(5, 5), mass=2.5), Particle(Vec2(5, 5), mass=3.0)]
     scene.groups.append(Group(id="pair", particle_index=10, member_object_ids=("o6", "o7"),
-                              rigidity=RIGID, member_offsets=((-0.5, 0, 0), (0.5, 0, 0.3))))
+                              member_offsets=((-0.5, 0, 0), (0.5, 0, 0.3))))
     scene.groups.append(Group(id="row", particle_index=11, member_object_ids=("o8", "o9"),
-                              curve=Curve(SEGMENT, Vec2(-2, 0), Vec2(2, 1))))
-    mk = make_constraint
+                              curve=Curve(Vec2(-2, 0), Vec2(2, 1))))
+    mk = Constraint
     scene.constraints += [
         mk(cn.PAIRWISE_DISTANCE, (0, 1), distance=1.5),
         mk(cn.PAIRWISE_DISTANCE, (1, 2), distance=2.0, relation=cn.INEQUALITY),
@@ -968,7 +977,7 @@ def _read_only(c, scene) -> set[int]:
     target (an anchor, a focal, an orientation partner, a group)."""
     p = c.particles
     index = {obj.id: obj.particle_index for obj in scene.objects}
-    owner = {index[m]: g.particle_index for g in scene.groups if g.rigidity == RIGID
+    owner = {index[m]: g.particle_index for g in scene.groups if g.rigid
              for m in g.member_object_ids}
     out = {i for i in p if scene.particles[owner.get(i, i)].fixed}
     stacked = {s.particles[1] for s in scene.constraints if s.kind == cn.STACKING}

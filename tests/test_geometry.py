@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from layoutsynth.geometry import (
-    ARC,
     Curve,
-    SEGMENT,
     Vec2,
     closest_point_on_curve,
     normalize_angle,
@@ -104,24 +102,24 @@ def test_simple_boundaries_stay_simple(boundary):
 class TestCurves:
     def test_segment_requires_length(self):
         with pytest.raises(ValueError):
-            Curve(SEGMENT, Vec2(1, 1), Vec2(1, 1)).validate()
+            Curve(Vec2(1, 1), Vec2(1, 1)).validate()
 
     def test_arc_requires_common_radius(self):
         with pytest.raises(ValueError):
-            Curve(ARC, Vec2(1, 0), Vec2(0, 2), Vec2(0, 0)).validate()
+            Curve(Vec2(1, 0), Vec2(0, 2), Vec2(0, 0)).validate()
 
     def test_segment_nearest_foot_and_clamp(self):
-        seg = Curve(SEGMENT, Vec2(0, 0), Vec2(4, 0))
+        seg = Curve(Vec2(0, 0), Vec2(4, 0))
         assert closest_point_on_curve(seg, (2, 3)) == (2, 0)
         assert closest_point_on_curve(seg, (9, 1)) == (4, 0)
         assert closest_point_on_curve(seg, (-5, -1)) == (0, 0)
         # a nonzero length whose square underflows answers with its start
-        tiny = Curve(SEGMENT, Vec2(0, 0), Vec2(1e-170, 0))
+        tiny = Curve(Vec2(0, 0), Vec2(1e-170, 0))
         tiny.validate()
         assert closest_point_on_curve(tiny, (2, 3)) == (0, 0)
 
     def test_quarter_arc_nearest_against_dense_sampling(self):
-        arc = Curve(ARC, Vec2(1, 0), Vec2(0, 1), Vec2(0, 0))
+        arc = Curve(Vec2(1, 0), Vec2(0, 1), Vec2(0, 0))
         arc.validate()
         qx, qy = closest_point_on_curve(arc, (2, 2))
         r = math.sqrt(2) / 2
@@ -137,17 +135,17 @@ class TestCurves:
             assert got <= best + 1e-6
 
     def test_arc_span_clamps_to_endpoints(self):
-        arc = Curve(ARC, Vec2(1, 0), Vec2(0, 1), Vec2(0, 0))
+        arc = Curve(Vec2(1, 0), Vec2(0, 1), Vec2(0, 0))
         assert closest_point_on_curve(arc, (0.5, -2)) == (1, 0)
 
     def test_point_at_endpoints(self):
-        arc = Curve(ARC, Vec2(1, 0), Vec2(0, 1), Vec2(0, 0))
+        arc = Curve(Vec2(1, 0), Vec2(0, 1), Vec2(0, 0))
         assert arc.point_at(0.0) == pytest.approx((1.0, 0.0))
         assert arc.point_at(1.0) == pytest.approx((0.0, 1.0))
         assert arc.length() == pytest.approx(math.pi / 2)
 
     def test_transformed_preserves_shape(self):
-        seg = Curve(SEGMENT, Vec2(-1, 0), Vec2(1, 0))
+        seg = Curve(Vec2(-1, 0), Vec2(1, 0))
         world = seg.transformed(Vec2(5, 5), math.pi / 2)
         assert world.a.x == pytest.approx(5.0)
         assert world.a.y == pytest.approx(4.0)

@@ -12,7 +12,6 @@ from layoutsynth.model import (
     Group,
     LayoutObject,
     Particle,
-    RIGID,
     Room,
     Scene,
     mass_from_bbox,
@@ -181,7 +180,7 @@ class TestScene:
         scene.particles.append(Particle(Vec2(1, 1)))
         scene.groups.append(
             Group(id="g", particle_index=1, member_object_ids=("ghost",),
-                  rigidity=RIGID, member_offsets=((0.0, 0.0, 0.0),))
+                  member_offsets=((0.0, 0.0, 0.0),))
         )
         with pytest.raises(ValueError):
             scene.validate()
@@ -193,20 +192,20 @@ class TestScene:
         scene.validate()
         scene.groups.append(
             Group(id="h", particle_index=2, member_object_ids=("box",),
-                  rigidity=RIGID, member_offsets=((0.0, 0.0, 0.0),))
+                  member_offsets=((0.0, 0.0, 0.0),))
         )
         with pytest.raises(ValueError, match=r"^groups\[1\]: object 'box' is in groups 'g' and 'h'"):
             scene.validate()
 
     def test_validate_names_the_failing_constraint(self):
-        from layoutsynth.constraints import make_constraint
+        from layoutsynth.constraints import Constraint
 
         scene = _tiny_scene()
-        scene.constraints.append(make_constraint("heat_point", (0,), point=Vec2(1, 1)))
-        scene.constraints.append(make_constraint("wall_distance", (0,)))
+        scene.constraints.append(Constraint("heat_point", (0,), point=Vec2(1, 1)))
+        scene.constraints.append(Constraint("wall_distance", (0,)))
         with pytest.raises(ValueError, match=r"^constraints\[1\]: wall_distance"):
             scene.validate()
-        scene.constraints[1] = make_constraint("wall_distance", (7,), distance=1.0)
+        scene.constraints[1] = Constraint("wall_distance", (7,), distance=1.0)
         with pytest.raises(ValueError, match=r"^constraints\[1\]: .*missing particle 7"):
             scene.validate()
 
@@ -214,7 +213,7 @@ class TestScene:
         ("heat_point", {"point": Vec2(3, 4)}), ("focal_symmetry", {"vector": Vec2(1, 0)}),
     ])
     def test_validate_rejects_weighing_a_fixed_object(self, kind, fields):
-        from layoutsynth.constraints import make_constraint
+        from layoutsynth.constraints import Constraint
         from layoutsynth.solver import SolverConfig, synthesize
 
         # objects of mass INFINITE, 1 and 2; a solve would reach a weighted
@@ -224,23 +223,23 @@ class TestScene:
             scene.particles.append(Particle(Vec2(2.0 + 2 * i, 5.0), mass=mass))
             scene.objects.append(LayoutObject(id=f"o{i}", label="box", particle_index=i,
                                               bbox=BoundingBox(Vec2(0.5, 0.5), 0.5)))
-        scene.constraints.append(make_constraint("wall_distance", (1,), distance=1.0))
+        scene.constraints.append(Constraint("wall_distance", (1,), distance=1.0))
         weighed = (0, 1, 2) if kind == "heat_point" else (1, 0, 2)
-        scene.constraints.append(make_constraint(kind, weighed, **fields))
+        scene.constraints.append(Constraint(kind, weighed, **fields))
         message = rf"^constraints\[1\]: {kind} weighs fixed object 'o0' by its infinite mass$"
         with pytest.raises(ValueError, match=message):
             scene.validate()
         with pytest.raises(ValueError, match=message):
             synthesize(scene, SolverConfig(max_iterations=5))
         # a fixed anchor or focal is not weighed: the solve ends finite
-        scene.constraints[1] = make_constraint(kind, (0, 1, 2), **(
+        scene.constraints[1] = Constraint(kind, (0, 1, 2), **(
             {} if kind == "heat_point" else fields))
         scene.validate()
         _, trace = synthesize(scene, SolverConfig(max_iterations=5))
         assert math.isfinite(trace.best_energy)
 
     def test_validate_rejects_visual_balance_of_groups_only(self):
-        from layoutsynth.constraints import make_constraint
+        from layoutsynth.constraints import Constraint
         from layoutsynth.solver import SolverConfig, synthesize
 
         # a group has no footprint, so its visual weight is 0 and the
@@ -252,14 +251,14 @@ class TestScene:
                                               bbox=BoundingBox(Vec2(0.5, 0.5), 0.5)))
         scene.particles.append(Particle(Vec2(4.0, 5.0)))
         scene.groups.append(Group(id="g", particle_index=2, member_object_ids=("o0", "o1")))
-        scene.constraints.append(make_constraint("visual_balance", (2,)))
+        scene.constraints.append(Constraint("visual_balance", (2,)))
         message = r"^constraints\[0\]: visual_balance weighs only groups, which have no footprint$"
         with pytest.raises(ValueError, match=message):
             scene.validate()
         with pytest.raises(ValueError, match=message):
             synthesize(scene, SolverConfig(max_iterations=5))
         # a group beside an object is weighed by the object: the solve ends finite
-        scene.constraints[0] = make_constraint("visual_balance", (2, 0))
+        scene.constraints[0] = Constraint("visual_balance", (2, 0))
         scene.validate()
         _, trace = synthesize(scene, SolverConfig(max_iterations=5))
         assert math.isfinite(trace.best_energy)
@@ -269,8 +268,7 @@ class TestScene:
                                                         "access": {"front": 0.4}}})
         assert scene.add_object("a", "crate") == 0
         assert scene.add_object("b", "crate", position=Vec2(1, 2), theta=0.5, fixed=True) == 1
-        assert scene.add_group("g", ["a"], mass=3.0, rigidity=RIGID,
-                               member_offsets=((0.0, 0.0, 0.0),)) == 2
+        assert scene.add_group("g", ["a"], mass=3.0, member_offsets=((0.0, 0.0, 0.0),)) == 2
         a, b, g = scene.particles
         assert a.position == SQUARE.centroid and a.mass == pytest.approx(1.0)
         assert (b.position, b.orientation, b.fixed) == (Vec2(1, 2), 0.5, True)
@@ -287,7 +285,6 @@ class TestRigidGroupRoundTrip:
             id="g",
             particle_index=0,
             member_object_ids=("a", "b"),
-            rigidity=RIGID,
             member_offsets=((1.0, 0.0, 0.0), (0.0, 2.0, math.pi / 2)),
         )
         rng = np.random.default_rng(9)

@@ -50,7 +50,7 @@ class TestParse:
         path = tmp_path / "scene.json"
         path.write_text(json.dumps(doc(groups=[{
             "id": "g", "members": ["crate_0"], "member_ts": [0.5],
-            "curve": {"kind": "segment", "a": [-1, 0], "b": [1, 0]},
+            "curve": {"a": [-1, 0], "b": [1, 0]},
         }])))
         assert main(["validate", str(path)]) == 2
 
@@ -96,10 +96,24 @@ class TestParse:
         d["objects"].append({"id": "crate_1", "label": "crate"})
         d["groups"] = [{
             "id": "g", "members": ["crate_0", "crate_1"],
-            "curve": {"kind": "arc", "a": [1, 0], "b": [0, 2], "center": [0, 0]},
+            "curve": {"a": [1, 0], "b": [0, 2], "center": [0, 0]},
         }]
         with pytest.raises(SceneFormatError, match="radi"):
             parse_scene(json.dumps(d))
+
+    def test_group_with_offsets_is_rigid(self):
+        d = doc(groups=[{"id": "g", "members": ["crate_0"], "member_offsets": [[1, 0, 90]]}])
+        group = parse_scene(json.dumps(d)).groups[0]
+        assert group.rigid and group.curve is None
+        assert group.member_offsets == ((1.0, 0.0, math.pi / 2),)
+
+    def test_curve_with_center_is_arc(self):
+        d = doc(groups=[{"id": "g", "members": ["crate_0"],
+                         "curve": {"a": [1, 0], "b": [0, 1], "center": [0, 0]}}])
+        group = parse_scene(json.dumps(d)).groups[0]
+        assert not group.rigid
+        assert group.curve.center == Vec2(0, 0)
+        assert group.curve.length() == pytest.approx(math.pi / 2)
 
     def test_constraint_defaults_applied(self):
         d = doc(constraints=[{"kind": "wall_distance", "objects": ["crate_0"], "distance": 1.0}])
@@ -128,8 +142,8 @@ def _with_group(**fields):
 
 def _in_two_groups(d):
     d["groups"] = [
-        {"id": "g", "members": ["crate_0"], "curve": {"kind": "segment", "a": [-1, 0], "b": [1, 0]}},
-        {"id": "h", "members": ["crate_0"], "rigidity": "rigid", "member_offsets": [[0, 0, 0]]},
+        {"id": "g", "members": ["crate_0"], "curve": {"a": [-1, 0], "b": [1, 0]}},
+        {"id": "h", "members": ["crate_0"], "member_offsets": [[0, 0, 0]]},
     ]
 
 
@@ -163,13 +177,17 @@ class TestMalformed:
         (_set(("objects", 0, "pose"), {"y": 10 ** 400}), r"objects\[0\]\.pose\.y"),
         (_with_group(pose=5), r"groups\[0\]\.pose"),
         (_with_group(members=[["crate_0"]]), r"groups\[0\]\.members\[0\]"),
-        (_with_group(curve={"kind": "arc", "a": [1, 0], "b": [-1, 0]}), r"groups\[0\]\.curve\.center"),
+        (_with_group(curve={"kind": "arc", "a": [1, 0], "b": [-1, 0], "center": [0, 0]}),
+         r"^groups\[0\]\.curve: unknown field 'kind'"),
+        (_with_group(curve={"a": [1, 0], "b": [-1, 0], "center": "origin"}),
+         r"^groups\[0\]\.curve\.center"),
         (_with_group(member_ts=[0.5]), r"^groups\[0\]: unknown field 'member_ts'"),
-        (_with_group(member_offsets=[[0, 0, 0]]),
-         r"^groups\[0\]: nonrigid groups take no member offsets"),
-        (_with_group(rigidity="rigid", member_offsets=[[0, 0, 0]],
-                     curve={"kind": "segment", "a": [-1, 0], "b": [1, 0]}),
+        (_with_group(rigidity="nonrigid", member_offsets=[[0, 0, 0]]),
+         r"^groups\[0\]: unknown field 'rigidity'"),
+        (_with_group(member_offsets=[[0, 0, 0]], curve={"a": [-1, 0], "b": [1, 0]}),
          r"^groups\[0\]: rigid groups take no curve"),
+        (lambda d: d["objects"][0].update(fixed=True, mass=5.0),
+         r"^objects\[0\]: a fixed object takes no mass"),
         (_in_two_groups, r"^groups\[1\]: object 'crate_0' is in groups 'g' and 'h'"),
         (_with_constraint(pin_focal="no"), r"constraints\[0\]\.pin_focal"),
         (_with_constraint(face=True), r"constraints\[0\]: unknown field 'face'"),
@@ -221,6 +239,26 @@ def test_room_without_area_or_wall_length_rejected(boundary, rule, tmp_path):
         parse_scene(text)
     path = tmp_path / "scene.json"
     path.write_text(text)
+    assert main(["validate", str(path)]) == 2
+
+
+@pytest.mark.parametrize("side, overflows", [(1e102, False), (1e103, True), (1e150, True)])
+def test_room_whose_centroid_overflows_rejected(side, overflows, tmp_path):
+    # the centroid sums cubes of the coordinates, where the 1e150 number
+    # bound keeps only their squares finite; the crate is placed, so only
+    # the room can fail
+    d = doc(room={"boundary": [[0, 0], [side, 0], [side, side], [0, side]]})
+    d["objects"][0]["pose"] = {"x": 1, "y": 1}
+    text = json.dumps(d)
+    path = tmp_path / "scene.json"
+    path.write_text(text)
+    if not overflows:
+        assert parse_scene(text).room.centroid == pytest.approx((0.5 * side, 0.5 * side))
+        assert main(["validate", str(path)]) == 0
+        return
+    with pytest.raises(SceneFormatError,
+                       match=r"^room\.boundary: room boundary is too large: its centroid overflows"):
+        parse_scene(text)
     assert main(["validate", str(path)]) == 2
 
 
@@ -286,7 +324,7 @@ class TestUnsolvableConstraints:
         d = self._two_crates({"kind": kind, "objects": ["crate_0", "g"]})
         d["groups"] = [{
             "id": "g", "members": ["crate_1"],
-            "curve": {"kind": "segment", "a": [-1, 0], "b": [1, 0]},
+            "curve": {"a": [-1, 0], "b": [1, 0]},
         }]
         with pytest.raises(SceneFormatError, match=r"^constraints\[0\]: .*generated"):
             parse_scene(json.dumps(d))

@@ -2,7 +2,6 @@ import pytest
 
 from layoutsynth import constraints as cn
 from layoutsynth import scenes
-from layoutsynth.model import RIGID
 from layoutsynth.scenes import TEMPLATE_NAMES, build, scaling_series
 
 
@@ -81,7 +80,7 @@ class TestConstraintFamilies:
     def test_tp_bedroom_rigid_groups(self):
         scene = scenes.tp_bedroom()
         assert len(scene.groups) == 3
-        assert all(g.rigidity == RIGID for g in scene.groups)
+        assert all(g.rigid for g in scene.groups)
         kinds = kinds_present(scene)
         assert {cn.WALL_DISTANCE, cn.WALL_ORIENTATION, cn.FOCAL_POINT,
                 cn.PAIRWISE_DISTANCE, cn.PAIRWISE_ORIENTATION} <= kinds
@@ -90,7 +89,7 @@ class TestConstraintFamilies:
         scene = scenes.tp_picnic(seed=0)
         kinds = kinds_present(scene)
         assert {cn.PAIRWISE_DISTANCE, cn.HEAT_POINT} <= kinds
-        assert all(g.rigidity == RIGID for g in scene.groups)
+        assert all(g.rigid for g in scene.groups)
 
 
 class TestTpPicnicRandomization:

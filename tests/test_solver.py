@@ -11,15 +11,13 @@ from layoutsynth import constraints as cn
 from layoutsynth import sceneio, scenes, solver
 from layoutsynth import spatial
 from layoutsynth.annealer import AnnealConfig, run_sa_mcmc
-from layoutsynth.geometry import Curve, SEGMENT, Vec2
+from layoutsynth.geometry import Curve, Vec2
 from layoutsynth.model import (
     AccessRegion,
     BoundingBox,
     Group,
     LayoutObject,
-    NONRIGID,
     Particle,
-    RIGID,
     Room,
     Scene,
 )
@@ -143,7 +141,7 @@ class TestEvaluateEnergy:
     def test_mixed_violations_sqrt159(self):
         scene = box_scene(2, half=1.0)
         scene.constraints.append(
-            cn.make_constraint(cn.PAIRWISE_DISTANCE, (0, 1), distance=1.0, weight=1.0)
+            cn.Constraint(cn.PAIRWISE_DISTANCE, (0, 1), distance=1.0, weight=1.0)
         )
         ctx = SolveContext(scene)
         sep = 2 * math.sqrt(2.0) - 1.0
@@ -158,7 +156,7 @@ class TestEvaluateEnergy:
     def test_satisfied_inequalities_contribute_zero(self):
         scene = box_scene(2)
         scene.constraints.append(
-            cn.make_constraint(cn.PAIRWISE_DISTANCE, (0, 1), distance=1.0,
+            cn.Constraint(cn.PAIRWISE_DISTANCE, (0, 1), distance=1.0,
                                relation=cn.INEQUALITY, weight=5.0)
         )
         ctx = SolveContext(scene)
@@ -288,7 +286,7 @@ class TestStep:
     def test_single_equality_satisfied_after_one_step(self):
         scene = box_scene(2)
         scene.constraints.append(
-            cn.make_constraint(
+            cn.Constraint(
                 cn.PAIRWISE_DISTANCE, (0, 1), distance=3.0,
                 schedule=cn.CONSTANT, stiffness_initial=1.0,
             )
@@ -308,7 +306,7 @@ class TestStep:
             scene.particles[2] = Particle(Vec2(16.0, 10.0), mass=math.inf)
             for anchor, d in ((1, 2.0), (2, 3.0)):
                 scene.constraints.append(
-                    cn.make_constraint(
+                    cn.Constraint(
                         cn.PAIRWISE_DISTANCE, (0, anchor), distance=d,
                         schedule=cn.CONSTANT, stiffness_initial=1.0,
                     )
@@ -332,7 +330,7 @@ class TestStep:
     def test_nan_guard_names_constraint(self):
         scene = box_scene(2)
         scene.constraints.append(
-            cn.make_constraint(cn.PAIRWISE_DISTANCE, (0, 1), distance=1.0)
+            cn.Constraint(cn.PAIRWISE_DISTANCE, (0, 1), distance=1.0)
         )
         ctx = SolveContext(scene)
         st = LayoutState([math.inf, 1.0], [5.0, 5.0], [0.0, 0.0], [0.0, 0.0])
@@ -349,7 +347,7 @@ class TestStep:
 
     def test_nan_guard_names_stacking_height(self):
         scene = box_scene(2)
-        scene.constraints.append(cn.make_constraint(cn.STACKING, (0, 1), height_gap=1.0))
+        scene.constraints.append(cn.Constraint(cn.STACKING, (0, 1), height_gap=1.0))
         ctx = SolveContext(scene)
         st = LayoutState([5.0, 5.0], [5.0, 5.0], [0.0, math.inf], [0.0, 0.0])
         with pytest.raises(SolverNumericsError, match="height after projecting stacking"):
@@ -373,7 +371,7 @@ class TestStep:
         scene.particles[2] = Particle(Vec2(20.0, 15.0), mass=math.inf)
         for anchor in (1, 2):
             scene.constraints.append(
-                cn.make_constraint(
+                cn.Constraint(
                     cn.PAIRWISE_DISTANCE, (0, anchor), distance=2.0,
                     schedule=cn.CONSTANT, stiffness_initial=1.0,
                 )
@@ -389,7 +387,7 @@ class TestStep:
         # the authored pass is applied before contacts are generated, so
         # the pull that brings two far boxes together shows as a collision
         scene = box_scene(2)
-        scene.constraints.append(cn.make_constraint(
+        scene.constraints.append(cn.Constraint(
             cn.PAIRWISE_DISTANCE, (0, 1), distance=0.5,
             schedule=cn.CONSTANT, stiffness_initial=1.0,
         ))
@@ -402,7 +400,7 @@ class TestStep:
         # a collision pushes the pile's base, and only the base, after the
         # authored pass; the closing re-alignment brings the top along
         scene = box_scene(3)
-        stack = cn.make_constraint(cn.STACKING, (0, 1), height_gap=1.0)
+        stack = cn.Constraint(cn.STACKING, (0, 1), height_gap=1.0)
         scene.constraints.append(stack)
         ctx = SolveContext(scene)
         st = LayoutState([5.0, 5.3, 5.6], [5.0, 4.8, 5.0], [0.0, 0.2, 0.0], [0.0] * 3)
@@ -414,7 +412,7 @@ class TestStep:
     def test_orientations_renormalized(self):
         scene = box_scene(2)
         scene.constraints.append(
-            cn.make_constraint(
+            cn.Constraint(
                 cn.PAIRWISE_ORIENTATION, (0, 1), orientation_mode=cn.ORIENT_FIXED,
                 angle_target=0.1, schedule=cn.CONSTANT, stiffness_initial=1.0,
             )
@@ -432,7 +430,6 @@ class TestGroups:
         scene.groups.append(
             Group(
                 id="pair", particle_index=2, member_object_ids=("box_0", "box_1"),
-                rigidity=RIGID,
                 member_offsets=((-1.0, 0.0, 0.0), (1.0, 0.0, 0.0)),
             )
         )
@@ -446,7 +443,7 @@ class TestGroups:
                          bbox=BoundingBox(Vec2(0.5, 0.5), 0.5))
         )
         scene.constraints.append(
-            cn.make_constraint(
+            cn.Constraint(
                 cn.PAIRWISE_DISTANCE, (0, 3), distance=2.0,
                 schedule=cn.CONSTANT, stiffness_initial=1.0,
             )
@@ -467,8 +464,7 @@ class TestGroups:
             Group(
                 id="row", particle_index=5,
                 member_object_ids=tuple(f"box_{i}" for i in range(5)),
-                rigidity=NONRIGID,
-                curve=Curve(SEGMENT, Vec2(-4, 0), Vec2(4, 0)),
+                curve=Curve(Vec2(-4, 0), Vec2(4, 0)),
             )
         )
         ctx = SolveContext(scene)
@@ -493,7 +489,6 @@ class TestGroups:
         scene.particles.append(Particle(Vec2(20, 20), mass=5.0))
         radius = 6.0
         curve = Curve(
-            "arc",
             Vec2(radius + radius * math.cos(math.pi - 1.0), radius * math.sin(math.pi - 1.0)),
             Vec2(radius + radius * math.cos(math.pi + 1.0), radius * math.sin(math.pi + 1.0)),
             Vec2(radius, 0.0),
@@ -502,13 +497,13 @@ class TestGroups:
             Group(
                 id="tier", particle_index=4,
                 member_object_ids=tuple(f"box_{i}" for i in range(4)),
-                rigidity=NONRIGID, curve=curve,
+                curve=curve,
             )
         )
         spacing = 1.4
         for i in range(3):
             scene.constraints.append(
-                cn.make_constraint(cn.PAIRWISE_DISTANCE, (i, i + 1), distance=spacing)
+                cn.Constraint(cn.PAIRWISE_DISTANCE, (i, i + 1), distance=spacing)
             )
         scene.collisions_enabled = False
         ctx = SolveContext(scene)
@@ -840,9 +835,9 @@ class TestContactRouting:
                 accessibility=(off, off, front, off) if zoned else (off,) * 4,
             ))
         scene.constraints += [
-            cn.make_constraint(cn.STACKING, (0, 1), height_gap=0.4),
-            cn.make_constraint(cn.WALL_DISTANCE, (1,), distance=0.4),
-            cn.make_constraint(cn.WALL_DISTANCE, (2,), distance=0.4),
+            cn.Constraint(cn.STACKING, (0, 1), height_gap=0.4),
+            cn.Constraint(cn.WALL_DISTANCE, (1,), distance=0.4),
+            cn.Constraint(cn.WALL_DISTANCE, (2,), distance=0.4),
         ]
         return scene
 
