@@ -1,7 +1,7 @@
 """Print a sha256 digest for every artifact of a fixed list of CLI runs.
 
-Run it in two checkouts and diff the outputs: a refactor that claims
-byte-identical behaviour must print the same lines. The runs cover all
+A refactor that claims byte-identical behaviour must print the same
+lines as its parent commit. The runs cover all
 seven templates, the annealing baseline (with rigid groups and piles),
 every render overlay (see ``OVERLAY_RUNS``), theater2's segment-curve and
 arc-curve tiers from scene files, theater1 at 400 chairs from a scene
@@ -17,22 +17,38 @@ rigid-group templates exported and read back (see ``FILE_TWINS``),
 ``suggest`` and ``compare``. They execute in a temporary directory with
 relative scene references, so no artifact records where it was written.
 
-    python scripts/artifact_digests.py > digests.txt
+The output starts with a header naming the Python and numpy versions,
+since float results may differ under others. ``artifact_digests.txt``
+beside this script holds the output of the committed code; a change
+that alters output regenerates it in the same commit, and the file's
+diff lists what changed:
+
+    python scripts/artifact_digests.py > scripts/artifact_digests.txt
+    python scripts/artifact_digests.py --check scripts/artifact_digests.txt
+
+``--check FILE`` exits 1 when this interpreter's versions differ from
+the file's header, naming both, and otherwise when the output differs
+from the file, printing a unified diff.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
+import difflib
 import hashlib
 import io
 import json
 import math
 import os
+import platform
 import sys
 import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+import numpy as np  # noqa: E402
 
 from layoutsynth import cli, sceneio, scenes  # noqa: E402
 
@@ -208,7 +224,14 @@ def _runs() -> list[tuple[str, ...]]:
     return runs
 
 
-def main() -> None:
+def header() -> str:
+    """The first line of the output: the versions the digests hold for."""
+    return f"# python {platform.python_version()}, numpy {np.__version__}"
+
+
+def digest_lines() -> list[str]:
+    """One ``<sha256>  <artifact>`` line per artifact of the runs, after
+    checking that every twin's artifacts equal its twin's."""
     home = os.getcwd()
     digests = {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -218,9 +241,7 @@ def main() -> None:
                 _cli(*argv)
                 out = Path(argv[argv.index("--out") + 1])
                 for path in sorted(out.iterdir()):
-                    digest = hashlib.sha256(path.read_bytes()).hexdigest()
-                    digests[path.as_posix()] = digest
-                    print(f"{digest}  {path.as_posix()}", flush=True)
+                    digests[path.as_posix()] = hashlib.sha256(path.read_bytes()).hexdigest()
         finally:
             os.chdir(home)
     twins = [(f"{name}_naive_s{seed}", f"{name}_s{seed}", "hash") for name, seed in NAIVE_RUNS]
@@ -230,7 +251,38 @@ def main() -> None:
             ours, theirs = f"{run}/{artifact}", f"{twin}/{artifact}"
             if digests[ours] != digests[theirs]:
                 raise SystemExit(f"{ours} differs from its {label} twin {theirs}")
+    return [f"{digest}  {path}" for path, digest in digests.items()]
+
+
+def check(path: str) -> int:
+    """0 when this tree prints the file's lines under the file's
+    versions; otherwise 1, after naming both versions or printing the
+    unified diff from the file to this tree's output."""
+    expected = Path(path).read_text(encoding="utf-8").splitlines()
+    if not expected or expected[0] != header():
+        found = expected[0] if expected else "(an empty file)"
+        print(f"{path} was generated under {found.removeprefix('# ')}, and this is "
+              f"{header().removeprefix('# ')}; regenerate it and say so", file=sys.stderr)
+        return 1
+    actual = [header(), *digest_lines()]
+    diff = list(difflib.unified_diff(expected, actual, path, "this tree", lineterm=""))
+    if diff:
+        print("\n".join(diff))
+        return 1
+    print(f"{len(actual) - 1} artifacts byte-identical to {path}")
+    return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--check", metavar="FILE",
+                        help="compare the output with FILE instead of printing it")
+    args = parser.parse_args(argv)
+    if args.check:
+        return check(args.check)
+    print("\n".join([header(), *digest_lines()]))
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
