@@ -16,7 +16,8 @@ import numpy as np
 
 from .model import Scene
 from .solver import (
-    EnergyTrace, LayoutState, Pose, SolveContext, check_seed, evaluate_energy, initialize,
+    EnergyTrace, LayoutState, Pose, SolveContext, check_count, check_seed, evaluate_energy,
+    initialize,
 )
 
 
@@ -45,8 +46,7 @@ class AnnealConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.total_iterations < 1:
-            raise ValueError("need at least one iteration")
+        check_count("total_iterations", self.total_iterations)
         check_seed(self.seed)
 
 

@@ -12,9 +12,11 @@ Every constraint kind is described once, by the ``KindSpec`` registered
 next to its projection in ``SPECS``: arity, default weight and stiffness
 schedule, the relations its projection and its pricing agree on, its
 extra validation, whether the solver generates it, and for the kinds
-projected one constraint at a time three record functions. ``KINDS`` is
-the registry's order. ``bind(c, ctx)`` runs once per solve and resolves
-what a solve never changes (particle indices, inverse masses, distance,
+projected one constraint at a time three record functions, plus, for the
+kinds a scene may hold many of, an array kernel ``violations`` that
+prices a solve's records of the kind at once with the bits of
+``violation``. ``KINDS`` is the registry's order. ``bind(c, ctx)`` runs
+once per solve and resolves what a solve never changes (particle indices, inverse masses, distance,
 relation, lane vector, orientation mode, group curve and the like) into
 a plain tuple, the bound record ``b``; ``project(out, b, st, k,
 tiebreak)`` and ``violation(b, st)`` read only that record and the pose
@@ -63,7 +65,12 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .geometry import Vec2, closest_point_on_curve, wrap_angle
+import numpy as np
+
+from .geometry import (
+    Curve, Vec2, closest_point_on_curve, closest_points_on_curves, math_map, wrap_angle,
+    wrap_angles,
+)
 from .model import Room, boundary_violation, clamp_inside, nearest_wall_point, pokes_out
 
 log = logging.getLogger(__name__)
@@ -184,11 +191,19 @@ class KindSpec:
     stiffness ``k`` to ``out`` and returns whether it wrote any, and
     ``violation(b, st)`` prices it. The contact kinds have none of the
     three. ``generated`` kinds come from the solver, never from a scene.
+
+    ``violations``, on the kinds a scene may hold many of, is the array
+    form of ``violation``: ``violations(records)`` stacks the columns of
+    a solve's bound records of the kind once and returns the kernel
+    ``price(st, px, py, theta)``, which prices them all as one float
+    array, bit for bit ``[violation(b, st) for b in records]``, given the
+    pose lists of ``st`` as arrays.
     """
 
     bind: Optional[Callable[..., tuple]]
     project: Optional[Callable[..., bool]]
     violation: Optional[Callable[..., float]]
+    violations: Optional[Callable[[list], Callable[..., np.ndarray]]]
     arity: Optional[int]
     weight: float
     schedule: str
@@ -212,10 +227,10 @@ _HARD = (CONSTANT, 1.0, 1.0)
 _EITHER = (EQUALITY, INEQUALITY)
 
 
-def _kind(name, bind=None, project=None, violation=None, *, schedule, arity=2, weight=1.0,
-          relations=(EQUALITY,), checks=(), generated=False) -> str:
-    SPECS[name] = KindSpec(bind, project, violation, arity, weight, *schedule, relations,
-                           checks, generated)
+def _kind(name, bind=None, project=None, violation=None, *, violations=None, schedule,
+          arity=2, weight=1.0, relations=(EQUALITY,), checks=(), generated=False) -> str:
+    SPECS[name] = KindSpec(bind, project, violation, violations, arity, weight, *schedule,
+                           relations, checks, generated)
     return name
 
 
@@ -224,6 +239,17 @@ def _priced(relation: str, C: float) -> float:
     if relation == INEQUALITY:
         return max(0.0, -C)
     return abs(C)
+
+
+def _positive_part(x: np.ndarray) -> np.ndarray:
+    """``max(0.0, x)`` element by element: NaN and -0.0 give 0.0, as
+    they do there."""
+    return np.where(x > 0.0, x, 0.0)
+
+
+def _columns(records: list[tuple]) -> list[np.ndarray]:
+    """The bound records' fields as arrays, one per field."""
+    return [np.array(column) for column in zip(*records)]
 
 
 def _needs_distance(c: Constraint) -> None:
@@ -332,9 +358,20 @@ def _center_distance_violation(b, st) -> float:
     return _priced(relation, math.hypot(st.px[i] - st.px[j], st.py[i] - st.py[j]) - d)
 
 
+def _center_distance_violations(records):
+    i, j, _, _, d, relation = _columns(records)
+    inequality = relation == INEQUALITY
+
+    def price(st, px, py, theta):
+        C = math_map(math.hypot, px[i] - px[j], py[i] - py[j]) - d
+        return np.where(inequality, _positive_part(-C), np.abs(C))
+
+    return price
+
+
 PAIRWISE_DISTANCE = _kind("pairwise_distance", _bind_pairwise_distance, _pairwise_distance,
-                          _center_distance_violation, schedule=_RELAX, relations=_EITHER,
-                          checks=(_needs_distance,))
+                          _center_distance_violation, violations=_center_distance_violations,
+                          schedule=_RELAX, relations=_EITHER, checks=(_needs_distance,))
 
 
 def _bind_focal_point(c, ctx):
@@ -346,8 +383,8 @@ def _bind_focal_point(c, ctx):
 
 
 FOCAL_POINT = _kind("focal_point", _bind_focal_point, _pairwise_distance,
-                    _center_distance_violation, schedule=_RELAX, relations=_EITHER,
-                    checks=(_needs_distance,))
+                    _center_distance_violation, violations=_center_distance_violations,
+                    schedule=_RELAX, relations=_EITHER, checks=(_needs_distance,))
 
 
 def _bind_traffic_lane(c, ctx):
@@ -400,11 +437,31 @@ def _traffic_lane_violation(b, st) -> float:
     return max(0.0, d - math.hypot(xi - (xj + t * vx), yi - (yj + t * vy)))
 
 
+def _traffic_lane_violations(records):
+    i, j, _, _, d, vx, vy, norm2, _ = _columns(records)
+    # a member whose squared distance from the axis passes d^2 by this
+    # margin, far wider than the rounding of either square, lies beyond d
+    # whatever the last bit of its hypot, so it is priced 0.0 without
+    # one. Below 1e-150 the squares lose precision, and none is skipped
+    clear = np.where(d > 1e-150, d * d * (1.0 + 1e-9), np.inf)
+
+    def price(st, px, py, theta):
+        xi, yi, xj, yj = px[i], py[i], px[j], py[j]
+        t = ((xi - xj) * vx + (yi - yj) * vy) / norm2
+        dx, dy = xi - (xj + t * vx), yi - (yj + t * vy)
+        near = (~(dx * dx + dy * dy > clear)).nonzero()[0]
+        v = np.zeros(len(t))
+        v[near] = _positive_part(d[near] - math_map(math.hypot, dx[near], dy[near]))
+        return v
+
+    return price
+
+
 # the projection only ever pushes out of the corridor, so an equality
 # lane would be priced for what is never projected
 TRAFFIC_LANE = _kind("traffic_lane", _bind_traffic_lane, _traffic_lane, _traffic_lane_violation,
-                     schedule=_STIFFEN, relations=(INEQUALITY,),
-                     checks=(_needs_vector, _needs_distance))
+                     violations=_traffic_lane_violations, schedule=_STIFFEN,
+                     relations=(INEQUALITY,), checks=(_needs_vector, _needs_distance))
 
 
 def weighted_center(indices, px, py, weights) -> tuple[float, float, float]:
@@ -731,6 +788,29 @@ def _pairwise_orientation_violation(b, st) -> float:
     return abs(wrap_angle(target - st.theta[b[0]]))
 
 
+def _pairwise_orientation_violations(records):
+    i, j, _, mode, offset, target = zip(*records)
+    i, j, offset = np.array(i), np.array(j), np.array(offset, dtype=float)
+    mode = np.array(mode)
+    face, match = np.flatnonzero(mode == ORIENT_FACE), np.flatnonzero(mode == ORIENT_MATCH)
+    i_face, j_face, j_match = i[face], j[face], j[match]
+    # the fixed targets, with a placeholder where the mode sets the target
+    fixed = np.array([t if m == ORIENT_FIXED else 0.0 for m, t in zip(mode, target)])
+
+    def price(st, px, py, theta):
+        goal = fixed.copy()
+        dx = px[j_face] - px[i_face]
+        dy = py[j_face] - py[i_face]
+        goal[face] = math_map(math.atan2, dy, dx) + offset[face]
+        goal[match] = theta[j_match] + offset[match]
+        v = np.abs(wrap_angles(goal - theta[i]))
+        # a face target on top of its particle is undefined and priced 0
+        v[face[(dx == 0.0) & (dy == 0.0)]] = 0.0
+        return v
+
+    return price
+
+
 def _needs_orientation_mode(c: Constraint) -> None:
     if c.orientation_mode not in (ORIENT_FACE, ORIENT_MATCH, ORIENT_FIXED):
         raise ValueError(f"unknown orientation mode {c.orientation_mode!r}")
@@ -742,7 +822,8 @@ def _needs_orientation_mode(c: Constraint) -> None:
 # negative, so only the equality is meaningful
 PAIRWISE_ORIENTATION = _kind("pairwise_orientation", _bind_pairwise_orientation,
                              _pairwise_orientation, _pairwise_orientation_violation,
-                             schedule=_RELAX, checks=(_needs_orientation_mode,))
+                             violations=_pairwise_orientation_violations, schedule=_RELAX,
+                             checks=(_needs_orientation_mode,))
 
 
 def wall_orientation_target(room: Room, pi, theta_i: float, offset: float) -> float:
@@ -874,21 +955,24 @@ def _bind_group_curve(c, ctx):
     return m, ctx.proj_w[m], g, ctx.group_by_id[c.group_id].curve, cache
 
 
-def _curve_anchor(b, st) -> tuple[float, float]:
-    """Closest point (x, y) to the member on its group's world curve.
-    The cache ``[x, y, theta, world curve]`` keeps the world curve for as
-    long as the group particle holds the same pose objects, so the
-    members of one group share one transform (and one arc-angle
-    computation) per pose."""
-    m, _, g, curve, cache = b
-    px, py = st.px, st.py
-    x, y, th = px[g], py[g], st.theta[g]
+def _world_curve(g: int, curve: Curve, cache: list, st) -> Curve:
+    """The group's curve at the pose of its particle g. The cache ``[x,
+    y, theta, world curve]`` keeps the world curve for as long as the
+    group particle holds the same pose objects, so the members of one
+    group share one transform (and one arc-angle computation) per pose."""
+    x, y, th = st.px[g], st.py[g], st.theta[g]
     # identity, not equality: the same float objects carry the same bits,
     # where 0.0 == -0.0 would not, and the cache keeps them alive
     if cache[0] is not x or cache[1] is not y or cache[2] is not th:
         cache[3] = curve.transformed(Vec2(x, y), th)
         cache[0], cache[1], cache[2] = x, y, th
-    return closest_point_on_curve(cache[3], (px[m], py[m]))
+    return cache[3]
+
+
+def _curve_anchor(b, st) -> tuple[float, float]:
+    """Closest point (x, y) to the member on its group's world curve."""
+    m, _, g, curve, cache = b
+    return closest_point_on_curve(_world_curve(g, curve, cache, st), (st.px[m], st.py[m]))
 
 
 def _group_curve(out, b, st, k, tiebreak):
@@ -905,7 +989,24 @@ def _group_curve_violation(b, st) -> float:
     return math.hypot(st.px[m] - ax, st.py[m] - ay)
 
 
+def _group_curve_violations(records):
+    members = np.array([b[0] for b in records])
+    # each group once, with the row of its group for every record
+    groups, row = {}, []
+    for _, _, g, curve, cache in records:
+        row.append(groups.setdefault(id(cache), (len(groups), g, curve, cache))[0])
+    groups, row = list(groups.values()), np.array(row)
+
+    def price(st, px, py, theta):
+        curves = [_world_curve(g, curve, cache, st) for _, g, curve, cache in groups]
+        xs, ys = px[members], py[members]
+        qx, qy = closest_points_on_curves(curves, row, xs, ys)
+        return math_map(math.hypot, xs - qx, ys - qy)
+
+    return price
+
+
 GROUP_CURVE = _kind("group_curve", _bind_group_curve, _group_curve, _group_curve_violation,
-                    schedule=_RELAX, generated=True)
+                    violations=_group_curve_violations, schedule=_RELAX, generated=True)
 
 KINDS = tuple(SPECS)

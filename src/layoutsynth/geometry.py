@@ -5,7 +5,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
+from typing import Callable, NamedTuple
+
+import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
@@ -49,6 +51,22 @@ def wrap_angle(delta: float) -> float:
     elif delta <= -math.pi:
         delta += TWO_PI
     return delta
+
+
+def math_map(f: Callable[..., float], *columns: np.ndarray) -> np.ndarray:
+    """``f`` of ``math`` applied element by element to float arrays of one
+    length. numpy's own ``hypot`` and ``arctan2`` differ from ``math``'s
+    in the last bit of some results, and its ``cos`` and ``sin`` may on
+    some builds, so array code that must reproduce scalar code calls
+    ``math`` through this."""
+    return np.fromiter(map(f, *(c.tolist() for c in columns)), float, len(columns[0]))
+
+
+def wrap_angles(delta: np.ndarray) -> np.ndarray:
+    """``wrap_angle`` element by element, with the same bits."""
+    delta = np.fmod(delta, TWO_PI)
+    return np.where(delta > math.pi, delta - TWO_PI,
+                    np.where(delta <= -math.pi, delta + TWO_PI, delta))
 
 
 def stable_radians(degrees: float) -> float:
@@ -261,3 +279,56 @@ def closest_point_on_curve(curve: Curve, p) -> tuple[float, float]:
     if math.hypot(p[0] - ax, p[1] - ay) <= math.hypot(p[0] - bx, p[1] - by):
         return ax, ay
     return bx, by
+
+
+def closest_points_on_curves(
+    curves: list[Curve], which: np.ndarray, xs: np.ndarray, ys: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``closest_point_on_curve(curves[w], (x, y))`` for each w, x and y
+    of ``which``, ``xs`` and ``ys``, as two arrays with the same bits."""
+    n = len(which)
+    # one row per curve: a, b, then the arc's centre, start, sweep and
+    # radius, which are NaN on a segment
+    rows = []
+    for c in curves:
+        if c.center is None:
+            rows.append((*c.a, *c.b) + (math.nan,) * 5)
+        else:
+            rows.append((*c.a, *c.b, *c.center, *c._arc_angles))
+    ax, ay, bx, by, cx, cy, a0, sweep, radius = np.array(rows)[which].T
+    qx, qy = np.empty(n), np.empty(n)
+
+    on_segment = np.isnan(cx)
+    seg = on_segment.nonzero()[0]
+    if seg.size:
+        sax, say = ax[seg], ay[seg]
+        abx, aby = bx[seg] - sax, by[seg] - say
+        denom = abx * abx + aby * aby
+        # a nonzero length whose square underflows keeps its start
+        short = denom <= 0.0
+        t = ((xs[seg] - sax) * abx + (ys[seg] - say) * aby) / np.where(short, 1.0, denom)
+        t = np.where(t < 0.0, 0.0, np.where(t > 1.0, 1.0, t))
+        qx[seg] = np.where(short, sax, sax + t * abx)
+        qy[seg] = np.where(short, say, say + t * aby)
+
+    arc = (~on_segment).nonzero()[0]
+    if arc.size:
+        px, py, acx, acy = xs[arc], ys[arc], cx[arc], cy[arc]
+        ang = math_map(math.atan2, py - acy, px - acx)
+        rel = ang - a0[arc]
+        low = rel < 0.0
+        while low.any():
+            rel = np.where(low, rel + TWO_PI, rel)
+            low = rel < 0.0
+        on = rel <= sweep[arc]
+        inside, outside = arc[on], arc[~on]
+        r = radius[inside]
+        qx[inside] = acx[on] + r * math_map(math.cos, ang[on])
+        qy[inside] = acy[on] + r * math_map(math.sin, ang[on])
+        # off-span: nearer endpoint wins
+        px, py = xs[outside], ys[outside]
+        near_a = (math_map(math.hypot, px - ax[outside], py - ay[outside])
+                  <= math_map(math.hypot, px - bx[outside], py - by[outside]))
+        qx[outside] = np.where(near_a, ax[outside], bx[outside])
+        qy[outside] = np.where(near_a, ay[outside], by[outside])
+    return qx, qy

@@ -1078,3 +1078,103 @@ class TestBoundRecords:
         assert {"project_pairwise_distance", "project_collision", "project_boundary"} <= public
         for name in sorted(public):
             assert name in by_solver or name in by_records, name
+
+
+ARRAY_KINDS = {cn.PAIRWISE_DISTANCE, cn.FOCAL_POINT, cn.TRAFFIC_LANE, cn.PAIRWISE_ORIENTATION,
+               cn.GROUP_CURVE}
+
+
+def _array_kernel_scene(o: float) -> Scene:
+    """Every variant of the kinds with an array kernel in an 8 m room at
+    (o, o): both relations, pinned and unpinned focals and lane origins,
+    the three orientation modes, and a segment group (particle 8) and an
+    arc group (particle 9) whose arc sweeps the right half of the unit
+    circle, from (0, -1) to (0, 1)."""
+    scene = Scene(room=Room([Vec2(o, o), Vec2(o + 8, o), Vec2(o + 8, o + 8), Vec2(o, o + 8)]))
+    for i in range(8):
+        scene.particles.append(Particle(Vec2(o + 4, o + 4)))
+        scene.objects.append(LayoutObject(id=f"o{i}", label="box", particle_index=i,
+                                          bbox=BoundingBox(Vec2(0.2, 0.2), 0.5)))
+    scene.particles += [Particle(Vec2(o + 4, o + 4)), Particle(Vec2(o + 4, o + 4))]
+    scene.groups += [
+        Group(id="row", particle_index=8, member_object_ids=("o4", "o5"),
+              curve=Curve(Vec2(-2, 0), Vec2(2, 1))),
+        Group(id="arc", particle_index=9, member_object_ids=("o6", "o7"),
+              curve=Curve(Vec2(0, -1), Vec2(0, 1), center=Vec2(0, 0))),
+    ]
+    mk = Constraint
+    scene.constraints += [
+        mk(cn.PAIRWISE_DISTANCE, (0, 1), distance=1.5),
+        mk(cn.PAIRWISE_DISTANCE, (1, 2), distance=2.0, relation=cn.INEQUALITY),
+        mk(cn.FOCAL_POINT, (0, 3), distance=2.0),
+        mk(cn.FOCAL_POINT, (2, 1), distance=3.0, relation=cn.INEQUALITY, pin_focal=False),
+        mk(cn.TRAFFIC_LANE, (1, 2), distance=1.0, vector=Vec2(1.0, 0.5)),
+        mk(cn.TRAFFIC_LANE, (3, 0), distance=2.5, vector=Vec2(0.0, 2.0), pin_focal=False),
+        mk(cn.PAIRWISE_ORIENTATION, (0, 1), orientation_mode=cn.ORIENT_FACE, angle_offset=0.2),
+        mk(cn.PAIRWISE_ORIENTATION, (1, 2), orientation_mode=cn.ORIENT_MATCH, angle_offset=-0.4),
+        mk(cn.PAIRWISE_ORIENTATION, (3, 2), orientation_mode=cn.ORIENT_FIXED, angle_target=1.1),
+    ]
+    return scene
+
+
+def _kernel_and_record_prices(ctx, st):
+    """{kind: (its array kernel's prices, its scalar record's)} as hex
+    strings, over the context's bound records of each kind."""
+    px, py, theta = (np.array(a, dtype=float) for a in (st.px, st.py, st.theta))
+    out = {}
+    for kind in {b.kind for b in ctx.pricing}:
+        spec = cn.SPECS[kind]
+        records = [b.record for b in ctx.pricing if b.kind == kind]
+        got = spec.violations(records)(st, px, py, theta)
+        out[kind] = ([v.hex() for v in got.tolist()],
+                     [spec.violation(r, st).hex() for r in records])
+    return out
+
+
+class TestArrayKernels:
+    def test_the_wide_kinds_have_kernels(self):
+        assert {k for k, spec in cn.SPECS.items() if spec.violations} == ARRAY_KINDS
+
+    @pytest.mark.parametrize("offset", [0.0, 1e4, -1e4])
+    def test_kernels_price_random_poses_as_the_records_do(self, offset):
+        ctx = SolveContext(_array_kernel_scene(offset))
+        assert {b.kind for b in ctx.pricing} == ARRAY_KINDS
+        rng = np.random.default_rng(17)
+        n = ctx.n
+        for _ in range(300):
+            st = LayoutState(rng.uniform(offset - 1, offset + 9, n).tolist(),
+                             rng.uniform(offset - 1, offset + 9, n).tolist(), [0.0] * n,
+                             rng.uniform(0, 2 * math.pi, n).tolist())
+            for kind, (got, want) in _kernel_and_record_prices(ctx, st).items():
+                assert got == want, kind
+
+    @pytest.mark.parametrize("offset", [0.0, 1e4, -1e4])
+    def test_kernels_price_degenerate_poses_as_the_records_do(self, offset):
+        o = offset
+        ctx = SolveContext(_array_kernel_scene(o))
+        for member_7 in ((o + 3, o + 3.2), (o + 3, o + 4.8)):
+            poses = [
+                # 0 and 1 coincide, so the face target is undefined; both
+                # lie on the lane axis from 2 along (1, 0.5)
+                (o + 3.5, o + 3.25), (o + 3.5, o + 3.25), (o + 3, o + 3),
+                # exactly the lane's clearance from the axis from 0 along y
+                (o + 6, o + 4.25),
+                # feet clamped at t=0 and t=1 of the segment (o+2, o+4)-(o+6, o+5)
+                (o + 1, o + 3.5), (o + 7, o + 5.5),
+                # off the arc's span, as far from one end as from the other,
+                # then nearer the start or nearer the end
+                (o + 3, o + 4), member_7,
+                (o + 4, o + 4), (o + 4, o + 4),
+            ]
+            # the groups unturned, so each curve is its local one moved by (o+4, o+4)
+            turns = [0.5] * 8 + [0.0, 0.0]
+            st = LayoutState(*zip(*[(x, y, 0.0, th) for (x, y), th in zip(poses, turns)]))
+            prices = _kernel_and_record_prices(ctx, st)
+            for kind, (got, want) in prices.items():
+                assert got == want, kind
+            assert prices[cn.PAIRWISE_ORIENTATION][1][0] == (0.0).hex()
+            assert prices[cn.TRAFFIC_LANE][1] == [(1.0).hex(), (0.0).hex()]
+            # clamped feet and off-span members anchor at an endpoint; one
+            # as far from both ends anchors at the start
+            ends = [math.hypot(-1.0, -0.5), math.hypot(1.0, 0.5), math.hypot(-1.0, 1.0)]
+            assert prices[cn.GROUP_CURVE][1][:3] == [v.hex() for v in ends]

@@ -1,8 +1,10 @@
 import dataclasses
+import importlib.util
 import itertools
 import json
 import logging
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -237,6 +239,66 @@ class TestEvaluateEnergy:
         assert priced_and_unchanged(neighbours=neighbours)
         assert priced_and_unchanged()
         assert priced_and_unchanged(broad_phase="naive")
+
+
+def _per_record_loop(st, ctx):
+    """``authored_energy`` as it was before kinds were priced as arrays."""
+    sums, total = {}, 0.0
+    for kind, _, violation, record, weight, _ in ctx.pricing:
+        v = violation(record, st)
+        if v:
+            sums[kind] = sums.get(kind, 0.0) + v
+            total += weight * v * v
+    return total, sums
+
+
+def _living_room_variants() -> Scene:
+    """living_room with the constraint variants no template uses, as the
+    byte-identity runs build it."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "artifact_digests.py"
+    spec = importlib.util.spec_from_file_location("artifact_digests", path)
+    digests = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digests)
+    doc = json.loads(sceneio.serialize_scene(scenes.living_room()))
+    doc["constraints"] += digests.VARIANT_CONSTRAINTS
+    return sceneio.parse_scene(json.dumps(doc))
+
+
+class TestArrayPricing:
+    @pytest.mark.parametrize("records", [solver.ARRAY_PRICING_RECORDS, 1])
+    @pytest.mark.parametrize("scene, wide", [
+        (lambda: scenes.theater1(chair_count=200), True),
+        (lambda: scenes.theater2(style="arc", pathways=2), True),
+        (lambda: scenes.theater2(style="seg", pathways=2), True),
+        (scenes.picnic, False),
+        (_living_room_variants, False),
+    ], ids=["theater1_200", "theater2_arc", "theater2_seg", "picnic", "living_room_variants"])
+    def test_authored_energy_equals_the_per_record_loop(self, scene, wide, records, monkeypatch):
+        # the crossover itself, and 1 so that every kind with a kernel
+        # takes the array path, small ones included
+        monkeypatch.setattr(solver, "ARRAY_PRICING_RECORDS", records)
+        scene = scene()
+        ctx = SolveContext(scene)
+        st = initialize(scene, 0)
+        neighbours = neighbour_list(ctx)
+        for iteration in range(1, 31):
+            step(st, ctx, iteration, neighbours)
+            total, sums = solver.authored_energy(st, ctx)
+            want_total, want_sums = _per_record_loop(st, ctx)
+            assert repr(total) == repr(want_total)
+            assert repr(list(sums.items())) == repr(list(want_sums.items()))
+        assert bool(ctx.array_pricing) == (wide or records == 1)
+
+    def test_only_the_theaters_price_arrays(self):
+        # the small rooms keep the per-record loop, and the theaters'
+        # wide kinds take the array path
+        for name in ("living_room", "desk", "tp_bedroom"):
+            assert SolveContext(scenes.build(name)).array_pricing == []
+        for seed in range(8):
+            assert SolveContext(scenes.build("tp_picnic", seed=seed)).array_pricing == []
+        assert SolveContext(scenes.theater1()).array_pricing
+        for style, pathways in (("arc", 2), ("seg", 2), ("seg", 1)):
+            assert SolveContext(scenes.theater2(style=style, pathways=pathways)).array_pricing
 
 
 class TestStep:
@@ -729,6 +791,24 @@ def test_seed_must_be_a_non_negative_integer(config):
         solve, budget = run_sa_mcmc, {"total_iterations": 50}
     runs = [solve(box_scene(4), config(seed=s, **budget)) for s in (5, np.uint8(5))]
     assert repr(runs[0]) == repr(runs[1])
+
+
+@pytest.mark.parametrize("config, field", [
+    (SolverConfig, "max_iterations"),
+    (SolverConfig, "termination_window"),
+    (AnnealConfig, "total_iterations"),
+])
+def test_budgets_must_be_integers_of_at_least_one(config, field):
+    # a float budget once passed validate and failed in range(), and a
+    # bool ran as a budget of one
+    for value in (2.5, math.nan, math.inf, True, False, "3", None, 0, -1, np.float64(3.0)):
+        with pytest.raises(ValueError, match=rf"^{field} must be an integer >= 1, not "):
+            config(**{field: value}).validate()
+    for value in (1, 7, np.int64(3), np.uint8(5)):
+        config(**{field: value}).validate()
+    solve = synthesize if config is SolverConfig else run_sa_mcmc
+    with pytest.raises(ValueError, match=field):
+        solve(box_scene(4), config(**{field: 2.5}))
 
 
 class TestCellSize:
