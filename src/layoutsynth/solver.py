@@ -343,25 +343,29 @@ class SolveContext:
         function of ``(st, px, py, theta)`` that returns their violations
         as one array, when some kind has an array kernel and at least
         ``ARRAY_PRICING_RECORDS`` records; otherwise empty. The other
-        kinds' price functions call the scalar record once per record."""
-        self.pricing_weights = np.array([b.weight for b in self.pricing], dtype=float)
-        self.array_pricing: list[tuple[str, np.ndarray, Callable[..., np.ndarray]]] = []
+        kinds' price functions call the scalar record once per record.
+        ``pricing_weights`` holds every record's weight in pricing order."""
         positions: dict[str, list[int]] = {}
         for p, b in enumerate(self.pricing):
             positions.setdefault(b.kind, []).append(p)
-        wide = False
+
+        def wide(kind: str) -> bool:
+            return (cn.SPECS[kind].violations is not None
+                    and len(positions[kind]) >= ARRAY_PRICING_RECORDS)
+
+        self.array_pricing: list[tuple[str, np.ndarray, Callable[..., np.ndarray]]] = []
+        self.pricing_weights = np.array([b.weight for b in self.pricing], dtype=float)
+        if not any(map(wide, positions)):
+            return
         for kind, rows in positions.items():
             spec = cn.SPECS[kind]
             records = [self.pricing[p].record for p in rows]
-            if spec.violations is not None and len(rows) >= ARRAY_PRICING_RECORDS:
+            if wide(kind):
                 price = spec.violations(records)
-                wide = True
             else:
                 def price(st, px, py, theta, violation=spec.violation, records=records):
                     return np.array([violation(b, st) for b in records], dtype=float)
             self.array_pricing.append((kind, np.array(rows), price))
-        if not wide:
-            self.array_pricing = []
 
 
 def _group_members(scene: Scene) -> dict[str, list[int]]:
