@@ -1,9 +1,8 @@
-"""Command-line interface: synthesize, suggest, benchmark, compare,
-validate.
+"""Command-line interface: synthesize, suggest, compare, validate,
+export.
 
-Artifacts (layout.json, layout.svg, trace.csv, run_meta.json) are
-byte-reproducible for a given scene, configuration, and seed; bench
-timing tables are the one exception since they record wall time.
+Every artifact a command writes is byte-reproducible for a given scene,
+configuration, and seed.
 """
 
 from __future__ import annotations
@@ -56,14 +55,6 @@ def _non_negative_int(text: str) -> int:
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(f"{text!r} is not a non-negative integer")
     return int(text)
-
-
-def _counts(text: str) -> list[int]:
-    """argparse type of ``--counts``: comma-separated integers (the
-    template rejects a negative chair count)."""
-    if not all(item.removeprefix("-").isdecimal() for item in text.split(",")):
-        raise argparse.ArgumentTypeError(f"{text!r} is not a comma-separated list of integers")
-    return [int(item) for item in text.split(",")]
 
 
 def _solver_config(scene: Scene, args) -> SolverConfig:
@@ -177,9 +168,9 @@ def _write_json(path: Path, doc: dict) -> None:
 
 def _render_options(args) -> RenderOptions:
     return RenderOptions(
-        show_accessibility=getattr(args, "show_access", False),
-        show_bounding_circles=getattr(args, "show_circles", False),
-        show_traffic_lanes=getattr(args, "show_lanes", False),
+        show_accessibility=args.show_access,
+        show_bounding_circles=args.show_circles,
+        show_traffic_lanes=args.show_lanes,
     )
 
 
@@ -220,40 +211,6 @@ def cmd_suggest(args) -> int:
         with open(out / f"layout_seed{seed}.svg", "w", encoding="utf-8") as handle:
             handle.write(render_svg(scene, layout, _render_options(args)))
         print(f"seed {seed}: E={trace.best_energy:.6g}")
-    return 0
-
-
-def cmd_bench(args) -> int:
-    # every scene is built before --out is made, so a bad scene or chair
-    # count leaves no directory behind
-    if args.counts and args.scene != "theater1":
-        raise CliError("--counts only applies to the theater1 scaling series")
-    if args.counts:
-        series = [(count, build("theater1", {"chair_count": count})) for count in args.counts]
-    else:
-        scene = _resolve_scene(args.scene, 0)
-        series = [(len(scene.objects), scene)]
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for label, scene in series:
-        times = []
-        for run in range(args.repeat):
-            config = _solver_config(scene, args)
-            config.seed = run
-            if args.iters:
-                config.termination_window = args.iters
-            start = time.perf_counter()
-            synthesize(scene, config)
-            times.append(time.perf_counter() - start)
-        mean = sum(times) / len(times)
-        rows.append((label, len(scene.objects), args.broad_phase, args.repeat, mean))
-        print(f"{args.scene} count={label}: mean {mean:.3f} s over {args.repeat} runs "
-              f"({args.broad_phase} broad phase)")
-    with open(out / "timings.csv", "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["count", "objects", "broad_phase", "runs", "mean_seconds"])
-        writer.writerows(rows)
     return 0
 
 
@@ -336,15 +293,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="suggestions")
     _add_render_flags(p)
     p.set_defaults(func=cmd_suggest)
-
-    p = sub.add_parser("bench", help="timing runs, optionally over a chair-count series")
-    p.add_argument("--scene", default="theater1")
-    p.add_argument("--counts", type=_counts, help="comma-separated chair counts (theater1)")
-    p.add_argument("--repeat", type=_positive_int, default=10, help="runs per scene")
-    p.add_argument("--iters", type=_non_negative_int, default=0, help="fixed iteration budget")
-    p.add_argument("--broad-phase", choices=("hash", "naive"), default="hash")
-    p.add_argument("--out", default="bench")
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("compare", help="run both optimizers from identical starts")
     p.add_argument("scene")

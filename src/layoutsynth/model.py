@@ -512,6 +512,7 @@ class Scene:
             if not (0 <= obj.particle_index < n):
                 raise ValueError(f"object {obj.id!r} references missing particle {obj.particle_index}")
         seen_ids = set(object_ids)
+        fixed_ids = {obj.id for obj in self.objects if self.particles[obj.particle_index].fixed}
         # an object follows one group: the solver routes a rigid member to
         # its group particle, which would leave any other group's pull unmet
         group_of: dict[str, str] = {}
@@ -531,6 +532,10 @@ class Scene:
                         raise ValueError(
                             f"object {member!r} is in groups {group_of[member]!r} and {group.id!r}"
                         )
+                    # the solver poses a rigid member from its group
+                    # particle, which would carry a fixed member along
+                    if group.rigid and member in fixed_ids:
+                        raise ValueError(f"rigid group {group.id!r} would move fixed object {member!r}")
                     group_of[member] = group.id
             except ValueError as exc:
                 raise ValueError(f"groups[{i}]: {exc}") from None

@@ -117,8 +117,9 @@ class SolverConfig:
 
 
 def check_seed(seed) -> None:
-    """Reject a seed that is not an integer >= 0; numpy integers pass."""
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    """Reject a seed that is not an integer >= 0; numpy integers pass,
+    and a bool is no seed."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError(f"seed must be an integer >= 0, not {seed!r}")
 
 

@@ -38,6 +38,15 @@ class TestSynth:
         for pose in doc["objects"].values():
             assert set(pose) == {"x", "y", "z", "theta_deg"}
 
+    def test_scene_file_before_template(self, tmp_path, monkeypatch):
+        # a file named like a template is read as the file
+        monkeypatch.chdir(tmp_path)
+        save_scene(build("living_room"), "desk")
+        assert run(["synth", "desk", "--iters", "5", "--out", "out"]) == 0
+        doc = json.loads((tmp_path / "out" / "layout.json").read_text())
+        assert set(doc["objects"]) == {o.id for o in build("living_room").objects}
+        assert set(doc["objects"]) != {o.id for o in build("desk").objects}
+
     def test_trace_csv_best_energy_monotone(self, tmp_path):
         out = tmp_path / "run"
         run(["synth", "living_room", "--seed", "2", "--iters", "50", "--out", out])
@@ -151,6 +160,15 @@ class TestValidate:
         bad.write_text("{not json")
         assert run(["validate", bad]) == 2
 
+    def test_fixed_member_of_rigid_group_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "bedroom.json"
+        save_scene(build("tp_bedroom"), path)
+        doc = json.loads(path.read_text())
+        next(o for o in doc["objects"] if o["id"] == "bed_0")["fixed"] = True
+        path.write_text(json.dumps(doc))
+        assert run(["validate", path]) == 2
+        assert "groups[0]: rigid group 'bunk_0' would move fixed object 'bed_0'" in capsys.readouterr().err
+
     def test_bad_solver_block_exit_2(self, tmp_path, capsys):
         path = tmp_path / "scene.json"
         save_scene(build("living_room"), path)
@@ -188,69 +206,12 @@ class TestSuggest:
         assert a != b
 
 
-class TestBench:
-    def test_smoke_and_csv(self, tmp_path):
-        out = tmp_path / "bench"
-        assert run(["bench", "--scene", "theater1", "--counts", "5,10",
-                    "--repeat", "2", "--iters", "5", "--out", out]) == 0
-        with open(out / "timings.csv") as handle:
-            rows = list(csv.DictReader(handle))
-        assert [int(r["count"]) for r in rows] == [5, 10]
-        assert all(float(r["mean_seconds"]) > 0 for r in rows)
-
-    def test_follows_scene_solver_defaults(self, tmp_path, monkeypatch):
-        path = tmp_path / "scene.json"
-        save_scene(build("living_room"), path)
-        doc = json.loads(path.read_text())
-        doc["solver"] = {"max_iterations": 5, "termination_window": 3}
-        path.write_text(json.dumps(doc))
-        configs = []
-        monkeypatch.setattr(cli, "synthesize", lambda scene, config: configs.append(config))
-        assert run(["bench", "--scene", path, "--repeat", "2", "--out", tmp_path / "a"]) == 0
-        assert [(c.seed, c.max_iterations, c.termination_window)
-                for c in configs] == [(0, 5, 3), (1, 5, 3)]
-        configs.clear()
-        assert run(["bench", "--scene", path, "--repeat", "1", "--iters", "7",
-                    "--broad-phase", "naive", "--out", tmp_path / "b"]) == 0
-        assert [(c.max_iterations, c.termination_window, c.broad_phase)
-                for c in configs] == [(7, 7, "naive")]
-
-    def test_scene_file_before_template(self, tmp_path, monkeypatch):
-        # a file named like a template is read as the file, as every
-        # other command reads it
-        monkeypatch.chdir(tmp_path)
-        save_scene(build("living_room"), "desk")
-        monkeypatch.setattr(cli, "synthesize", lambda scene, config: None)
-        assert run(["bench", "--scene", "desk", "--repeat", "1", "--out", "out"]) == 0
-        with open("out/timings.csv") as handle:
-            rows = list(csv.DictReader(handle))
-        assert [int(r["objects"]) for r in rows] == [10]
-
-    def test_counts_only_for_theater1(self, tmp_path):
-        assert run(["bench", "--scene", "desk", "--counts", "5",
-                    "--repeat", "1", "--iters", "5", "--out", tmp_path / "x"]) == 1
-        assert not (tmp_path / "x").exists()
-
-    def test_negative_chair_count_rejected(self, tmp_path, capsys):
-        # a bad count late in the series is caught before any solve
-        assert run(["bench", "--counts", "5,-3", "--repeat", "1", "--iters", "5",
-                    "--out", tmp_path / "x"]) == 1
-        assert "chair count must be nonnegative, not -3" in capsys.readouterr().err
-        assert not (tmp_path / "x").exists()
-
-
 @pytest.mark.parametrize("argv, rule", [
-    (["bench", "--scene", "living_room", "--repeat", "0"], "--repeat: '0' is not a positive integer"),
     (["suggest", "living_room", "--seeds", "-2"], "--seeds: '-2' is not a positive integer"),
-    (["bench", "--counts", "5,a"], "--counts: '5,a' is not a comma-separated list of integers"),
-    (["bench", "--counts", "5,,6"], "--counts: '5,,6' is not a comma-separated list of integers"),
-    (["bench", "--counts", "5,"], "--counts: '5,' is not a comma-separated list of integers"),
-    (["bench", "--counts", ""], "--counts: '' is not a comma-separated list of integers"),
     (["synth", "living_room", "--seed", "-1"], "--seed: '-1' is not a non-negative integer"),
     (["synth", "living_room", "--iters", "-3"], "--iters: '-3' is not a non-negative integer"),
     (["suggest", "picnic", "--seed", "1.5"], "--seed: '1.5' is not a non-negative integer"),
     (["suggest", "picnic", "--iters", "x"], "--iters: 'x' is not a non-negative integer"),
-    (["bench", "--iters", "-1"], "--iters: '-1' is not a non-negative integer"),
     (["compare", "desk", "--seed", "-2"], "--seed: '-2' is not a non-negative integer"),
     (["compare", "desk", "--iters", "2.0"], "--iters: '2.0' is not a non-negative integer"),
     (["export", "desk", "--seed", "-1"], "--seed: '-1' is not a non-negative integer"),
@@ -286,7 +247,6 @@ class TestExport:
     ["synth", "nowhere.json"],
     ["suggest", "nowhere.json"],
     ["compare", "nowhere.json"],
-    ["bench", "--scene", "nowhere.json"],
 ], ids=lambda argv: argv[0])
 def test_unknown_scene_is_runtime_error(argv, tmp_path, capsys):
     # the scene is resolved before --out is made

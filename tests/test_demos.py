@@ -18,7 +18,7 @@ DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 @pytest.mark.parametrize("name", [
     "scene_files.py", "living_room_walkthrough.py", "layout_suggestions.py",
-    "constraint_gallery.py",
+    "constraint_gallery.py", "annealing_comparison.py",
 ])
 def test_demo_runs(name, tmp_path):
     shutil.copy(DEMOS / name, tmp_path)
@@ -37,3 +37,5 @@ def test_demo_runs(name, tmp_path):
         # the projections' corrections, collected through a list sink
         assert "particle 0: (0.0, 0.0) -> (1.0, 0.0)" in result.stdout
         assert "rotates by +10.0 deg" in result.stdout
+    if name == "annealing_comparison.py":
+        assert "\nspeedup " in result.stdout

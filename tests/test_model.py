@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from layoutsynth.constraints import boundary_violation
-from layoutsynth.geometry import Vec2, polygon_signed_area
+from layoutsynth.geometry import Curve, Vec2, polygon_signed_area
 from layoutsynth.model import (
     INFINITE,
     AccessRegion,
@@ -195,6 +195,20 @@ class TestScene:
                   member_offsets=((0.0, 0.0, 0.0),))
         )
         with pytest.raises(ValueError, match=r"^groups\[1\]: object 'box' is in groups 'g' and 'h'"):
+            scene.validate()
+
+    def test_validate_rejects_a_fixed_member_of_a_rigid_group(self):
+        # the group particle would carry the fixed member along; a curve
+        # group gives a fixed member weight 0, so it may keep one
+        scene = _tiny_scene()
+        scene.particles[0].mass = INFINITE
+        scene.particles.append(Particle(Vec2(1, 1)))
+        scene.groups.append(Group(id="g", particle_index=1, member_object_ids=("box",),
+                                  curve=Curve(Vec2(-1, 0), Vec2(1, 0))))
+        scene.validate()
+        scene.groups[0] = Group(id="g", particle_index=1, member_object_ids=("box",),
+                                member_offsets=((0.0, 0.0, 0.0),))
+        with pytest.raises(ValueError, match=r"^groups\[0\]: rigid group 'g' would move fixed object 'box'$"):
             scene.validate()
 
     def test_validate_names_the_failing_constraint(self):

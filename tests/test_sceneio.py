@@ -147,6 +147,11 @@ def _in_two_groups(d):
     ]
 
 
+def _fixed_in_rigid_group(d):
+    d["objects"][0]["fixed"] = True
+    d["groups"] = [{"id": "g", "members": ["crate_0"], "member_offsets": [[0, 0, 0]]}]
+
+
 def _with_constraint(**fields):
     def edit(d):
         d["constraints"] = [dict({"kind": "heat_point", "objects": ["crate_0"]}, **fields)]
@@ -189,6 +194,7 @@ class TestMalformed:
         (lambda d: d["objects"][0].update(fixed=True, mass=5.0),
          r"^objects\[0\]: a fixed object takes no mass"),
         (_in_two_groups, r"^groups\[1\]: object 'crate_0' is in groups 'g' and 'h'"),
+        (_fixed_in_rigid_group, r"^groups\[0\]: rigid group 'g' would move fixed object 'crate_0'"),
         (_with_constraint(pin_focal="no"), r"constraints\[0\]\.pin_focal"),
         (_with_constraint(face=True), r"constraints\[0\]: unknown field 'face'"),
         (_with_constraint(kind="pairwise_distance", objects=["crate_0", "crate_0"], distance=1.0),

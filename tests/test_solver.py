@@ -779,7 +779,7 @@ class TestSynthesize:
 
 @pytest.mark.parametrize("config", [SolverConfig, AnnealConfig])
 def test_seed_must_be_a_non_negative_integer(config):
-    for seed in (-1, 1.5, "3", None):
+    for seed in (-1, 1.5, "3", None, True, False):
         with pytest.raises(ValueError, match=r"seed must be an integer >= 0, not "):
             config(seed=seed).validate()
     for seed in (0, 7, np.int64(3), np.uint8(5)):
