@@ -1,3 +1,4 @@
+import argparse
 import csv
 import dataclasses
 import json
@@ -208,6 +209,8 @@ class TestSuggest:
 
 @pytest.mark.parametrize("argv, rule", [
     (["suggest", "living_room", "--seeds", "-2"], "--seeds: '-2' is not a positive integer"),
+    (["suggest", "living_room", "--seeds", "0"], "--seeds: '0' is not a positive integer"),
+    (["suggest", "living_room", "--seeds", "2.0"], "--seeds: '2.0' is not a positive integer"),
     (["synth", "living_room", "--seed", "-1"], "--seed: '-1' is not a non-negative integer"),
     (["synth", "living_room", "--iters", "-3"], "--iters: '-3' is not a non-negative integer"),
     (["suggest", "picnic", "--seed", "1.5"], "--seed: '1.5' is not a non-negative integer"),
@@ -222,6 +225,44 @@ def test_run_counts_must_be_positive(argv, rule, tmp_path, capsys):
     assert exc.value.code == 2
     assert f"argument {rule}" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("command", ["suggest", "compare"])
+def test_only_synth_takes_broad_phase(command, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run([command, "desk", "--broad-phase", "naive", "--out", tmp_path / "x"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --broad-phase naive" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_parser_lists_the_five_commands():
+    parser = cli.make_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(commands.choices) == ["synth", "suggest", "compare", "validate", "export"]
+
+
+def test_bench_is_a_usage_error(capsys):
+    # timing lives in the scaling criterion and demos/theater_scaling.py
+    with pytest.raises(SystemExit) as exc:
+        run(["bench", "--scene", "theater1"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["suggest", "compare", "validate"])
+def test_scene_file_before_template(command, tmp_path, monkeypatch):
+    # every command reads a file named like a template as the file
+    monkeypatch.chdir(tmp_path)
+    save_scene(build("living_room"), "desk")
+    resolve, scenes = cli._resolve_scene, []
+    monkeypatch.setattr(cli, "_resolve_scene",
+                        lambda ref, seed: scenes.append(resolve(ref, seed)) or scenes[-1])
+    argv = [command, "desk"]
+    if command != "validate":
+        argv += ["--iters", "2", "--out", "out"] + (["--seeds", "1"] if command == "suggest" else [])
+    assert run(argv) == 0
+    assert [{o.id for o in s.objects} for s in scenes] == [{o.id for o in build("living_room").objects}]
 
 
 def test_every_scene_solver_key_reaches_the_config():
