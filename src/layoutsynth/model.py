@@ -5,8 +5,11 @@ reads the structure and keeps its own pose state.
 
 Room containment lives here, beside the room's tables:
 ``nearest_wall_point``, ``boundary_violation``, ``pokes_out`` and the
-clamp ``clamp_inside``. No other module reads a room's wall table,
-rectangle or side band.
+clamp ``clamp_inside``. In an axis-aligned rectangle the four side
+clearances decide containment and name the nearest wall, and the clamp
+skips every wall whose line the circle clears; each gives the per-wall
+loop's bits. No other module reads a room's wall table, normals,
+rectangle, side table, side band or side gap.
 """
 
 from __future__ import annotations
@@ -32,7 +35,8 @@ FACES = ("back", "left", "front", "right")
 
 # half-width of a rectangular room's side band, per unit of its largest
 # coordinate magnitude: 64 machine epsilons, several times the rounding
-# of the per-wall boundary measure (see Room)
+# of the per-wall boundary measure (see Room) and, per unit of radius, of
+# the clamp's distances to a wall line (see clamp_inside)
 _SIDE_BAND = 64.0 * math.ulp(1.0)
 
 
@@ -235,6 +239,17 @@ class Room:
     over, so wherever the sides clear a containment threshold by more
     than it they decide the test exactly. It is derived from the walls
     and never set.
+
+    The same clearances name the nearest wall of a point inside. Each
+    wall's squared distance ``d2`` is its squared side clearance (the
+    same bits) plus the square of the along-wall residue, rounded once
+    more. ``_gap``, twice the nearest-wall loop's 1e-15 slack plus
+    ``_band`` times the largest coordinate magnitude, bounds that
+    rounding over every square a point inside can take, so a runner-up
+    squared clearance above the smallest by more than it leaves the
+    loop one wall to keep. ``_sides`` holds that wall for each side, in
+    the order of the clearances ``x - x0``, ``x1 - x``, ``y - y0``,
+    ``y1 - y``. ``_normals`` holds each wall's inward normal, built once.
     """
 
     boundary: list[Vec2]
@@ -262,16 +277,24 @@ class Room:
             nx, ny = -dy / length, dx / length
             tangent = normalize_angle(math.atan2(ny, nx) + 0.5 * math.pi)
             self._wall_data.append((a.x, a.y, dx, dy, 1.0 / (length * length), nx, ny, tangent))
+        self._normals = [Vec2(wall[5], wall[6]) for wall in self._wall_data]
         # after the area and wall-length checks, which name a degenerate
         # boundary more precisely than this one
         if not polygon_is_simple(self.boundary):
             raise ValueError("room boundary must be a simple polygon")
         # axis-aligned rectangles (the common case) get a bounds-only
         # containment test and side clearances that decide outside _band
+        # (containment) and _gap (the nearest wall)
         self._rect = None
         if len(self.boundary) == 4 and len(xs) == 2 and len(ys) == 2:
             self._rect = (min(xs), min(ys), max(xs), max(ys))
-        self._band = _SIDE_BAND * max(abs(c) for v in self.boundary for c in v)
+            # a side's wall is the one whose inward normal faces off it;
+            # an axis-aligned wall's normal is exactly one of these
+            facing = dict(zip(self._normals, zip(self._wall_data, self._normals)))
+            self._sides = tuple(facing[n] for n in ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)))
+        extent = max(abs(c) for v in self.boundary for c in v)
+        self._band = _SIDE_BAND * extent
+        self._gap = 2e-15 + self._band * extent
         # one shared Vec2: every particle placed by default points at it.
         # Its sums are cubes of the coordinates, which overflow where the
         # squares that every other measure takes stay finite
@@ -305,13 +328,53 @@ def nearest_wall_point(room: Room, p) -> tuple[Vec2, Vec2, float]:
     tangent angle is the normal rotated another quarter turn, so an
     object parallel to the wall at x=0 of a counterclockwise room reports
     a tangent of pi/2.
+
+    For a point strictly inside an axis-aligned rectangle, the four side
+    clearances name the wall when the runner-up's square exceeds the
+    smallest one's by more than the room's gap (``Room._gap``), and only
+    that wall's arithmetic runs. Points outside, on the edge or inside
+    the gap, and every other room, take the loop over every wall
+    (``_nearest_wall``). Both give the same bits. A point that no wall's
+    squared distance can rank (an infinite square, or a NaN) raises
+    ``ValueError``.
     """
     px, py = p[0], p[1]
+    rect = room._rect
+    if rect is not None:
+        x0, y0, x1, y1 = rect
+        if x0 < px < x1 and y0 < py < y1:
+            # the nearer side on each axis, then the nearer of the two
+            # and the runner-up
+            a, b, c, d = px - x0, x1 - px, py - y0, y1 - py
+            if a < b:
+                h, hs, hfar = a, 0, b
+            else:
+                h, hs, hfar = b, 1, a
+            if c < d:
+                v, vs, vfar = c, 2, d
+            else:
+                v, vs, vfar = d, 3, c
+            if h < v:
+                near, side, runner = h, hs, v if v < hfar else hfar
+            else:
+                near, side, runner = v, vs, h if h < vfar else vfar
+            if runner * runner - near * near > room._gap:
+                (ax, ay, dx, dy, inv_len2, _, _, tangent), normal = room._sides[side]
+                t = ((px - ax) * dx + (py - ay) * dy) * inv_len2
+                if t < 0.0:
+                    t = 0.0
+                elif t > 1.0:
+                    t = 1.0
+                return Vec2(ax + t * dx, ay + t * dy), normal, tangent
+    return _nearest_wall(room, px, py)
+
+
+def _nearest_wall(room: Room, px: float, py: float) -> tuple[Vec2, Vec2, float]:
+    """``nearest_wall_point`` from every wall: the first wall whose
+    squared distance beats the best so far by more than 1e-15."""
     best_d2 = math.inf
     best = None
-    best_q = (0.0, 0.0)
-    for wall in room._wall_data:
-        ax, ay, dx, dy, inv_len2, nx, ny, tangent = wall
+    for (ax, ay, dx, dy, inv_len2, _, _, tangent), normal in zip(room._wall_data, room._normals):
         t = ((px - ax) * dx + (py - ay) * dy) * inv_len2
         if t < 0.0:
             t = 0.0
@@ -324,9 +387,12 @@ def nearest_wall_point(room: Room, p) -> tuple[Vec2, Vec2, float]:
         d2 = ex * ex + ey * ey
         if d2 < best_d2 - 1e-15:
             best_d2 = d2
-            best = wall
-            best_q = (qx, qy)
-    return Vec2(*best_q), Vec2(best[5], best[6]), best[7]
+            best = normal
+            best_x, best_y, best_tangent = qx, qy, tangent
+    if best is None:
+        raise ValueError(f"point ({px!r}, {py!r}) has no nearest wall: "
+                         "its squared distance to every wall is infinite or NaN")
+    return Vec2(best_x, best_y), best, best_tangent
 
 
 def boundary_violation(room: Room, p, radius: float) -> float:
@@ -401,7 +467,15 @@ def clamp_inside(room: Room, x: float, y: float, radius: float) -> tuple[float, 
     it overlaps by more than 1e-12. Where the rounds do not settle (a
     room too small or too concave for the circle) the result may still
     poke out; the caller checks.
+
+    A wall is skipped when the centre's signed distance to its line
+    exceeds ``radius`` by more than the rounding band of the room
+    (``Room._band``) and of the radius: its segment is at least that far
+    away, so it cannot push, and the result keeps the per-wall bits.
+    A centre with no nearest wall (see ``nearest_wall_point``) raises
+    ``ValueError``.
     """
+    reach = radius + _SIDE_BAND * radius + room._band
     for _ in range(16):
         changed = False
         if not room.contains((x, y)):
@@ -410,6 +484,8 @@ def clamp_inside(room: Room, x: float, y: float, radius: float) -> tuple[float, 
             y = q.y + normal.y * radius
             changed = True
         for ax, ay, wdx, wdy, inv_len2, wnx, wny, _ in room._wall_data:
+            if (x - ax) * wnx + (y - ay) * wny > reach:
+                continue
             t = ((x - ax) * wdx + (y - ay) * wdy) * inv_len2
             if t < 0.0:
                 t = 0.0

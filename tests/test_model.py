@@ -1,8 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
+from layoutsynth import model, scenes
 from layoutsynth.constraints import boundary_violation
 from layoutsynth.geometry import Curve, Vec2, polygon_signed_area
 from layoutsynth.model import (
@@ -14,11 +16,105 @@ from layoutsynth.model import (
     Particle,
     Room,
     Scene,
+    clamp_inside,
     mass_from_bbox,
     nearest_wall_point,
 )
 
 SQUARE = Room([Vec2(0, 0), Vec2(10, 0), Vec2(10, 10), Vec2(0, 10)])
+L_ROOM = Room([Vec2(0, 0), Vec2(8, 0), Vec2(8, 3), Vec2(5, 3), Vec2(5, 6), Vec2(0, 6)])
+SLANTED = Room([Vec2(0, 0), Vec2(6, 1), Vec2(7, 5), Vec2(-1, 4)])
+
+
+def _rect(x0, y0, w, h):
+    return Room([Vec2(x0, y0), Vec2(x0 + w, y0), Vec2(x0 + w, y0 + h), Vec2(x0, y0 + h)])
+
+
+def _loop_nearest(room, p):
+    """The nearest wall measured against every wall, as one loop over the
+    wall table: the reference the side path must reproduce."""
+    px, py = p[0], p[1]
+    best_d2 = math.inf
+    best = None
+    for ax, ay, dx, dy, inv_len2, nx, ny, tangent in room._wall_data:
+        t = ((px - ax) * dx + (py - ay) * dy) * inv_len2
+        if t < 0.0:
+            t = 0.0
+        elif t > 1.0:
+            t = 1.0
+        qx = ax + t * dx
+        qy = ay + t * dy
+        ex = px - qx
+        ey = py - qy
+        d2 = ex * ex + ey * ey
+        if d2 < best_d2 - 1e-15:
+            best_d2 = d2
+            best = (qx, qy, nx, ny, tangent)
+    return best
+
+
+def _loop_clamp(room, x, y, radius):
+    """``clamp_inside`` with every wall's projection run in every round."""
+    for _ in range(16):
+        changed = False
+        if not room.contains((x, y)):
+            qx, qy, nx, ny, _ = _loop_nearest(room, (x, y))
+            x = qx + nx * radius
+            y = qy + ny * radius
+            changed = True
+        for ax, ay, wdx, wdy, inv_len2, wnx, wny, _ in room._wall_data:
+            t = ((x - ax) * wdx + (y - ay) * wdy) * inv_len2
+            if t < 0.0:
+                t = 0.0
+            elif t > 1.0:
+                t = 1.0
+            qx = ax + t * wdx
+            qy = ay + t * wdy
+            dist = math.hypot(x - qx, y - qy)
+            if dist < radius - 1e-12:
+                nx, ny = ((x - qx) / dist, (y - qy) / dist) if dist > 1e-9 else (wnx, wny)
+                x = qx + nx * radius
+                y = qy + ny * radius
+                changed = True
+        if not changed:
+            break
+    return x, y
+
+
+def _hex(values):
+    return [float.hex(float(v)) for v in values]
+
+
+def _flat(found):
+    (qx, qy), (nx, ny), tangent = found
+    return qx, qy, nx, ny, tangent
+
+
+def _probe_points(rng, room):
+    """Points that test the side path's decisions, as (kind, x, y):
+    anywhere near the room, strictly inside it, near a corner at every
+    scale, near a corner's diagonal (two clearances all but tied), and at
+    the edge of the room's gap (the runner-up's square from a thousandth
+    of a gap to three gaps either side of the smallest one's)."""
+    x0, y0, x1, y1 = room.bounds()
+    w, h = x1 - x0, y1 - y0
+    scale = max(abs(x0), abs(y0), abs(x1), abs(y1))
+    cx, cy = rng.choice([x0, x1]), rng.choice([y0, y1])
+    sx, sy = (1.0 if cx == x0 else -1.0), (1.0 if cy == y0 else -1.0)
+    yield "near", rng.uniform(x0 - 1, x1 + 1), rng.uniform(y0 - 1, y1 + 1)
+    yield "inside", rng.uniform(x0, x1), rng.uniform(y0, y1)
+    reach = 10.0 ** rng.uniform(-14, 0)
+    yield "corner", cx + rng.uniform(-1, 1) * reach, cy + rng.uniform(-1, 1) * reach
+    d = rng.uniform(0, 0.5 * min(w, h))
+    skew = rng.uniform(-1, 1) * 10.0 ** rng.uniform(-16, -6) * max(1.0, scale)
+    yield "diagonal", cx + sx * d, cy + sy * (d + skew)
+    c = rng.uniform(0, 0.5 * min(w, h))
+    spread = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3, 0.5)
+    runner = math.sqrt(max(0.0, c * c + spread * room._gap))
+    if rng.uniform() < 0.5:
+        yield "gap", cx + sx * c, cy + sy * runner
+    else:
+        yield "gap", cx + sx * runner, cy + sy * c
 
 
 class TestParticle:
@@ -133,6 +229,87 @@ class TestNearestWall:
             point, normal, _ = nearest_wall_point(SQUARE, p)
             probe = (point.x + 1e-3 * normal.x, point.y + 1e-3 * normal.y)
             assert SQUARE.contains(probe)
+
+    @pytest.mark.parametrize("point", [(1e200, 0.0), (1e160, 1e160), (math.nan, 1.0)])
+    @pytest.mark.parametrize("measure", [
+        nearest_wall_point,
+        lambda room, p: clamp_inside(room, p[0], p[1], 0.5),
+    ], ids=["nearest_wall_point", "clamp_inside"])
+    def test_point_without_a_nearest_wall_is_a_value_error(self, point, measure):
+        # every wall's squared distance is infinite or NaN, so none ranks
+        room = scenes.living_room().room
+        with pytest.raises(ValueError, match=re.escape(f"point ({point[0]!r}, {point[1]!r}) "
+                                                       "has no nearest wall")):
+            measure(room, point)
+
+    def test_rectangle_side_path_gives_the_loop_bits(self, monkeypatch):
+        loop = model._nearest_wall
+        looped = []
+
+        def spy(room, px, py):
+            looped.append((px, py))
+            return loop(room, px, py)
+
+        monkeypatch.setattr(model, "_nearest_wall", spy)
+        rng = np.random.default_rng(928)
+        calls: dict[str, int] = {}
+        sided: dict[str, int] = {}
+        for offset in (0.0, 1e4, -1e4):
+            for _ in range(400):
+                x0, y0 = offset + rng.uniform(-5, 5, 2)
+                w, h = rng.uniform(0.5, 10, 2)
+                room = _rect(x0, y0, w, h)
+                for kind, x, y in _probe_points(rng, room):
+                    looped.clear()
+                    assert _hex(_flat(nearest_wall_point(room, (x, y)))) == \
+                        _hex(_loop_nearest(room, (x, y))), (kind, x, y)
+                    calls[kind] = calls.get(kind, 0) + 1
+                    sided[kind] = sided.get(kind, 0) + (not looped)
+        # the sides name the wall for most points inside; never for a
+        # point that may lie outside without the loop agreeing; and both
+        # ways at the gap's edge
+        assert sided["inside"] > 0.9 * calls["inside"]
+        assert 0 < sided["gap"] < calls["gap"]
+        assert 0 < sided["diagonal"] < calls["diagonal"]
+
+    def test_clamp_skips_give_the_loop_bits(self):
+        rng = np.random.default_rng(929)
+        rooms = [L_ROOM, SLANTED]
+        for offset in (0.0, 1e4, -1e4):
+            for _ in range(100):
+                x0, y0 = offset + rng.uniform(-5, 5, 2)
+                w, h = rng.uniform(0.5, 10, 2)
+                rooms.append(_rect(x0, y0, w, h))
+        for room in rooms:
+            x0, y0, x1, y1 = room.bounds()
+            for _ in range(20 if room._rect is not None else 400):
+                for kind, x, y in _probe_points(rng, room):
+                    radius = rng.uniform(0.01, 0.6 * min(x1 - x0, y1 - y0))
+                    assert _hex(clamp_inside(room, x, y, radius)) == \
+                        _hex(_loop_clamp(room, x, y, radius)), (kind, x, y, radius)
+                    assert _hex(_flat(nearest_wall_point(room, (x, y)))) == \
+                        _hex(_loop_nearest(room, (x, y))), (kind, x, y)
+
+    def test_every_vertex_order_gives_the_loop_bits(self):
+        # each side's wall is found whichever corner the boundary starts
+        # at and whichever way it winds
+        def orders(corners):
+            rotations = [corners[k:] + corners[:k] for k in range(4)]
+            return [Room(c) for c in rotations] + [Room(c[::-1]) for c in rotations]
+
+        x0, y0, w, h = 1.5, -2.25, 7.3, 4.1
+        corners = [Vec2(x0, y0), Vec2(x0 + w, y0), Vec2(x0 + w, y0 + h), Vec2(x0, y0 + h)]
+        rng = np.random.default_rng(930)
+        points = [p[1:] for _ in range(500) for p in _probe_points(rng, _rect(x0, y0, w, h))]
+        for room in orders(corners):
+            for p in points:
+                assert _hex(_flat(nearest_wall_point(room, p))) == _hex(_loop_nearest(room, p)), p
+        # the centre of a square ties all four walls; the first stored wins
+        square = [Vec2(0, 0), Vec2(10, 0), Vec2(10, 10), Vec2(0, 10)]
+        for room in orders(square):
+            ax, ay, dx, dy, _, nx, ny, tangent = room._wall_data[0]
+            assert _flat(nearest_wall_point(room, (5, 5))) == \
+                (ax + 0.5 * dx, ay + 0.5 * dy, nx, ny, tangent)
 
 
 class TestAccessRegion:
