@@ -50,22 +50,16 @@ class AnnealConfig:
         check_seed(self.seed)
 
 
-def movable_particles(ctx: SolveContext) -> list[int]:
-    """Particles the state search may shift: free particles that are not
-    rigid members (those follow their group particle)."""
-    return [i for i in range(ctx.n) if ctx.proj_w[i] > 0.0 and ctx.owner[i] < 0]
-
-
 def _draw_move(
     state: LayoutState,
     ctx: SolveContext,
-    movable: list[int],
     sigma_pos: float,
     sigma_theta: float,
     rng: np.random.Generator,
 ) -> tuple[int, Pose, Pose]:
-    """One proposal: a particle, its pose and the pose proposed for it."""
-    idx = movable[int(rng.integers(len(movable)))]
+    """One proposal: a free particle (``ctx.free``), its pose and the
+    pose proposed for it."""
+    idx = ctx.free[int(rng.integers(len(ctx.free)))]
     pose = x, y, z, theta = state.px[idx], state.py[idx], state.pz[idx], state.theta[idx]
     if rng.random() < 0.5:
         x += rng.normal(0.0, sigma_pos)
@@ -125,10 +119,8 @@ def run_sa_mcmc(
     ctx = SolveContext(scene)
     seed = int(config.seed)  # a small numpy integer would overflow the mix
     rng = np.random.default_rng(seed ^ 0xA11EA1)
-    state = initialize(scene, seed)
-
-    movable = movable_particles(ctx)
-    if not movable:
+    state = initialize(ctx, seed)
+    if not ctx.free:
         raise ValueError("scene has no movable objects")
     sigma_pos = _sigma_pos(ctx)
 
@@ -145,7 +137,7 @@ def run_sa_mcmc(
     best_history: list[float] = []
 
     for iteration in range(1, config.total_iterations + 1):
-        idx, pose, proposed = _draw_move(state, ctx, movable, sigma_pos, SIGMA_THETA, rng)
+        idx, pose, proposed = _draw_move(state, ctx, sigma_pos, SIGMA_THETA, rng)
         _apply_move(state, ctx, idx, proposed)
         candidate_energy, candidate_sums, _, _ = evaluate_energy(state, ctx)
         if accept(energy, candidate_energy, float(temperatures[iteration - 1]), rng):

@@ -31,9 +31,11 @@ class CliError(RuntimeError):
 
 
 def _resolve_scene(ref: str, seed: int) -> Scene:
-    """A scene file path, or a template name built with defaults."""
+    """A scene file path, or a template name built with defaults; a
+    directory is no scene file, so one named like a template (a run's
+    ``--out``) does not hide it."""
     path = Path(ref)
-    if path.exists():
+    if path.is_file():
         return load_scene(path)
     if ref in TEMPLATE_NAMES:
         return build(ref, seed=seed)
@@ -319,6 +321,10 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
+    # the annealer has no broad phase, and its run_meta.json would not
+    # record one
+    if args.command == "synth" and args.mode == "mcmc" and args.broad_phase:
+        parser.error("--broad-phase applies only to --mode pbd")
     try:
         return args.func(args)
     except (SceneFormatError,) as exc:

@@ -71,7 +71,9 @@ from .geometry import (
     Curve, Vec2, closest_point_on_curve, closest_points_on_curves, math_map, wrap_angle,
     wrap_angles,
 )
-from .model import Room, boundary_violation, clamp_inside, nearest_wall_point, pokes_out
+from .model import (
+    Room, boundary_violation, clamp_inside, nearest_wall_point, pokes_out, zone_half_side,
+)
 
 log = logging.getLogger(__name__)
 
@@ -648,20 +650,6 @@ WALL_DISTANCE = _kind("wall_distance", _bind_wall_distance, _wall_distance,
                       relations=_EITHER, checks=(_needs_distance,))
 
 
-def access_zone_active(pi, r_i: float, center, half_side: float, theta_j: float) -> bool:
-    """Circle (pi, r_i) versus the oriented clearance square of an
-    accessibility zone."""
-    c, s = math.cos(theta_j), math.sin(theta_j)
-    relx = pi[0] - center[0]
-    rely = pi[1] - center[1]
-    # into the square's frame
-    lx = c * relx + s * rely
-    ly = -s * relx + c * rely
-    qx = min(half_side, max(-half_side, lx))
-    qy = min(half_side, max(-half_side, ly))
-    return math.hypot(lx - qx, ly - qy) <= r_i
-
-
 def project_accessibility(
     out: Sink,
     i: int,
@@ -681,15 +669,25 @@ def project_accessibility(
 ) -> bool:
     """Keep object i out of one accessibility zone of object j.
 
-    Active only when i's bounding circle overlaps the zone's clearance
-    square; the required separation from the zone center is i's footprint
-    diagonal plus the zone diagonal. The zone center is a ghost rigidly
-    attached to j, so its share of the correction translates j.
+    Active only when i's bounding circle (radius ``r_i``) overlaps the
+    zone's clearance square, of half side ``zone_half_side(access_diagonal)``
+    and turned by ``theta_j``; a NaN distance leaves it inactive. The
+    required separation from the zone center is i's footprint diagonal
+    plus the zone diagonal. The zone center is a ghost rigidly attached
+    to j, so its share of the correction translates j.
     """
     if access_diagonal <= 0.0:
         return False
-    half_side = access_diagonal / (2.0 * math.sqrt(2.0))
-    if not access_zone_active((xi, yi), r_i, (x_center, y_center), half_side, theta_j):
+    half_side = zone_half_side(access_diagonal)
+    c, s = math.cos(theta_j), math.sin(theta_j)
+    relx = xi - x_center
+    rely = yi - y_center
+    # into the square's frame
+    lx = c * relx + s * rely
+    ly = -s * relx + c * rely
+    qx = min(half_side, max(-half_side, lx))
+    qy = min(half_side, max(-half_side, ly))
+    if not math.hypot(lx - qx, ly - qy) <= r_i:
         return False
     d = b_i + access_diagonal
     return project_pairwise_distance(

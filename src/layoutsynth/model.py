@@ -135,6 +135,12 @@ class AccessRegion:
         return Vec2(position.x + c * lx - s * ly, position.y + s * lx + c * ly)
 
 
+def zone_half_side(diagonal: float) -> float:
+    """Half the side of a zone's clearance square, whose ground diagonal
+    is ``diagonal``."""
+    return diagonal / (2.0 * math.sqrt(2.0))
+
+
 def _disabled_regions() -> tuple[AccessRegion, ...]:
     return tuple(AccessRegion(Vec2(0.0, 0.0), 0.0) for _ in FACES)
 
@@ -212,14 +218,6 @@ class Group:
     @property
     def rigid(self) -> bool:
         return self.member_offsets is not None
-
-    def member_world_pose(self, k: int, group_pos: Vec2, group_theta: float) -> tuple[Vec2, float]:
-        dx, dy, dth = self.member_offsets[k]
-        c, s = math.cos(group_theta), math.sin(group_theta)
-        return (
-            Vec2(group_pos.x + c * dx - s * dy, group_pos.y + s * dx + c * dy),
-            normalize_angle(group_theta + dth),
-        )
 
 
 @dataclass
@@ -604,6 +602,8 @@ class Scene:
                 for member in group.member_object_ids:
                     if member not in object_ids:
                         raise ValueError(f"group {group.id!r} references missing object {member!r}")
+                    if group_of.get(member) == group.id:
+                        raise ValueError(f"group {group.id!r} names object {member!r} twice")
                     if member in group_of:
                         raise ValueError(
                             f"object {member!r} is in groups {group_of[member]!r} and {group.id!r}"

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from . import constraints as cn
 from .geometry import Vec2
-from .model import Scene
+from .model import Scene, zone_half_side
 
 SCALE = 24.0  # pixels per meter
 MARGIN = 1.0  # meters of padding around the room
@@ -184,7 +184,7 @@ def render_svg(scene: Scene, layout=None, options: RenderOptions | None = None) 
                 if not region.enabled:
                     continue
                 center = region.world_center(Vec2(x, y), theta)
-                half_side = region.diagonal / (2.0 * math.sqrt(2.0))
+                half_side = zone_half_side(region.diagonal)
                 ccx, ccy = doc.pt(center.x, center.y)
                 doc.add(f'<g transform="rotate({_fmt(-math.degrees(theta))} {ccx} {ccy})">')
                 doc.add(

@@ -72,7 +72,7 @@ import numpy as np
 from . import constraints as cn
 from .constraints import Constraint
 from .geometry import Vec2, normalize_angle
-from .model import Scene, nearest_wall_point
+from .model import Scene, nearest_wall_point, zone_half_side
 from .spatial import NaiveIndex, NeighbourList, SpatialHash, rebuild
 
 # lowest-energy iterates given a hard-constraint settling attempt
@@ -191,7 +191,13 @@ class Bound(NamedTuple):
 
 class SolveContext:
     """Per-run view of the scene prepared for fast projection, plus the
-    world curves fixed by unchanged group poses."""
+    world curves fixed by unchanged group poses. It alone says which
+    particles move: ``free`` lists, in index order, those neither fixed
+    nor rigid members (``proj_w > 0`` and ``owner < 0``), which an
+    initialization samples and the annealer proposes over;
+    ``members_of[g]`` lists group particle g's rigid members with their
+    (dx, dy, dtheta) offsets, in ``scene.groups`` order, and
+    ``owner[m]`` names member m's group particle (-1 for the rest)."""
 
     def __init__(self, scene: Scene):
         scene.validate()
@@ -219,8 +225,9 @@ class SolveContext:
             self.visual_weight[i] = obj.bbox.footprint_area
             for region in obj.accessibility:
                 if region.enabled:
-                    half_side = region.diagonal / (2.0 * math.sqrt(2.0))
-                    self.zones[i].append((region.local_center, region.diagonal, half_side))
+                    self.zones[i].append(
+                        (region.local_center, region.diagonal, zone_half_side(region.diagonal))
+                    )
                     self.reach[i] = max(
                         self.reach[i], region.local_center.norm() + 0.5 * region.diagonal
                     )
@@ -236,7 +243,10 @@ class SolveContext:
         self.cell_size = max(2.0 * spans[len(spans) // 2], 0.25 * spans[-1]) if spans else 1.0
 
         # rigid-group routing
-        members = _group_members(scene)
+        index = {obj.id: obj.particle_index for obj in scene.objects}
+        members = {
+            group.id: [index[m] for m in group.member_object_ids] for group in scene.groups
+        }
         self.owner = [-1] * n
         self.members_of: dict[int, list[tuple[int, tuple[float, float, float]]]] = {}
         self.group_by_id = {group.id: group for group in scene.groups}
@@ -253,6 +263,8 @@ class SolveContext:
         for g, rows in self.members_of.items():
             for m, _ in rows:
                 self.proj_w[m] = scene.particles[g].inverse_mass
+        # a fixed particle's inverse mass is exactly 0
+        self.free = [i for i in range(n) if self.proj_w[i] > 0.0 and self.owner[i] < 0]
 
         # the scene's own constraints: a run never writes to them
         self.user_constraints: list[Constraint] = list(scene.constraints)
@@ -369,12 +381,6 @@ class SolveContext:
             self.array_pricing.append((kind, np.array(rows), price))
 
 
-def _group_members(scene: Scene) -> dict[str, list[int]]:
-    """Member particle indices of every group, keyed by group id."""
-    index = {obj.id: obj.particle_index for obj in scene.objects}
-    return {group.id: [index[m] for m in group.member_object_ids] for group in scene.groups}
-
-
 def group_curve_constraints(scene: Scene, members: dict[str, list[int]]) -> list[Constraint]:
     """Member-to-curve attachments for every curve-carrying group (only
     nonrigid groups carry one), in member order."""
@@ -387,27 +393,21 @@ def group_curve_constraints(scene: Scene, members: dict[str, list[int]]) -> list
     return out
 
 
-def initialize(scene: Scene, seed: int) -> LayoutState:
-    """Random starting poses: positions uniform over the room polygon,
-    orientations uniform over the circle. Infinite-mass particles and
-    rigid members keep their authored poses; rigid members then follow
-    their group."""
+def initialize(ctx: SolveContext, seed: int) -> LayoutState:
+    """Random starting poses for ``ctx.scene``: each free particle
+    (``ctx.free``, in index order) draws a position uniform over the room
+    polygon, then an orientation uniform over the circle. Every other
+    particle keeps its authored pose, and rigid members then follow their
+    group particle (``ctx.members_of``)."""
     rng = np.random.default_rng(seed)
-    room = scene.room
+    room = ctx.room
     min_x, min_y, max_x, max_y = room.bounds()
-
-    members = _group_members(scene)
-    rigid = [group for group in scene.groups if group.rigid]
-    owned = {m for group in rigid for m in members[group.id]}
-
-    px, py, pz, theta = [], [], [], []
-    for i, particle in enumerate(scene.particles):
-        if particle.fixed or i in owned:
-            px.append(particle.position.x)
-            py.append(particle.position.y)
-            pz.append(particle.z)
-            theta.append(particle.orientation)
-            continue
+    particles = ctx.scene.particles
+    state = LayoutState(
+        [p.position.x for p in particles], [p.position.y for p in particles],
+        [p.z for p in particles], [p.orientation for p in particles],
+    )
+    for i in ctx.free:
         for _ in range(10_000):
             x = rng.uniform(min_x, max_x)
             y = rng.uniform(min_y, max_y)
@@ -415,20 +415,15 @@ def initialize(scene: Scene, seed: int) -> LayoutState:
                 break
         else:
             raise RuntimeError("rejection sampling failed; room area is ~0")
-        px.append(x)
-        py.append(y)
-        pz.append(particle.z)
-        theta.append(rng.uniform(0.0, 2.0 * math.pi))
-
-    state = LayoutState(px, py, pz, theta)
-    for group in rigid:
-        g = group.particle_index
-        gp = Vec2(state.px[g], state.py[g])
-        for k, m in enumerate(members[group.id]):
-            pos, th = group.member_world_pose(k, gp, state.theta[g])
-            state.px[m] = pos.x
-            state.py[m] = pos.y
-            state.theta[m] = th
+        state.px[i], state.py[i] = x, y
+        state.theta[i] = rng.uniform(0.0, 2.0 * math.pi)
+    for g, rows in ctx.members_of.items():
+        gx, gy, gth = state.px[g], state.py[g], state.theta[g]
+        c, s = math.cos(gth), math.sin(gth)
+        for m, (dx, dy, dth) in rows:
+            state.px[m] = gx + c * dx - s * dy
+            state.py[m] = gy + s * dx + c * dy
+            state.theta[m] = normalize_angle(gth + dth)
     return state
 
 
@@ -913,7 +908,9 @@ def synthesize(scene: Scene, config: SolverConfig | None = None) -> tuple[list[P
     returns the best hard-feasible snapshot (a final hard-constraint
     settling pass provides one). A run whose iterates cannot be settled
     collision-free (a topological tangle) deterministically restarts
-    from a reseeded initialization, up to three times.
+    from a reseeded initialization, up to three times. A scene with no
+    free particle starts from its authored poses whatever the seed, so
+    it makes one attempt.
     """
     config = config or SolverConfig()
     config.validate()
@@ -921,9 +918,9 @@ def synthesize(scene: Scene, config: SolverConfig | None = None) -> tuple[list[P
     # a plain int, so a small numpy integer seed cannot overflow the mix
     seed = attempt_seed = int(config.seed)
     for attempt in range(4):
-        snapshot, trace, feasible = _synthesize_attempt(scene, ctx, config, attempt_seed)
+        snapshot, trace, feasible = _synthesize_attempt(ctx, config, attempt_seed)
         trace.restarts = attempt
-        if feasible:
+        if feasible or not ctx.free:
             return snapshot, trace
         failed_seed = attempt_seed
         attempt_seed = (seed ^ ((attempt + 1) * 0x9E3779B9)) & 0x7FFFFFFF
@@ -938,7 +935,7 @@ def synthesize(scene: Scene, config: SolverConfig | None = None) -> tuple[list[P
 
 
 def _synthesize_attempt(
-    scene: Scene, ctx: SolveContext, config: SolverConfig, seed: int
+    ctx: SolveContext, config: SolverConfig, seed: int
 ) -> tuple[list[Pose], EnergyTrace, bool]:
     rng = np.random.default_rng(seed ^ 0x5EED)
     trace = EnergyTrace()
@@ -964,7 +961,7 @@ def _synthesize_attempt(
         if improves(priced):
             best = (priced[0], len(trace.energies) - 1, poses or st.snapshot())
 
-    st = initialize(scene, seed)
+    st = initialize(ctx, seed)
     neighbours = neighbour_list(ctx, config.broad_phase)
     priced = evaluate_energy(st, ctx, neighbours=neighbours)
     record(priced)

@@ -11,7 +11,6 @@ from layoutsynth.annealer import (
     _draw_move,
     _sigma_pos,
     accept,
-    movable_particles,
     run_sa_mcmc,
 )
 from layoutsynth.geometry import Vec2
@@ -31,7 +30,7 @@ def one_box_scene(side=100.0):
 def propose(state, ctx, sigma_pos, rng):
     """The candidate run_sa_mcmc would price: one drawn move applied to
     a copy of the state."""
-    idx, _, new = _draw_move(state, ctx, movable_particles(ctx), sigma_pos, SIGMA_THETA, rng)
+    idx, _, new = _draw_move(state, ctx, sigma_pos, SIGMA_THETA, rng)
     candidate = LayoutState(state.px, state.py, state.pz, state.theta)
     _apply_move(candidate, ctx, idx, new)
     return candidate
@@ -41,7 +40,7 @@ class TestPropose:
     def test_single_object_always_chosen(self):
         scene = one_box_scene()
         ctx = SolveContext(scene)
-        state = initialize(scene, 0)
+        state = initialize(ctx, 0)
         rng = np.random.default_rng(0)
         for _ in range(50):
             candidate = propose(state, ctx, _sigma_pos(ctx), rng)
@@ -55,7 +54,7 @@ class TestPropose:
     def test_exactly_one_attribute_changes(self):
         scene = scenes.living_room()
         ctx = SolveContext(scene)
-        state = initialize(scene, 1)
+        state = initialize(ctx, 1)
         rng = np.random.default_rng(1)
         for _ in range(200):
             candidate = propose(state, ctx, _sigma_pos(ctx), rng)
@@ -71,7 +70,7 @@ class TestPropose:
     def test_empirical_position_sigma(self):
         scene = one_box_scene(side=1000.0)  # huge room: no boundary rejections
         ctx = SolveContext(scene)
-        state = initialize(scene, 2)
+        state = initialize(ctx, 2)
         rng = np.random.default_rng(2)
         deltas = []
         for _ in range(100_000):
@@ -98,7 +97,7 @@ class TestPropose:
     def test_rigid_members_not_directly_movable(self):
         scene = scenes.tp_bedroom()
         ctx = SolveContext(scene)
-        movable = set(movable_particles(ctx))
+        movable = set(ctx.free)
         for i in range(ctx.n):
             if ctx.owner[i] >= 0:
                 assert i not in movable
@@ -169,7 +168,7 @@ class TestRun:
     def test_rigid_members_follow_their_moved_group(self):
         scene = scenes.tp_bedroom()
         ctx = SolveContext(scene)
-        start = initialize(scene, 0)
+        start = initialize(ctx, 0)
         layout, _ = run_sa_mcmc(scene, AnnealConfig(seed=0, total_iterations=300))
         assert len(ctx.members_of) == 3
         for g, rows in ctx.members_of.items():
@@ -190,14 +189,14 @@ def test_flat_energy_walk_is_uniform_over_room():
     scene = one_box_scene(side=8.0)
     scene.collisions_enabled = False
     ctx = SolveContext(scene)
-    state = initialize(scene, 11)
+    state = initialize(ctx, 11)
     rng = np.random.default_rng(11)
     from layoutsynth.annealer import _apply_move, _draw_move
 
     counts = np.zeros((8, 8))
     sigma = 2.0
     for step_index in range(1_000_000):
-        idx, _, new = _draw_move(state, ctx, [0], sigma, 0.3, rng)
+        idx, _, new = _draw_move(state, ctx, sigma, 0.3, rng)
         _apply_move(state, ctx, idx, new)  # flat energy: accept all
         # chi-square needs near-independent samples, so thin the chain
         if step_index % 25 == 0:

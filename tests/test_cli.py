@@ -265,6 +265,36 @@ def test_scene_file_before_template(command, tmp_path, monkeypatch):
     assert [{o.id for o in s.objects} for s in scenes] == [{o.id for o in build("living_room").objects}]
 
 
+@pytest.mark.parametrize("command", ["synth", "suggest", "compare", "validate"])
+def test_directory_named_like_a_template_is_no_scene_file(command, tmp_path, monkeypatch):
+    # a run's --out named like a template does not hide the template
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "desk").mkdir()
+    resolve, scenes = cli._resolve_scene, []
+    monkeypatch.setattr(cli, "_resolve_scene",
+                        lambda ref, seed: scenes.append(resolve(ref, seed)) or scenes[-1])
+    argv = [command, "desk"]
+    if command != "validate":
+        argv += ["--iters", "2", "--out", "out"] + (["--seeds", "1"] if command == "suggest" else [])
+    assert run(argv) == 0
+    assert [{o.id for o in s.objects} for s in scenes] == [{o.id for o in build("desk").objects}]
+
+
+def test_synth_into_a_template_named_directory_twice(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for _ in range(2):
+        assert run(["synth", "desk", "--iters", "5", "--out", "desk"]) == 0
+    assert run(["validate", "desk"]) == 0
+
+
+def test_mcmc_takes_no_broad_phase(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["synth", "desk", "--mode", "mcmc", "--broad-phase", "naive", "--out", tmp_path / "x"])
+    assert exc.value.code == 2
+    assert "--broad-phase applies only to --mode pbd" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_every_scene_solver_key_reaches_the_config():
     # a key the parser accepts but SolverConfig lacks would reach users
     # as a TypeError traceback, which main does not catch

@@ -441,9 +441,49 @@ class TestAccessibility:
         assert {particle for particle, *_ in corrs} == {0, 1}
 
     def test_zone_activation_geometry(self):
-        # square zone of diagonal d has half side d / (2*sqrt(2))
-        assert cn.access_zone_active((0.4, 0.0), 0.2, (0.0, 0.0), 0.25, 0.0)
-        assert not cn.access_zone_active((1.0, 0.0), 0.2, (0.0, 0.0), 0.25, 0.0)
+        # square zone of diagonal d has half side d / (2*sqrt(2)); the
+        # separation b_i + d = 1.7 is unmet at both points, so only the
+        # zone test keeps the far one quiet
+        diagonal = 0.5 * math.sqrt(2.0)
+        assert model.zone_half_side(diagonal) == pytest.approx(0.25, abs=1e-15)
+        for x, active in ((0.4, True), (1.0, False)):
+            corrs = corrections(
+                project_accessibility, 0, 1, x, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0,
+                access_diagonal=diagonal, b_i=1.0, r_i=0.2, k=1.0,
+            )
+            assert bool(corrs) == active
+
+    def test_zone_test_equals_the_circle_square_test(self):
+        # the zone test as a function of its own, NaN distances included:
+        # with the separation unmet everywhere, projecting means active
+        def zone_active(pi, r_i, center, half_side, theta_j):
+            c, s = math.cos(theta_j), math.sin(theta_j)
+            relx = pi[0] - center[0]
+            rely = pi[1] - center[1]
+            lx = c * relx + s * rely
+            ly = -s * relx + c * rely
+            qx = min(half_side, max(-half_side, lx))
+            qy = min(half_side, max(-half_side, ly))
+            return math.hypot(lx - qx, ly - qy) <= r_i
+
+        rng = np.random.default_rng(29)
+        seen = {True: 0, False: 0}
+        for n in range(4000):
+            xi, yi, xc, yc = rng.uniform(-3.0, 3.0, size=4)
+            theta = rng.uniform(0.0, 2 * math.pi)
+            diagonal, r_i = rng.uniform(0.01, 3.0), rng.uniform(0.0, 1.5)
+            if n % 10 == 0:
+                xi = math.nan
+            elif n % 10 == 1:
+                theta = math.nan
+            want = zone_active((xi, yi), r_i, (xc, yc), model.zone_half_side(diagonal), theta)
+            corrs = corrections(
+                project_accessibility, 0, 1, xi, yi, 1.0, 0.0, xc, yc, theta,
+                access_diagonal=diagonal, b_i=100.0, r_i=r_i, k=1.0,
+            )
+            assert bool(corrs) == want
+            seen[want] += 1
+        assert min(seen.values()) > 300
 
 
 class TestCollision:
@@ -824,7 +864,7 @@ class TestCurveAnchor:
     def test_kept_world_curve_equals_a_fresh_transform(self, style):
         scene = scenes.theater2(style=style, pathways=1)
         ctx = SolveContext(scene)
-        st = initialize(scene, 3)
+        st = initialize(ctx, 3)
         attached = [
             (c.group_id, b.record)
             for c, b in zip(ctx.user_constraints, ctx.pricing)

@@ -23,7 +23,7 @@ def _check(path: Path) -> subprocess.CompletedProcess:
 def test_artifacts_match_the_committed_digests():
     result = _check(DIGESTS)
     assert result.returncode == 0, result.stdout + result.stderr
-    assert result.stdout.startswith("178 artifacts byte-identical")
+    assert result.stdout.startswith("190 artifacts byte-identical")
 
 
 def test_other_versions_fail_the_check_naming_both(tmp_path):

@@ -468,30 +468,3 @@ class TestScene:
         assert [r.enabled for r in scene.objects[0].accessibility] == [False, False, True, False]
         assert scene.groups[0].particle_index == 2
         scene.validate()
-
-
-class TestRigidGroupRoundTrip:
-    def test_member_world_pose_composition(self):
-        group = Group(
-            id="g",
-            particle_index=0,
-            member_object_ids=("a", "b"),
-            member_offsets=((1.0, 0.0, 0.0), (0.0, 2.0, math.pi / 2)),
-        )
-        rng = np.random.default_rng(9)
-        for _ in range(200):
-            gx, gy = rng.uniform(-5, 5, size=2)
-            gth = rng.uniform(0, 2 * math.pi)
-            # transforming the group then reading member poses equals
-            # transforming each member's base world pose directly
-            base = [group.member_world_pose(k, Vec2(0, 0), 0.0) for k in range(2)]
-            moved = [group.member_world_pose(k, Vec2(gx, gy), gth) for k in range(2)]
-            c, s = math.cos(gth), math.sin(gth)
-            for (bp, bth), (mp, mth) in zip(base, moved):
-                ex = gx + c * bp.x - s * bp.y
-                ey = gy + s * bp.x + c * bp.y
-                assert mp.x == pytest.approx(ex, abs=1e-9)
-                assert mp.y == pytest.approx(ey, abs=1e-9)
-                assert math.isclose(
-                    math.cos(mth), math.cos(bth + gth), abs_tol=1e-9
-                )

@@ -194,6 +194,8 @@ class TestMalformed:
         (lambda d: d["objects"][0].update(fixed=True, mass=5.0),
          r"^objects\[0\]: a fixed object takes no mass"),
         (_in_two_groups, r"^groups\[1\]: object 'crate_0' is in groups 'g' and 'h'"),
+        (_with_group(members=["crate_0", "crate_0"]),
+         r"^groups\[0\]: group 'g' names object 'crate_0' twice"),
         (_fixed_in_rigid_group, r"^groups\[0\]: rigid group 'g' would move fixed object 'crate_0'"),
         (_with_constraint(pin_focal="no"), r"constraints\[0\]\.pin_focal"),
         (_with_constraint(face=True), r"constraints\[0\]: unknown field 'face'"),

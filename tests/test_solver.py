@@ -13,7 +13,7 @@ from layoutsynth import constraints as cn
 from layoutsynth import sceneio, scenes, solver
 from layoutsynth import spatial
 from layoutsynth.annealer import AnnealConfig, run_sa_mcmc
-from layoutsynth.geometry import Curve, Vec2
+from layoutsynth.geometry import Curve, Vec2, normalize_angle
 from layoutsynth.model import (
     AccessRegion,
     BoundingBox,
@@ -67,11 +67,121 @@ def living_room_with_schedules():
     return sceneio.parse_scene(json.dumps(doc))
 
 
+def fixed_and_rigid_scene():
+    """Four boxes in a 10 m room: box 0 fixed, box 1 the one member of a
+    rigid group whose particle (4) is fixed, and boxes 2 and 3 the
+    members of a rigid group whose particle (5) is free."""
+    scene = box_scene(4)
+    scene.particles[0] = Particle(Vec2(1.5, 2.5), orientation=0.25, mass=math.inf)
+    offsets = ((0.8, 0.0, 0.0), (-0.8, 0.3, math.pi / 2))
+    for g, (members, mass) in enumerate(((("box_1",), math.inf), (("box_2", "box_3"), 2.0))):
+        scene.particles.append(Particle(Vec2(4.0 + g, 6.0), orientation=1.0, mass=mass))
+        scene.groups.append(Group(id=f"g{g}", particle_index=4 + g, member_object_ids=members,
+                                  member_offsets=offsets[:len(members)]))
+    return scene
+
+
+INITIALIZE_SCENES = {
+    "tp_bedroom": lambda: scenes.build("tp_bedroom"),
+    "tp_picnic": lambda: scenes.build("tp_picnic"),
+    "desk": lambda: scenes.build("desk"),
+    "theater2_seg": lambda: scenes.theater2(style="seg"),
+    "fixed_and_rigid": fixed_and_rigid_scene,
+}
+
+
+def initialize_from_scene(scene, seed):
+    """The initialization that derived free particles and rigid members
+    from the scene itself: (state, sampled particles)."""
+    rng = np.random.default_rng(seed)
+    room = scene.room
+    min_x, min_y, max_x, max_y = room.bounds()
+    index = {obj.id: obj.particle_index for obj in scene.objects}
+    members = {g.id: [index[m] for m in g.member_object_ids] for g in scene.groups}
+    rigid = [group for group in scene.groups if group.rigid]
+    owned = {m for group in rigid for m in members[group.id]}
+    px, py, pz, theta, sampled = [], [], [], [], []
+    for i, particle in enumerate(scene.particles):
+        if particle.fixed or i in owned:
+            px.append(particle.position.x)
+            py.append(particle.position.y)
+            pz.append(particle.z)
+            theta.append(particle.orientation)
+            continue
+        sampled.append(i)
+        for _ in range(10_000):
+            x = rng.uniform(min_x, max_x)
+            y = rng.uniform(min_y, max_y)
+            if room.contains((x, y)):
+                break
+        px.append(x)
+        py.append(y)
+        pz.append(particle.z)
+        theta.append(rng.uniform(0.0, 2.0 * math.pi))
+    st = LayoutState(px, py, pz, theta)
+    for group in rigid:
+        g = group.particle_index
+        gx, gy, gth = st.px[g], st.py[g], st.theta[g]
+        for k, m in enumerate(members[group.id]):
+            dx, dy, dth = group.member_offsets[k]
+            c, s = math.cos(gth), math.sin(gth)
+            st.px[m] = gx + c * dx - s * dy
+            st.py[m] = gy + s * dx + c * dy
+            st.theta[m] = normalize_angle(gth + dth)
+    return st, sampled
+
+
+def pose_bits(st):
+    return [[v.hex() for v in values] for values in (st.px, st.py, st.pz, st.theta)]
+
+
 class TestInitialize:
+    @pytest.mark.parametrize("name", INITIALIZE_SCENES)
+    def test_equals_the_scene_derived_initialization(self, name):
+        scene = INITIALIZE_SCENES[name]()
+        ctx = SolveContext(scene)
+        for seed in (0, 1, 7, 2**31 - 1):
+            want, _ = initialize_from_scene(scene, seed)
+            assert pose_bits(initialize(ctx, seed)) == pose_bits(want)
+
+    @pytest.mark.parametrize("name", INITIALIZE_SCENES)
+    def test_free_is_the_sampled_and_movable_set(self, name):
+        scene = INITIALIZE_SCENES[name]()
+        ctx = SolveContext(scene)
+        _, sampled = initialize_from_scene(scene, 0)
+        assert ctx.free == sampled
+        assert ctx.free == [i for i in range(ctx.n) if ctx.proj_w[i] > 0.0 and ctx.owner[i] < 0]
+
+    def test_fixed_and_rigid_scene_covers_each_case(self):
+        ctx = SolveContext(fixed_and_rigid_scene())
+        assert ctx.free == [5]
+        assert ctx.owner == [-1, 4, 5, 5, -1, -1]
+
+    def test_member_world_pose_composition(self):
+        # a rigid member's pose is its group's pose composed with its
+        # offset, whatever pose the group particle drew
+        scene = fixed_and_rigid_scene()
+        ctx = SolveContext(scene)
+        base = {m: offset for rows in ctx.members_of.values() for m, offset in rows}
+        assert sorted(base) == [1, 2, 3]
+        for seed in range(200):
+            st = initialize(ctx, seed)
+            for g, rows in ctx.members_of.items():
+                gx, gy, gth = st.px[g], st.py[g], st.theta[g]
+                c, s = math.cos(gth), math.sin(gth)
+                for m, _ in rows:
+                    bx, by, bth = base[m]
+                    assert st.px[m] == pytest.approx(gx + c * bx - s * by, abs=1e-9)
+                    assert st.py[m] == pytest.approx(gy + s * bx + c * by, abs=1e-9)
+                    assert math.isclose(math.cos(st.theta[m]), math.cos(bth + gth), abs_tol=1e-9)
+                    assert 0.0 <= st.theta[m] < 2 * math.pi
+        # the fixed group keeps its authored pose
+        assert (st.px[4], st.py[4], st.theta[4]) == (4.0, 6.0, 1.0)
+
     def test_deterministic(self):
-        scene = box_scene(5)
-        a = initialize(scene, 42)
-        b = initialize(scene, 42)
+        ctx = SolveContext(box_scene(5))
+        a = initialize(ctx, 42)
+        b = initialize(ctx, 42)
         assert a.snapshot() == b.snapshot()
 
     def test_all_samples_inside_polygon(self):
@@ -83,23 +193,22 @@ class TestInitialize:
                 LayoutObject(id=f"o{i}", label="box", particle_index=i,
                              bbox=BoundingBox(Vec2(0.1, 0.1), 0.1))
             )
-        st = initialize(scene, 7)
+        st = initialize(SolveContext(scene), 7)
         for x, y in zip(st.px, st.py):
             assert room.contains((x, y))
 
     def test_uniform_mean_near_rectangle_center(self):
-        scene = box_scene(1)
+        ctx = SolveContext(box_scene(25_000))
         xs, ys = [], []
         for seed in range(4):
-            rng_scene = box_scene(25_000)
-            st = initialize(rng_scene, seed)
+            st = initialize(ctx, seed)
             xs.extend(st.px)
             ys.extend(st.py)
         assert abs(np.mean(xs) - 5.0) < 0.05
         assert abs(np.mean(ys) - 5.0) < 0.05
 
     def test_orientations_uniform(self):
-        st = initialize(box_scene(20_000), 3)
+        st = initialize(SolveContext(box_scene(20_000)), 3)
         thetas = np.array(st.theta)
         assert 0.0 <= thetas.min() and thetas.max() < 2 * math.pi
         assert abs(np.mean(thetas) - math.pi) < 0.05
@@ -107,7 +216,7 @@ class TestInitialize:
     def test_fixed_particles_keep_pose(self):
         scene = box_scene(2)
         scene.particles[0] = Particle(Vec2(1.5, 2.5), orientation=0.25, mass=math.inf)
-        st = initialize(scene, 9)
+        st = initialize(SolveContext(scene), 9)
         assert (st.px[0], st.py[0], st.theta[0]) == (1.5, 2.5, 0.25)
 
     def test_near_zero_area_room_fails_rejection_sampling(self):
@@ -119,7 +228,7 @@ class TestInitialize:
             LayoutObject(id="o", label="box", particle_index=0, bbox=BoundingBox(Vec2(0.1, 0.1), 0.1))
         )
         with pytest.raises(RuntimeError, match="rejection"):
-            initialize(sliver, 0)
+            initialize(SolveContext(sliver), 0)
 
 
 class TestEvaluateEnergy:
@@ -173,7 +282,7 @@ class TestEvaluateEnergy:
         # equals a from-scratch pricing exactly
         scene = scenes.theater2()
         ctx = SolveContext(scene)
-        st = initialize(scene, 0)
+        st = initialize(ctx, 0)
         neighbours = neighbour_list(ctx)
         for iteration in range(1, 6):
             contacts = step(st, ctx, iteration, neighbours=neighbours)
@@ -221,7 +330,7 @@ class TestEvaluateEnergy:
         # handed, fresh and naive pricings keep nothing on the context
         scene = scenes.theater2()
         ctx = SolveContext(scene)
-        st = initialize(scene, 0)
+        st = initialize(ctx, 0)
         neighbours = neighbour_list(ctx)
         contacts = step(st, ctx, 1, neighbours=neighbours)
         before = dict(vars(ctx))
@@ -279,7 +388,7 @@ class TestArrayPricing:
         monkeypatch.setattr(solver, "ARRAY_PRICING_RECORDS", records)
         scene = scene()
         ctx = SolveContext(scene)
-        st = initialize(scene, 0)
+        st = initialize(ctx, 0)
         neighbours = neighbour_list(ctx)
         for iteration in range(1, 31):
             step(st, ctx, iteration, neighbours)
@@ -320,7 +429,7 @@ class TestStep:
         assert len(ctx.schedules) == len(keys) > 3
         constraint_of = {id(b.record): c for b, c in zip(ctx.pricing, ctx.user_constraints)}
         assert len(constraint_of) == len(ctx.user_constraints)
-        st = initialize(scene, 0)
+        st = initialize(ctx, 0)
         neighbours = neighbour_list(ctx)
         for iteration in (1, 2, 7, 40):
             projected.clear()
@@ -671,6 +780,27 @@ class TestSynthesize:
             assert f"attempt {r.attempt} (seed {r.failed_seed})" in r.getMessage()
             assert f"restarting with seed {r.next_seed}" in r.getMessage()
 
+    def test_no_free_particle_makes_one_attempt(self, caplog):
+        # with every object fixed nothing is drawn, so a restart would
+        # repeat the first attempt: it is the one returned, unflagged
+        doc = json.loads(sceneio.serialize_scene(scenes.living_room()))
+        for obj in doc["objects"]:
+            obj["fixed"] = True
+        scene = sceneio.parse_scene(json.dumps(doc))
+        config = SolverConfig(seed=0)
+        ctx = SolveContext(scene)
+        assert ctx.free == []
+        poses, first, feasible = solver._synthesize_attempt(ctx, config, 0)
+        assert not feasible
+        with caplog.at_level(logging.WARNING, logger="layoutsynth.solver"):
+            layout, trace = synthesize(scene, config)
+        assert not caplog.records
+        assert trace.restarts == 0
+        assert layout == poses
+        assert dataclasses.asdict(trace) == dataclasses.asdict(first)
+        assert len(trace.energies) == 53
+        assert trace.best_energy == pytest.approx(167.57, abs=0.01)
+
     def test_decaying_stacking_schedule_still_settles(self):
         # the settle stacks at full stiffness, not at whatever the last
         # step's decayed schedule reached
@@ -742,7 +872,7 @@ class TestSynthesize:
         index = neighbour_list(ctx, "naive")
         everything = list(itertools.combinations(sorted(ctx.object_particles), 2))
         for seed in (0, 1):
-            st = initialize(scene, seed)
+            st = initialize(ctx, seed)
             assert index.refresh(st.px, st.py) is index
             assert index.candidate_pairs() == everything
 
@@ -849,7 +979,7 @@ class TestNeighbourListNarrowPhase:
     def test_contacts_match_all_pairs_mid_solve(self, template, seed):
         scene = scenes.build(template, seed=seed)
         ctx = SolveContext(scene)
-        st = initialize(scene, seed)
+        st = initialize(ctx, seed)
         start = st.snapshot()
         neighbours = neighbour_list(ctx)
         everything = spatial.NaiveIndex(ctx.object_particles)
@@ -934,7 +1064,7 @@ class TestContactRouting:
         scene = scenes.build("desk")
         ctx = SolveContext(scene)
         assert ctx.stack_top
-        st = initialize(scene, 0)
+        st = initialize(ctx, 0)
         named = self._spy(monkeypatch)
         step(st, ctx, 1, neighbour_list(ctx))
         self._assert_routed(named, ctx)
@@ -942,7 +1072,7 @@ class TestContactRouting:
     def test_desk_settle_routes_to_the_pile_base(self, monkeypatch):
         scene = scenes.build("desk")
         ctx = SolveContext(scene)
-        st = initialize(scene, 0)
+        st = initialize(ctx, 0)
         named = self._spy(monkeypatch)
         _settle_hard_constraints(st, ctx, neighbour_list(ctx))
         self._assert_routed(named, ctx)
@@ -955,7 +1085,7 @@ def test_activation_names_its_zone_by_index(template):
     scene = scenes.build(template)
     ctx = SolveContext(scene)
     obj_at = {obj.particle_index: obj for obj in scene.objects}
-    st = initialize(scene, 0)
+    st = initialize(ctx, 0)
     neighbours = neighbour_list(ctx)
     seen = 0
     for iteration in range(1, 6):
