@@ -12,9 +12,10 @@ constraint variants no template uses, living_room moved far from the
 origin and living_room turned off the axes (see ``MOVED_ROOMS``),
 living_room in a non-convex L-shaped room (see ``L_ROOM``) and in a
 notched room whose centroid lies outside it (see ``NOTCHED_ROOM``),
-living_room with fixed objects (see ``FIXED_POSES``), three templates under the naive broad phase (see ``NAIVE_RUNS``), two
-rigid-group templates exported and read back (see ``FILE_TWINS``),
-``suggest`` and ``compare``. They execute in a temporary directory with
+living_room with fixed objects (see ``FIXED_POSES``), three templates
+under the naive broad phase (see ``NAIVE_RUNS``), two rigid-group
+templates exported and read back (see ``FILE_TWINS``), ``suggest`` and
+``compare``. They execute in a temporary directory with
 relative scene references, so no artifact records where it was written.
 
 The output starts with a header naming the Python and numpy versions,
@@ -126,11 +127,11 @@ L_ROOM = [[0, 0], [8, 0], [8, 4], [5.5, 4], [5.5, 6], [0, 6]]
 NOTCHED_ROOM = [[0, 0], [6.5, 0], [6.5, 5], [4.5, 5], [4.5, 2], [2, 2], [2, 5], [0, 5]]
 
 
-# living_room objects fixed at their authored poses, as file stem ->
-# {object id: (x, y, theta in degrees)}, or None to fix every object
-# where the export puts it (all at the room's centre, so no attempt is
-# feasible and none draws a pose). The tv and the door sit apart, so the
-# solver and the annealer move the rest around two fixed objects
+# living_room objects made fixed, as file stem -> {object id: (x, y,
+# theta in degrees)}, or None to fix every object where the export puts
+# it (all at the room's centre, so no attempt is feasible and none draws
+# a pose). The tv and the door sit apart, so the solver and the annealer
+# move the rest around two fixed objects
 FIXED_POSES = {
     "living_room_fixed2": {"tv": (0.65, 2.5, 0.0), "door": (3.25, 0.5, 90.0)},
     "living_room_all_fixed": None,
