@@ -1,22 +1,11 @@
 """Print a sha256 digest for every artifact of a fixed list of CLI runs.
 
 A refactor that claims byte-identical behaviour must print the same
-lines as its parent commit. The runs cover all
-seven templates, the annealing baseline (with rigid groups and piles),
-every render overlay (see ``OVERLAY_RUNS``), theater2's segment-curve and
-arc-curve tiers from scene files, theater1 at 400 chairs from a scene
-file at acceptance criterion 7's 60-iteration budget (the run with the
-most objects, neighbour pairs and re-bucketed particles), per-constraint
-stiffness schedules from a scene file, a scene file with the authored
-constraint variants no template uses, living_room moved far from the
-origin and living_room turned off the axes (see ``MOVED_ROOMS``),
-living_room in a non-convex L-shaped room (see ``L_ROOM``) and in a
-notched room whose centroid lies outside it (see ``NOTCHED_ROOM``),
-living_room with fixed objects (see ``FIXED_POSES``), three templates
-under the naive broad phase (see ``NAIVE_RUNS``), two rigid-group
-templates exported and read back (see ``FILE_TWINS``), ``suggest`` and
-``compare``. They execute in a temporary directory with
-relative scene references, so no artifact records where it was written.
+lines as its parent commit. The tables below declare the runs, in the
+order of the output; a new edit of living_room's export is one
+``LIVING_ROOM_FILES`` row. The runs execute in a temporary directory
+with relative scene references, so no artifact records where it was
+written.
 
 The output starts with a header naming the Python and numpy versions,
 since float results may differ under others. ``artifact_digests.txt``
@@ -107,40 +96,10 @@ VARIANT_CONSTRAINTS = [
     {"kind": "heat_point", "objects": ["plant_0", "plant_1"], "point": [1, 1]},
 ]
 
-# living_room with its room and every object pose moved, as file stem ->
-# (translation, rotation in degrees about the room's centre): far from
-# the origin, where rounding is coarser and a rectangle's sides decide
-# containment less often, and turned 30 degrees, where the room is no
-# axis-aligned rectangle and only the per-wall measure decides
-MOVED_ROOMS = {
-    "living_room_far": ((5000.0, -3000.0), 0.0),
-    "living_room_turned": ((0.0, 0.0), 30.0),
-}
 
-# living_room in an L-shaped room: no rectangle, so every containment
-# test goes through the per-wall measure and the ray-cast Room.contains
-L_ROOM = [[0, 0], [8, 0], [8, 4], [5.5, 4], [5.5, 6], [0, 6]]
-
-# living_room in a 6.5 x 5 m room with a 2.5 x 3 m notch: its centroid
-# (3.25, 2.2) lies in the notch, outside the room, so the boundary
-# projection's centroid fallback runs (and logs its warning on stderr)
-NOTCHED_ROOM = [[0, 0], [6.5, 0], [6.5, 5], [4.5, 5], [4.5, 2], [2, 2], [2, 5], [0, 5]]
-
-
-# living_room objects made fixed, as file stem -> {object id: (x, y,
-# theta in degrees)}, or None to fix every object where the export puts
-# it (all at the room's centre, so no attempt is feasible and none draws
-# a pose). The tv and the door sit apart, so the solver and the annealer
-# move the rest around two fixed objects
-FIXED_POSES = {
-    "living_room_fixed2": {"tv": (0.65, 2.5, 0.0), "door": (3.25, 0.5, 90.0)},
-    "living_room_all_fixed": None,
-}
-
-
-def _moved_scene(doc: dict, shift: tuple[float, float], degrees: float) -> dict:
-    """The scene document with its room and every object pose rotated
-    about the centre of the room's bounds by ``degrees``, then shifted."""
+def _move(doc: dict, shift: tuple[float, float], degrees: float) -> None:
+    """Rotate the room and every object pose about the centre of the
+    room's bounds by ``degrees``, then shift them."""
     xs, ys = zip(*doc["room"]["boundary"])
     cx, cy = 0.5 * (min(xs) + max(xs)), 0.5 * (min(ys) + max(ys))
     c, s = math.cos(math.radians(degrees)), math.sin(math.radians(degrees))
@@ -154,7 +113,63 @@ def _moved_scene(doc: dict, shift: tuple[float, float], degrees: float) -> dict:
         pose = obj["pose"]
         pose["x"], pose["y"] = move(pose["x"], pose["y"])
         pose["theta_deg"] += degrees
-    return doc
+
+
+def _schedule(doc: dict) -> None:
+    """Give every other constraint (none of them stacking) a stiffness
+    schedule of its own in place of its kind's."""
+    overrides = [("increasing", 0.3, 2.0), ("decreasing", 0.5, 4.0), ("constant", 0.7, 1.0)]
+    for con_doc, (schedule, k0, rate) in zip(doc["constraints"][::2], overrides * 10):
+        con_doc.update(schedule=schedule, stiffness=k0, rate=rate)
+
+
+def _fix(doc: dict, poses: dict[str, tuple[float, float, float]]) -> None:
+    """Fix the objects that ``poses`` names at its (x, y, theta in degrees),
+    or every object where the export puts it when ``poses`` is empty."""
+    for obj in doc["objects"]:
+        if not poses or obj["id"] in poses:
+            obj["fixed"] = True
+        if obj["id"] in poses:
+            x, y, degrees = poses[obj["id"]]
+            obj["pose"].update(x=x, y=y, theta_deg=degrees)
+
+
+# living_room's export after an edit, as file stem -> (edit of the scene
+# document, seeds), solved from <stem>.json in this order
+LIVING_ROOM_FILES = {
+    # per-constraint stiffness schedules, which no template sets
+    "living_room_schedules": (_schedule, (0,)),
+    "living_room_variants": (lambda doc: doc["constraints"].extend(VARIANT_CONSTRAINTS), (0, 1)),
+    # far from the origin, where rounding is coarser and a rectangle's
+    # sides decide containment less often
+    "living_room_far": (lambda doc: _move(doc, (5000.0, -3000.0), 0.0), (0, 1)),
+    # turned off the axes: no rectangle, so only the per-wall measure decides
+    "living_room_turned": (lambda doc: _move(doc, (0.0, 0.0), 30.0), (0, 1)),
+    # L-shaped: every containment test goes through the per-wall measure
+    # and the ray-cast Room.contains
+    "living_room_l": (lambda doc: doc["room"].update(
+        boundary=[[0, 0], [8, 0], [8, 4], [5.5, 4], [5.5, 6], [0, 6]]), (0, 1)),
+    # 6.5 x 5 m with a 2.5 x 3 m notch that holds the centroid (3.25,
+    # 2.2), so the boundary projection's centroid fallback runs (and
+    # logs its warning on stderr)
+    "living_room_notched": (lambda doc: doc["room"].update(boundary=[
+        [0, 0], [6.5, 0], [6.5, 5], [4.5, 5], [4.5, 2], [2, 2], [2, 5], [0, 5]]), (0, 1)),
+    # the tv and the door fixed apart, so the solver (and the annealer
+    # below) move the rest around two fixed objects
+    "living_room_fixed2": (
+        lambda doc: _fix(doc, {"tv": (0.65, 2.5, 0.0), "door": (3.25, 0.5, 90.0)}), (0,)),
+    # every object fixed at the room's centre: no attempt is feasible,
+    # and none draws a pose
+    "living_room_all_fixed": (lambda doc: _fix(doc, {}), (0,)),
+}
+
+
+def _write_living_room(stem: str, edit) -> None:
+    """Write living_room's export, after ``edit`` changed its document in
+    place, to ``<stem>.json``."""
+    doc = json.loads(sceneio.serialize_scene(scenes.living_room()))
+    edit(doc)
+    Path(f"{stem}.json").write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
 def _cli(*argv: str) -> None:
@@ -164,83 +179,35 @@ def _cli(*argv: str) -> None:
         raise SystemExit(f"layoutsynth {' '.join(argv)} exited with {code}")
 
 
+def _synth(scene: str, seed: int, out: str, *flags: str) -> tuple[str, ...]:
+    return ("synth", scene, "--seed", str(seed), *flags, "--out", out)
+
+
 def _runs() -> list[tuple[str, ...]]:
-    """The CLI argument lists to run, after exporting the scene files
-    that they read."""
-    runs = [
-        ("synth", name, "--seed", str(seed), "--out", f"{name}_s{seed}")
-        for name, seeds in TEMPLATE_SEEDS.items()
-        for seed in seeds
-    ]
-    runs += [
-        ("synth", name, "--mode", "mcmc", "--out", f"{name}_mcmc") for name in MCMC_TEMPLATES
-    ]
-    runs += [
-        ("synth", name, "--seed", str(seed), "--broad-phase", "naive", "--out",
-         f"{name}_naive_s{seed}")
-        for name, seed in NAIVE_RUNS
-    ]
+    """The CLI argument lists to run, after writing the scene files that
+    they read."""
+    runs = [_synth(name, seed, f"{name}_s{seed}")
+            for name, seeds in TEMPLATE_SEEDS.items() for seed in seeds]
+    runs += [("synth", name, "--mode", "mcmc", "--out", f"{name}_mcmc") for name in MCMC_TEMPLATES]
+    runs += [_synth(name, seed, f"{name}_naive_s{seed}", "--broad-phase", "naive")
+             for name, seed in NAIVE_RUNS]
     for name, seed in FILE_TWINS:
         sceneio.save_scene(scenes.build(name, seed=seed), f"{name}_s{seed}.json")
-        runs.append(("synth", f"{name}_s{seed}.json", "--seed", str(seed), "--out",
-                     f"{name}_file_s{seed}"))
+        runs.append(_synth(f"{name}_s{seed}.json", seed, f"{name}_file_s{seed}"))
     for name, params in TIER_FILES.items():
         sceneio.save_scene(scenes.build("theater2", params), f"{name}.json")
-        runs.append(("synth", f"{name}.json", "--seed", "0", "--out", f"{name}_s0"))
+        runs.append(_synth(f"{name}.json", 0, f"{name}_s0"))
     name = f"theater1_{THEATER1_CHAIRS}"
     sceneio.save_scene(scenes.build("theater1", {"chair_count": THEATER1_CHAIRS}), f"{name}.json")
-    runs.append(("synth", f"{name}.json", "--seed", "0", "--iters", str(THEATER1_ITERS),
-                 "--out", f"{name}_s0"))
-    # per-constraint stiffness schedules, which no template sets: every
-    # other living_room constraint (none of them stacking) overrides its
-    # kind's schedule
-    path = "living_room_schedules.json"
-    _cli("export", "living_room", "--out", path)
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    overrides = [("increasing", 0.3, 2.0), ("decreasing", 0.5, 4.0), ("constant", 0.7, 1.0)]
-    for con_doc, (schedule, k0, rate) in zip(doc["constraints"][::2], overrides * 10):
-        con_doc.update(schedule=schedule, stiffness=k0, rate=rate)
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-    runs.append(("synth", path, "--seed", "0", "--out", "living_room_schedules_s0"))
-    path = "living_room_variants.json"
-    doc = json.loads(sceneio.serialize_scene(scenes.living_room()))
-    doc["constraints"] += VARIANT_CONSTRAINTS
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-    runs += [
-        ("synth", path, "--seed", str(seed), "--out", f"living_room_variants_s{seed}")
-        for seed in (0, 1)
-    ]
-    for scene, seed, iters in OVERLAY_RUNS:
-        stem = scene.removesuffix(".json")
-        budget = ("--iters", str(iters)) if iters else ()
-        runs.append(("synth", scene, "--seed", str(seed), *budget, *OVERLAY_FLAGS,
-                     "--out", f"{stem}_overlays_s{seed}"))
-    for name, (shift, degrees) in MOVED_ROOMS.items():
-        doc = json.loads(sceneio.serialize_scene(scenes.living_room()))
-        doc = _moved_scene(doc, shift, degrees)
-        Path(f"{name}.json").write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-        runs += [
-            ("synth", f"{name}.json", "--seed", str(seed), "--out", f"{name}_s{seed}")
-            for seed in (0, 1)
-        ]
-    for name, boundary in (("living_room_l", L_ROOM), ("living_room_notched", NOTCHED_ROOM)):
-        doc = json.loads(sceneio.serialize_scene(scenes.living_room()))
-        doc["room"]["boundary"] = boundary
-        Path(f"{name}.json").write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-        runs += [
-            ("synth", f"{name}.json", "--seed", str(seed), "--out", f"{name}_s{seed}")
-            for seed in (0, 1)
-        ]
-    for name, poses in FIXED_POSES.items():
-        doc = json.loads(sceneio.serialize_scene(scenes.living_room()))
-        for obj in doc["objects"]:
-            if poses is None or obj["id"] in poses:
-                obj["fixed"] = True
-            if poses and obj["id"] in poses:
-                x, y, degrees = poses[obj["id"]]
-                obj["pose"].update(x=x, y=y, theta_deg=degrees)
-        Path(f"{name}.json").write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-        runs.append(("synth", f"{name}.json", "--seed", "0", "--out", f"{name}_s0"))
+    runs.append(_synth(f"{name}.json", 0, f"{name}_s0", "--iters", str(THEATER1_ITERS)))
+    for stem, (edit, seeds) in LIVING_ROOM_FILES.items():
+        _write_living_room(stem, edit)
+        runs += [_synth(f"{stem}.json", seed, f"{stem}_s{seed}") for seed in seeds]
+        if stem == "living_room_variants":  # the overlay runs read it next
+            for scene, seed, iters in OVERLAY_RUNS:
+                budget = ("--iters", str(iters)) if iters else ()
+                runs.append(_synth(scene, seed, f"{scene.removesuffix('.json')}_overlays_s{seed}",
+                                   *budget, *OVERLAY_FLAGS))
     runs.append(("synth", "living_room_fixed2.json", "--mode", "mcmc", "--out",
                  "living_room_fixed2_mcmc"))
     runs.append(("suggest", "picnic", "--seeds", "2", "--out", "picnic_suggest"))
