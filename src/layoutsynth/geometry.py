@@ -225,12 +225,6 @@ class Curve:
         cx, cy = self.center
         return Vec2(cx + radius * math.cos(ang), cy + radius * math.sin(ang))
 
-    def length(self) -> float:
-        if self.center is None:
-            return (self.b - self.a).norm()
-        _, sweep, radius = self._arc_angles
-        return sweep * radius
-
     def transformed(self, origin: Vec2, theta: float) -> "Curve":
         """Curve rotated by theta then translated by origin."""
         c, s = math.cos(theta), math.sin(theta)

@@ -105,12 +105,17 @@ def render_svg(scene: Scene, layout=None, options: RenderOptions | None = None) 
                 continue
             gx, gy, _, gth = layout[group.particle_index]
             world = group.curve.transformed(Vec2(gx, gy), gth)
-            samples = max(2, int(world.length() * 4))
-            pts = " ".join(
-                ",".join(doc.pt(*world.point_at(t / samples))) for t in range(samples + 1)
-            )
+            a, b = ",".join(doc.pt(*world.a)), ",".join(doc.pt(*world.b))
+            if world.center is None:
+                path = f"M {a} L {b}"
+            else:
+                # two halves of at most a half turn each (large-arc flag 0); the
+                # y flip turns the counterclockwise sweep into sweep flag 0
+                r = _fmt((world.a - world.center).norm() * SCALE)
+                mid = ",".join(doc.pt(*world.point_at(0.5)))
+                path = f"M {a} A {r} {r} 0 0 0 {mid} A {r} {r} 0 0 0 {b}"
             doc.add(
-                f'<polyline points="{pts}" fill="none" stroke="#b07aa1" '
+                f'<path d="{path}" fill="none" stroke="#b07aa1" '
                 f'stroke-width="1" stroke-dasharray="4,3"/>'
             )
         doc.add("</g>")

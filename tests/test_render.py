@@ -1,6 +1,10 @@
+import json
 import math
+import re
+import time
 
-from layoutsynth.render import RenderOptions, render_svg
+from layoutsynth.render import MARGIN, SCALE, RenderOptions, render_svg
+from layoutsynth.sceneio import parse_scene, serialize_scene
 from layoutsynth.scenes import build
 from layoutsynth.solver import SolverConfig, synthesize
 
@@ -46,12 +50,69 @@ def test_overlays_toggle_named_layers():
     assert circles.count("<circle") == len(scene.objects)
 
 
+def _curve_paths(svg: str) -> list[str]:
+    layer = svg.split('<g id="group-curves">')[1].split("</g>")[0]
+    return re.findall(r'<path d="([^"]*)"', layer)
+
+
+def _pixel(scene, x: float, y: float) -> tuple[float, float]:
+    min_x, _, _, max_y = scene.room.bounds()
+    return (x - min_x + MARGIN) * SCALE, (max_y + MARGIN - y) * SCALE
+
+
+def _arc_centers(path: str) -> list[tuple[float, float]]:
+    """The centre of each circular ``A`` command of a path, by the SVG
+    spec's endpoint-to-centre conversion (implementation notes F.6.5)
+    with equal radii and no rotation."""
+    tokens = path.replace(",", " ").split()
+    x1, y1 = float(tokens[1]), float(tokens[2])
+    centers = []
+    for i in range(3, len(tokens), 8):
+        assert tokens[i] == "A"
+        r, _, phi, large, sweep, x2, y2 = map(float, tokens[i + 1:i + 8])
+        assert phi == 0.0
+        hx, hy = (x1 - x2) / 2, (y1 - y2) / 2
+        sign = -1.0 if large == sweep else 1.0
+        coef = sign * math.sqrt(max(0.0, (r * r - hx * hx - hy * hy) / (hx * hx + hy * hy)))
+        centers.append((coef * hy + (x1 + x2) / 2, -coef * hx + (y1 + y2) / 2))
+        x1, y1 = x2, y2
+    return centers
+
+
 def test_curve_layer_present_for_tier_groups():
     scene = build("theater2")
+    assert len(_curve_paths(render_svg(scene))) == len(scene.groups) == 6
+
+
+def test_arc_paths_keep_the_curve_centres():
+    scene = build("theater2", {"style": "arc", "pathways": 2})
+    paths = _curve_paths(render_svg(scene))
+    assert len(paths) == len(scene.groups) == 6
+    for group, path in zip(scene.groups, paths):
+        pose = scene.particles[group.particle_index]
+        world = group.curve.transformed(pose.position, pose.orientation)
+        cx, cy = _pixel(scene, *world.center)
+        centers = _arc_centers(path)
+        assert len(centers) == 2
+        for x, y in centers:
+            assert math.hypot(x - cx, y - cy) < 1e-3
+
+
+def test_long_segment_curves_render_as_two_points():
+    doc = json.loads(serialize_scene(build("theater2", {"style": "seg", "pathways": 1})))
+    for group in doc["groups"]:
+        group["curve"] = {"a": [0.0, -1e5], "b": [0.0, 1e5]}
+    scene = parse_scene(json.dumps(doc))
+    start = time.perf_counter()
     svg = render_svg(scene)
-    assert '<g id="group-curves">' in svg
-    curves = svg.split('<g id="group-curves">')[1].split("</g>")[0]
-    assert curves.count("<polyline") == len(scene.groups) == 6
+    assert time.perf_counter() - start < 1.0
+    paths = _curve_paths(svg)
+    assert len(paths) == 6
+    for group, path in zip(scene.groups, paths):
+        pose = scene.particles[group.particle_index]
+        world = group.curve.transformed(pose.position, pose.orientation)
+        a, b = (",".join(f"{v:.4f}" for v in _pixel(scene, *end)) for end in (world.a, world.b))
+        assert path == f"M {a} L {b}"
 
 
 def test_deterministic_bytes():

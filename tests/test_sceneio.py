@@ -113,7 +113,7 @@ class TestParse:
         group = parse_scene(json.dumps(d)).groups[0]
         assert not group.rigid
         assert group.curve.center == Vec2(0, 0)
-        assert group.curve.length() == pytest.approx(math.pi / 2)
+        assert group.curve.point_at(0.5) == pytest.approx((math.sqrt(0.5), math.sqrt(0.5)))
 
     def test_constraint_defaults_applied(self):
         d = doc(constraints=[{"kind": "wall_distance", "objects": ["crate_0"], "distance": 1.0}])
