@@ -106,6 +106,8 @@ def mass_from_bbox(bbox: BoundingBox) -> float:
     volume = bbox.volume
     if volume <= 0.0:
         raise ValueError("cannot derive mass from a zero-volume box")
+    if not math.isfinite(volume):
+        raise ValueError("cannot derive mass from a box whose volume overflows")
     return volume
 
 

@@ -16,7 +16,7 @@ from typing import Any
 from . import constraints as cn
 from .geometry import Curve, Vec2, stable_radians
 from .model import (
-    FACES, Particle, Room, Scene, bbox_from_entry, mass_from_bbox, regions_from_entry,
+    FACES, Particle, Room, Scene, bbox_from_entry, regions_from_entry,
 )
 
 
@@ -368,7 +368,7 @@ def serialize_scene(scene: Scene) -> str:
         }
         if particle.fixed:
             entry["fixed"] = True
-        elif particle.mass != mass_from_bbox(obj.bbox):
+        elif particle.mass != obj.bbox.volume:  # what mass_from_bbox derives, if it can
             entry["mass"] = particle.mass
         objects.append(entry)
 

@@ -161,6 +161,9 @@ class TestBoundingBox:
         assert mass_from_bbox(BoundingBox(Vec2(0.5, 0.5), 0.5)) == pytest.approx(1.0)
         assert mass_from_bbox(BoundingBox(Vec2(1, 1), 1)) == pytest.approx(8.0)
         assert mass_from_bbox(BoundingBox(Vec2(0.5, 1.0), 0.25)) == pytest.approx(1.0)
+        # finite half sizes whose volume overflows would read as a fixed object
+        with pytest.raises(ValueError, match="overflows"):
+            mass_from_bbox(BoundingBox(Vec2(5e102, 5e102), 5e102))
 
     def test_rejects_degenerate(self):
         with pytest.raises(ValueError):

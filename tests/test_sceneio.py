@@ -193,6 +193,8 @@ class TestMalformed:
          r"^groups\[0\]: rigid groups take no curve"),
         (lambda d: d["objects"][0].update(fixed=True, mass=5.0),
          r"^objects\[0\]: a fixed object takes no mass"),
+        (_set(("catalogue", "crate", "size"), [1e103, 1e103, 1e103]),
+         r"^objects\[0\]: cannot derive mass from a box whose volume overflows"),
         (_in_two_groups, r"^groups\[1\]: object 'crate_0' is in groups 'g' and 'h'"),
         (_with_group(members=["crate_0", "crate_0"]),
          r"^groups\[0\]: group 'g' names object 'crate_0' twice"),
@@ -440,6 +442,14 @@ class TestRoundTrip:
         assert objects[1]["mass"] == 2.5 and "fixed" not in objects[1]
         assert "fixed" not in objects[2] and "mass" not in objects[2]
         assert parse_scene(text) == scene
+
+    def test_mass_of_a_box_whose_volume_overflows_is_written(self):
+        d = doc()
+        d["catalogue"]["crate"]["size"] = [1e103, 1e103, 1e103]
+        d["objects"][0]["mass"] = 2.5
+        text = serialize_scene(parse_scene(json.dumps(d)))
+        assert json.loads(text)["objects"][0]["mass"] == 2.5
+        assert serialize_scene(parse_scene(text)) == text
 
     def test_object_its_label_cannot_rebuild_is_refused(self):
         # a scene built without a catalogue writes one entry per label,
