@@ -15,9 +15,7 @@ from typing import Any
 
 from . import constraints as cn
 from .geometry import Curve, Vec2, stable_radians
-from .model import (
-    FACES, Particle, Room, Scene, bbox_from_entry, regions_from_entry,
-)
+from .model import FACES, Particle, Room, Scene, bbox_from_entry, regions_from_entry
 
 
 class SceneFormatError(ValueError):
