@@ -443,9 +443,10 @@ class TestRoundTrip:
         assert "fixed" not in objects[2] and "mass" not in objects[2]
         assert parse_scene(text) == scene
 
-    def test_mass_of_a_box_whose_volume_overflows_is_written(self):
+    @pytest.mark.parametrize("side", [1e103, 1e-110])  # the volume overflows, underflows
+    def test_mass_of_a_box_without_a_volume_is_written(self, side):
         d = doc()
-        d["catalogue"]["crate"]["size"] = [1e103, 1e103, 1e103]
+        d["catalogue"]["crate"]["size"] = [side, side, side]
         d["objects"][0]["mass"] = 2.5
         text = serialize_scene(parse_scene(json.dumps(d)))
         assert json.loads(text)["objects"][0]["mass"] == 2.5
