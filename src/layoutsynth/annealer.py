@@ -14,10 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import normalize_angle
 from .model import Scene
 from .solver import (
     EnergyTrace, LayoutState, Pose, SolveContext, check_count, check_seed, evaluate_energy,
-    initialize,
+    initialize, place_members,
 )
 
 
@@ -71,20 +72,14 @@ def _draw_move(
         if not ctx.room.contains((x, y)):
             return idx, pose, pose
         return idx, pose, (x, y, z, theta)
-    return idx, pose, (x, y, z, (theta + rng.normal(0.0, sigma_theta)) % (2.0 * math.pi))
+    return idx, pose, (x, y, z, normalize_angle(theta + rng.normal(0.0, sigma_theta)))
 
 
 def _apply_move(state: LayoutState, ctx: SolveContext, idx: int, pose: Pose) -> None:
     """Write a particle's whole pose and place its rigid members again."""
-    gx, gy, _, gth = pose
     state.px[idx], state.py[idx], state.pz[idx], state.theta[idx] = pose
-    rows = ctx.members_of.get(idx)
-    if rows:
-        c, s = math.cos(gth), math.sin(gth)
-        for m, (dx, dy, dth) in rows:
-            state.px[m] = gx + c * dx - s * dy
-            state.py[m] = gy + s * dx + c * dy
-            state.theta[m] = (gth + dth) % (2.0 * math.pi)
+    if idx in ctx.members_of:
+        place_members(state, ctx, idx)
 
 
 def accept(

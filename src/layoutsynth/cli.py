@@ -21,7 +21,7 @@ from . import solver
 from .annealer import AnnealConfig, run_sa_mcmc
 from .model import Scene
 from .render import RenderOptions, render_svg
-from .sceneio import SceneFormatError, load_scene, save_scene
+from .sceneio import SceneFormatError, load_scene, pose_doc, save_scene
 from .scenes import TEMPLATE_NAMES, build
 from .solver import EnergyTrace, SolverConfig, synthesize
 
@@ -106,17 +106,9 @@ def _write_trace_csv(path: Path, traces: dict[str, EnergyTrace]) -> None:
 
 
 def _layout_doc(scene: Scene, layout, trace: EnergyTrace) -> dict:
-    objects = {}
-    for obj in scene.objects:
-        x, y, z, theta = layout[obj.particle_index]
-        objects[obj.id] = {"x": x, "y": y, "z": z, "theta_deg": math.degrees(theta)}
-    groups = {}
-    for group in scene.groups:
-        x, y, z, theta = layout[group.particle_index]
-        groups[group.id] = {"x": x, "y": y, "z": z, "theta_deg": math.degrees(theta)}
     return {
-        "objects": objects,
-        "groups": groups,
+        "objects": {obj.id: pose_doc(*layout[obj.particle_index]) for obj in scene.objects},
+        "groups": {g.id: pose_doc(*layout[g.particle_index]) for g in scene.groups},
         "energy": trace.best_energy,
         "best_iteration": trace.best_iteration,
         "iterations_recorded": len(trace.energies),
@@ -168,12 +160,15 @@ def _write_json(path: Path, doc: dict) -> None:
         handle.write("\n")
 
 
-def _render_options(args) -> RenderOptions:
-    return RenderOptions(
+def _write_svg(path: Path, scene: Scene, layout, args) -> None:
+    """Draw a layout with the overlays that the command's flags ask for."""
+    options = RenderOptions(
         show_accessibility=args.show_access,
         show_bounding_circles=args.show_circles,
         show_traffic_lanes=args.show_lanes,
     )
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(render_svg(scene, layout, options))
 
 
 def cmd_synth(args) -> int:
@@ -189,8 +184,7 @@ def cmd_synth(args) -> int:
         anneal_config = _anneal_config(args)
         layout, trace = run_sa_mcmc(scene, anneal_config)
     _write_json(out / "layout.json", _layout_doc(scene, layout, trace))
-    with open(out / "layout.svg", "w", encoding="utf-8") as handle:
-        handle.write(render_svg(scene, layout, _render_options(args)))
+    _write_svg(out / "layout.svg", scene, layout, args)
     _write_trace_csv(out / "trace.csv", {args.mode: trace})
     _write_json(
         out / "run_meta.json",
@@ -210,8 +204,7 @@ def cmd_suggest(args) -> int:
         config = _solver_config(scene, args)
         config.seed = seed
         layout, trace = synthesize(scene, config)
-        with open(out / f"layout_seed{seed}.svg", "w", encoding="utf-8") as handle:
-            handle.write(render_svg(scene, layout, _render_options(args)))
+        _write_svg(out / f"layout_seed{seed}.svg", scene, layout, args)
         print(f"seed {seed}: E={trace.best_energy:.6g}")
     return 0
 
@@ -236,10 +229,8 @@ def cmd_compare(args) -> int:
         "pbd_iterations": len(pbd_trace.energies) - 1,
         "mcmc_iterations": len(mcmc_trace.energies) - 1,
     })
-    with open(out / "pbd.svg", "w", encoding="utf-8") as handle:
-        handle.write(render_svg(scene, pbd_layout, _render_options(args)))
-    with open(out / "mcmc.svg", "w", encoding="utf-8") as handle:
-        handle.write(render_svg(scene, mcmc_layout, _render_options(args)))
+    _write_svg(out / "pbd.svg", scene, pbd_layout, args)
+    _write_svg(out / "mcmc.svg", scene, mcmc_layout, args)
     print(f"pbd:  E={pbd_trace.best_energy:.6g} in {pbd_time:.2f} s")
     print(f"mcmc: E={mcmc_trace.best_energy:.6g} in {mcmc_time:.2f} s")
     return 0

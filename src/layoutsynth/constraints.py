@@ -290,12 +290,6 @@ TieBreak = Optional[Callable[[], tuple[float, float]]]
 Sink = Callable[[int, float, float, float, float], None]
 
 
-def _tiebreak_dir(tiebreak: TieBreak) -> tuple[float, float]:
-    if tiebreak is None:
-        return 1.0, 0.0
-    return tiebreak()
-
-
 def project_pairwise_distance(
     out: Sink,
     i: int,
@@ -323,7 +317,7 @@ def project_pairwise_distance(
     if dist < _EPS:
         if relation == INEQUALITY and d <= 0.0:
             return False
-        nx, ny = _tiebreak_dir(tiebreak)
+        nx, ny = (1.0, 0.0) if tiebreak is None else tiebreak()
         C = -d
     else:
         nx, ny = dx / dist, dy / dist

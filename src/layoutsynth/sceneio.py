@@ -15,7 +15,7 @@ from typing import Any
 
 from . import constraints as cn
 from .geometry import Curve, Vec2, stable_radians
-from .model import FACES, Particle, Room, Scene, bbox_from_entry, regions_from_entry
+from .model import FACES, Room, Scene, bbox_from_entry, regions_from_entry
 
 
 class SceneFormatError(ValueError):
@@ -313,13 +313,9 @@ def parse_scene(text: str) -> Scene:
     return scene
 
 
-def _pose_doc(particle: Particle) -> dict:
-    return {
-        "x": particle.position.x,
-        "y": particle.position.y,
-        "z": particle.z,
-        "theta_deg": math.degrees(particle.orientation),
-    }
+def pose_doc(x: float, y: float, z: float, theta: float) -> dict:
+    """A pose as scene and layout files write it, theta in degrees."""
+    return {"x": x, "y": y, "z": z, "theta_deg": math.degrees(theta)}
 
 
 def serialize_scene(scene: Scene) -> str:
@@ -362,7 +358,7 @@ def serialize_scene(scene: Scene) -> str:
         entry: dict[str, Any] = {
             "id": obj.id,
             "label": obj.label,
-            "pose": _pose_doc(particle),
+            "pose": pose_doc(*particle.position, particle.z, particle.orientation),
         }
         if particle.fixed:
             entry["fixed"] = True
@@ -377,7 +373,7 @@ def serialize_scene(scene: Scene) -> str:
             "id": group.id,
             "members": list(group.member_object_ids),
             "mass": particle.mass,
-            "pose": _pose_doc(particle),
+            "pose": pose_doc(*particle.position, particle.z, particle.orientation),
         }
         if group.curve is not None:
             curve_doc: dict[str, Any] = {

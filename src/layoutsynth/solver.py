@@ -268,7 +268,11 @@ class SolveContext:
 
         # the scene's own constraints: a run never writes to them
         self.user_constraints: list[Constraint] = list(scene.constraints)
-        self.user_constraints.extend(group_curve_constraints(scene, members))
+        # member-to-curve attachments of the curve-carrying (nonrigid) groups
+        self.user_constraints.extend(
+            Constraint(cn.GROUP_CURVE, (m, group.particle_index), group_id=group.id)
+            for group in scene.groups if group.curve is not None for m in members[group.id]
+        )
         self.has_wall = {
             c.particles[0] for c in self.user_constraints if c.kind == cn.WALL_DISTANCE
         }
@@ -332,23 +336,16 @@ class SolveContext:
             and self.owner[c.particles[0]] < 0 and c.particles[0] not in self.members_of
         ]
 
-        # round-robin interleavings of the bound entries, one per starting
-        # kind; iteration l uses rotation (l-1) mod len(kinds)
+        # round-robin interleavings, one per starting kind: row r takes each
+        # kind's r-th entry in turn; iteration l uses rotation (l-1) mod len(kinds)
         kinds = [k for k in cn.KINDS if k in by_kind]
-        self.interleavings: list[list[Bound]] = []
-        for start in range(max(1, len(kinds))):
-            rotated = kinds[start:] + kinds[:start]
-            order: list[Bound] = []
-            row = 0
-            remaining = len(self.user_constraints)
-            while remaining:
-                for kind in rotated:
-                    bucket = by_kind[kind]
-                    if row < len(bucket):
-                        order.append(bucket[row])
-                        remaining -= 1
-                row += 1
-            self.interleavings.append(order)
+        rotations = [kinds[start:] + kinds[:start] for start in range(max(1, len(kinds)))]
+        depth = max(map(len, by_kind.values()), default=0)
+        self.interleavings: list[list[Bound]] = [
+            [by_kind[kind][row] for row in range(depth) for kind in rotated
+             if row < len(by_kind[kind])]
+            for rotated in rotations
+        ]
         self._bind_array_pricing()
 
     def _bind_array_pricing(self) -> None:
@@ -381,18 +378,6 @@ class SolveContext:
             self.array_pricing.append((kind, np.array(rows), price))
 
 
-def group_curve_constraints(scene: Scene, members: dict[str, list[int]]) -> list[Constraint]:
-    """Member-to-curve attachments for every curve-carrying group (only
-    nonrigid groups carry one), in member order."""
-    out = []
-    for group in scene.groups:
-        if group.curve is None:
-            continue
-        for m in members[group.id]:
-            out.append(Constraint(cn.GROUP_CURVE, (m, group.particle_index), group_id=group.id))
-    return out
-
-
 def initialize(ctx: SolveContext, seed: int) -> LayoutState:
     """Random starting poses for ``ctx.scene``: each free particle
     (``ctx.free``, in index order) draws a position uniform over the room
@@ -417,14 +402,19 @@ def initialize(ctx: SolveContext, seed: int) -> LayoutState:
             raise RuntimeError("rejection sampling failed; room area is ~0")
         state.px[i], state.py[i] = x, y
         state.theta[i] = rng.uniform(0.0, 2.0 * math.pi)
-    for g, rows in ctx.members_of.items():
-        gx, gy, gth = state.px[g], state.py[g], state.theta[g]
-        c, s = math.cos(gth), math.sin(gth)
-        for m, (dx, dy, dth) in rows:
-            state.px[m] = gx + c * dx - s * dy
-            state.py[m] = gy + s * dx + c * dy
-            state.theta[m] = normalize_angle(gth + dth)
+    for g in ctx.members_of:
+        place_members(state, ctx, g)
     return state
+
+
+def place_members(state: LayoutState, ctx: SolveContext, g: int) -> None:
+    """Pose group ``g``'s rigid members from its pose, angles wrapped by ``normalize_angle``."""
+    gx, gy, gth = state.px[g], state.py[g], state.theta[g]
+    c, s = math.cos(gth), math.sin(gth)
+    for m, (dx, dy, dth) in ctx.members_of[g]:
+        state.px[m] = gx + c * dx - s * dy
+        state.py[m] = gy + s * dx + c * dy
+        state.theta[m] = normalize_angle(gth + dth)
 
 
 class _Applier:
@@ -447,6 +437,9 @@ class _Applier:
         self.out = self._apply
 
     def _apply(self, i: int, dx: float, dy: float, dz: float, dtheta: float) -> None:
+        """Correct ``i`` or its rigid group, posing members here, not by
+        ``place_members``: angles stay unwrapped until the step's closing
+        ``normalize_angle`` pass, as wrapping moves later cos/sin bits."""
         px, py, theta = self.px, self.py, self.theta
         target = self.owner[i]
         if target < 0:
@@ -504,20 +497,15 @@ def neighbour_list(ctx: SolveContext, broad_phase: str = "hash") -> NaiveIndex |
 def build_hash(
     st: LayoutState,
     ctx: SolveContext,
-    broad_phase: str = "hash",
     neighbours: NaiveIndex | NeighbourList | None = None,
 ):
     """The broad-phase index for the current poses: empty when collisions
     are off, otherwise the given pair source brought up to date (a solve
-    always passes its attempt's), or without one all pairs for the naive
-    broad phase and a fresh hash for the default one (the annealer's
-    pricings)."""
+    always passes its attempt's), or without one a fresh hash."""
     if not ctx.scene.collisions_enabled:
         return NaiveIndex(())  # the narrow phase would discard any pairs
     if neighbours is not None:
         return neighbours.refresh(st.px, st.py)
-    if broad_phase == "naive":
-        return NaiveIndex(ctx.object_particles)
     # insertion extents carry the accessibility reach so zone pairs also
     # share cells; soundness holds for any cell size
     return rebuild(
@@ -693,10 +681,10 @@ def evaluate_energy(
 
     A pricing without contacts generates them through ``build_hash``:
     over the given pair source (a solve's fresh pricings), or without one
-    over all pairs under ``broad_phase="naive"`` and a fresh hash
-    otherwise (the annealer's). The list's pairs are a sorted superset of
-    the pairs that interact, as are the hash's, so all three give the
-    same contacts in the same order.
+    over ``neighbour_list(ctx, "naive")`` under ``broad_phase="naive"`` and
+    a fresh hash otherwise (the annealer's). The list's pairs are a sorted
+    superset of the pairs that interact, as are the hash's, so all three
+    give the same contacts in the same order.
     """
     if authored is None:
         total, sums = authored_energy(st, ctx)
@@ -710,7 +698,9 @@ def evaluate_energy(
     # the room, keeps a violation this pricing does not see
     boundary_particles = ctx.object_particles
     if contacts is None:
-        contacts = generate_contacts(st, ctx, build_hash(st, ctx, broad_phase, neighbours))
+        if neighbours is None and broad_phase == "naive":
+            neighbours = neighbour_list(ctx, broad_phase)
+        contacts = generate_contacts(st, ctx, build_hash(st, ctx, neighbours))
     else:
         boundary_particles = ctx.boundary_recheck
     collisions, activations, _ = contacts

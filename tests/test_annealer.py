@@ -13,8 +13,8 @@ from layoutsynth.annealer import (
     accept,
     run_sa_mcmc,
 )
-from layoutsynth.geometry import Vec2
-from layoutsynth.model import BoundingBox, LayoutObject, Particle, Room, Scene
+from layoutsynth.geometry import Vec2, normalize_angle
+from layoutsynth.model import BoundingBox, Group, LayoutObject, Particle, Room, Scene
 from layoutsynth.solver import LayoutState, SolveContext, initialize
 
 
@@ -104,6 +104,18 @@ class TestPropose:
         for group in scene.groups:
             assert group.particle_index in movable
 
+    def test_members_never_store_a_full_turn(self):
+        # (0.0 - 1e-17) % (2 pi) rounds to exactly 2 pi; every stored
+        # orientation lies in [0, 2 pi)
+        scene = one_box_scene()
+        scene.particles.append(Particle(Vec2(50.0, 50.0)))
+        scene.groups.append(Group(id="g", particle_index=1, member_object_ids=("box",),
+                                  member_offsets=((0.0, 0.0, -1e-17),)))
+        ctx = SolveContext(scene)
+        state = initialize(ctx, 0)
+        _apply_move(state, ctx, 1, (50.0, 50.0, 0.0, 0.0))
+        assert state.theta[0] == 0.0
+
 
 class TestAccept:
     def test_downhill_always(self):
@@ -178,7 +190,7 @@ class TestRun:
             for m, (dx, dy, dth) in rows:
                 x, y, _, theta = layout[m]
                 assert (x, y, theta) == (
-                    gx + c * dx - s * dy, gy + s * dx + c * dy, (gth + dth) % (2.0 * math.pi)
+                    gx + c * dx - s * dy, gy + s * dx + c * dy, normalize_angle(gth + dth)
                 )
 
 
