@@ -533,6 +533,17 @@ class TestStep:
                 tiebreak=lambda: (math.nan, math.nan),
             )
 
+    @pytest.mark.parametrize("make_scene, clean", [
+        (lambda: box_scene(16, side=3.0), False),  # sixteen unit boxes overfill 3 x 3 m
+        (scenes.living_room, True),
+    ], ids=["crowded", "living_room"])
+    def test_a_settle_is_true_when_clean(self, make_scene, clean):
+        # the benchmark's tracer counts clean settles by their truth value
+        ctx = SolveContext(make_scene())
+        settled = _settle_hard_constraints(initialize(ctx, 0), ctx, neighbour_list(ctx))
+        assert settled.clean is clean
+        assert bool(settled) is clean
+
     def test_constraints_project_one_after_another(self):
         # two anchors pull particle 0 toward themselves by 3 each, in
         # opposite directions; the second projection starts where the
@@ -763,6 +774,21 @@ class TestSynthesize:
         monkeypatch.setattr(solver, "_settle_hard_constraints", settle_never_clean)
         _, trace = synthesize(scenes.living_room(), SolverConfig(seed=0, max_iterations=10))
         assert len(calls) == 3 * (trace.restarts + 1)
+
+    def test_a_restart_rescues_a_template_solve(self):
+        # one of the benchmark's small_rooms jobs: the first attempt ends
+        # infeasible and the first restart ends feasible
+        scene = scenes.build("tp_bedroom")
+        config = SolverConfig(seed=1202413557)
+        _, _, feasible = solver._synthesize_attempt(SolveContext(scene), config, 1202413557)
+        assert not feasible
+        layout, trace = synthesize(scene, config)
+        assert trace.restarts == 1
+        st = LayoutState(*zip(*layout))
+        _, _, max_overlap, max_boundary = evaluate_energy(
+            st, SolveContext(scene), broad_phase="naive")
+        assert max_overlap <= 1e-6
+        assert max_boundary <= 1e-6
 
     def test_restart_log_names_attempt_and_seeds(self, caplog):
         # sixteen unit boxes cannot fit a 3 x 3 room, so no attempt settles
