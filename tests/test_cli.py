@@ -243,7 +243,7 @@ def test_parser_lists_the_five_commands():
 
 
 def test_bench_is_a_usage_error(capsys):
-    # timing lives in the scaling criterion and demos/theater_scaling.py
+    # timing lives in the scaling criterion and perfbench/
     with pytest.raises(SystemExit) as exc:
         run(["bench", "--scene", "theater1"])
     assert exc.value.code == 2
